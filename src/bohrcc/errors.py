@@ -28,8 +28,9 @@ class BudgetError(BohrccError, RuntimeError):
 
 
 class NoRootError(BohrccError, RuntimeError):
-    """A radius equation shows no sign change on (0, 1).  The defining
-    inequalities guarantee a root, so this signals an integrand bug."""
+    """A radius equation's lhs stays below its target on the whole interval
+    the solver resolves ((0, 0.999] for ``solve_radius``), so any root lies
+    closer to 1.  Near-identity shape functions do this."""
 
 
 class InconsistencyError(BohrccError, RuntimeError):

@@ -25,8 +25,12 @@ singularity.)
 Every integral has two independent evaluation routes: adaptive quadrature
 over pointwise evaluators, and exact termwise integration of the majorant
 series.  The two serve as each other's oracle in the test suite.  Root
-finding is a uniform scan at step 1e-3 (the lhs is monotone, so the first
-sign change brackets the smallest root) followed by bisection.
+finding uses both: the series curve (a lower bound, its coefficients being
+nonnegative) picks the 1e-3 grid cell where the monotone lhs first reaches
+the target, and quadrature confirms it.  Bisection then lets the series
+decide each step that lies clearly away from the target and quadrature the
+rest, and a quadrature bracket check at the end certifies the result; if
+it fails, the bisection is redone on quadrature alone.
 """
 
 from __future__ import annotations
@@ -34,11 +38,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev
 from scipy.integrate import quad
 
 from . import power_series as ps
@@ -62,7 +65,20 @@ _SCAN_STEP = 1e-3
 _SCAN_LIMIT = 0.999
 _BISECT_WIDTH = 1e-11
 _SERIES_EVAL_TAIL = 1e-11
+_SERIES_MARGIN = 1e-8  # ~100x the quadrature tolerance: beyond it the series decides
 _ONE_THIRD = 1.0 / 3.0
+
+
+def _scan_grid() -> tuple[float, ...]:
+    """0, 1e-3, 2e-3, ..., 0.999, accumulated step by step: bisection
+    starts from one of these cells, so its floats fix the radius bits."""
+    grid = [0.0]
+    while grid[-1] < _SCAN_LIMIT:
+        grid.append(min(grid[-1] + _SCAN_STEP, _SCAN_LIMIT))
+    return tuple(grid)
+
+
+_SCAN_GRID = _scan_grid()
 
 
 class ClassId(enum.Enum):
@@ -247,7 +263,7 @@ def target_constant(
 
 
 # ---------------------------------------------------------------------------
-# radius problems and the scan + bisection solver
+# radius problems and the series-guided, quadrature-certified solver
 # ---------------------------------------------------------------------------
 
 
@@ -306,53 +322,42 @@ def build_problem(
     return RadiusProblem(class_id, spec, lhs, target, order, tol)
 
 
-def _scan_first_crossing(
-    class_id: ClassId, spec: PhiSpec, target: float, order: int, tol: float
-) -> tuple[float, float]:
-    """Walk the lhs cumulatively in 1e-3 steps until it passes the target.
+def _locate_cell(lhs: Callable[[float], float], target: float, hint: int | None):
+    """The first scan-grid cell (g[i-1], g[i]) with lhs(g[i-1]) < target <=
+    lhs(g[i]) for a nondecreasing lhs with lhs(0) = 0, or None when lhs(0.999)
+    stays below the target.
 
-    Pieces are integrated independently and summed, so each grid value
-    costs one short quadrature; the returned bracket is re-verified with
-    full-accuracy evaluations before bisection.
+    ``hint`` is the index i a lower bound on the lhs suggests; when it is
+    right the cell costs two evaluations, otherwise a binary search over the
+    grid indices it narrows.
     """
-    integrand = lhs_integrand(class_id, spec, order)
-    piece_tol = max(tol * _SCAN_STEP, 1e-15)
-    acc = 0.0
-    lo = 0.0
-    if class_id in _NESTED:
-        inner_cum = 0.0
-        while lo < _SCAN_LIMIT:
-            hi = min(lo + _SCAN_STEP, _SCAN_LIMIT)
-            interp = Chebyshev.interpolate(
-                lambda xs: np.array([integrand(float(x)) for x in np.atleast_1d(xs)]),
-                12,
-                domain=[lo, hi],
-            )
-            anti = interp.integ()
-            base, a0 = inner_cum, float(anti(lo))
+    lo, hi = 0, len(_SCAN_GRID) - 1  # lhs(g[lo]) < target; lhs(g[hi]) >= target once checked
+    if hint is not None:
+        if lhs(_SCAN_GRID[hint]) < target:
+            lo = hint
+        elif lhs(_SCAN_GRID[hint - 1]) < target:
+            lo, hi = hint - 1, hint
+        else:
+            hi = hint - 1
+    if lhs(_SCAN_GRID[hi]) < target:
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if lhs(_SCAN_GRID[mid]) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return _SCAN_GRID[lo], _SCAN_GRID[hi]
 
-            def outer(s: float) -> float:
-                if s < 1e-8:
-                    return integrand.left_limit
-                return (base + float(anti(s)) - a0) / s
 
-            acc += quad(outer, lo, hi, epsabs=piece_tol, epsrel=1e-12)[0]
-            inner_cum = base + float(anti(hi)) - a0
-            if acc >= target:
-                return (lo, hi)
-            lo = hi
-    else:
-        while lo < _SCAN_LIMIT:
-            hi = min(lo + _SCAN_STEP, _SCAN_LIMIT)
-            acc += quad(integrand.evaluator, lo, hi, epsabs=piece_tol, epsrel=1e-12)[0]
-            if acc >= target:
-                return (lo, hi)
-            lo = hi
-    raise NoRootError(
-        f"radius >= 1: {class_id.value} lhs never reaches its target {target:.6g} on "
-        f"(0, {_SCAN_LIMIT}); the defining inequalities guarantee a root below 1, so "
-        f"this is an integrand bug ({spec.label()})"
-    )
+def _bisect(lhs: Callable[[float], float], target: float, lo: float, hi: float):
+    while hi - lo > _BISECT_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if lhs(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
 
 
 def solve_radius(
@@ -393,39 +398,30 @@ def _solve_cached(
     class_id: ClassId, spec: PhiSpec, order: int, tol: float, rotated: bool
 ) -> RadiusResult:
     target = target_constant(class_id, spec, order, tol)
+    curve = _series_lhs_curve(class_id, spec, order, rotated)
     if rotated:
-        curve = _series_lhs_curve(class_id, spec, order, True)
-        full_lhs = lambda r: ps.eval_at(curve, r, tail_tol=_SERIES_EVAL_TAIL)
-        lo, hi = 0.0, None
-        r = _SCAN_STEP
-        while r < _SCAN_LIMIT:
-            if full_lhs(r) >= target:
-                hi = r
-                break
-            lo = r
-            r += _SCAN_STEP
-        if hi is None:
-            raise NoRootError("rotated lhs never reaches the target")
+        lhs = cache(lambda r: ps.eval_at(curve, r, tail_tol=_SERIES_EVAL_TAIL))
     else:
-        full_lhs = build_problem(class_id, spec, order, tol).lhs
-        lo, hi = _scan_first_crossing(class_id, spec, target, order, tol)
-    # re-verify the bracket at full accuracy (the scan accumulates pieces)
-    step = _SCAN_STEP
-    while lo > 0.0 and full_lhs(lo) - target > 0.0:
-        lo = max(lo - step, 0.0)
-    while hi < _SCAN_LIMIT and full_lhs(hi) - target < 0.0:
-        hi = min(hi + step, _SCAN_LIMIT)
-    f_lo = (full_lhs(lo) - target) if lo > 0.0 else -target
-    if f_lo > 0.0 or full_lhs(hi) < target:
-        raise NoRootError(f"could not bracket the {class_id.value} radius near ({lo}, {hi})")
-    while hi - lo > _BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if full_lhs(mid) - target >= 0.0:
-            hi = mid
-        else:
-            lo = mid
+        lhs = cache(lambda r: lhs_at(class_id, spec, r, "quadrature", order, tol))
+    on_grid = np.polynomial.polynomial.polyval(np.array(_SCAN_GRID), curve.coeffs)
+    reached = np.flatnonzero(on_grid >= target)
+    cell = _locate_cell(lhs, target, int(reached[0]) if reached.size else None)
+    if cell is None:
+        raise NoRootError(
+            f"{class_id.value} lhs for {spec.label()} stays below its target on "
+            f"(0, {_SCAN_LIMIT}]: lhs({_SCAN_LIMIT}) = {lhs(_SCAN_LIMIT):.10g} < "
+            f"target {target:.10g}, so any root lies beyond {_SCAN_LIMIT}"
+        )
+
+    def guided(r: float) -> float:
+        s = ps.eval_at(curve, r)
+        return s if abs(s - target) > _SERIES_MARGIN else lhs(r)
+
+    lo, hi = _bisect(guided, target, *cell)
+    if not (lhs(lo) < target <= lhs(hi)):  # a series decision disagreed with lhs
+        lo, hi = _bisect(lhs, target, *cell)
     r_f = 0.5 * (lo + hi)
-    residual = abs(full_lhs(r_f) - target)
+    residual = abs(lhs(r_f) - target)
     sharp = bool(
         class_id is ClassId.SC and has_positive_coeffs(spec) and r_f <= _ONE_THIRD + 1e-12
     )

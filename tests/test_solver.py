@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from bohrcc import power_series as ps
+from bohrcc import solver
 from bohrcc.catalog import expblend, janowski, lemniscate, sakaguchi, strongly, wang
-from bohrcc.errors import InconsistencyError, ParameterError
+from bohrcc.errors import InconsistencyError, NoRootError, ParameterError
 from bohrcc.extremal import build_extremal, h_at
 from bohrcc.solver import (
     ClassId,
@@ -221,3 +223,106 @@ class TestThresholdScan:
             threshold_scan("sc-lemniscate", [0.5, 0.4])
         with pytest.raises(ParameterError):
             threshold_scan("unknown", [0.1, 0.2])
+
+
+#: (r_f, residual, bracket) of each canonical solve, pinned to the last bit:
+#: the golden `radius` output prints 9 significant digits of a ~1e-12
+#: residual, which only hold while r_f is the same float.
+PINNED = {
+    ("Ks", "janowski(A=1, B=-1)"): (0.25737441517040144, 3.0204172496439696e-12, (0.25737441516667614, 0.25737441517412674)),
+    ("Sc", "janowski(A=1, B=-1)"): (0.17157287525013099, 7.580991390199188e-12, (0.1715728752464057, 0.17157287525385628)),
+    ("Cc", "janowski(A=1, B=-1)"): (0.33333333333209175, 2.792932551898275e-12, (0.33333333332836645, 0.33333333333581705)),
+    ("Cs", "janowski(A=1, B=-1)"): (0.4603585141859952, 4.247713292215849e-12, (0.4603585141822699, 0.4603585141897205)),
+    ("Ks", "sakaguchi(gamma=0.25)"): (0.33059895990416427, 1.8941515023129796e-12, (0.33059895990043897, 0.33059895990788957)),
+    ("Sc", "sakaguchi(gamma=0.25)"): (0.23606797749921704, 1.2551626404899707e-12, (0.23606797749549174, 0.2360679775029423)),
+    ("Cc", "sakaguchi(gamma=0.25)"): (0.4017610510401431, 2.1272983374842624e-12, (0.4017610510364178, 0.4017610510438684)),
+    ("Cs", "sakaguchi(gamma=0.25)"): (0.5334441121406854, 5.711764394789043e-12, (0.5334441121369602, 0.5334441121444108)),
+    ("Ks", "lemniscate(s=0.5)"): (0.38566619777306943, 5.668465696828662e-12, (0.3856661977693442, 0.38566619777679473)),
+    ("Sc", "lemniscate(s=0.5)"): (0.3040402215532961, 2.8602120671905595e-12, (0.3040402215495708, 0.3040402215570214)),
+    ("Cc", "lemniscate(s=0.5)"): (0.4979361398704354, 5.294764626739834e-12, (0.4979361398667101, 0.49793613987416063)),
+    ("Cs", "lemniscate(s=0.5)"): (0.6263652073852723, 4.980904577678302e-12, (0.6263652073815471, 0.6263652073889976)),
+    ("Ks", "expblend(alpha=0.03)"): (0.4065969111211601, 1.9910739723627557e-12, (0.4065969111174348, 0.4065969111248854)),
+    ("Sc", "expblend(alpha=0.03)"): (0.3269921740032735, 3.760436406707868e-12, (0.3269921739995482, 0.32699217400699876)),
+    ("Cc", "expblend(alpha=0.03)"): (0.5095123850964014, 6.45394848675096e-12, (0.509512385092676, 0.5095123851001266)),
+    ("Cs", "expblend(alpha=0.03)"): (0.6383017416559165, 1.8799406475977776e-12, (0.6383017416521912, 0.6383017416596418)),
+    ("Ks", "strongly(alpha=0.5)"): (0.3774595882706347, 4.7628567756419216e-14, (0.3774595882669094, 0.37745958827436)),
+    ("Sc", "strongly(alpha=0.5)"): (0.2996327950470151, 2.3552826355910383e-12, (0.2996327950432899, 0.2996327950507404)),
+    ("Cc", "strongly(alpha=0.5)"): (0.4938682491369549, 4.832134692378531e-12, (0.4938682491332296, 0.49386824914068017)),
+    ("Cs", "strongly(alpha=0.5)"): (0.6190872504375879, 4.968914169012351e-12, (0.6190872504338626, 0.6190872504413132)),
+    ("Ks", "wang(alpha=0.5, beta=1)"): (0.2979233101643624, 1.0996759058912176e-12, (0.2979233101606371, 0.2979233101680877)),
+    ("Sc", "wang(alpha=0.5, beta=1)"): (0.2117850860469045, 5.936640068426868e-12, (0.2117850860431792, 0.21178508605062976)),
+    ("Cc", "wang(alpha=0.5, beta=1)"): (0.3964325485266748, 2.368993889945159e-12, (0.3964325485229495, 0.3964325485304001)),
+    ("Cs", "wang(alpha=0.5, beta=1)"): (0.5261763953678313, 2.6608715231191127e-12, (0.5261763953641061, 0.5261763953715566)),
+}
+
+
+def _cold_solve(class_id, spec, order=64, tol=1e-10):
+    """solve_radius with the solve and target caches bypassed."""
+    solver.target_constant.cache_clear()
+    return solver._solve_cached.__wrapped__(class_id, spec, order, tol, False)
+
+
+class TestRootSearch:
+    @pytest.mark.parametrize("spec", CANONICAL, ids=lambda s: s.label())
+    @pytest.mark.parametrize("class_id", list(ClassId), ids=lambda c: c.value)
+    def test_canonical_bits(self, class_id, spec):
+        res = solve_radius(class_id, spec)
+        assert (res.r_f, res.residual, res.bracket) == PINNED[(class_id.value, spec.label())]
+
+    @pytest.mark.parametrize(
+        "class_id,spec,r_f",
+        [
+            (ClassId.CS, strongly(0.05), 0.9374887151829907),
+            (ClassId.CC, strongly(0.03), 0.9395030524097387),
+        ],
+        ids=["Cs-strongly(0.05)", "Cc-strongly(0.03)"],
+    )
+    def test_large_root_where_series_misleads(self, class_id, spec, r_f):
+        # at r ~ 0.94 the order-64 series is off by more than the margin that
+        # lets it decide, so the quadrature certificate must catch it
+        assert solve_radius(class_id, spec).r_f == r_f
+
+    @pytest.mark.parametrize(
+        "key", [("Sc", "lemniscate(s=0.5)"), ("Cs", "strongly(alpha=0.5)")], ids=["Sc", "Cs"]
+    )
+    def test_wrong_series_cannot_change_the_radius(self, monkeypatch, key):
+        class_id = ClassId.parse(key[0])
+        spec = next(s for s in CANONICAL if s.label() == key[1])
+        true_curve = solver._series_lhs_curve
+
+        def inflated(*args):
+            return ps.TruncatedSeries(1.01 * true_curve(*args).coeffs)
+
+        monkeypatch.setattr(solver, "_series_lhs_curve", inflated)
+        res = _cold_solve(class_id, spec)
+        assert (res.r_f, res.residual, res.bracket) == PINNED[key]
+
+    @staticmethod
+    def _quadrature_calls(monkeypatch, class_id, spec) -> int:
+        calls = 0
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                nonlocal calls
+                calls += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        with monkeypatch.context() as m:
+            m.setattr(solver, "integrate_1d", counted(solver.integrate_1d))
+            m.setattr(solver, "integrate_nested", counted(solver.integrate_nested))
+            _cold_solve(class_id, spec)
+        return calls
+
+    @pytest.mark.parametrize("spec", CANONICAL, ids=lambda s: s.label())
+    @pytest.mark.parametrize("class_id", list(ClassId), ids=lambda c: c.value)
+    def test_quadrature_work_per_solve(self, monkeypatch, class_id, spec):
+        first = self._quadrature_calls(monkeypatch, class_id, spec)
+        assert 0 < first <= 40
+        assert self._quadrature_calls(monkeypatch, class_id, spec) == first
+
+    def test_no_root_message_names_what_was_reached(self):
+        reached = r"lemniscate\(s=1e-06\).*lhs\(0\.999\) = 0\.99900\d* < target 0\.99999"
+        with pytest.raises(NoRootError, match=reached):
+            solve_radius(ClassId.SC, lemniscate(1e-6))
