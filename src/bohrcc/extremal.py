@@ -58,12 +58,16 @@ def build_extremal(spec: PhiSpec, order: int = ps.DEFAULT_ORDER) -> ExtremalSet:
     return _build_extremal(spec, int(order))
 
 
+def k_prime_series(phi: ps.TruncatedSeries) -> ps.TruncatedSeries:
+    """k' = h/z = exp(sum_n phi_n z^n / n), to the order of phi."""
+    log_h = np.zeros(phi.order)
+    log_h[1:] = phi.coeffs[1:] / np.arange(1, phi.order)
+    return ps.exp_series(ps.TruncatedSeries(log_h))
+
+
 @lru_cache(maxsize=None)
 def _build_extremal(spec: PhiSpec, order: int) -> ExtremalSet:
-    phi = phi_series(spec, order)
-    log_h = np.zeros(order)
-    log_h[1:] = phi.coeffs[1:] / np.arange(1, order)
-    k_prime = ps.exp_series(ps.TruncatedSeries(log_h))
+    k_prime = k_prime_series(phi_series(spec, order))
     h = ps.shift_up(k_prime)
     k = ps.integrate_from_zero(k_prime)
     K_prime = ps.sqrt_series(ps.compose_with_selfmap(k_prime, ps.monomial(1.0, 2, order)))

@@ -77,15 +77,10 @@ def integrate_1d(f: Integrand1D, a: float, b: float, tol: float = DEFAULT_TOL) -
     out = quad(f.evaluator, a, b, epsabs=tol, epsrel=1e-13, limit=300, full_output=True)
     value, abserr, info = out[0], out[1], out[2]
     neval = int(info.get("neval", 0))
-    if len(out) > 3 and abserr > tol:
-        raise BudgetError(
-            f"quadrature stopped with error estimate {abserr:.3g} > tol {tol:.3g}: {out[3]}",
-            best=value,
-            error_estimate=abserr,
-        )
     if abserr > tol:
+        warning = f": {out[3]}" if len(out) > 3 else ""  # QUADPACK's message, when it gave one
         raise BudgetError(
-            f"quadrature error estimate {abserr:.3g} exceeds tol {tol:.3g}",
+            f"quadrature error estimate {abserr:.3g} exceeds tol {tol:.3g}{warning}",
             best=value,
             error_estimate=abserr,
         )

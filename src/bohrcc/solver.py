@@ -30,7 +30,9 @@ nonnegative) picks the 1e-3 grid cell where the monotone lhs first reaches
 the target, and quadrature confirms it.  Bisection then lets the series
 decide each step that lies clearly away from the target and quadrature the
 rest, and a quadrature bracket check at the end certifies the result; if
-it fails, the bisection is redone on quadrature alone.
+it fails, the bisection is redone on quadrature alone.  The closed-form
+equations and threshold scans use the same ``_bisect``, and every result
+gets its sharpness verdict and notes from ``_radius_result``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from functools import cache, lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import power_series as ps
 from .catalog import (
@@ -58,7 +59,7 @@ from .catalog import (
     wang,
 )
 from .errors import InconsistencyError, NoRootError, ParameterError
-from .extremal import ExtremalSet, build_extremal, growth_exponent, h_at, k_prime_at
+from .extremal import ExtremalSet, build_extremal, growth_exponent, h_at, k_prime_at, k_prime_series
 from .quadrature import DEFAULT_TOL, Integrand1D, integrate_1d, integrate_nested
 
 _SCAN_STEP = 1e-3
@@ -184,9 +185,7 @@ def _series_lhs_curve(
     m_phi = ps.majorant(phi)
     if class_id is ClassId.KS:
         return ps.integrate_from_zero(ps.mul(m_phi, _geometric_even(order)))
-    log_h = np.zeros(order)
-    log_h[1:] = phi.coeffs[1:] / np.arange(1, order)
-    k_prime = ps.exp_series(ps.TruncatedSeries(log_h))
+    k_prime = k_prime_series(phi)
     if class_id is ClassId.SC:
         return ps.integrate_from_zero(ps.mul(ps.majorant(k_prime), m_phi))
     if class_id is ClassId.CC:
@@ -253,34 +252,20 @@ def target_constant(
     """The class's lower bound on the distance from f(0) to the image
     boundary: an integral to 1 for Ks/Cs, a boundary value for Sc/Cc."""
     es = build_extremal(spec, order)
-    if class_id is ClassId.KS:
-        return distance_integral_at(class_id, spec, 1.0, tol=tol)
     if class_id is ClassId.SC:
-        return -es.h_at_minus_one
-    if class_id is ClassId.CC:
-        return -es.k_at_minus_one
-    return distance_integral_at(class_id, spec, 1.0, tol=tol)
+        target = -es.h_at_minus_one
+    elif class_id is ClassId.CC:
+        target = -es.k_at_minus_one
+    else:
+        target = distance_integral_at(class_id, spec, 1.0, tol=tol)
+    if not (target > 0.0):
+        raise InconsistencyError(f"target must be positive, got {target}")
+    return target
 
 
 # ---------------------------------------------------------------------------
-# radius problems and the series-guided, quadrature-certified solver
+# radius results and the series-guided, quadrature-certified solver
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RadiusProblem:
-    """One radius equation instance: a monotone lhs and its target."""
-
-    class_id: ClassId
-    spec: PhiSpec
-    lhs: Callable[[float], float]
-    target: float
-    order: int
-    tol: float
-
-    def __post_init__(self):
-        if not (self.target > 0.0):
-            raise InconsistencyError(f"target must be positive, got {self.target}")
 
 
 @dataclass(frozen=True)
@@ -311,17 +296,6 @@ class RadiusResult:
         }
 
 
-def build_problem(
-    class_id: ClassId,
-    spec: PhiSpec,
-    order: int = ps.DEFAULT_ORDER,
-    tol: float = DEFAULT_TOL,
-) -> RadiusProblem:
-    target = target_constant(class_id, spec, order, tol)
-    lhs = lambda r: lhs_at(class_id, spec, r, "quadrature", order, tol)
-    return RadiusProblem(class_id, spec, lhs, target, order, tol)
-
-
 def _locate_cell(lhs: Callable[[float], float], target: float, hint: int | None):
     """The first scan-grid cell (g[i-1], g[i]) with lhs(g[i-1]) < target <=
     lhs(g[i]) for a nondecreasing lhs with lhs(0) = 0, or None when lhs(0.999)
@@ -350,14 +324,60 @@ def _locate_cell(lhs: Callable[[float], float], target: float, hint: int | None)
     return _SCAN_GRID[lo], _SCAN_GRID[hi]
 
 
-def _bisect(lhs: Callable[[float], float], target: float, lo: float, hi: float):
-    while hi - lo > _BISECT_WIDTH:
+def _bisect(reached: Callable[[float], bool], lo: float, hi: float, width: float = _BISECT_WIDTH):
+    """Halve [lo, hi] down to ``width`` around the first point where the
+    monotone predicate holds, keeping reached(hi) and not reached(lo)."""
+    while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        if lhs(mid) >= target:
+        if reached(mid):
             hi = mid
         else:
             lo = mid
     return lo, hi
+
+
+def _radius_result(
+    class_id: ClassId,
+    spec: PhiSpec,
+    lhs: Callable[[float], float],
+    target: float,
+    lo: float,
+    hi: float,
+) -> RadiusResult:
+    """The result for a final bracket [lo, hi] of lhs = target.
+
+    Sharpness is only claimed where it is proved: the Sc class with a
+    nonnegative coefficient spec (so that M_h = h) and a root at or below
+    1/3, where the extremal member itself attains the bound.  Other results
+    are lower bounds on the class Bohr radius.
+    """
+    r_f = 0.5 * (lo + hi)
+    residual = abs(lhs(r_f) - target)
+    sharp = bool(
+        class_id is ClassId.SC and has_positive_coeffs(spec) and r_f <= _ONE_THIRD + 1e-12
+    )
+    if sharp:
+        notes = "sharp: the extremal member attains the coefficient bound at r_f"
+    elif class_id is ClassId.SC and r_f > _ONE_THIRD:
+        notes = (
+            "root exceeds 1/3; the coefficient inequality holds for r <= 1/3 "
+            "(capped radius governs)"
+        )
+    elif r_f > _ONE_THIRD:
+        notes = (
+            "lower bound on the class Bohr radius (no sharpness claim); "
+            "the coefficient inequality holds for r <= 1/3"
+        )
+    else:
+        notes = "lower bound on the class Bohr radius (no sharpness claim)"
+    return RadiusResult(
+        r_f=float(r_f),
+        capped=min(_ONE_THIRD, float(r_f)),
+        sharp=sharp,
+        residual=float(residual),
+        bracket=(float(lo), float(hi)),
+        notes=notes,
+    )
 
 
 def solve_radius(
@@ -366,13 +386,8 @@ def solve_radius(
     order: int = ps.DEFAULT_ORDER,
     tol: float = DEFAULT_TOL,
 ) -> RadiusResult:
-    """Smallest positive root of the class radius equation, capped at 1/3.
-
-    Sharpness is only claimed where it is proved: the Sc class with a
-    nonnegative coefficient spec and a root at or below 1/3, where the
-    extremal member itself attains the bound.  Other results are lower
-    bounds on the class Bohr radius.
-    """
+    """Smallest positive root of the class radius equation, capped at 1/3,
+    with the sharpness verdict of :func:`_radius_result`."""
     return _solve_cached(class_id, spec, int(order), float(tol), False)
 
 
@@ -417,33 +432,10 @@ def _solve_cached(
         s = ps.eval_at(curve, r)
         return s if abs(s - target) > _SERIES_MARGIN else lhs(r)
 
-    lo, hi = _bisect(guided, target, *cell)
+    lo, hi = _bisect(lambda r: guided(r) >= target, *cell)
     if not (lhs(lo) < target <= lhs(hi)):  # a series decision disagreed with lhs
-        lo, hi = _bisect(lhs, target, *cell)
-    r_f = 0.5 * (lo + hi)
-    residual = abs(lhs(r_f) - target)
-    sharp = bool(
-        class_id is ClassId.SC and has_positive_coeffs(spec) and r_f <= _ONE_THIRD + 1e-12
-    )
-    if sharp:
-        notes = "sharp: the extremal member attains the coefficient bound at r_f"
-    elif class_id is ClassId.SC and r_f > _ONE_THIRD:
-        notes = "root exceeds 1/3; the coefficient inequality holds for r <= 1/3"
-    elif r_f > _ONE_THIRD:
-        notes = (
-            "lower bound on the class Bohr radius (no sharpness claim); "
-            "the coefficient inequality holds for r <= 1/3"
-        )
-    else:
-        notes = "lower bound on the class Bohr radius (no sharpness claim)"
-    return RadiusResult(
-        r_f=float(r_f),
-        capped=min(_ONE_THIRD, float(r_f)),
-        sharp=sharp,
-        residual=float(residual),
-        bracket=(float(lo), float(hi)),
-        notes=notes,
-    )
+        lo, hi = _bisect(lambda r: lhs(r) >= target, *cell)
+    return _radius_result(class_id, spec, lhs, target, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +450,10 @@ def _ks_sakaguchi_parts(gamma: float):
 
 
 def _ks_wang_parts(alpha: float, beta: float):
-    def lhs(r: float) -> float:
-        f = lambda t: (1.0 + beta * t) / ((1.0 - alpha * beta * t) * (1.0 - t * t))
-        return quad(f, 0.0, r, epsabs=1e-13, epsrel=1e-13, limit=300)[0]
-
-    g = lambda t: (1.0 - beta * t) / ((1.0 + alpha * beta * t) * (1.0 + t * t))
-    rhs = quad(g, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)[0]
-    return lhs, rhs
+    f = Integrand1D(lambda t: (1.0 + beta * t) / ((1.0 - alpha * beta * t) * (1.0 - t * t)), 1.0)
+    g = Integrand1D(lambda t: (1.0 - beta * t) / ((1.0 + alpha * beta * t) * (1.0 + t * t)), 1.0)
+    lhs = lambda r: integrate_1d(f, 0.0, r, 1e-13).value
+    return lhs, integrate_1d(g, 0.0, 1.0, 1e-13).value
 
 
 def _sc_lemniscate_parts(s: float):
@@ -530,39 +519,21 @@ def solve_corollary_closed_form(equation_id: str, params: Mapping[str, float]) -
     if missing:
         raise ParameterError(f"{equation_id} needs parameters {names}, missing {missing}")
     spec = spec_builder(params)  # validates ranges
-    if equation_id == "sc-janowski" and params["B"] == 0.0:
-        raise ParameterError("sc-janowski requires B != 0; use sc-janowski-b0")
+    if equation_id == "sc-janowski" and params["B"] >= 0.0:
+        # B > 0 gives phi mixed-sign coefficients: the class lhs is then M_h(r), not h(r)
+        raise ParameterError(
+            "sc-janowski requires B < 0; use sc-janowski-b0 for B = 0, solve_radius for B > 0"
+        )
     lhs, rhs = parts_builder(*(params[n] for n in names))
     # walk the upper end toward 1 only as far as needed; several lhs have
     # a pole at 1 that the quadrature-backed variants should not probe
-    lo, hi = 0.0, 0.9
+    hi = 0.9
     while lhs(hi) - rhs < 0.0:
         if 1.0 - hi < 1e-9:
             raise NoRootError(f"{equation_id} equation shows no root in (0, 1)")
         hi = 1.0 - 0.25 * (1.0 - hi)
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if lhs(mid) - rhs >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    r_f = 0.5 * (lo + hi)
-    residual = abs(lhs(r_f) - rhs)
-    sharp = bool(class_id is ClassId.SC and r_f <= _ONE_THIRD + 1e-12)
-    if r_f > _ONE_THIRD:
-        notes = "root exceeds 1/3; the coefficient inequality holds for r <= 1/3 (capped radius governs)"
-    elif sharp:
-        notes = "sharp: the extremal member attains the coefficient bound at r_f"
-    else:
-        notes = "lower bound on the class Bohr radius (no sharpness claim)"
-    return RadiusResult(
-        r_f=float(r_f),
-        capped=min(_ONE_THIRD, float(r_f)),
-        sharp=sharp,
-        residual=float(residual),
-        bracket=(float(lo), float(hi)),
-        notes=notes,
-    )
+    lo, hi = _bisect(lambda r: lhs(r) >= rhs, 0.0, hi, 1e-12)
+    return _radius_result(class_id, spec, lhs, rhs, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -631,40 +602,19 @@ class ThresholdScan:
     threshold: float | None  # refined crossing parameter
 
 
-def _window_indicator(equation_id: str) -> Callable[[float], float]:
-    """Signed indicator g(p) with g(p) > 0 iff r_f(p) < 1/3 (lhs is
-    increasing in r, so the sign of lhs(1/3) - rhs decides)."""
+def _param_parts(equation_id: str, p: float):
+    """(lhs, rhs) of a single-parameter equation; sc-expblend, which has no
+    closed form, solves the extremal growth h(r) = -h(-1)."""
     if equation_id == "sc-expblend":
-
-        def g(p: float) -> float:
-            spec = expblend(p)
-            es = build_extremal(spec)
-            return h_at(es, _ONE_THIRD) + es.h_at_minus_one
-
-        return g
-    class_id, spec_builder, parts_builder, names = CLOSED_FORM_EQUATIONS[equation_id]
-    if len(names) != 1:
-        raise ParameterError(f"{equation_id} is not a single-parameter family")
-
-    def g(p: float) -> float:
-        lhs, rhs = parts_builder(p)
-        return lhs(_ONE_THIRD) - rhs
-
-    return g
+        es = build_extremal(expblend(p))
+        return (lambda r: h_at(es, r)), -es.h_at_minus_one
+    return CLOSED_FORM_EQUATIONS[equation_id][2](p)
 
 
 def _radius_for_param(equation_id: str, p: float) -> float:
     if equation_id == "sc-expblend":
-        spec = expblend(p)
-        es = build_extremal(spec)
-        bound = -es.h_at_minus_one
-        lo, hi = 0.0, 1.0 - 1e-9
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if h_at(es, mid) >= bound:
-                hi = mid
-            else:
-                lo = mid
+        lhs, rhs = _param_parts(equation_id, p)
+        lo, hi = _bisect(lambda r: lhs(r) >= rhs, 0.0, 1.0 - 1e-9, 1e-12)
         return 0.5 * (lo + hi)
     return solve_corollary_closed_form(
         equation_id, dict(zip(CLOSED_FORM_EQUATIONS[equation_id][3], (p,)))
@@ -691,17 +641,12 @@ def threshold_scan(equation_id: str, params: Sequence[float]) -> ThresholdScan:
             break
     threshold = None
     if bracket is not None:
-        g = _window_indicator(equation_id)
-        lo, hi = bracket
-        g_lo = g(lo)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if g(mid) * g_lo > 0.0:
-                lo = mid
-                g_lo = g(lo)
-            else:
-                hi = mid
-            if hi - lo < 1e-9:
-                break
+
+        def g(p: float) -> float:  # > 0 iff r_f(p) < 1/3, the lhs being increasing in r
+            lhs, rhs = _param_parts(equation_id, p)
+            return lhs(_ONE_THIRD) - rhs
+
+        g_lo = g(bracket[0])
+        lo, hi = _bisect(lambda p: g(p) * g_lo <= 0.0, *bracket, 1e-9)
         threshold = 0.5 * (lo + hi)
     return ThresholdScan(equation_id, rows, bracket, threshold)

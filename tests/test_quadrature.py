@@ -42,6 +42,7 @@ class TestIntegrate1D:
             integrate_1d(f, 0.0, 1.0, 1e-300)
         assert err.value.best is not None
         assert abs(err.value.best - (0.5 - math.sin(100.0) / 200.0)) < 1e-8
+        assert "exceeds tol" in str(err.value) and err.value.error_estimate > 1e-300
 
     def test_domain_validation(self):
         f = Integrand1D(lambda t: t, 0.0, (0.0, 0.5))

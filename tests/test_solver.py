@@ -10,7 +10,6 @@ from bohrcc.errors import InconsistencyError, NoRootError, ParameterError
 from bohrcc.extremal import build_extremal, h_at
 from bohrcc.solver import (
     ClassId,
-    build_problem,
     lhs_at,
     sharpness_witness,
     solve_corollary_closed_form,
@@ -73,9 +72,9 @@ class TestAnchors:
     @pytest.mark.parametrize("spec", CANONICAL, ids=lambda s: s.label())
     def test_problem_invariant(self, spec):
         for class_id in ClassId:
-            prob = build_problem(class_id, spec)
-            assert prob.target > 0.0
-            assert prob.lhs(1e-9) < prob.target
+            target = target_constant(class_id, spec)
+            assert target > 0.0
+            assert lhs_at(class_id, spec, 1e-9) < target
 
 
 class TestSharpness:
@@ -161,12 +160,16 @@ class TestClosedForms:
             ("sc-sakaguchi", {"gamma": 0.25}, ClassId.SC, sakaguchi(0.25)),
             ("sc-janowski", {"A": 1.0, "B": -1.0}, ClassId.SC, janowski(1.0, -1.0)),
             ("sc-janowski-b0", {"A": 1.0}, ClassId.SC, janowski(1.0, 0.0)),
+            # roots above 1/3
+            ("sc-janowski-b0", {"A": 0.5}, ClassId.SC, janowski(0.5, 0.0)),
+            ("ks-sakaguchi", {"gamma": 0.3}, ClassId.KS, sakaguchi(0.3)),
         ],
     )
     def test_closed_form_agrees_with_general_solver(self, eid, params, class_id, spec):
-        closed = solve_corollary_closed_form(eid, params).r_f
-        general = solve_radius(class_id, spec).r_f
-        assert abs(closed - general) <= 1e-7
+        closed = solve_corollary_closed_form(eid, params)
+        general = solve_radius(class_id, spec)
+        assert abs(closed.r_f - general.r_f) <= 1e-7
+        assert (closed.sharp, closed.notes) == (general.sharp, general.notes)
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
@@ -175,6 +178,10 @@ class TestClosedForms:
             solve_corollary_closed_form("sc-lemniscate", {})
         with pytest.raises(ParameterError):
             solve_corollary_closed_form("sc-janowski", {"A": 0.5, "B": 0.0})
+        # B > 0: phi has mixed-sign coefficients, so h(r) is not the class lhs
+        for b in (0.5, 0.05):
+            with pytest.raises(ParameterError):
+                solve_corollary_closed_form("sc-janowski", {"A": 0.9, "B": b})
         with pytest.raises(ParameterError):
             solve_corollary_closed_form("sc-lemniscate", {"s": 0.9})
 
@@ -198,6 +205,18 @@ class TestThresholdScan:
     def test_ks_sakaguchi_threshold(self):
         scan = threshold_scan("ks-sakaguchi", np.arange(0.25, 0.271, 1e-3))
         assert 0.2590 < scan.threshold < 0.2591
+
+    @pytest.mark.parametrize(
+        "eid,grid,threshold",
+        [
+            ("sc-lemniscate", np.arange(0.40, 0.501, 1e-3), "0.4449809489250184"),
+            ("sc-expblend", np.arange(0.0, 0.081, 1e-3), "0.0528421483039856"),
+            ("ks-sakaguchi", np.arange(0.25, 0.271, 1e-3), "0.2590564036369324"),
+        ],
+        ids=["lemniscate", "expblend", "ks-sakaguchi"],
+    )
+    def test_threshold_bits(self, eid, grid, threshold):
+        assert repr(threshold_scan(eid, grid).threshold) == threshold
 
     def test_no_crossing_in_grid(self):
         scan = threshold_scan("sc-lemniscate", [0.5, 0.6, 0.7])
