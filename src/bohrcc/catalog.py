@@ -29,6 +29,10 @@ import numpy as np
 from . import power_series as ps
 from .errors import DomainError, ParameterError
 
+#: Entries kept by each spec-keyed cache; a scan or fuzz run over many
+#: specs evicts the least recently used instead of growing without limit.
+SPEC_CACHE_SIZE = 256
+
 _SQRT_HALF = math.sqrt(0.5)  # correctly-rounded 1/sqrt(2); the admissible endpoint
 
 #: family name -> ordered parameter names

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import power_series as ps
-from .catalog import PhiSpec, as_janowski, phi_at, phi_series
+from .catalog import SPEC_CACHE_SIZE, PhiSpec, as_janowski, phi_at, phi_series
 from .errors import DomainError, InconsistencyError
 from .quadrature import AntiderivativeTable, Integrand1D, integrate_1d
 
@@ -65,7 +65,7 @@ def k_prime_series(phi: ps.TruncatedSeries) -> ps.TruncatedSeries:
     return ps.exp_series(ps.TruncatedSeries(log_h))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def _build_extremal(spec: PhiSpec, order: int) -> ExtremalSet:
     k_prime = k_prime_series(phi_series(spec, order))
     h = ps.shift_up(k_prime)
@@ -115,29 +115,31 @@ def growth_exponent(spec: PhiSpec, x: float) -> float:
                 break
         return (1.0 - alpha) * total
     if x <= _TABLE_HI:
-        table = _growth_table(spec)
-        return table(x) - table(0.0)
+        table, at_zero = _growth_table(spec)
+        return table(x) - at_zero
     f = _growth_integrand(spec)
     return integrate_1d(f, 0.0, x, _BOUNDARY_TOL).value
 
 
 def _growth_integrand(spec: PhiSpec) -> Integrand1D:
-    series_head = phi_series(spec, 32)
+    head = phi_series(spec, 32).coeffs[1:].tolist()
 
     def integrand(t: float) -> float:
         if abs(t) < _SERIES_SWITCH:
             # (phi(t)-1)/t from the coefficient vector, exact at t = 0
-            return float(np.polynomial.polynomial.polyval(t, series_head.coeffs[1:]))
+            return ps._horner(head, t)
         return (phi_at(spec, t) - 1.0) / t
 
-    return Integrand1D(integrand, float(series_head.coeffs[1]), (-1.0, 1.0))
+    return Integrand1D(integrand, head[0], (-1.0, 1.0))
 
 
-@lru_cache(maxsize=None)
-def _growth_table(spec: PhiSpec) -> AntiderivativeTable:
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
+def _growth_table(spec: PhiSpec) -> tuple[AntiderivativeTable, float]:
     """Piecewise-Chebyshev antiderivative of (phi(t)-1)/t on [-1, 0.9995],
-    so pointwise k' evaluations stay cheap inside adaptive quadrature."""
-    return AntiderivativeTable(_growth_integrand(spec).evaluator, -1.0, _TABLE_HI, 1e-12)
+    so pointwise k' evaluations stay cheap inside adaptive quadrature,
+    with its value at the origin of the growth exponent."""
+    table = AntiderivativeTable(_growth_integrand(spec).evaluator, -1.0, _TABLE_HI, 1e-12)
+    return table, table(0.0)
 
 
 def _h_closed(spec: PhiSpec, x: float) -> float | None:

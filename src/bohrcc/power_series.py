@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError, PrecisionError
 
@@ -211,12 +210,22 @@ def tail_hint_at(s: TruncatedSeries, r: float) -> float:
     return abs(s.coeffs[-1]) * r**s.order / (1.0 - r)
 
 
+def _horner(c: list, x: float) -> float:
+    """Horner's rule over plain floats in numpy ``polyval``'s operation
+    order, so the value is bit-identical to ``polyval(x, c)``."""
+    t = c[-1] + x * 0
+    for a in c[-2::-1]:
+        t = a + t * x
+    return t
+
+
 def eval_at(s: TruncatedSeries, x: float, tail_tol: float | None = None) -> float:
     """Horner evaluation of the stored coefficients at |x| < 1.
 
-    When ``tail_tol`` is given, the geometric tail heuristic is checked
-    against it and a :class:`PrecisionError` is raised if the truncation
-    cannot be trusted at this radius.
+    The loop runs over plain floats in numpy ``polyval``'s operation order
+    and is bit-identical to it.  When ``tail_tol`` is given, the geometric
+    tail heuristic is checked against it and a :class:`PrecisionError` is
+    raised if the truncation cannot be trusted at this radius.
     """
     x = float(x)
     if abs(x) >= 1.0:
@@ -227,7 +236,7 @@ def eval_at(s: TruncatedSeries, x: float, tail_tol: float | None = None) -> floa
             raise PrecisionError(
                 f"truncation tail ~{hint:.3g} exceeds tolerance {tail_tol:.3g} at r={abs(x):.6g}"
             )
-    return float(npoly.polyval(x, s.coeffs))
+    return _horner(s.coeffs.tolist(), x)
 
 
 def allclose(a: TruncatedSeries, b: TruncatedSeries, tol: float = 1e-12) -> bool:

@@ -9,11 +9,15 @@ left endpoint.  The nested entry point evaluates
 by tabulating the inner antiderivative as a piecewise Chebyshev
 interpolant (the outer integral re-queries it thousands of times) and
 feeding the outer quotient, whose s -> 0 limit is exactly ``f.left_limit``,
-back through the adaptive 1-D rule.
+back through the adaptive 1-D rule.  A table lookup is a plain-float
+Clenshaw recurrence that repeats ``numpy.polynomial.chebyshev.chebval``'s
+operations in the same order, so it is bit-identical to evaluating the
+panel's ``Chebyshev`` object but skips numpy's per-call overhead.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -107,6 +111,12 @@ class AntiderivativeTable:
     Chebyshev coefficients certify the interpolation error, or when the
     panel is so narrow that its whole contribution is below budget (this
     absorbs integrable endpoint singularities in derivatives).
+
+    Lookups run Clenshaw's recurrence over plain floats (each panel's map
+    parameters, coefficient list and left-edge value are stored when the
+    panel is accepted), in ``chebval``'s operation order, so ``table(s)``
+    equals ``cumulative[i] + float(pieces[i](s) - pieces[i](edges[i]))``
+    bit for bit.
     """
 
     _DEGREE = 24
@@ -116,6 +126,7 @@ class AntiderivativeTable:
         self.edges = [a]
         self.cumulative = [0.0]  # A at panel left edges
         self.pieces = []  # antiderivative polynomials, one per panel
+        self._panels = []  # (off, scl, coefficient list, value at left edge)
         self.tail_bound = 0.0
         coef_tol = 0.25 * tol / (b - a)
 
@@ -148,16 +159,22 @@ class AntiderivativeTable:
             if lo != self.edges[-1]:
                 raise BudgetError("panel table built out of order")  # pragma: no cover
             self.pieces.append(anti)
+            off, scl = anti.mapparms()
+            self._panels.append((float(off), float(scl), anti.coef.tolist(), float(anti(lo))))
             self.edges.append(hi)
             self.cumulative.append(self.cumulative[-1] + float(anti(hi) - anti(lo)))
             self.tail_bound += tail * width
-        self._edges = np.asarray(self.edges)
 
     def __call__(self, s: float) -> float:
-        idx = int(np.searchsorted(self._edges, s, side="right")) - 1
+        idx = bisect.bisect_right(self.edges, s) - 1
         idx = min(max(idx, 0), len(self.pieces) - 1)
-        anti = self.pieces[idx]
-        return self.cumulative[idx] + float(anti(s) - anti(self._edges[idx]))
+        off, scl, c, left = self._panels[idx]
+        x = off + scl * s
+        x2 = 2 * x
+        c0, c1 = c[-2], c[-1]
+        for i in range(3, len(c) + 1):
+            c0, c1 = c[-i] - c1, c0 + c1 * x2
+        return self.cumulative[idx] + ((c0 + c1 * x) - left)
 
 
 def integrate_nested(inner: Integrand1D, r: float, tol: float = DEFAULT_TOL) -> QuadratureResult:

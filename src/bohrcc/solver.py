@@ -47,6 +47,7 @@ import numpy as np
 
 from . import power_series as ps
 from .catalog import (
+    SPEC_CACHE_SIZE,
     PhiSpec,
     expblend,
     has_positive_coeffs,
@@ -175,7 +176,7 @@ def nested_series_transform(c: ps.TruncatedSeries) -> ps.TruncatedSeries:
     return ps.integrate_from_zero(ps.divide_by_z(ps.integrate_from_zero(c)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def _series_lhs_curve(
     class_id: ClassId, spec: PhiSpec, order: int, rotated: bool
 ) -> ps.TruncatedSeries:
@@ -194,7 +195,7 @@ def _series_lhs_curve(
     return nested_series_transform(ps.mul(ps.majorant(K_prime), m_phi))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def _series_distance_curve(class_id: ClassId, spec: PhiSpec, order: int) -> ps.TruncatedSeries:
     phi_neg = ps.reflect(phi_series(spec, order))
     if class_id is ClassId.KS:
@@ -242,7 +243,7 @@ def distance_integral_at(
     return integrate_1d(distance_integrand(class_id, spec), 0.0, r, tol).value
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def target_constant(
     class_id: ClassId,
     spec: PhiSpec,
@@ -408,7 +409,7 @@ def solve_radius_rotated(
     return _solve_cached(class_id, spec, int(order), float(tol), True)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def _solve_cached(
     class_id: ClassId, spec: PhiSpec, order: int, tol: float, rotated: bool
 ) -> RadiusResult:

@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from bohrcc import extremal
 from bohrcc import power_series as ps
-from bohrcc.catalog import expblend, janowski, lemniscate, phi_at, sakaguchi, strongly, wang
+from bohrcc.catalog import (
+    expblend,
+    janowski,
+    lemniscate,
+    phi_at,
+    phi_series,
+    sakaguchi,
+    strongly,
+    wang,
+)
 from bohrcc.errors import DomainError
 from bohrcc.extremal import (
     K_prime_at,
@@ -134,6 +144,23 @@ class TestPointwiseEvaluators:
 
     def test_growth_exponent_at_zero(self):
         assert growth_exponent(janowski(1, -1), 0.0) == 0.0
+
+    @pytest.mark.parametrize("spec", [strongly(0.5), strongly(0.2)], ids=lambda s: s.label())
+    def test_growth_exponent_table_branch(self, spec):
+        # the table branch subtracts the cached table value at 0
+        table, at_zero = extremal._growth_table(spec)
+        assert at_zero == table(0.0)
+        for x in (-1.0, -0.6, -0.05, 0.05, 0.4, 0.9995):
+            assert growth_exponent(spec, x) == table(x) - table(0.0)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
+    def test_growth_integrand_head_matches_polyval(self, spec):
+        head = phi_series(spec, 32).coeffs[1:]
+        f = extremal._growth_integrand(spec)
+        assert f.left_limit == float(head[0])
+        for t in np.linspace(-0.0999, 0.0999, 41):
+            t = float(t)
+            assert f(t) == float(np.polynomial.polynomial.polyval(t, head))
 
     def test_domain_errors(self):
         es = build_extremal(janowski(1, -1))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 
 from bohrcc import power_series as ps
@@ -152,6 +153,40 @@ class TestEval:
             ps.eval_at(geometric(16), 0.9, tail_tol=1e-12)
         # passes once the tolerance is realistic for the radius
         ps.eval_at(geometric(16), 0.8, tail_tol=1.0)
+
+
+def _eval_points(seed):
+    rng = np.random.default_rng(seed)
+    xs = [float(x) for x in rng.uniform(-1.0, 1.0, 200)]
+    return xs + [0.0, -0.0, -0.5, -1e-300, 0.999999, -0.999999]
+
+
+class TestEvalBits:
+    """Plain-float Horner equals numpy's polyval bit for bit."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 64, 256])
+    def test_matches_polyval(self, order):
+        rng = np.random.default_rng(order)
+        series = [
+            ps.TruncatedSeries(rng.standard_normal(order)),
+            ps.TruncatedSeries(rng.standard_normal(order) / np.arange(1, order + 1) ** 2),
+            ps.monomial(0.0 if order == 1 else 1.0, order - 1, order),
+        ]
+        for s in series:
+            for x in _eval_points(1000 + order):
+                got, want = ps.eval_at(s, x), float(npoly.polyval(x, s.coeffs))
+                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), x
+
+    def test_does_not_call_polyval(self, monkeypatch):
+        s = ps.TruncatedSeries(np.random.default_rng(3).standard_normal(64))
+        xs = [float(x) for x in np.linspace(-0.99, 0.99, 100)]
+        want = [float(npoly.polyval(x, s.coeffs)) for x in xs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eval_at went through numpy")
+
+        monkeypatch.setattr(npoly, "polyval", refuse)
+        assert [ps.eval_at(s, x) for x in xs] == want
 
 
 class TestCompose:

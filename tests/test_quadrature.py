@@ -107,6 +107,59 @@ class TestAntiderivativeTable:
             assert table(s) == pytest.approx(2.0 / 3.0 * s**1.5, abs=1e-9)
 
 
+#: (integrand, a, b, tol): one panel, 21 panels (sqrt's endpoint
+#: singularity) and 5 panels (a pole just right of the interval).  The
+#: interval widths are not powers of two, so the panel maps round.
+TABLE_CASES = [
+    (math.cos, 0.1, 1.3, 1e-12),
+    (math.sqrt, 0.0, 0.9, 1e-11),
+    (lambda t: 1.0 / (1.02 - t), -0.7, 0.95, 1e-12),
+]
+
+
+def _numpy_lookup(table, s):
+    """The table value through numpy: searchsorted and the panel's Chebyshev."""
+    idx = int(np.searchsorted(np.asarray(table.edges), s, side="right")) - 1
+    idx = min(max(idx, 0), len(table.pieces) - 1)
+    anti = table.pieces[idx]
+    return table.cumulative[idx] + float(anti(s) - anti(table.edges[idx]))
+
+
+class TestTableLookupBits:
+    """Plain-float Clenshaw lookups equal the numpy route bit for bit."""
+
+    @pytest.mark.parametrize("case", TABLE_CASES, ids=["cos", "sqrt", "pole"])
+    def test_matches_numpy_route(self, case):
+        fn, a, b, tol = case
+        table = AntiderivativeTable(fn, a, b, tol)
+        rng = np.random.default_rng(20260418)
+        width = b - a
+        points = [float(x) for x in rng.uniform(a, b, 500)]
+        points += list(table.edges)
+        points += [a - 0.25 * width, a - 1e-9, b + 1e-9, b + 0.25 * width]
+        for s in points:
+            assert table(s) == _numpy_lookup(table, s), s
+
+    def test_many_panels_case(self):
+        assert len(AntiderivativeTable(*TABLE_CASES[1]).pieces) >= 8
+
+    @pytest.mark.parametrize("case", TABLE_CASES, ids=["cos", "sqrt", "pole"])
+    def test_lookup_does_not_call_numpy(self, case, monkeypatch):
+        from numpy.polynomial import chebyshev
+
+        fn, a, b, tol = case
+        table = AntiderivativeTable(fn, a, b, tol)
+        want = [_numpy_lookup(table, float(s)) for s in np.linspace(a, b, 100)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("table lookup went through numpy")
+
+        monkeypatch.setattr(chebyshev, "chebval", refuse)
+        monkeypatch.setattr(chebyshev.Chebyshev, "__call__", refuse)
+        got = [table(float(s)) for s in np.linspace(a, b, 100)]
+        assert got == want
+
+
 class TestClosedFormCrossChecks:
     @pytest.mark.parametrize("g", [0.0, 0.25, 0.45])
     def test_ks_lhs_matches_elementary_form(self, g):
