@@ -12,17 +12,21 @@ feeding the outer quotient, whose s -> 0 limit is exactly ``f.left_limit``,
 back through the adaptive 1-D rule.  A table lookup is a plain-float
 Clenshaw recurrence that repeats ``numpy.polynomial.chebyshev.chebval``'s
 operations in the same order, so it is bit-identical to evaluating the
-panel's ``Chebyshev`` object but skips numpy's per-call overhead.
+panel's ``Chebyshev`` object but skips numpy's per-call overhead.  A panel
+build likewise repeats ``Chebyshev.interpolate``'s arithmetic with the
+Chebyshev nodes and the transposed Vandermonde matrix computed once at
+import, so every panel has the bits numpy would give it.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev
+from numpy.polynomial.chebyshev import Chebyshev, chebpts1, chebvander
 from scipy.integrate import quad
 
 from .errors import BudgetError, ParameterError
@@ -31,6 +35,16 @@ from .errors import BudgetError, ParameterError
 DEFAULT_TOL = 1e-10
 
 _OUTER_LIMIT_CUTOFF = 1e-8  # below this, (1/s) * inner antiderivative ~ left_limit
+
+_DEGREE = 24  # interpolation degree of each table panel
+_NODES = chebpts1(_DEGREE + 1)
+_VANDER_T = chebvander(_NODES, _DEGREE).T  # the transposed view, as chebinterpolate uses it
+
+
+def check_tol(tol: float) -> None:
+    """Raise ParameterError unless tol is a positive, finite number."""
+    if not (0.0 < tol < math.inf):
+        raise ParameterError(f"tolerance must be positive and finite, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -71,8 +85,7 @@ def integrate_1d(f: Integrand1D, a: float, b: float, tol: float = DEFAULT_TOL) -
     """Adaptive Gauss-Kronrod estimate of the integral of f over [a, b]
     with absolute error at most tol, else a BudgetError carrying the best
     estimate found."""
-    if tol <= 0.0:
-        raise ParameterError("tolerance must be positive")
+    check_tol(tol)
     lo, hi = f.domain
     if not (lo - 1e-12 <= a <= b <= hi + 1e-12):
         raise ParameterError(f"[{a}, {b}] is outside the integrand domain [{lo}, {hi}]")
@@ -119,7 +132,6 @@ class AntiderivativeTable:
     bit for bit.
     """
 
-    _DEGREE = 24
     _MAX_PANELS = 4000
 
     def __init__(self, fn, a, b, tol):
@@ -130,16 +142,18 @@ class AntiderivativeTable:
         self.tail_bound = 0.0
         coef_tol = 0.25 * tol / (b - a)
 
-        def sample(xs):  # interpolate() hands us the node array
-            return np.array([fn(float(x)) for x in np.atleast_1d(xs)])
-
         stack = [(a, b)]
         while stack:
             lo, hi = stack.pop()
             width = hi - lo
-            interp = Chebyshev.interpolate(sample, self._DEGREE, domain=[lo, hi])
-            tail = float(np.max(np.abs(interp.coef[-3:])))
-            scale = float(np.max(np.abs(interp.coef))) or 1.0
+            # Chebyshev.interpolate(fn, _DEGREE, domain=[lo, hi]) step by step:
+            # pu.mapdomain's node map, then chebinterpolate's product and scaling
+            xs = (lo + hi) / 2.0 + (hi - lo) / 2.0 * _NODES
+            coef = np.dot(_VANDER_T, np.array([fn(x) for x in xs.tolist()]))
+            coef[0] /= _DEGREE + 1
+            coef[1:] /= 0.5 * (_DEGREE + 1)
+            tail = float(np.max(np.abs(coef[-3:])))
+            scale = float(np.max(np.abs(coef))) or 1.0
             # accept on certified convergence (down to the evaluator's own
             # roundoff floor) or when the committed error tail*width is
             # below budget; the latter terminates the splitting cascade at
@@ -155,26 +169,35 @@ class AntiderivativeTable:
                 stack.append((mid, hi))
                 stack.append((lo, mid))
                 continue
-            anti = interp.integ()
+            anti = Chebyshev(coef, domain=[lo, hi]).integ()
             if lo != self.edges[-1]:
                 raise BudgetError("panel table built out of order")  # pragma: no cover
             self.pieces.append(anti)
             off, scl = anti.mapparms()
-            self._panels.append((float(off), float(scl), anti.coef.tolist(), float(anti(lo))))
+            off, scl, c = float(off), float(scl), anti.coef.tolist()
+            left = _clenshaw(off, scl, c, lo)
+            self._panels.append((off, scl, c, left))
             self.edges.append(hi)
-            self.cumulative.append(self.cumulative[-1] + float(anti(hi) - anti(lo)))
+            self.cumulative.append(self.cumulative[-1] + (_clenshaw(off, scl, c, hi) - left))
             self.tail_bound += tail * width
 
     def __call__(self, s: float) -> float:
         idx = bisect.bisect_right(self.edges, s) - 1
         idx = min(max(idx, 0), len(self.pieces) - 1)
         off, scl, c, left = self._panels[idx]
-        x = off + scl * s
-        x2 = 2 * x
-        c0, c1 = c[-2], c[-1]
-        for i in range(3, len(c) + 1):
-            c0, c1 = c[-i] - c1, c0 + c1 * x2
-        return self.cumulative[idx] + ((c0 + c1 * x) - left)
+        return self.cumulative[idx] + (_clenshaw(off, scl, c, s) - left)
+
+
+def _clenshaw(off: float, scl: float, c: list, s: float) -> float:
+    """A panel polynomial at s: the map x = off + scl*s, then Clenshaw's
+    recurrence over the coefficient list (at least three of them) in
+    ``chebval``'s operation order."""
+    x = off + scl * s
+    x2 = 2 * x
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        c0, c1 = c[-i] - c1, c0 + c1 * x2
+    return c0 + c1 * x
 
 
 def integrate_nested(inner: Integrand1D, r: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
@@ -186,8 +209,7 @@ def integrate_nested(inner: Integrand1D, r: float, tol: float = DEFAULT_TOL) -> 
     """
     if not (0.0 <= r <= 1.0):
         raise ParameterError(f"nested integration needs 0 <= r <= 1, got {r}")
-    if tol <= 0.0:
-        raise ParameterError("tolerance must be positive")
+    check_tol(tol)
     if r == 0.0:
         return QuadratureResult(0.0, 0.0, 0)
     counting = _CountingEvaluator(inner.evaluator)

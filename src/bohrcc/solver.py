@@ -26,13 +26,15 @@ Every integral has two independent evaluation routes: adaptive quadrature
 over pointwise evaluators, and exact termwise integration of the majorant
 series.  The two serve as each other's oracle in the test suite.  Root
 finding uses both: the series curve (a lower bound, its coefficients being
-nonnegative) picks the 1e-3 grid cell where the monotone lhs first reaches
-the target, and quadrature confirms it.  Bisection then lets the series
-decide each step that lies clearly away from the target and quadrature the
-rest, and a quadrature bracket check at the end certifies the result; if
-it fails, the bisection is redone on quadrature alone.  The closed-form
-equations and threshold scans use the same ``_bisect``, and every result
-gets its sharpness verdict and notes from ``_radius_result``.
+nonnegative) hints the 1e-3 grid cell where the monotone lhs first reaches
+the target.  Bisection of that cell lets the series decide each step whose
+distance from the target exceeds the quadrature tolerance plus the series
+truncation tail, and quadrature the rest; a quadrature bracket check at the
+end certifies the result.  Only if it fails is the cell confirmed with
+quadrature (a binary search over the grid when the hint was wrong), bisected
+again and, failing the check once more, bisected on quadrature alone.  The
+closed-form equations and threshold scans use the same ``_bisect``, and
+every result gets its sharpness verdict and notes from ``_radius_result``.
 """
 
 from __future__ import annotations
@@ -61,13 +63,12 @@ from .catalog import (
 )
 from .errors import InconsistencyError, NoRootError, ParameterError
 from .extremal import ExtremalSet, build_extremal, growth_exponent, h_at, k_prime_at, k_prime_series
-from .quadrature import DEFAULT_TOL, Integrand1D, integrate_1d, integrate_nested
+from .quadrature import DEFAULT_TOL, Integrand1D, check_tol, integrate_1d, integrate_nested
 
 _SCAN_STEP = 1e-3
 _SCAN_LIMIT = 0.999
 _BISECT_WIDTH = 1e-11
 _SERIES_EVAL_TAIL = 1e-11
-_SERIES_MARGIN = 1e-8  # ~100x the quadrature tolerance: beyond it the series decides
 _ONE_THIRD = 1.0 / 3.0
 
 
@@ -413,26 +414,34 @@ def solve_radius_rotated(
 def _solve_cached(
     class_id: ClassId, spec: PhiSpec, order: int, tol: float, rotated: bool
 ) -> RadiusResult:
+    check_tol(tol)
     target = target_constant(class_id, spec, order, tol)
     curve = _series_lhs_curve(class_id, spec, order, rotated)
     if rotated:
         lhs = cache(lambda r: ps.eval_at(curve, r, tail_tol=_SERIES_EVAL_TAIL))
     else:
         lhs = cache(lambda r: lhs_at(class_id, spec, r, "quadrature", order, tol))
+
+    def guided(r: float) -> float:
+        # quadrature and series differ by up to tol plus the truncation tail
+        s = ps.eval_at(curve, r)
+        return s if abs(s - target) > tol + ps.tail_hint_at(curve, r) else lhs(r)
+
     on_grid = np.polynomial.polynomial.polyval(np.array(_SCAN_GRID), curve.coeffs)
     reached = np.flatnonzero(on_grid >= target)
-    cell = _locate_cell(lhs, target, int(reached[0]) if reached.size else None)
+    hint = int(reached[0]) if reached.size else None
+    if hint is not None:
+        # a certified bracket here is the one the quadrature-only path gives
+        lo, hi = _bisect(lambda r: guided(r) >= target, _SCAN_GRID[hint - 1], _SCAN_GRID[hint])
+        if lhs(lo) < target <= lhs(hi):
+            return _radius_result(class_id, spec, lhs, target, lo, hi)
+    cell = _locate_cell(lhs, target, hint)
     if cell is None:
         raise NoRootError(
             f"{class_id.value} lhs for {spec.label()} stays below its target on "
             f"(0, {_SCAN_LIMIT}]: lhs({_SCAN_LIMIT}) = {lhs(_SCAN_LIMIT):.10g} < "
             f"target {target:.10g}, so any root lies beyond {_SCAN_LIMIT}"
         )
-
-    def guided(r: float) -> float:
-        s = ps.eval_at(curve, r)
-        return s if abs(s - target) > _SERIES_MARGIN else lhs(r)
-
     lo, hi = _bisect(lambda r: guided(r) >= target, *cell)
     if not (lhs(lo) < target <= lhs(hi)):  # a series decision disagreed with lhs
         lo, hi = _bisect(lambda r: lhs(r) >= target, *cell)

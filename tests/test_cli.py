@@ -39,6 +39,16 @@ class TestRadiusCommand:
         assert code == 2
         assert "parameter error" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_exit_code(self, capsys, tol):
+        code, _, err = run_cli(
+            capsys,
+            "radius", "--class", "Cc", "--phi", "janowski", "--A", "1", "--B", "-1",
+            "--tol", tol,
+        )
+        assert code == 2
+        assert "tolerance must be positive and finite" in err
+
     def test_missing_parameter(self, capsys):
         code, _, err = run_cli(capsys, "radius", "--class", "Sc", "--phi", "janowski", "--A", "1")
         assert code == 2 and "requires --B" in err

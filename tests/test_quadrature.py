@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import Chebyshev
 
 from bohrcc.catalog import janowski, lemniscate, sakaguchi
 from bohrcc.errors import BudgetError, ParameterError
@@ -123,6 +124,61 @@ def _numpy_lookup(table, s):
     idx = min(max(idx, 0), len(table.pieces) - 1)
     anti = table.pieces[idx]
     return table.cumulative[idx] + float(anti(s) - anti(table.edges[idx]))
+
+
+def _numpy_build(fn, a, b, tol):
+    """A table's (edges, cumulative, tail_bound, antiderivative coefficient
+    lists, _panels) built through ``Chebyshev.interpolate`` per panel, with
+    the table's acceptance rule."""
+    edges, cumulative, coefs, panels, tail_bound = [a], [0.0], [], [], 0.0
+    coef_tol = 0.25 * tol / (b - a)
+    stack = [(a, b)]
+    while stack:
+        lo, hi = stack.pop()
+        sample = lambda xs: np.array([fn(float(x)) for x in np.atleast_1d(xs)])
+        interp = Chebyshev.interpolate(sample, 24, domain=[lo, hi])
+        tail = float(np.max(np.abs(interp.coef[-3:])))
+        scale = float(np.max(np.abs(interp.coef))) or 1.0
+        if not (tail <= max(coef_tol, 5e-14 * scale) or tail * (hi - lo) <= 0.05 * tol):
+            mid = 0.5 * (lo + hi)
+            stack += [(mid, hi), (lo, mid)]
+            continue
+        anti = interp.integ()
+        off, scl = anti.mapparms()
+        coefs.append(anti.coef.tolist())
+        panels.append((float(off), float(scl), anti.coef.tolist(), float(anti(lo))))
+        edges.append(hi)
+        cumulative.append(cumulative[-1] + float(anti(hi) - anti(lo)))
+        tail_bound += tail * (hi - lo)
+    return edges, cumulative, tail_bound, coefs, panels
+
+
+def _table_state(table):
+    coefs = [p.coef.tolist() for p in table.pieces]
+    return table.edges, table.cumulative, table.tail_bound, coefs, table._panels
+
+
+class TestTableBuildBits:
+    """The hoisted-node panel build equals ``Chebyshev.interpolate`` bit for bit."""
+
+    @pytest.mark.parametrize("case", TABLE_CASES, ids=["cos", "sqrt", "pole"])
+    def test_matches_numpy_route(self, case):
+        table = AntiderivativeTable(*case)
+        assert _table_state(table) == _numpy_build(*case)
+        assert [tuple(p.domain) for p in table.pieces] == list(zip(table.edges, table.edges[1:]))
+
+    @pytest.mark.parametrize("case", TABLE_CASES, ids=["cos", "sqrt", "pole"])
+    def test_build_does_not_call_numpy_interpolate(self, case, monkeypatch):
+        from numpy.polynomial import chebyshev
+
+        want = _numpy_build(*case)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("table build went through numpy's interpolate")
+
+        monkeypatch.setattr(chebyshev.Chebyshev, "interpolate", refuse)
+        monkeypatch.setattr(chebyshev, "chebvander", refuse)
+        assert _table_state(AntiderivativeTable(*case)) == want
 
 
 class TestTableLookupBits:

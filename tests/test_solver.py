@@ -296,23 +296,36 @@ class TestRootSearch:
         ],
         ids=["Cs-strongly(0.05)", "Cc-strongly(0.03)"],
     )
-    def test_large_root_where_series_misleads(self, class_id, spec, r_f):
-        # at r ~ 0.94 the order-64 series is off by more than the margin that
-        # lets it decide, so the quadrature certificate must catch it
+    def test_large_root_where_series_misleads(self, monkeypatch, class_id, spec, r_f):
+        # at r ~ 0.94 the order-64 series truncation tail exceeds the gap to
+        # the target, so the tail hint in the margin hands those steps to
+        # quadrature; the radius must be the quadrature one, found without
+        # falling back to a quadrature-only bisection (about 35 calls)
         assert solve_radius(class_id, spec).r_f == r_f
+        assert self._quadrature_calls(monkeypatch, class_id, spec) <= 20
 
     @pytest.mark.parametrize(
-        "key", [("Sc", "lemniscate(s=0.5)"), ("Cs", "strongly(alpha=0.5)")], ids=["Sc", "Cs"]
+        "key,factor",
+        [
+            (("Sc", "lemniscate(s=0.5)"), 1.01),
+            (("Cs", "strongly(alpha=0.5)"), 1.01),
+            (("Sc", "lemniscate(s=0.5)"), 0.99),
+            (("Cs", "strongly(alpha=0.5)"), 0.99),
+        ],
+        ids=["Sc", "Cs", "Sc-deflated", "Cs-deflated"],
     )
-    def test_wrong_series_cannot_change_the_radius(self, monkeypatch, key):
+    def test_wrong_series_cannot_change_the_radius(self, monkeypatch, key, factor):
+        # a scaled series hints the wrong cell (too early or too late), so the
+        # hinted-cell certificate fails and the fallback search must still
+        # give the quadrature bits
         class_id = ClassId.parse(key[0])
         spec = next(s for s in CANONICAL if s.label() == key[1])
         true_curve = solver._series_lhs_curve
 
-        def inflated(*args):
-            return ps.TruncatedSeries(1.01 * true_curve(*args).coeffs)
+        def scaled(*args):
+            return ps.TruncatedSeries(factor * true_curve(*args).coeffs)
 
-        monkeypatch.setattr(solver, "_series_lhs_curve", inflated)
+        monkeypatch.setattr(solver, "_series_lhs_curve", scaled)
         res = _cold_solve(class_id, spec)
         assert (res.r_f, res.residual, res.bracket) == PINNED[key]
 
@@ -338,8 +351,14 @@ class TestRootSearch:
     @pytest.mark.parametrize("class_id", list(ClassId), ids=lambda c: c.value)
     def test_quadrature_work_per_solve(self, monkeypatch, class_id, spec):
         first = self._quadrature_calls(monkeypatch, class_id, spec)
-        assert 0 < first <= 40
+        assert 0 < first <= 10
         assert self._quadrature_calls(monkeypatch, class_id, spec) == first
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10], ids=str)
+    @pytest.mark.parametrize("solve", [solve_radius, solve_radius_rotated], ids=["plain", "rotated"])
+    def test_tolerance_must_be_positive_and_finite(self, solve, tol):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            solve(ClassId.CC, janowski(1.0, -1.0), tol=tol)
 
     def test_no_root_message_names_what_was_reached(self):
         reached = r"lemniscate\(s=1e-06\).*lhs\(0\.999\) = 0\.99900\d* < target 0\.99999"
