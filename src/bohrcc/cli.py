@@ -245,12 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_spec=True):
-        p.add_argument("--order", type=int, default=None,
-                       help="series truncation order (env BOHR_ORDER overrides the default)")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="quadrature tolerance")
+    def add_common(p, order=True, spec=True):
+        if order:
+            p.add_argument("--order", type=int, default=None,
+                           help="series truncation order (env BOHR_ORDER overrides the default)")
         p.add_argument("--out", choices=("json", "csv"), default=None)
-        if with_spec:
+        if spec:
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="quadrature tolerance")
             p.add_argument("--class", dest="class_id", required=True,
                            choices=tuple(c.value for c in ClassId))
             p.add_argument("--phi", required=True, choices=tuple(sorted(FAMILIES)))
@@ -263,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="reproduce a bundled result table")
     p_table.add_argument("id", type=int, choices=(1, 2, 3, 4))
-    add_common(p_table, with_spec=False)
+    add_common(p_table, spec=False)
     p_table.set_defaults(func=cmd_table, out_default="csv")
 
     p_verify = sub.add_parser("verify", help="run a verification campaign")
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--start", type=float, required=True)
     p_scan.add_argument("--stop", type=float, required=True)
     p_scan.add_argument("--step", type=float, required=True)
-    add_common(p_scan, with_spec=False)
+    add_common(p_scan, order=False, spec=False)
     p_scan.set_defaults(func=cmd_scan, out_default="json")
 
     return parser
@@ -291,10 +292,11 @@ def main(argv=None) -> int:
     if args.out is None:
         args.out = args.out_default
     try:
-        if args.order is None:
-            args.order = _default_order()
-        elif args.order < 8:
-            raise ParameterError(f"--order must be at least 8, got {args.order}")
+        if "order" in args:  # scan takes none: threshold_scan runs at the default order
+            if args.order is None:
+                args.order = _default_order()
+            elif args.order < 8:
+                raise ParameterError(f"--order must be at least 8, got {args.order}")
         return args.func(args)
     except ParameterError as exc:
         sys.stderr.write(f"parameter error: {exc}\n")

@@ -62,7 +62,7 @@ from .catalog import (
     wang,
 )
 from .errors import InconsistencyError, NoRootError, ParameterError
-from .extremal import ExtremalSet, build_extremal, growth_exponent, h_at, k_prime_at, k_prime_series
+from .extremal import build_extremal, growth_exponent, h_at, k_prime_at
 from .quadrature import DEFAULT_TOL, Integrand1D, check_tol, integrate_1d, integrate_nested
 
 _SCAN_STEP = 1e-3
@@ -108,23 +108,9 @@ _NESTED = (ClassId.CC, ClassId.CS)
 # ---------------------------------------------------------------------------
 
 
-def _majorant_kprime_evaluator(spec: PhiSpec, es: ExtremalSet) -> Callable[[float], float]:
-    """Pointwise M_{k'}(t).
-
-    Positive-coefficient specs make the majorant equal k' itself, which
-    has a closed or tabulated form; only mixed-sign Janowski parameters
-    fall back to evaluating the majorant coefficient series.
-    """
-    if has_positive_coeffs(spec):
-        return lambda t: k_prime_at(spec, t)
-    maj = ps.majorant(es.k_prime)
-    return lambda t: ps.eval_at(maj, t, tail_tol=_SERIES_EVAL_TAIL)
-
-
-def _majorant_Kprime_evaluator(es: ExtremalSet) -> Callable[[float], float]:
-    """Pointwise M_{K'}(t); the square-root series has mixed signs for
-    every family, so this is always a coefficient-series evaluation."""
-    maj = ps.majorant(es.K_prime)
+def _majorant_evaluator(series: ps.TruncatedSeries) -> Callable[[float], float]:
+    """Pointwise evaluation of the coefficient-modulus series M_f."""
+    maj = ps.majorant(series)
     return lambda t: ps.eval_at(maj, t, tail_tol=_SERIES_EVAL_TAIL)
 
 
@@ -135,14 +121,15 @@ def lhs_integrand(class_id: ClassId, spec: PhiSpec, order: int = ps.DEFAULT_ORDE
     inner integrand of the nested double integral.  All four tend to 1 at
     t = 0.
     """
-    es = build_extremal(spec, order)
     if class_id is ClassId.KS:
         return Integrand1D(lambda t: majorant_phi_at(spec, t) / (1.0 - t * t), 1.0)
-    if class_id in (ClassId.SC, ClassId.CC):
-        mk = _majorant_kprime_evaluator(spec, es)
-        return Integrand1D(lambda t: mk(t) * majorant_phi_at(spec, t), 1.0)
-    mK = _majorant_Kprime_evaluator(es)
-    return Integrand1D(lambda t: mK(t) * majorant_phi_at(spec, t), 1.0)
+    if class_id is ClassId.CS:  # K' has mixed signs for every family
+        m = _majorant_evaluator(build_extremal(spec, order).K_prime)
+    elif has_positive_coeffs(spec):  # then M_{k'} = k', which has a closed or tabulated form
+        m = lambda t: k_prime_at(spec, t)
+    else:
+        m = _majorant_evaluator(build_extremal(spec, order).k_prime)
+    return Integrand1D(lambda t: m(t) * majorant_phi_at(spec, t), 1.0)
 
 
 def distance_integrand(class_id: ClassId, spec: PhiSpec) -> Integrand1D:
@@ -178,22 +165,16 @@ def nested_series_transform(c: ps.TruncatedSeries) -> ps.TruncatedSeries:
 
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)
-def _series_lhs_curve(
-    class_id: ClassId, spec: PhiSpec, order: int, rotated: bool
-) -> ps.TruncatedSeries:
-    phi = phi_series(spec, order)
-    if rotated:
-        phi = ps.reflect(phi)
-    m_phi = ps.majorant(phi)
+def _series_lhs_curve(class_id: ClassId, spec: PhiSpec, order: int) -> ps.TruncatedSeries:
+    m_phi = ps.majorant(phi_series(spec, order))
     if class_id is ClassId.KS:
         return ps.integrate_from_zero(ps.mul(m_phi, _geometric_even(order)))
-    k_prime = k_prime_series(phi)
+    es = build_extremal(spec, order)
     if class_id is ClassId.SC:
-        return ps.integrate_from_zero(ps.mul(ps.majorant(k_prime), m_phi))
+        return ps.integrate_from_zero(ps.mul(ps.majorant(es.k_prime), m_phi))
     if class_id is ClassId.CC:
-        return nested_series_transform(ps.mul(ps.majorant(k_prime), m_phi))
-    K_prime = ps.sqrt_series(ps.compose_with_selfmap(k_prime, ps.monomial(1.0, 2, order)))
-    return nested_series_transform(ps.mul(ps.majorant(K_prime), m_phi))
+        return nested_series_transform(ps.mul(ps.majorant(es.k_prime), m_phi))
+    return nested_series_transform(ps.mul(ps.majorant(es.K_prime), m_phi))
 
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)
@@ -218,7 +199,7 @@ def lhs_at(
 ) -> float:
     """The class lhs at radius r by either evaluation route."""
     if method == "series":
-        return ps.eval_at(_series_lhs_curve(class_id, spec, order, False), r)
+        return ps.eval_at(_series_lhs_curve(class_id, spec, order), r)
     if method != "quadrature":
         raise ParameterError(f"unknown method {method!r}")
     if class_id in _NESTED:
@@ -390,37 +371,15 @@ def solve_radius(
 ) -> RadiusResult:
     """Smallest positive root of the class radius equation, capped at 1/3,
     with the sharpness verdict of :func:`_radius_result`."""
-    return _solve_cached(class_id, spec, int(order), float(tol), False)
-
-
-def solve_radius_rotated(
-    class_id: ClassId,
-    spec: PhiSpec,
-    order: int = ps.DEFAULT_ORDER,
-    tol: float = DEFAULT_TOL,
-) -> RadiusResult:
-    """Solve the radius problem for phi(-z) in place of phi(z).
-
-    Replacing z by -z only flips coefficient signs, so every majorant
-    integrand and the distance target are unchanged and the radius must
-    agree with :func:`solve_radius` to full precision.  This route
-    rebuilds everything from the sign-flipped series and exists to assert
-    that equality.
-    """
-    return _solve_cached(class_id, spec, int(order), float(tol), True)
+    return _solve_cached(class_id, spec, int(order), float(tol))
 
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)
-def _solve_cached(
-    class_id: ClassId, spec: PhiSpec, order: int, tol: float, rotated: bool
-) -> RadiusResult:
+def _solve_cached(class_id: ClassId, spec: PhiSpec, order: int, tol: float) -> RadiusResult:
     check_tol(tol)
     target = target_constant(class_id, spec, order, tol)
-    curve = _series_lhs_curve(class_id, spec, order, rotated)
-    if rotated:
-        lhs = cache(lambda r: ps.eval_at(curve, r, tail_tol=_SERIES_EVAL_TAIL))
-    else:
-        lhs = cache(lambda r: lhs_at(class_id, spec, r, "quadrature", order, tol))
+    curve = _series_lhs_curve(class_id, spec, order)
+    lhs = cache(lambda r: lhs_at(class_id, spec, r, "quadrature", order, tol))
 
     def guided(r: float) -> float:
         # quadrature and series differ by up to tol plus the truncation tail

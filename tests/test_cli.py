@@ -206,6 +206,33 @@ class TestScanCommand:
         )
         assert code == 2
 
+    def test_scan_ignores_bad_env_order(self, capsys, monkeypatch):
+        # scan takes no series order, so BOHR_ORDER cannot make it fail
+        monkeypatch.setenv("BOHR_ORDER", "4")
+        code, _, _ = run_cli(
+            capsys,
+            "scan", "--equation", "sc-lemniscate",
+            "--start", "0.5", "--stop", "0.52", "--step", "0.01",
+        )
+        assert code == 0
+
+
+_SCAN_ARGS = (
+    "scan", "--equation", "ks-sakaguchi", "--start", "0", "--stop", "0.5", "--step", "0.1",
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("table", "1", "--tol", "nan"), (*_SCAN_ARGS, "--tol", "nan"), (*_SCAN_ARGS, "--order", "64")],
+    ids=["table-tol", "scan-tol", "scan-order"],
+)
+def test_flag_a_command_would_ignore_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestNumericBudgetExit:
     def test_impossible_tolerance_exits_3(self, capsys):
