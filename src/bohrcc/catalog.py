@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -245,6 +246,7 @@ def majorant_phi_at(spec: PhiSpec, t: float) -> float:
     return phi_at(spec, t)
 
 
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def has_positive_coeffs(spec: PhiSpec, order: int = ps.DEFAULT_ORDER) -> bool:
     """True when every series coefficient past the constant is nonnegative
     with a strictly positive leading one.

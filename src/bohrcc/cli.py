@@ -245,11 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, order=True, spec=True):
+    def add_common(p, outs, order=True, spec=True):
         if order:
             p.add_argument("--order", type=int, default=None,
                            help="series truncation order (env BOHR_ORDER overrides the default)")
-        p.add_argument("--out", choices=("json", "csv"), default=None)
+        p.add_argument("--out", choices=outs, default=outs[0],
+                       help=f"output format (default {outs[0]})")
         if spec:
             p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="quadrature tolerance")
             p.add_argument("--class", dest="class_id", required=True,
@@ -259,29 +260,29 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(f"--{flag}", type=float, default=None)
 
     p_radius = sub.add_parser("radius", help="solve one radius equation")
-    add_common(p_radius)
-    p_radius.set_defaults(func=cmd_radius, out_default="json")
+    add_common(p_radius, ("json", "csv"))
+    p_radius.set_defaults(func=cmd_radius)
 
     p_table = sub.add_parser("table", help="reproduce a bundled result table")
     p_table.add_argument("id", type=int, choices=(1, 2, 3, 4))
-    add_common(p_table, spec=False)
-    p_table.set_defaults(func=cmd_table, out_default="csv")
+    add_common(p_table, ("csv", "json"), spec=False)
+    p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run a verification campaign")
-    add_common(p_verify)
+    add_common(p_verify, ("json",))
     p_verify.add_argument("--samples", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--r", type=float, default=None,
                           help="override the radius to check (default: computed capped radius)")
-    p_verify.set_defaults(func=cmd_verify, out_default="json")
+    p_verify.set_defaults(func=cmd_verify)
 
     p_scan = sub.add_parser("scan", help="threshold scan over a family parameter")
     p_scan.add_argument("--equation", required=True)
     p_scan.add_argument("--start", type=float, required=True)
     p_scan.add_argument("--stop", type=float, required=True)
     p_scan.add_argument("--step", type=float, required=True)
-    add_common(p_scan, order=False, spec=False)
-    p_scan.set_defaults(func=cmd_scan, out_default="json")
+    add_common(p_scan, ("json", "csv"), order=False, spec=False)
+    p_scan.set_defaults(func=cmd_scan)
 
     return parser
 
@@ -289,8 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.out is None:
-        args.out = args.out_default
     try:
         if "order" in args:  # scan takes none: threshold_scan runs at the default order
             if args.order is None:

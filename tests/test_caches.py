@@ -28,6 +28,7 @@ def clear_all():
 def test_every_cache_is_bounded():
     caches = package_caches()
     assert {
+        "catalog.has_positive_coeffs",
         "extremal._build_extremal",
         "extremal._growth_table",
         "solver._series_lhs_curve",

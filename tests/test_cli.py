@@ -165,6 +165,15 @@ class TestVerifyCommand:
         )
         assert code == 2
 
+    def test_negative_seed_is_parameter_error(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "verify", "--class", "Sc", "--phi", "lemniscate", "--s", "0.5", "--seed", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "parameter error: seed must be nonnegative, got -1" in err
+
     def test_deterministic_bytes(self, capsys):
         argv = (
             "verify", "--class", "Ks", "--phi", "sakaguchi", "--gamma", "0",
@@ -222,16 +231,24 @@ _SCAN_ARGS = (
 )
 
 
+_VERIFY_ARGS = ("verify", "--class", "Sc", "--phi", "lemniscate", "--s", "0.5")
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [("table", "1", "--tol", "nan"), (*_SCAN_ARGS, "--tol", "nan"), (*_SCAN_ARGS, "--order", "64")],
-    ids=["table-tol", "scan-tol", "scan-order"],
+    "argv, message",
+    [
+        (("table", "1", "--tol", "nan"), "unrecognized arguments"),
+        ((*_SCAN_ARGS, "--tol", "nan"), "unrecognized arguments"),
+        ((*_SCAN_ARGS, "--order", "64"), "unrecognized arguments"),
+        ((*_VERIFY_ARGS, "--out", "csv"), "invalid choice: 'csv'"),  # verify emits JSON only
+    ],
+    ids=["table-tol", "scan-tol", "scan-order", "verify-out-csv"],
 )
-def test_flag_a_command_would_ignore_is_a_usage_error(capsys, argv):
+def test_flag_a_command_would_ignore_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 class TestNumericBudgetExit:

@@ -1,11 +1,15 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
 from bohrcc import power_series as ps
-from bohrcc.catalog import janowski, lemniscate, sakaguchi
-from bohrcc.errors import ParameterError, PrecisionError
+from bohrcc import verifier
+from bohrcc.catalog import PhiSpec, janowski, lemniscate, phi_series, sakaguchi, strongly
+from bohrcc.errors import DomainError, InconsistencyError, ParameterError, PrecisionError
 from bohrcc.extremal import build_extremal
-from bohrcc.solver import ClassId, solve_radius
+from bohrcc.solver import ClassId, nested_series_transform, solve_radius, target_constant
 from bohrcc.verifier import (
     IDENTITY_MAP,
     SelfMap,
@@ -53,6 +57,11 @@ class TestSampleMember:
         sf = sample_member(ClassId.SC, spec, SelfMap(0.0, 1))
         n = np.arange(1, 64)
         assert np.allclose(sf.series.coeffs[1:64], es.h.coeffs[1:] / n, atol=1e-13)
+
+    def test_unnormalized_member_is_rejected(self):
+        # an order-1 Ks integrand loses its only coefficient to the division by z
+        with pytest.raises(InconsistencyError, match=r"f\(0\)=0.0, f'\(0\)=0.0"):
+            sample_member(ClassId.KS, sakaguchi(0.0), IDENTITY_MAP, order=1)
 
     @pytest.mark.parametrize("class_id", list(ClassId), ids=lambda c: c.value)
     def test_normalization_and_bound(self, class_id):
@@ -173,3 +182,188 @@ class TestCampaign:
     def test_sample_count_validation(self):
         with pytest.raises(ParameterError):
             run_campaign(ClassId.SC, lemniscate(0.5), 0, seed=1)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_negative_seed_is_parameter_error(self, n):
+        with pytest.raises(ParameterError, match="seed must be nonnegative, got -1"):
+            run_campaign(ClassId.SC, lemniscate(0.5), n, seed=-1)
+
+
+def _sha(report) -> str:
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+
+#: sha256 of run_campaign(class, spec, 100, seed).to_json() for the 24
+#: canonical pairs, recorded with the member-by-member construction that
+#: built each sample through power_series.compose_with_selfmap, mul and
+#: eval_at.
+CAMPAIGN_PINS = {
+    ("Ks", "janowski", (1.0, -1.0), 1): "f23b10dbe6072b9344265d6fcfb2aef83752810775aa75e004de868d53dc47ab",
+    ("Ks", "sakaguchi", (0.25,), 1): "1d78e976ce67e736ea86e3df7fdcab10c1c85380a427509acad3dda9be816db1",
+    ("Ks", "lemniscate", (0.5,), 1): "f0e5ef96523ebdde3eef98e20256bd8893781bbe8e54f8e2817873f1e05c054b",
+    ("Ks", "expblend", (0.03,), 1): "2793886e8ac917ed7beb6614838887ac7e76e149eb7487d565a816aeb95199b3",
+    ("Ks", "strongly", (0.5,), 1): "1cdf2f3bbf480d62ff0aa9acc7da1fcc2da2117cfd712c2b0729b913f168fb0c",
+    ("Ks", "wang", (0.5, 1.0), 1): "4a143640349e98293fc6ae5d9fec063f25df5fb76841b55be3e3d5565b7184c5",
+    ("Sc", "janowski", (1.0, -1.0), 1): "f6f921fc458d5f37107646f3986b0526b5698998f492f33f633bb6861dac4260",
+    ("Sc", "sakaguchi", (0.25,), 1): "8a267ff81edf70c211bda0185bc08d3007e62147daa43d914b7c2e23bcbc137d",
+    ("Sc", "lemniscate", (0.5,), 1): "b2d211fefc9dff0abf4fab473226322fb34990fdb9ed63da33f349e2f5557a15",
+    ("Sc", "expblend", (0.03,), 1): "b7e4f5dec59086ec821bf167ec64f6ca2fdf697dd7972b62169be04cfcdc97c5",
+    ("Sc", "strongly", (0.5,), 1): "b61e5aeffc964e384668fba41003dca56a599c2203dd01e3c95d50277de7f513",
+    ("Sc", "wang", (0.5, 1.0), 1): "56331988c45f96b7618e59e2efe1f2c0abde1df59a14475383e57e17584e7277",
+    ("Cc", "janowski", (1.0, -1.0), 1): "094b674a71248692d7503014888d5f9c476df4aa6c94322fcc22585f76e0957f",
+    ("Cc", "sakaguchi", (0.25,), 1): "9f255deab65c09c8c6d76eb7647629062fae7405771b89638612fc68661b9f39",
+    ("Cc", "lemniscate", (0.5,), 1): "65b88954d513ced2fde02b50f3e9050b74559a946f9f5e73a83072c2f0d64f72",
+    ("Cc", "expblend", (0.03,), 1): "69e43c5aaed0678f243bd75e174ecf7bf9a0d013de069a737d6e76b3e717170c",
+    ("Cc", "strongly", (0.5,), 1): "e6c69d9d07a39bbafb0b168e90abc8a023fc187cf9b78acca7d2cb393659d887",
+    ("Cc", "wang", (0.5, 1.0), 1): "8443ba16b1bdb305dbf23921308c0d53b8c8638504e8d519126a9c44cc7b8725",
+    ("Cs", "janowski", (1.0, -1.0), 1): "e8bc5966089b1f7630106cab28a2a3b118d11a6f808afdd657049607f7825ff5",
+    ("Cs", "sakaguchi", (0.25,), 1): "72b04d254578223a509e92fd1903f820b3174a0acfaf9d49200e9882503a42e7",
+    ("Cs", "lemniscate", (0.5,), 1): "297fc2b50f1cf1671ea114f036af4afb67c332ffa4a54911a18ea5e77a686f87",
+    ("Cs", "expblend", (0.03,), 1): "832e404a1083bd0b2e5aeb985d1387af0efaa56a49a315fc30edef6a29feecc9",
+    ("Cs", "strongly", (0.5,), 1): "9f7c6365e776e09d418b7a6f2d840a35f87c7cfbd301296520d39d6eff899edc",
+    ("Cs", "wang", (0.5, 1.0), 1): "c8578ff2546cdd0ecb362df00db4282dfaeead4158afdea3cccd5fde1e7d5774",
+    ("Ks", "janowski", (1.0, -1.0), 2): "d4b1c4770d8b343c678adc922e91e3b8441093294c4397b89954fd5eb05f7665",
+    ("Ks", "sakaguchi", (0.25,), 2): "362e0eda6891481503fdcee01d87136bb87e5fb37f23a40217b092d4532dffbd",
+    ("Ks", "lemniscate", (0.5,), 2): "208b0cdfa5bfbbcc476ea56951c4449656a187205781f06f6c712e8567c2440e",
+    ("Ks", "expblend", (0.03,), 2): "075b8da68f0c43c90d5fbf5b229fe29dee02c47d5de442a00e01fda6577e2842",
+    ("Ks", "strongly", (0.5,), 2): "3a7d31b69552b1e85da1f01f2a9986feda5c418648dc49efdbcf762e976a2740",
+    ("Ks", "wang", (0.5, 1.0), 2): "69e00bdb0b8cbecb91175433f6dbd640ab41a421a5ea52e5fbac05f87eae0b30",
+    ("Sc", "janowski", (1.0, -1.0), 2): "0b2f15c186a11f3dfde2c55db151da75ad3b8a626b726c5ca0046d6a918ead5c",
+    ("Sc", "sakaguchi", (0.25,), 2): "07e64bc19e5d9f3dcb838185c17a98949997cebc06409db1f5631eac4b2bde0e",
+    ("Sc", "lemniscate", (0.5,), 2): "a77a8e7833c81ef7e18c96866b7e05709dc124dc05c3bc60435b9c5aabd78a7a",
+    ("Sc", "expblend", (0.03,), 2): "77955d295600a4c4473edb108da001ca35f1ce1a1c379a9e923a802f539da7a3",
+    ("Sc", "strongly", (0.5,), 2): "4dee4dde7d87e195a059eefad84ab1072ad9b6a033ea174d89968b24c161a94c",
+    ("Sc", "wang", (0.5, 1.0), 2): "d0b724d141c9516ff8fa34423bcbb7eb796f07f399897fdf5ca130156edfab79",
+    ("Cc", "janowski", (1.0, -1.0), 2): "39a1807ee6b2132be984c6c2c935b8c76ad60dcb349197fb16e634caa12a3a2a",
+    ("Cc", "sakaguchi", (0.25,), 2): "2df429931e1573fb5d5da51d05a9d2b5a3cc71ea7952327aa6228be575ead7b0",
+    ("Cc", "lemniscate", (0.5,), 2): "203a146b0d9182042e808d1794d2c0e758aa758385be3914d3769ef576c0101a",
+    ("Cc", "expblend", (0.03,), 2): "7cbab4d3a6af1a7500d55a1be25b32a81a629fea41d404a95cc24cbd1fd5e918",
+    ("Cc", "strongly", (0.5,), 2): "6afdea054841e4a2a1944887e0b7edf421bb2c377609e415747051f359bfaef2",
+    ("Cc", "wang", (0.5, 1.0), 2): "341da91a6458072856e67dd1528b0e24ad7f74427c5c27c94cfbed6c523b0e17",
+    ("Cs", "janowski", (1.0, -1.0), 2): "be12ea05e68d6048c6485f5cf2f978be8886af715092d48a9be0cb20d7b3a9ad",
+    ("Cs", "sakaguchi", (0.25,), 2): "a771895b0ad83d493ccde317bd9ac3c63906717f22ddc94e9dc83bf8952b7140",
+    ("Cs", "lemniscate", (0.5,), 2): "506667e5f9309c4a6a0510aadcac56bce4837c92f514393b8ab2c6c4203c4220",
+    ("Cs", "expblend", (0.03,), 2): "e26195d67ef28b6f446a615e8a3acab54a5df4356707bdd21e5c4ef84e6fc1bb",
+    ("Cs", "strongly", (0.5,), 2): "c0b09d264d54b15fa5be836600db096430ac2e07bd5d31531d97fc77e0c9fa4a",
+    ("Cs", "wang", (0.5, 1.0), 2): "d3ee6f8f242149c4da97907515185ae9932b7b752c8c05d312c5447d259c2da2",
+}
+
+
+class TestCampaignBits:
+    @pytest.mark.parametrize(
+        "key", sorted(CAMPAIGN_PINS), ids=lambda k: f"{k[0]}-{PhiSpec(k[1], k[2]).label()}-seed{k[3]}"
+    )
+    def test_canonical_campaign_bytes(self, key):
+        cls, family, params, seed = key
+        report = run_campaign(ClassId(cls), PhiSpec(family, params), 100, seed)
+        assert _sha(report) == CAMPAIGN_PINS[key]
+
+    def test_failing_campaign_bytes(self):
+        report = run_campaign(ClassId.SC, lemniscate(0.5), 100, 3, r=0.34)
+        assert len(report.failures) == 13
+        assert _sha(report) == "e269819aabfe1c383b383309ad32e7cdcf044b666785aa08667ec1015c13ceb2"
+
+    def test_order_32_campaign_bytes(self):
+        report = run_campaign(ClassId.CS, strongly(0.5), 100, 9, order=32)
+        assert _sha(report) == "86da8a1170015a043122d0b7bb6c01ea85dac6261f2d4576f59f0950228dd0dd"
+
+    @pytest.mark.parametrize("block_rows", [4096, 4])
+    @pytest.mark.parametrize(
+        "rows, r, error, message",
+        [
+            ({3: 2.0, 5: 3.0}, None, InconsistencyError, "f'(0)=2.0"),
+            ({6: 3.0, 9: 2.0}, None, InconsistencyError, "f'(0)=3.0"),
+            ({2: np.nan, 3: 2.0}, None, DomainError, "must all be finite"),
+            ({0: 2.0}, 0.95, InconsistencyError, "f'(0)=2.0"),  # row 0 is built before any check
+            ({3: 2.0}, 0.95, PrecisionError, "truncation tail"),  # row 0's tail is checked first
+            ({0: 2.0}, 1.5, InconsistencyError, "f'(0)=2.0"),
+            ({2: 2.0}, 1.5, ParameterError, "0 < r < 1"),
+        ],
+        ids=[
+            "unnormalized",
+            "unnormalized-late",
+            "non-finite",
+            "row0-before-tail",
+            "tail-before-row3",
+            "row0-before-r",
+            "r-before-row2",
+        ],
+    )
+    def test_first_failing_sample_decides_the_error(self, monkeypatch, rows, r, error, message, block_rows):
+        # the errors a member-by-member loop raises for the same corrupted samples
+        build = verifier._members
+        seen = [0]
+
+        def corrupted(class_id, spec, omegas, order):
+            members = build(class_id, spec, omegas, order)
+            for i, value in rows.items():
+                if seen[0] <= i < seen[0] + len(omegas):
+                    members[i - seen[0], 1] = value
+            seen[0] += len(omegas)
+            return members
+
+        monkeypatch.setattr(verifier, "_members", corrupted)
+        monkeypatch.setattr(verifier, "_BLOCK_ROWS", block_rows)
+        with pytest.raises(error, match=re.escape(message)):
+            run_campaign(ClassId.CS, strongly(0.5), 10, 1, r=r)
+
+    def test_blocks_leave_the_bytes(self, monkeypatch):
+        monkeypatch.setattr(verifier, "_BLOCK_ROWS", 7)
+        for key in sorted(CAMPAIGN_PINS):
+            cls, family, params, seed = key
+            assert _sha(run_campaign(ClassId(cls), PhiSpec(family, params), 100, seed)) == CAMPAIGN_PINS[key]
+        report = run_campaign(ClassId.SC, lemniscate(0.5), 100, 3, r=0.34)
+        assert _sha(report) == "e269819aabfe1c383b383309ad32e7cdcf044b666785aa08667ec1015c13ceb2"
+
+    def test_tail_guard_message(self):
+        with pytest.raises(PrecisionError) as exc:
+            run_campaign(ClassId.CS, strongly(0.5), 100, 1, r=0.95)
+        assert str(exc.value) == "truncation tail ~5.32e-05 exceeds tolerance 1e-10 at r=0.95"
+
+    def test_campaign_builds_no_series_objects(self, monkeypatch):
+        keys = sorted(CAMPAIGN_PINS)
+        for cls, family, params, seed in keys:  # warm the radius and target caches
+            run_campaign(ClassId(cls), PhiSpec(family, params), 1, seed)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a campaign sample went through the series-object route")
+
+        for name in ("mul", "compose_with_selfmap", "eval_at"):
+            monkeypatch.setattr(ps, name, forbidden)
+        for key in keys:
+            cls, family, params, seed = key
+            assert _sha(run_campaign(ClassId(cls), PhiSpec(family, params), 100, seed)) == CAMPAIGN_PINS[key]
+
+
+def _series_route(class_id: ClassId, spec: PhiSpec, omega: SelfMap, order: int) -> ps.TruncatedSeries:
+    """The member built one series object at a time, as the defining
+    identities read (the test oracle for the batch)."""
+    composed = ps.compose_with_selfmap(phi_series(spec, order), omega.to_series(order))
+    if class_id is ClassId.KS:
+        odd = np.zeros(order)
+        odd[1::2] = 1.0
+        return ps.integrate_from_zero(ps.divide_by_z(ps.mul(ps.TruncatedSeries(odd), composed)))
+    es = build_extremal(spec, order)
+    if class_id is ClassId.SC:
+        return ps.integrate_from_zero(ps.mul(es.k_prime, composed))
+    kernel = es.k_prime if class_id is ClassId.CC else es.K_prime
+    return nested_series_transform(ps.mul(kernel, composed))
+
+
+_OMEGAS = (IDENTITY_MAP, SelfMap(0.0, 3), SelfMap(0.37, 2), SelfMap(0.91, 5), SelfMap(1.0, 70))
+
+
+@pytest.mark.parametrize("spec", [lemniscate(0.5), strongly(0.5), janowski(0.5, 0.25)], ids=PhiSpec.label)
+@pytest.mark.parametrize("class_id", list(ClassId), ids=lambda c: c.value)
+def test_one_member_is_one_batch_row(class_id, spec):
+    r = 0.3
+    batch = verifier._members(class_id, spec, _OMEGAS, 64)
+    bound = target_constant(class_id, spec)
+    margins = verifier._margins(batch, bound, r)
+    for i, omega in enumerate(_OMEGAS):
+        sf = sample_member(class_id, spec, omega)
+        want = _series_route(class_id, spec, omega, 64)
+        assert sf.series.coeffs.tobytes() == batch[i].tobytes() == want.coeffs.tobytes()
+        margin = bound - ps.eval_at(ps.majorant(want), r, tail_tol=1e-10)
+        assert margins[i] == margin
+        assert check_bohr(sf, r) == (margin >= -1e-9, margin)
