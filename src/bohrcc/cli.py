@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -27,13 +28,14 @@ from .errors import BudgetError, NoRootError, ParameterError, PrecisionError
 from .extremal import build_extremal, h_at
 from .power_series import DEFAULT_ORDER
 from .quadrature import DEFAULT_TOL
-from .solver import ClassId, solve_radius, threshold_scan
+from .solver import SCAN_EQUATIONS, ClassId, solve_radius, threshold_scan
 from .verifier import run_campaign
 
 _TABLE_TOL = 1e-11
 _SCHEMA = 1
+_SCAN_MAX_POINTS = 100_000
 
-_PARAM_FLAGS = ("A", "B", "gamma", "s", "alpha", "beta")
+_PARAM_FLAGS = tuple(dict.fromkeys(name for names in FAMILIES.values() for name in names))
 
 
 def _default_order() -> int:
@@ -212,11 +214,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if not all(map(math.isfinite, (args.start, args.stop, args.step))):
+        raise ParameterError("scan needs finite --start, --stop and --step")
     if args.stop <= args.start or args.step <= 0.0:
         raise ParameterError("scan needs start < stop and a positive step")
     grid = []
     p = args.start
     while p <= args.stop + 1e-12:
+        # also stops a step too small to move p, which would never reach stop
+        if len(grid) == _SCAN_MAX_POINTS:
+            raise ParameterError(f"scan grid exceeds {_SCAN_MAX_POINTS} points")
         grid.append(round(p, 12))
         p += args.step
     scan = threshold_scan(args.equation, grid)
@@ -277,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_scan = sub.add_parser("scan", help="threshold scan over a family parameter")
-    p_scan.add_argument("--equation", required=True)
+    p_scan.add_argument("--equation", required=True, choices=SCAN_EQUATIONS)
     p_scan.add_argument("--start", type=float, required=True)
     p_scan.add_argument("--stop", type=float, required=True)
     p_scan.add_argument("--step", type=float, required=True)

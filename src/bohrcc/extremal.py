@@ -28,7 +28,7 @@ import numpy as np
 from . import power_series as ps
 from .catalog import SPEC_CACHE_SIZE, PhiSpec, as_janowski, phi_at, phi_series
 from .errors import DomainError, InconsistencyError
-from .quadrature import AntiderivativeTable, Integrand1D, integrate_1d
+from .quadrature import AntiderivativeTable, integrate_1d
 
 _SERIES_SWITCH = 0.1  # below this |t|, (phi(t)-1)/t is evaluated from its series
 _BOUNDARY_TOL = 1e-11
@@ -72,13 +72,8 @@ def _build_extremal(spec: PhiSpec, order: int) -> ExtremalSet:
     k = ps.integrate_from_zero(k_prime)
     K_prime = ps.sqrt_series(ps.compose_with_selfmap(k_prime, ps.monomial(1.0, 2, order)))
 
-    h_m1 = _h_closed(spec, -1.0)
-    if h_m1 is None:
-        h_m1 = -math.exp(growth_exponent(spec, -1.0))
-    k_m1 = _k_closed(spec, -1.0)
-    if k_m1 is None:
-        g = Integrand1D(lambda t: k_prime_at(spec, t), 1.0, (-1.0, 1.0))
-        k_m1 = integrate_1d(g, -1.0, 0.0, _BOUNDARY_TOL).value * -1.0
+    h_m1 = _h(spec, -1.0)
+    k_m1 = _k(spec, -1.0)
     if not (h_m1 < 0.0 < -h_m1):
         raise InconsistencyError(f"h(-1) = {h_m1} has the wrong sign for {spec.label()}")
     return ExtremalSet(spec, h, k, k_prime, K_prime, float(h_m1), float(k_m1))
@@ -121,7 +116,8 @@ def growth_exponent(spec: PhiSpec, x: float) -> float:
     return integrate_1d(f, 0.0, x, _BOUNDARY_TOL).value
 
 
-def _growth_integrand(spec: PhiSpec) -> Integrand1D:
+def _growth_integrand(spec: PhiSpec):
+    """(phi(t)-1)/t on [-1, 1], whose value at 0 is its limit there."""
     head = phi_series(spec, 32).coeffs[1:].tolist()
 
     def integrand(t: float) -> float:
@@ -130,7 +126,7 @@ def _growth_integrand(spec: PhiSpec) -> Integrand1D:
             return ps._horner(head, t)
         return (phi_at(spec, t) - 1.0) / t
 
-    return Integrand1D(integrand, head[0], (-1.0, 1.0))
+    return integrand
 
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)
@@ -138,38 +134,39 @@ def _growth_table(spec: PhiSpec) -> tuple[AntiderivativeTable, float]:
     """Piecewise-Chebyshev antiderivative of (phi(t)-1)/t on [-1, 0.9995],
     so pointwise k' evaluations stay cheap inside adaptive quadrature,
     with its value at the origin of the growth exponent."""
-    table = AntiderivativeTable(_growth_integrand(spec).evaluator, -1.0, _TABLE_HI, 1e-12)
+    table = AntiderivativeTable(_growth_integrand(spec), -1.0, _TABLE_HI, 1e-12)
     return table, table(0.0)
 
 
-def _h_closed(spec: PhiSpec, x: float) -> float | None:
-    """Elementary closed form of h(x) where the family admits one."""
+def _h(spec: PhiSpec, x: float) -> float:
+    """h(x) = x k'(x), as a power for Janowski-style specs with B != 0."""
     ab = as_janowski(spec)
-    if ab is not None:
+    if ab is not None and ab[1] != 0.0:
         a, b = ab
-        if b == 0.0:
-            return x * math.exp(a * x)
         base = 1.0 + b * x
         if base <= 0.0:
             raise DomainError(f"h of {spec.label()} is singular at x={x}")
         return x * base ** ((a - b) / b)
-    if spec.family == "lemniscate":
-        (s,) = spec.params
-        return x * math.exp(s * (2.0 * x + s * x * x / 2.0))
-    return None
+    return x * k_prime_at(spec, x)
 
 
-def _k_closed(spec: PhiSpec, x: float) -> float | None:
-    """Closed form of k(x) = integral_0^x k'(t) dt for Janowski-style specs."""
+def _k(spec: PhiSpec, x: float) -> float:
+    """k(x) = integral_0^x k'(t) dt: closed form for Janowski-style specs,
+    else quadrature of the k' evaluator."""
     ab = as_janowski(spec)
-    if ab is None:
-        return None
-    a, b = ab
-    if b == 0.0:  # k' = e^{at}
-        return (math.exp(a * x) - 1.0) / a  # a > b = 0 so a != 0
-    if a == 0.0:  # k' = (1+bt)^{-1}
-        return math.log(1.0 + b * x) / b
-    return ((1.0 + b * x) ** (a / b) - 1.0) / a
+    if ab is not None:
+        a, b = ab
+        if b == 0.0:  # k' = e^{at}
+            return (math.exp(a * x) - 1.0) / a  # a > b = 0 so a != 0
+        if a == 0.0:  # k' = (1+bt)^{-1}
+            return math.log(1.0 + b * x) / b
+        return ((1.0 + b * x) ** (a / b) - 1.0) / a
+    if x == 0.0:
+        return 0.0
+    g = lambda t: k_prime_at(spec, t)
+    if x > 0:
+        return integrate_1d(g, 0.0, x, _BOUNDARY_TOL).value
+    return -integrate_1d(g, x, 0.0, _BOUNDARY_TOL).value
 
 
 def k_prime_at(spec: PhiSpec, x: float) -> float:
@@ -178,31 +175,19 @@ def k_prime_at(spec: PhiSpec, x: float) -> float:
 
 
 def h_at(es: ExtremalSet, x: float) -> float:
-    """Pointwise h(x) on [-1, 1), preferring the closed form."""
+    """Pointwise h(x) on [-1, 1)."""
     x = float(x)
     if not (-1.0 <= x < 1.0):
         raise DomainError(f"h is evaluated on [-1, 1), got {x}")
-    closed = _h_closed(es.spec, x)
-    if closed is not None:
-        return closed
-    return x * k_prime_at(es.spec, x)
+    return _h(es.spec, x)
 
 
 def k_at(es: ExtremalSet, x: float) -> float:
-    """Pointwise k(x) on [-1, 1): closed form when available, else
-    quadrature of the k' evaluator."""
+    """Pointwise k(x) on [-1, 1)."""
     x = float(x)
     if not (-1.0 <= x < 1.0):
         raise DomainError(f"k is evaluated on [-1, 1), got {x}")
-    closed = _k_closed(es.spec, x)
-    if closed is not None:
-        return closed
-    if x == 0.0:
-        return 0.0
-    g = Integrand1D(lambda t: k_prime_at(es.spec, t), 1.0, (-1.0, 1.0))
-    if x > 0:
-        return integrate_1d(g, 0.0, x, _BOUNDARY_TOL).value
-    return -integrate_1d(g, x, 0.0, _BOUNDARY_TOL).value
+    return _k(es.spec, x)
 
 
 def K_prime_at(es: ExtremalSet, t: float) -> float:

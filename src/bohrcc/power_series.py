@@ -17,7 +17,7 @@ catastrophic cancellation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,13 +33,10 @@ DEFAULT_ORDER = 64
 class TruncatedSeries:
     """Real coefficient vector of a Taylor series about 0.
 
-    ``tail_hint`` is a crude bound on the discarded tail at the radius the
-    series was last certified for; 0 when unknown.  Use :func:`tail_hint_at`
-    for the evaluation-time heuristic.
+    Use :func:`tail_hint_at` for a heuristic bound on the discarded tail.
     """
 
     coeffs: np.ndarray
-    tail_hint: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.coeffs, dtype=float)

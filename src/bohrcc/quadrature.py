@@ -1,14 +1,15 @@
 """Adaptive 1-D and nested 2-D integration.
 
-The 1-D entry point wraps QUADPACK's adaptive Gauss-Kronrod rule behind a
-descriptor type that records the integrand's analytic limit at a removable
-left endpoint.  The nested entry point evaluates
+Integrands are plain functions of one float, finite on the whole closed
+interval they are integrated over (they handle their own removable points
+internally).  The 1-D entry point wraps QUADPACK's adaptive Gauss-Kronrod
+rule.  The nested entry point evaluates
 
     integral_0^r (1/s) integral_0^s f(t) dt ds
 
 by tabulating the inner antiderivative as a piecewise Chebyshev
 interpolant (the outer integral re-queries it thousands of times) and
-feeding the outer quotient, whose s -> 0 limit is exactly ``f.left_limit``,
+feeding the outer quotient, whose s -> 0 limit is exactly ``f(0.0)``,
 back through the adaptive 1-D rule.  A table lookup is a plain-float
 Clenshaw recurrence that repeats ``numpy.polynomial.chebyshev.chebval``'s
 operations in the same order, so it is bit-identical to evaluating the
@@ -34,7 +35,7 @@ from .errors import BudgetError, ParameterError
 #: Default absolute tolerance for radius work; table reproduction uses 1e-11.
 DEFAULT_TOL = 1e-10
 
-_OUTER_LIMIT_CUTOFF = 1e-8  # below this, (1/s) * inner antiderivative ~ left_limit
+_OUTER_LIMIT_CUTOFF = 1e-8  # below this, (1/s) * inner antiderivative ~ inner(0)
 
 _DEGREE = 24  # interpolation degree of each table panel
 _NODES = chebpts1(_DEGREE + 1)
@@ -48,29 +49,6 @@ def check_tol(tol: float) -> None:
 
 
 @dataclass(frozen=True)
-class Integrand1D:
-    """A scalar integrand with metadata.
-
-    ``left_limit`` is the analytic limit of the evaluator at the left end
-    of its domain, recorded for the cases where the raw expression there
-    is 0/0.  Evaluators themselves must be finite on the whole closed
-    domain (they handle their own removable points internally).
-    """
-
-    evaluator: Callable[[float], float]
-    left_limit: float
-    domain: tuple[float, float] = (0.0, 1.0)
-
-    def __post_init__(self):
-        lo, hi = self.domain
-        if not (-1.0 <= lo < hi <= 1.0):
-            raise ParameterError(f"domain must be an interval within [-1, 1], got {self.domain}")
-
-    def __call__(self, x: float) -> float:
-        return self.evaluator(x)
-
-
-@dataclass(frozen=True)
 class QuadratureResult:
     value: float
     abs_error_estimate: float
@@ -81,17 +59,18 @@ class QuadratureResult:
             raise BudgetError("quadrature produced a non-finite value")
 
 
-def integrate_1d(f: Integrand1D, a: float, b: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
-    """Adaptive Gauss-Kronrod estimate of the integral of f over [a, b]
-    with absolute error at most tol, else a BudgetError carrying the best
-    estimate found."""
+def integrate_1d(
+    f: Callable[[float], float], a: float, b: float, tol: float = DEFAULT_TOL
+) -> QuadratureResult:
+    """Adaptive Gauss-Kronrod estimate of the integral of f over [a, b], an
+    interval within [-1, 1], with absolute error at most tol, else a
+    BudgetError carrying the best estimate found."""
     check_tol(tol)
-    lo, hi = f.domain
-    if not (lo - 1e-12 <= a <= b <= hi + 1e-12):
-        raise ParameterError(f"[{a}, {b}] is outside the integrand domain [{lo}, {hi}]")
+    if not (-1.0 <= a <= b <= 1.0):
+        raise ParameterError(f"[{a}, {b}] is not an interval within [-1, 1]")
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
-    out = quad(f.evaluator, a, b, epsabs=tol, epsrel=1e-13, limit=300, full_output=True)
+    out = quad(f, a, b, epsabs=tol, epsrel=1e-13, limit=300, full_output=True)
     value, abserr, info = out[0], out[1], out[2]
     neval = int(info.get("neval", 0))
     if abserr > tol:
@@ -102,18 +81,6 @@ def integrate_1d(f: Integrand1D, a: float, b: float, tol: float = DEFAULT_TOL) -
             error_estimate=abserr,
         )
     return QuadratureResult(float(value), float(abserr), neval)
-
-
-class _CountingEvaluator:
-    __slots__ = ("fn", "count")
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.count = 0
-
-    def __call__(self, x):
-        self.count += 1
-        return self.fn(x)
 
 
 class AntiderivativeTable:
@@ -129,7 +96,8 @@ class AntiderivativeTable:
     parameters, coefficient list and left-edge value are stored when the
     panel is accepted), in ``chebval``'s operation order, so ``table(s)``
     equals ``cumulative[i] + float(pieces[i](s) - pieces[i](edges[i]))``
-    bit for bit.
+    bit for bit.  ``evaluations`` counts the calls of fn, one per node of
+    every panel tried.
     """
 
     _MAX_PANELS = 4000
@@ -140,6 +108,7 @@ class AntiderivativeTable:
         self.pieces = []  # antiderivative polynomials, one per panel
         self._panels = []  # (off, scl, coefficient list, value at left edge)
         self.tail_bound = 0.0
+        self.evaluations = 0
         coef_tol = 0.25 * tol / (b - a)
 
         stack = [(a, b)]
@@ -150,6 +119,7 @@ class AntiderivativeTable:
             # pu.mapdomain's node map, then chebinterpolate's product and scaling
             xs = (lo + hi) / 2.0 + (hi - lo) / 2.0 * _NODES
             coef = np.dot(_VANDER_T, np.array([fn(x) for x in xs.tolist()]))
+            self.evaluations += _DEGREE + 1
             coef[0] /= _DEGREE + 1
             coef[1:] /= 0.5 * (_DEGREE + 1)
             tail = float(np.max(np.abs(coef[-3:])))
@@ -200,24 +170,25 @@ def _clenshaw(off: float, scl: float, c: list, s: float) -> float:
     return c0 + c1 * x
 
 
-def integrate_nested(inner: Integrand1D, r: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
+def integrate_nested(
+    inner: Callable[[float], float], r: float, tol: float = DEFAULT_TOL
+) -> QuadratureResult:
     """Evaluate integral_0^r (1/s) integral_0^s inner(t) dt ds.
 
-    The outer integrand tends to ``inner.left_limit`` as s -> 0 (the mean
-    value of the inner integrand); that analytic limit is substituted
-    below a fixed cutoff rather than extrapolated.
+    The outer integrand tends to ``inner(0.0)`` as s -> 0 (the mean value
+    of the inner integrand); that limit is substituted below a fixed cutoff
+    rather than extrapolated.
     """
     if not (0.0 <= r <= 1.0):
         raise ParameterError(f"nested integration needs 0 <= r <= 1, got {r}")
     check_tol(tol)
     if r == 0.0:
         return QuadratureResult(0.0, 0.0, 0)
-    counting = _CountingEvaluator(inner.evaluator)
-    table = AntiderivativeTable(counting, 0.0, r, 0.25 * tol)
+    table = AntiderivativeTable(inner, 0.0, r, 0.25 * tol)
 
     def outer(s: float) -> float:
         if s < _OUTER_LIMIT_CUTOFF:
-            return inner.left_limit
+            return inner(0.0)
         return table(s) / s
 
     out = quad(outer, 0.0, r, epsabs=0.5 * tol, epsrel=1e-13, limit=300, full_output=True)
@@ -229,4 +200,4 @@ def integrate_nested(inner: Integrand1D, r: float, tol: float = DEFAULT_TOL) -> 
             best=value,
             error_estimate=total_err,
         )
-    return QuadratureResult(float(value), float(total_err), counting.count + int(info.get("neval", 0)))
+    return QuadratureResult(float(value), float(total_err), table.evaluations + int(info.get("neval", 0)))

@@ -63,7 +63,7 @@ from .catalog import (
 )
 from .errors import InconsistencyError, NoRootError, ParameterError
 from .extremal import build_extremal, growth_exponent, h_at, k_prime_at
-from .quadrature import DEFAULT_TOL, Integrand1D, check_tol, integrate_1d, integrate_nested
+from .quadrature import DEFAULT_TOL, check_tol, integrate_1d, integrate_nested
 
 _SCAN_STEP = 1e-3
 _SCAN_LIMIT = 0.999
@@ -114,35 +114,37 @@ def _majorant_evaluator(series: ps.TruncatedSeries) -> Callable[[float], float]:
     return lambda t: ps.eval_at(maj, t, tail_tol=_SERIES_EVAL_TAIL)
 
 
-def lhs_integrand(class_id: ClassId, spec: PhiSpec, order: int = ps.DEFAULT_ORDER) -> Integrand1D:
+def lhs_integrand(
+    class_id: ClassId, spec: PhiSpec, order: int = ps.DEFAULT_ORDER
+) -> Callable[[float], float]:
     """The pointwise integrand of the class lhs.
 
     For Ks and Sc this is the full 1-D integrand; for Cc and Cs it is the
-    inner integrand of the nested double integral.  All four tend to 1 at
+    inner integrand of the nested double integral.  All four equal 1 at
     t = 0.
     """
     if class_id is ClassId.KS:
-        return Integrand1D(lambda t: majorant_phi_at(spec, t) / (1.0 - t * t), 1.0)
+        return lambda t: majorant_phi_at(spec, t) / (1.0 - t * t)
     if class_id is ClassId.CS:  # K' has mixed signs for every family
         m = _majorant_evaluator(build_extremal(spec, order).K_prime)
     elif has_positive_coeffs(spec):  # then M_{k'} = k', which has a closed or tabulated form
         m = lambda t: k_prime_at(spec, t)
     else:
         m = _majorant_evaluator(build_extremal(spec, order).k_prime)
-    return Integrand1D(lambda t: m(t) * majorant_phi_at(spec, t), 1.0)
+    return lambda t: m(t) * majorant_phi_at(spec, t)
 
 
-def distance_integrand(class_id: ClassId, spec: PhiSpec) -> Integrand1D:
+def distance_integrand(class_id: ClassId, spec: PhiSpec) -> Callable[[float], float]:
     """Pointwise integrand of the distance bound for the classes whose
     target is itself an integral (Ks directly, Cs nested)."""
     if class_id is ClassId.KS:
-        return Integrand1D(lambda t: phi_at(spec, -t) / (1.0 + t * t), 1.0)
+        return lambda t: phi_at(spec, -t) / (1.0 + t * t)
     if class_id is ClassId.CS:
 
         def inner(t: float) -> float:
             return math.exp(0.5 * growth_exponent(spec, -t * t)) * phi_at(spec, -t)
 
-        return Integrand1D(inner, 1.0)
+        return inner
     raise ParameterError(f"{class_id.value} has a boundary-value target, not an integral")
 
 
@@ -419,8 +421,8 @@ def _ks_sakaguchi_parts(gamma: float):
 
 
 def _ks_wang_parts(alpha: float, beta: float):
-    f = Integrand1D(lambda t: (1.0 + beta * t) / ((1.0 - alpha * beta * t) * (1.0 - t * t)), 1.0)
-    g = Integrand1D(lambda t: (1.0 - beta * t) / ((1.0 + alpha * beta * t) * (1.0 + t * t)), 1.0)
+    f = lambda t: (1.0 + beta * t) / ((1.0 - alpha * beta * t) * (1.0 - t * t))
+    g = lambda t: (1.0 - beta * t) / ((1.0 + alpha * beta * t) * (1.0 + t * t))
     lhs = lambda r: integrate_1d(f, 0.0, r, 1e-13).value
     return lhs, integrate_1d(g, 0.0, 1.0, 1e-13).value
 
@@ -435,6 +437,12 @@ def _sc_sakaguchi_parts(gamma: float):
     e = 1.0 / (2.0 * (1.0 - gamma))
     lhs = lambda r: r + 2.0 * r**e
     return lhs, 1.0
+
+
+def _sc_expblend_parts(alpha: float):
+    # no closed form: the extremal growth h(r) against -h(-1) from the bundle
+    es = build_extremal(expblend(alpha))
+    return (lambda r: h_at(es, r)), -es.h_at_minus_one
 
 
 def _sc_janowski_b0_parts(a: float):
@@ -457,6 +465,7 @@ CLOSED_FORM_EQUATIONS: Mapping[str, tuple] = {
     ),
     "sc-lemniscate": (ClassId.SC, lambda p: lemniscate(p["s"]), _sc_lemniscate_parts, ("s",)),
     "sc-sakaguchi": (ClassId.SC, lambda p: sakaguchi(p["gamma"]), _sc_sakaguchi_parts, ("gamma",)),
+    "sc-expblend": (ClassId.SC, lambda p: expblend(p["alpha"]), _sc_expblend_parts, ("alpha",)),
     "sc-janowski-b0": (
         ClassId.SC,
         lambda p: janowski(p["A"], 0.0),
@@ -571,38 +580,25 @@ class ThresholdScan:
     threshold: float | None  # refined crossing parameter
 
 
-def _param_parts(equation_id: str, p: float):
-    """(lhs, rhs) of a single-parameter equation; sc-expblend, which has no
-    closed form, solves the extremal growth h(r) = -h(-1)."""
-    if equation_id == "sc-expblend":
-        es = build_extremal(expblend(p))
-        return (lambda r: h_at(es, r)), -es.h_at_minus_one
-    return CLOSED_FORM_EQUATIONS[equation_id][2](p)
-
-
-def _radius_for_param(equation_id: str, p: float) -> float:
-    if equation_id == "sc-expblend":
-        lhs, rhs = _param_parts(equation_id, p)
-        lo, hi = _bisect(lambda r: lhs(r) >= rhs, 0.0, 1.0 - 1e-9, 1e-12)
-        return 0.5 * (lo + hi)
-    return solve_corollary_closed_form(
-        equation_id, dict(zip(CLOSED_FORM_EQUATIONS[equation_id][3], (p,)))
-    ).r_f
+#: the closed-form equations with one parameter, the ones a scan can sweep
+SCAN_EQUATIONS = tuple(sorted(e for e, row in CLOSED_FORM_EQUATIONS.items() if len(row[3]) == 1))
 
 
 def threshold_scan(equation_id: str, params: Sequence[float]) -> ThresholdScan:
     """Sweep a monotone parameter grid, reporting the radius and whether
     it falls in the sharp window (0, 1/3), then bracket and refine the
     parameter where the radius crosses 1/3."""
-    known = set(CLOSED_FORM_EQUATIONS) | {"sc-expblend"}
-    if equation_id not in known:
-        raise ParameterError(f"unknown equation {equation_id!r}; expected one of {sorted(known)}")
+    if equation_id not in SCAN_EQUATIONS:
+        raise ParameterError(
+            f"scan needs a one-parameter equation, got {equation_id!r}; expected one of "
+            f"{list(SCAN_EQUATIONS)}"
+        )
+    _, _, parts_builder, (name,) = CLOSED_FORM_EQUATIONS[equation_id]
     grid = [float(p) for p in params]
     if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ParameterError("parameter grid must be increasing with at least two points")
-    rows = tuple(
-        ThresholdRow(p, (rf := _radius_for_param(equation_id, p)), rf < _ONE_THIRD) for p in grid
-    )
+    radii = [solve_corollary_closed_form(equation_id, {name: p}).r_f for p in grid]
+    rows = tuple(ThresholdRow(p, rf, rf < _ONE_THIRD) for p, rf in zip(grid, radii))
     bracket = None
     for a, b in zip(rows, rows[1:]):
         if a.in_sharp_window != b.in_sharp_window:
@@ -612,7 +608,7 @@ def threshold_scan(equation_id: str, params: Sequence[float]) -> ThresholdScan:
     if bracket is not None:
 
         def g(p: float) -> float:  # > 0 iff r_f(p) < 1/3, the lhs being increasing in r
-            lhs, rhs = _param_parts(equation_id, p)
+            lhs, rhs = parts_builder(p)
             return lhs(_ONE_THIRD) - rhs
 
         g_lo = g(bracket[0])

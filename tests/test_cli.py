@@ -1,5 +1,8 @@
+import hashlib
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +228,52 @@ class TestScanCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("equation", ["ks-wang", "sc-janowski"])
+    def test_two_parameter_equation_is_a_usage_error(self, capsys, equation):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--equation", equation, "--start", "0", "--stop", "1", "--step", "0.5"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "out, digest",
+        [
+            ("json", "6d75a5f1955e25807b1632273a2b8d7d89ef72e21daecb406e6877b16e8aeede"),
+            ("csv", "5d7bfcb61787cfbee5690deb4083e5f1ef75b1b822d4ea02951efa4dabf8c83c"),
+        ],
+    )
+    def test_expblend_scan_bytes(self, capsys, out, digest):
+        code, stdout, _ = run_cli(
+            capsys,
+            "scan", "--equation", "sc-expblend",
+            "--start", "0", "--stop", "0.08", "--step", "0.001", "--out", out,
+        )
+        assert code == 0
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ("0", "inf", "0.1"),
+            ("-inf", "0.5", "0.1"),
+            ("nan", "0.5", "0.1"),
+            ("0", "0.5", "inf"),
+            ("1e20", "2e20", "1"),  # 1e20 + 1 == 1e20: the grid never moves
+            ("1", "1.0000000000000002", "1e-21"),  # few steps apart, none moves p
+            ("0", "1", "1e-6"),  # a million points
+        ],
+        ids=["stop-inf", "start-minus-inf", "start-nan", "step-inf", "stuck", "stuck-narrow", "cap"],
+    )
+    def test_grid_that_never_ends_is_parameter_error(self, capsys, bounds):
+        start, stop, step = bounds
+        code, out, err = run_cli(
+            capsys,
+            "scan", "--equation", "sc-lemniscate",
+            f"--start={start}", f"--stop={stop}", f"--step={step}",
+        )
+        assert code == 2 and out == ""
+        assert "parameter error: scan" in err
+
 
 _SCAN_ARGS = (
     "scan", "--equation", "ks-sakaguchi", "--start", "0", "--stop", "0.5", "--step", "0.1",
@@ -260,3 +309,24 @@ class TestNumericBudgetExit:
         )
         assert code == 3
         assert "numeric error" in err
+
+
+def _load_bench_inputs():
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_INPUTS = _load_bench_inputs()
+
+
+@pytest.mark.parametrize(
+    "tag, argv", BENCH_INPUTS.CLI_GOLDEN, ids=[tag for tag, _ in BENCH_INPUTS.CLI_GOLDEN]
+)
+def test_stdout_matches_bench_golden(capsys, monkeypatch, tag, argv):
+    monkeypatch.delenv("BOHR_ORDER", raising=False)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (BENCH_INPUTS.GOLDEN / f"{tag}.out").read_bytes()

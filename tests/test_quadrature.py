@@ -8,7 +8,6 @@ from bohrcc.catalog import janowski, lemniscate, sakaguchi
 from bohrcc.errors import BudgetError, ParameterError
 from bohrcc.quadrature import (
     AntiderivativeTable,
-    Integrand1D,
     QuadratureResult,
     integrate_1d,
     integrate_nested,
@@ -19,26 +18,25 @@ from bohrcc.solver import ClassId, distance_integral_at, lhs_at
 class TestIntegrate1D:
     @pytest.mark.parametrize("degree", range(11))
     def test_polynomial_exactness(self, degree):
-        f = Integrand1D(lambda t, d=degree: (d + 1) * t**d, 1.0 if degree == 0 else 0.0)
-        out = integrate_1d(f, 0.0, 0.8, 1e-12)
+        out = integrate_1d(lambda t, d=degree: (d + 1) * t**d, 0.0, 0.8, 1e-12)
         assert out.value == pytest.approx(0.8 ** (degree + 1), abs=1e-13)
 
     def test_zero_function(self):
-        out = integrate_1d(Integrand1D(lambda t: 0.0, 0.0), 0.0, 0.9, 1e-12)
+        out = integrate_1d(lambda t: 0.0, 0.0, 0.9, 1e-12)
         assert out.value == 0.0
 
     def test_empty_interval(self):
-        out = integrate_1d(Integrand1D(lambda t: 1.0, 1.0), 0.3, 0.3, 1e-12)
+        out = integrate_1d(lambda t: 1.0, 0.3, 0.3, 1e-12)
         assert out.value == 0.0 and out.evaluations == 0
 
     def test_result_carries_error_and_count(self):
-        out = integrate_1d(Integrand1D(math.exp, 1.0), 0.0, 0.9, 1e-11)
+        out = integrate_1d(math.exp, 0.0, 0.9, 1e-11)
         assert isinstance(out, QuadratureResult)
         assert 0.0 <= out.abs_error_estimate <= 1e-11
         assert out.evaluations > 0
 
     def test_budget_error_carries_best_estimate(self):
-        f = Integrand1D(lambda t: math.sin(50 * t) ** 2, 0.0)
+        f = lambda t: math.sin(50 * t) ** 2
         with pytest.raises(BudgetError) as err:
             integrate_1d(f, 0.0, 1.0, 1e-300)
         assert err.value.best is not None
@@ -46,33 +44,34 @@ class TestIntegrate1D:
         assert "exceeds tol" in str(err.value) and err.value.error_estimate > 1e-300
 
     def test_domain_validation(self):
-        f = Integrand1D(lambda t: t, 0.0, (0.0, 0.5))
-        with pytest.raises(ParameterError):
-            integrate_1d(f, 0.0, 0.9, 1e-10)
+        # every integrand lives on [-1, 1]; an interval must lie within it, in order
+        f = lambda t: t
+        assert integrate_1d(f, -1.0, 1.0, 1e-10).value == pytest.approx(0.0, abs=1e-12)
+        for a, b in ((0.0, 1.5), (-1.5, 0.0), (0.5, 0.4), (0.0, math.nan)):
+            with pytest.raises(ParameterError):
+                integrate_1d(f, a, b, 1e-10)
         with pytest.raises(ParameterError):
             integrate_1d(f, 0.0, 0.4, -1.0)
-        with pytest.raises(ParameterError):
-            Integrand1D(lambda t: t, 0.0, (0.0, 1.5))
 
 
 class TestIntegrateNested:
     def test_constant_inner(self):
         # (1/s) * integral_0^s 1 dt = 1, so the double integral is r
-        out = integrate_nested(Integrand1D(lambda t: 1.0, 1.0), 0.7, 1e-11)
+        out = integrate_nested(lambda t: 1.0, 0.7, 1e-11)
         assert out.value == pytest.approx(0.7, abs=1e-11)
 
     def test_linear_inner(self):
         # inner 2t -> outer integrand s -> r^2/2
-        out = integrate_nested(Integrand1D(lambda t: 2.0 * t, 0.0), 0.6, 1e-11)
+        out = integrate_nested(lambda t: 2.0 * t, 0.6, 1e-11)
         assert out.value == pytest.approx(0.18, abs=1e-11)
 
     def test_zero_radius(self):
-        assert integrate_nested(Integrand1D(lambda t: 1.0, 1.0), 0.0, 1e-11).value == 0.0
+        assert integrate_nested(lambda t: 1.0, 0.0, 1e-11).value == 0.0
 
     def test_full_range_janowski_series_oracle(self):
         # inner = M_{k'} M_phi = (1+t)/(1-t)^3; termwise the double integral
         # is sum c_n r^{n+1}/(n+1)^2
-        inner = Integrand1D(lambda t: (1.0 + t) / (1.0 - t) ** 3, 1.0)
+        inner = lambda t: (1.0 + t) / (1.0 - t) ** 3
         n = 80
         mkp = np.arange(1, n + 1, dtype=float)
         mphi = np.full(n, 2.0)
@@ -90,9 +89,15 @@ class TestIntegrateNested:
             calls.append(t)
             return 1.0 + t
 
-        out = integrate_nested(Integrand1D(inner, 1.0), 0.5, 1e-10)
+        out = integrate_nested(inner, 0.5, 1e-10)
         # integral_0^r (1/s)(s + s^2/2) ds = r + r^2/4
         assert out.value == pytest.approx(0.5 + 0.25 / 4.0, abs=1e-10)
+        # the whole outer range below the cutoff: every outer node reads inner(0.0)
+        calls.clear()
+        out = integrate_nested(inner, 1e-9, 1e-10)
+        assert out.value == pytest.approx(1e-9, rel=1e-12)
+        assert calls.count(0.0) > 0
+        assert out.evaluations == len(calls)  # the table's nodes and the outer rule's
 
 
 class TestAntiderivativeTable:
@@ -262,13 +267,17 @@ class TestMonotonicity:
 
 
 class TestLeftLimitMetadata:
+    """The evaluator's own value at 0 is the extrapolated limit, which the
+    nested rule substitutes below its cutoff."""
+
     @pytest.mark.parametrize("class_id", list(ClassId), ids=lambda c: c.value)
     def test_left_limit_matches_extrapolation(self, class_id):
-        f = lhs_at  # noqa: F841  (documentation only)
         from bohrcc.solver import lhs_integrand
 
         integrand = lhs_integrand(class_id, janowski(1, -1))
-        # Richardson-style: f(h) -> left_limit as h -> 0
+        limit = integrand(0.0)
+        assert limit == 1.0
+        # Richardson-style: f(h) -> f(0) as h -> 0
         vals = [integrand(h) for h in (1e-3, 1e-5, 1e-7)]
-        assert abs(vals[-1] - integrand.left_limit) <= 1e-6
-        assert abs(vals[-1] - integrand.left_limit) <= abs(vals[0] - integrand.left_limit)
+        assert abs(vals[-1] - limit) <= 1e-6
+        assert abs(vals[-1] - limit) <= abs(vals[0] - limit)

@@ -182,6 +182,8 @@ class TestClosedForms:
             # roots above 1/3
             ("sc-janowski-b0", {"A": 0.5}, ClassId.SC, janowski(0.5, 0.0)),
             ("ks-sakaguchi", {"gamma": 0.3}, ClassId.KS, sakaguchi(0.3)),
+            # no closed form: the extremal growth h(r) = -h(-1)
+            ("sc-expblend", {"alpha": 0.03}, ClassId.SC, expblend(0.03)),
         ],
     )
     def test_closed_form_agrees_with_general_solver(self, eid, params, class_id, spec):
@@ -261,6 +263,17 @@ class TestThresholdScan:
             threshold_scan("sc-lemniscate", [0.5, 0.4])
         with pytest.raises(ParameterError):
             threshold_scan("unknown", [0.1, 0.2])
+
+    @pytest.mark.parametrize("equation", ["ks-wang", "sc-janowski"])
+    def test_two_parameter_equation_is_rejected(self, equation):
+        assert equation not in solver.SCAN_EQUATIONS
+        with pytest.raises(ParameterError, match="one-parameter"):
+            threshold_scan(equation, [0.1, 0.2])
+
+    def test_scan_equations_are_the_one_parameter_rows(self):
+        one = [e for e, row in solver.CLOSED_FORM_EQUATIONS.items() if len(row[3]) == 1]
+        assert sorted(one) == list(solver.SCAN_EQUATIONS)
+        assert "sc-expblend" in solver.SCAN_EQUATIONS
 
 
 #: (r_f, residual, bracket) of each canonical solve, pinned to the last bit:
