@@ -62,7 +62,7 @@ from .catalog import (
     wang,
 )
 from .errors import InconsistencyError, NoRootError, ParameterError
-from .extremal import build_extremal, growth_exponent, h_at, k_prime_at
+from .extremal import build_extremal, growth_exponent, h_at, k_prime_at, starlike_at
 from .quadrature import DEFAULT_TOL, check_tol, integrate_1d, integrate_nested
 
 _SCAN_STEP = 1e-3
@@ -440,9 +440,9 @@ def _sc_sakaguchi_parts(gamma: float):
 
 
 def _sc_expblend_parts(alpha: float):
-    # no closed form: the extremal growth h(r) against -h(-1) from the bundle
-    es = build_extremal(expblend(alpha))
-    return (lambda r: h_at(es, r)), -es.h_at_minus_one
+    # no closed form: the extremal growth h(r) against -h(-1), pointwise from the spec
+    spec = expblend(alpha)
+    return (lambda r: starlike_at(spec, r)), -starlike_at(spec, -1.0)
 
 
 def _sc_janowski_b0_parts(a: float):

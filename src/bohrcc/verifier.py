@@ -16,18 +16,30 @@ that the coefficient-modulus sum at the computed radius stays below the
 class's distance bound.  The radius theorems guarantee this, so any
 failure is an implementation bug and is reported loudly.
 
+Sample i >= 1 of a campaign with seed s draws its self-map from numpy's
+stream ``Generator(PCG64(SeedSequence((s, i))))``: epsilon is the first
+``random()`` and the power the first ``integers(1, 9)``.  SeedSequence and
+PCG64 are fixed algorithms whose streams numpy keeps stable across
+versions (NEP 19), so a block's draws are computed directly, without
+building those objects: SeedSequence's entropy hashing runs once per block
+on uint32 columns (its hash constants depend only on the number of
+entropy words, never on their values), and the two PCG64 outputs each
+sample needs are stepped with Python ints.  The tests compare every draw
+with numpy's own generator.
+
 A campaign builds its members as one batch, in blocks of 4096 members
 when it has more.  phi, the class kernel (z/(1-z^2), k' or K') and the
 target are computed once.  Row i of an n x N matrix holds phi o w_i by the
-monomial re-indexing of ``power_series.compose_with_selfmap``, each row is
-convolved with the kernel as ``power_series.mul`` does, and the class's
-termwise integration is applied to the whole matrix.  One Horner pass over
-the columns then gives every row's coefficient-modulus sum.  Each step
-repeats the scalar operations of the series functions in the same order,
-so every row and margin is bit-identical to building and checking that
-member on its own.  :func:`sample_member` and :func:`check_bohr` are the
-one-row case of the same code, and a failing batch raises the error that
-the first failing sample would raise on its own.
+monomial re-indexing of ``power_series.compose_with_selfmap``, filled for
+all rows of one power at once, each row is convolved with the kernel as
+``power_series.mul`` does, and the class's termwise integration is applied
+to the whole matrix.  One Horner pass over the columns then gives every
+row's coefficient-modulus sum.  Each step repeats the scalar operations
+of the series functions in the same order, so every row and margin is
+bit-identical to building and checking that member on its own.
+:func:`sample_member` and :func:`check_bohr` are the one-row case of the
+same code, and a failing batch raises the error that the first failing
+sample would raise on its own.
 """
 
 from __future__ import annotations
@@ -37,7 +49,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.random import PCG64, Generator, SeedSequence
 
 from . import power_series as ps
 from .catalog import PhiSpec, phi_series
@@ -99,16 +110,18 @@ def _members(class_id: ClassId, spec: PhiSpec, omegas: Sequence[SelfMap], order:
     else:
         es = build_extremal(spec, order)
         kernel = (es.K_prime if class_id is ClassId.CS else es.k_prime).coeffs
+    eps = np.array([omega.epsilon for omega in omegas], dtype=np.float64)
+    powers = np.array([omega.power for omega in omegas])
+    composed = np.zeros((len(omegas), order))
+    composed[:, 0] = phi[0]  # a row whose w vanishes to this order keeps only phi(0)
+    live = (eps != 0.0) & (powers < order)
+    for m in np.unique(powers[live]).tolist():
+        rows = np.flatnonzero(live & (powers == m))
+        k_max = (order - 1) // m
+        composed[rows, ::m] = phi[: k_max + 1] * eps[rows, None] ** np.arange(k_max + 1)
     products = np.empty((len(omegas), order))
-    for row, omega in zip(products, omegas):
-        composed = np.zeros(order)
-        if omega.epsilon == 0.0 or omega.power >= order:  # w vanishes to this order
-            composed[0] = phi[0]
-        else:
-            m = omega.power
-            k_max = (order - 1) // m
-            composed[::m] = phi[: k_max + 1] * np.float64(omega.epsilon) ** np.arange(k_max + 1)
-        row[:] = np.convolve(kernel, composed)[:order]
+    for row, terms in zip(products, composed):
+        row[:] = np.convolve(kernel, terms)[:order]
     weights = np.arange(1, order + 1)
     if class_id is ClassId.KS:
         # divide by z, then integrate; an order-1 quotient keeps one zero coefficient
@@ -225,10 +238,92 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _draw_map(seed: int, index: int) -> SelfMap:
-    # the stream of default_rng((seed, index)); random() draws uniform(0, 1)'s bits
-    rng = Generator(PCG64(SeedSequence((seed, index))))
-    return SelfMap(float(rng.random()), int(rng.integers(1, 9)))
+# numpy's SeedSequence hash constants and the PCG64 multiplier
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_WORDS = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The 32-bit words, low first, that SeedSequence reads from an int."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix over uint32 columns; its constant advances
+    on every call, the same for every row."""
+    state = [const]
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        value = value ^ np.uint32(state[0])
+        state[0] = state[0] * mult & _MASK32
+        value = value * np.uint32(state[0])
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _seed_states(entropy: np.ndarray) -> list[tuple[int, int]]:
+    """(initstate, initseq) of ``PCG64(SeedSequence(words))`` for each row of
+    an (n, words) uint32 entropy matrix: mix_entropy into a 4-word pool,
+    then generate_state(4, uint64), one column operation at a time."""
+    n, width = entropy.shape
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[:, j] if j < width else zero) for j in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_WORDS, width):
+        for dst in range(_POOL_WORDS):
+            pool[dst] = _mix(pool[dst], hashmix(entropy[:, src]))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    words = [hashmix(pool[j % _POOL_WORDS]).astype(np.uint64) for j in range(8)]
+    # little-endian pairs of words give 4 uint64, read as two 128-bit values
+    w = [(words[2 * j] | words[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)]
+    return [(s0 << 64 | s1, q0 << 64 | q1) for s0, s1, q0, q1 in zip(*w)]
+
+
+def _xsl_rr(state: int) -> int:
+    x = ((state >> 64) ^ state) & _MASK64
+    rot = state >> 122
+    return (x >> rot | x << (64 - rot)) & _MASK64
+
+
+def _draw_maps(seed: int, indices: Sequence[int]) -> list[SelfMap]:
+    """``SelfMap(rng.random(), rng.integers(1, 9))`` with
+    ``rng = Generator(PCG64(SeedSequence((seed, i))))`` for every index i,
+    computed without building any of those objects."""
+    seed_words = _uint32_words(seed)
+    entropy = [seed_words + _uint32_words(i) for i in indices]
+    maps: list = [None] * len(entropy)
+    # the hash constants depend on the number of entropy words only
+    for width in sorted({len(words) for words in entropy}):
+        rows = [pos for pos, words in enumerate(entropy) if len(words) == width]
+        states = _seed_states(np.array([entropy[pos] for pos in rows], dtype=np.uint32))
+        for pos, (initstate, initseq) in zip(rows, states):
+            inc = (initseq << 1 | 1) & _MASK128
+            state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+            state = (state * _PCG_MULT + inc) & _MASK128
+            first = _xsl_rr(state)
+            state = (state * _PCG_MULT + inc) & _MASK128
+            second = _xsl_rr(state)
+            # random() keeps the top 53 bits; integers(1, 9) is Lemire's
+            # method on the low 32 bits, whose threshold for range 8 is 0
+            maps[pos] = SelfMap((first >> 11) * 2.0**-53, 1 + ((second & _MASK32) >> 29))
+    return maps
 
 
 def run_campaign(
@@ -257,7 +352,9 @@ def run_campaign(
     failures = []
     for start in range(0, n_samples, _BLOCK_ROWS):
         indices = range(start, min(start + _BLOCK_ROWS, n_samples))
-        omegas = [IDENTITY_MAP if i == 0 else _draw_map(seed, i) for i in indices]
+        omegas = _draw_maps(seed, indices[1:] if start == 0 else indices)
+        if start == 0:
+            omegas.insert(0, IDENTITY_MAP)
         members = _members(class_id, spec, omegas, order)
         n_built = _first_unbuilt(members)
         if n_built:  # the rows before the first unbuilt one are checked first, as one by one

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bohrcc import reference
+from bohrcc import reference, solver
 from bohrcc.cli import main
 
 
@@ -242,7 +242,11 @@ class TestScanCommand:
             ("csv", "5d7bfcb61787cfbee5690deb4083e5f1ef75b1b822d4ea02951efa4dabf8c83c"),
         ],
     )
-    def test_expblend_scan_bytes(self, capsys, out, digest):
+    def test_expblend_scan_bytes(self, capsys, monkeypatch, out, digest):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sc-expblend scan built an extremal bundle")
+
+        monkeypatch.setattr(solver, "build_extremal", forbidden)  # h(r) and h(-1) need no series
         code, stdout, _ = run_cli(
             capsys,
             "scan", "--equation", "sc-expblend",
@@ -330,3 +334,18 @@ def test_stdout_matches_bench_golden(capsys, monkeypatch, tag, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out.encode() == (BENCH_INPUTS.GOLDEN / f"{tag}.out").read_bytes()
+
+
+#: sha256 of the stdout of each bench/inputs.py `verify` command, by seed
+#: then class; CI checks the installed `bohrcc` script against one of them.
+VERIFY_PINS = json.loads((Path(__file__).parent / "golden" / "verify_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_PINS, key=int), ids=lambda seed: f"seed{seed}")
+@pytest.mark.parametrize("cls", list(BENCH_INPUTS.CLI_VERIFY))
+def test_verify_stdout_matches_pin(capsys, monkeypatch, cls, seed):
+    monkeypatch.delenv("BOHR_ORDER", raising=False)
+    (argv,) = [a for tag, _, a in BENCH_INPUTS.cli_commands(int(seed)) if tag == f"verify-{cls}"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PINS[seed][cls]

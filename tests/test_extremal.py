@@ -16,7 +16,7 @@ from bohrcc.catalog import (
     strongly,
     wang,
 )
-from bohrcc.errors import DomainError
+from bohrcc.errors import BudgetError, DomainError
 from bohrcc.extremal import (
     K_prime_at,
     build_extremal,
@@ -197,6 +197,32 @@ class TestPointwiseEvaluators:
         for t in np.linspace(-0.0999, 0.0999, 41):
             t = float(t)
             assert f(t) == float(np.polynomial.polynomial.polyval(t, head))
+
+    def test_large_k_is_accepted_to_a_relative_error(self):
+        # strongly(1) has k = x/(1-x): about 999 here, where an absolute 1e-11 is out of reach
+        assert k_at(build_extremal(strongly(1.0)), 0.999) == pytest.approx(999.0, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "x, best, error, want",
+        [
+            (0.5, 1000.0, 1e-8, 1000.0),
+            (-0.5, 1000.0, 1e-8, -1000.0),
+            (0.5, 1000.0, 2e-8, None),
+            (0.5, 0.5, 2e-11, None),  # below |k| = 1 the bound stays absolute
+            (0.5, None, None, None),  # a non-finite value carries no estimate
+        ],
+        ids=["relative", "relative-negative-x", "too-large", "absolute", "no-estimate"],
+    )
+    def test_k_budget_rule(self, monkeypatch, x, best, error, want):
+        def budget(*args, **kwargs):
+            raise BudgetError("error estimate exceeds tol", best=best, error_estimate=error)
+
+        monkeypatch.setattr(extremal, "integrate_1d", budget)
+        if want is None:
+            with pytest.raises(BudgetError):
+                extremal._k(strongly(0.5), x)
+        else:
+            assert extremal._k(strongly(0.5), x) == want
 
     def test_domain_errors(self):
         es = build_extremal(janowski(1, -1))

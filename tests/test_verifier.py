@@ -335,6 +335,39 @@ class TestCampaignBits:
             assert _sha(run_campaign(ClassId(cls), PhiSpec(family, params), 100, seed)) == CAMPAIGN_PINS[key]
 
 
+_DRAW_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 3)
+_DRAW_INDICES = (*range(1, 301), 2**32 - 1, 2**32)
+
+
+def _numpy_map(seed: int, index: int) -> SelfMap:
+    """The self-map numpy draws from the stream of (seed, index)."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
+    return SelfMap(float(rng.random()), int(rng.integers(1, 9)))
+
+
+class TestStreamDraws:
+    @pytest.mark.parametrize("seed", _DRAW_SEEDS)
+    def test_draws_equal_numpy_streams(self, seed):
+        want = [_numpy_map(seed, i) for i in _DRAW_INDICES]
+        assert verifier._draw_maps(seed, _DRAW_INDICES) == want
+
+    def test_indices_of_mixed_widths_keep_their_order(self):
+        # 1, 2 and 3 index words in one call, out of order
+        indices = [2**64, 7, 2**32, 2**32 - 1, 3]
+        assert verifier._draw_maps(2**64 + 5, indices) == [_numpy_map(2**64 + 5, i) for i in indices]
+
+    def test_campaign_builds_no_numpy_generator(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a campaign built a numpy random generator")
+
+        for name in ("SeedSequence", "PCG64", "Generator", "default_rng"):
+            monkeypatch.setattr(np.random, name, forbidden)
+            monkeypatch.setattr(verifier, name, forbidden, raising=False)
+        for key in sorted(CAMPAIGN_PINS):
+            cls, family, params, seed = key
+            assert _sha(run_campaign(ClassId(cls), PhiSpec(family, params), 100, seed)) == CAMPAIGN_PINS[key]
+
+
 def _series_route(class_id: ClassId, spec: PhiSpec, omega: SelfMap, order: int) -> ps.TruncatedSeries:
     """The member built one series object at a time, as the defining
     identities read (the test oracle for the batch)."""
