@@ -24,6 +24,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -188,26 +189,43 @@ def phi_at(spec: PhiSpec, x: float) -> float:
     closed interval [-1, 1] is accepted whenever the formula stays finite
     there; the only rejected points are actual poles.
     """
-    x = float(x)
-    if not (-1.0 <= x <= 1.0):
-        raise DomainError(f"phi is evaluated on [-1, 1], got {x}")
+    return phi_evaluator(spec)(float(x))
+
+
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
+def phi_evaluator(spec: PhiSpec) -> Callable[[float], float]:
+    """:func:`phi_at` for one spec as a function of a float, its family
+    dispatched and its parameters unpacked once.  Integrands call this."""
     ab = as_janowski(spec)
     if ab is not None:
         a, b = ab
-        denom = 1.0 + b * x
-        if denom <= 0.0:
-            raise DomainError(f"pole of {spec.label()} at x={x}")
-        return (1.0 + a * x) / denom
-    if spec.family == "lemniscate":
+
+        def formula(x: float) -> float:
+            denom = 1.0 + b * x
+            if denom <= 0.0:
+                raise DomainError(f"pole of {spec.label()} at x={x}")
+            return (1.0 + a * x) / denom
+
+    elif spec.family == "lemniscate":
         (s,) = spec.params
-        return (1.0 + s * x) ** 2
-    if spec.family == "expblend":
+        formula = lambda x: (1.0 + s * x) ** 2
+    elif spec.family == "expblend":
         (a,) = spec.params
-        return a + (1.0 - a) * math.exp(x)
-    (a,) = spec.params
-    if x == 1.0:
-        raise DomainError(f"pole of {spec.label()} at x=1")
-    return ((1.0 + x) / (1.0 - x)) ** a
+        formula = lambda x: a + (1.0 - a) * math.exp(x)
+    else:
+        (a,) = spec.params
+
+        def formula(x: float) -> float:
+            if x == 1.0:
+                raise DomainError(f"pole of {spec.label()} at x=1")
+            return ((1.0 + x) / (1.0 - x)) ** a
+
+    def phi(x: float) -> float:
+        if not (-1.0 <= x <= 1.0):
+            raise DomainError(f"phi is evaluated on [-1, 1], got {x}")
+        return formula(x)
+
+    return phi
 
 
 def phi_complex(spec: PhiSpec, z: complex) -> complex:
@@ -236,14 +254,26 @@ def majorant_phi_at(spec: PhiSpec, t: float) -> float:
     ``1 + (A-B) t / (1 - |B| t)``, all other catalog families have
     nonnegative coefficients so the majorant equals phi itself.
     """
-    t = float(t)
-    if not (0.0 <= t < 1.0):
-        raise DomainError("majorant evaluated for 0 <= t < 1")
+    return majorant_phi_evaluator(spec)(float(t))
+
+
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
+def majorant_phi_evaluator(spec: PhiSpec) -> Callable[[float], float]:
+    """:func:`majorant_phi_at` for one spec as a function of a float."""
     ab = as_janowski(spec)
     if ab is not None:
         a, b = ab
-        return 1.0 + (a - b) * t / (1.0 - abs(b) * t)
-    return phi_at(spec, t)
+        rise, ratio = a - b, abs(b)
+        formula = lambda t: 1.0 + rise * t / (1.0 - ratio * t)
+    else:
+        formula = phi_evaluator(spec)
+
+    def majorant(t: float) -> float:
+        if not (0.0 <= t < 1.0):
+            raise DomainError("majorant evaluated for 0 <= t < 1")
+        return formula(t)
+
+    return majorant
 
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)

@@ -43,12 +43,9 @@ def _default_order() -> int:
     if not raw:
         return DEFAULT_ORDER
     try:
-        order = int(raw)
+        return int(raw)
     except ValueError as exc:
         raise ParameterError(f"BOHR_ORDER must be an integer, got {raw!r}") from exc
-    if order < 8:
-        raise ParameterError(f"BOHR_ORDER must be at least 8, got {order}")
-    return order
 
 
 def _fmt(x: float) -> str:
@@ -298,11 +295,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "order" in args:  # scan takes none: threshold_scan runs at the default order
-            if args.order is None:
-                args.order = _default_order()
-            elif args.order < 8:
-                raise ParameterError(f"--order must be at least 8, got {args.order}")
+        # scan takes no order: threshold_scan runs at the default order; the
+        # library rejects an order below solver.MIN_ORDER
+        if "order" in args and args.order is None:
+            args.order = _default_order()
         return args.func(args)
     except ParameterError as exc:
         sys.stderr.write(f"parameter error: {exc}\n")

@@ -22,11 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from . import power_series as ps
-from .catalog import SPEC_CACHE_SIZE, PhiSpec, as_janowski, phi_at, phi_series
+from .catalog import SPEC_CACHE_SIZE, PhiSpec, as_janowski, phi_evaluator, phi_series
 from .errors import BudgetError, DomainError, InconsistencyError
 from .quadrature import AntiderivativeTable, integrate_1d
 
@@ -86,45 +87,65 @@ def growth_exponent(spec: PhiSpec, x: float) -> float:
     expblend integral is summed from its (entire) series; strongly falls
     back to adaptive quadrature.
     """
-    x = float(x)
-    if not (-1.0 <= x < 1.0):
-        raise DomainError(f"growth exponent defined on [-1, 1), got {x}")
-    if x == 0.0:
-        return 0.0
+    return growth_evaluator(spec)(float(x))
+
+
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
+def growth_evaluator(spec: PhiSpec) -> Callable[[float], float]:
+    """:func:`growth_exponent` for one spec as a function of a float, its
+    family dispatched and its parameters unpacked once.  Integrands call
+    this."""
     ab = as_janowski(spec)
     if ab is not None:
         a, b = ab
         if b == 0.0:
-            return a * x
-        return (a - b) / b * math.log(1.0 + b * x)
-    if spec.family == "lemniscate":
+            formula = lambda x: a * x
+        else:
+            power = (a - b) / b
+            formula = lambda x: power * math.log(1.0 + b * x)
+    elif spec.family == "lemniscate":
         (s,) = spec.params
-        return s * (2.0 * x + s * x * x / 2.0)
-    if spec.family == "expblend":
+        formula = lambda x: s * (2.0 * x + s * x * x / 2.0)
+    elif spec.family == "expblend":
         (alpha,) = spec.params
-        total, term = 0.0, 1.0
-        for n in range(1, 60):
-            term *= x / n
-            total += term / n
-            if abs(term) < 1e-18:
-                break
-        return (1.0 - alpha) * total
-    if x <= _TABLE_HI:
-        table, at_zero = _growth_table(spec)
-        return table(x) - at_zero
-    f = _growth_integrand(spec)
-    return integrate_1d(f, 0.0, x, _BOUNDARY_TOL).value
+
+        def formula(x: float) -> float:
+            total, term = 0.0, 1.0
+            for n in range(1, 60):
+                term *= x / n
+                total += term / n
+                if abs(term) < 1e-18:
+                    break
+            return (1.0 - alpha) * total
+
+    else:
+
+        def formula(x: float) -> float:
+            if x <= _TABLE_HI:
+                table, at_zero = _growth_table(spec)
+                return table(x) - at_zero
+            return integrate_1d(_growth_integrand(spec), 0.0, x, _BOUNDARY_TOL).value
+
+    def growth(x: float) -> float:
+        if not (-1.0 <= x < 1.0):
+            raise DomainError(f"growth exponent defined on [-1, 1), got {x}")
+        if x == 0.0:
+            return 0.0
+        return formula(x)
+
+    return growth
 
 
 def _growth_integrand(spec: PhiSpec):
     """(phi(t)-1)/t on [-1, 1], whose value at 0 is its limit there."""
     head = phi_series(spec, 32).coeffs[1:].tolist()
+    phi = phi_evaluator(spec)
 
     def integrand(t: float) -> float:
         if abs(t) < _SERIES_SWITCH:
             # (phi(t)-1)/t from the coefficient vector, exact at t = 0
             return ps._horner(head, t)
-        return (phi_at(spec, t) - 1.0) / t
+        return (phi(t) - 1.0) / t
 
     return integrand
 
@@ -167,7 +188,7 @@ def _k(spec: PhiSpec, x: float) -> float:
         return ((1.0 + b * x) ** (a / b) - 1.0) / a
     if x == 0.0:
         return 0.0
-    g = lambda t: k_prime_at(spec, t)
+    g = k_prime_evaluator(spec)
     try:
         if x > 0:
             return integrate_1d(g, 0.0, x, _BOUNDARY_TOL).value
@@ -185,7 +206,14 @@ def _k(spec: PhiSpec, x: float) -> float:
 
 def k_prime_at(spec: PhiSpec, x: float) -> float:
     """Pointwise k'(x) = exp(growth exponent); strictly positive."""
-    return math.exp(growth_exponent(spec, x))
+    return k_prime_evaluator(spec)(float(x))
+
+
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
+def k_prime_evaluator(spec: PhiSpec) -> Callable[[float], float]:
+    """:func:`k_prime_at` for one spec as a function of a float."""
+    growth = growth_evaluator(spec)
+    return lambda x: math.exp(growth(x))
 
 
 def h_at(es: ExtremalSet, x: float) -> float:

@@ -18,6 +18,7 @@ catastrophic cancellation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -202,9 +203,14 @@ def tail_hint_at(s: TruncatedSeries, r: float) -> float:
     r = abs(float(r))
     if r >= 1.0:
         raise DomainError("tail hint only defined for radii < 1")
+    return _tail_hint(abs(float(s.coeffs[-1])), s.order, r)
+
+
+def _tail_hint(last: float, n: int, r: float) -> float:
+    """``last r^n / (1 - r)`` for 0 <= r < 1, exactly 0 at r = 0."""
     if r == 0.0:
         return 0.0
-    return abs(s.coeffs[-1]) * r**s.order / (1.0 - r)
+    return last * r**n / (1.0 - r)
 
 
 def _horner(c: list, x: float) -> float:
@@ -224,16 +230,28 @@ def eval_at(s: TruncatedSeries, x: float, tail_tol: float | None = None) -> floa
     tail heuristic is checked against it and a :class:`PrecisionError` is
     raised if the truncation cannot be trusted at this radius.
     """
-    x = float(x)
-    if abs(x) >= 1.0:
-        raise DomainError(f"series evaluation requires |x| < 1, got {x}")
-    if tail_tol is not None:
-        hint = tail_hint_at(s, x)
-        if hint > tail_tol:
-            raise PrecisionError(
-                f"truncation tail ~{hint:.3g} exceeds tolerance {tail_tol:.3g} at r={abs(x):.6g}"
-            )
-    return _horner(s.coeffs.tolist(), x)
+    return evaluator(s, tail_tol)(x)
+
+
+def evaluator(s: TruncatedSeries, tail_tol: float | None = None) -> Callable[[float], float]:
+    """``eval_at(s, ., tail_tol)`` as one function, with the coefficient
+    list and the tail's leading coefficient read off s once."""
+    c = s.coeffs.tolist()
+    last, n = abs(c[-1]), len(c)
+
+    def at(x: float) -> float:
+        x = float(x)
+        if abs(x) >= 1.0:
+            raise DomainError(f"series evaluation requires |x| < 1, got {x}")
+        if tail_tol is not None:
+            hint = _tail_hint(last, n, abs(x))
+            if hint > tail_tol:
+                raise PrecisionError(
+                    f"truncation tail ~{hint:.3g} exceeds tolerance {tail_tol:.3g} at r={abs(x):.6g}"
+                )
+        return _horner(c, x)
+
+    return at
 
 
 def allclose(a: TruncatedSeries, b: TruncatedSeries, tol: float = 1e-12) -> bool:

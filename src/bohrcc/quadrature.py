@@ -16,7 +16,9 @@ operations in the same order, so it is bit-identical to evaluating the
 panel's ``Chebyshev`` object but skips numpy's per-call overhead.  A panel
 build likewise repeats ``Chebyshev.interpolate``'s arithmetic with the
 Chebyshev nodes and the transposed Vandermonde matrix computed once at
-import, so every panel has the bits numpy would give it.
+import, and then ``Chebyshev.integ``'s (``pu.mapparms`` and ``chebint``)
+over plain floats, so every panel has the bits numpy would give it without
+building a numpy polynomial object.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev, chebpts1, chebvander
+from numpy.polynomial.chebyshev import chebpts1, chebvander
 from scipy.integrate import quad
 
 from .errors import BudgetError, ParameterError
@@ -92,12 +94,14 @@ class AntiderivativeTable:
     panel is so narrow that its whole contribution is below budget (this
     absorbs integrable endpoint singularities in derivatives).
 
-    Lookups run Clenshaw's recurrence over plain floats (each panel's map
-    parameters, coefficient list and left-edge value are stored when the
-    panel is accepted), in ``chebval``'s operation order, so ``table(s)``
-    equals ``cumulative[i] + float(pieces[i](s) - pieces[i](edges[i]))``
-    bit for bit.  ``evaluations`` counts the calls of fn, one per node of
-    every panel tried.
+    ``pieces`` holds, for each accepted panel, its antiderivative's map
+    parameters, coefficient list and left-edge value, the ones
+    ``P = Chebyshev(interpolant, domain=[lo, hi]).integ()`` would have.
+    Lookups run Clenshaw's recurrence over plain floats in ``chebval``'s
+    operation order, so ``table(s)`` equals
+    ``cumulative[i] + float(P(s) - P(edges[i]))`` bit for bit.
+    ``evaluations`` counts the calls of fn, one per node of every panel
+    tried.
     """
 
     _MAX_PANELS = 4000
@@ -105,8 +109,7 @@ class AntiderivativeTable:
     def __init__(self, fn, a, b, tol):
         self.edges = [a]
         self.cumulative = [0.0]  # A at panel left edges
-        self.pieces = []  # antiderivative polynomials, one per panel
-        self._panels = []  # (off, scl, coefficient list, value at left edge)
+        self.pieces = []  # (off, scl, coefficient list, value at left edge)
         self.tail_bound = 0.0
         self.evaluations = 0
         coef_tol = 0.25 * tol / (b - a)
@@ -139,14 +142,11 @@ class AntiderivativeTable:
                 stack.append((mid, hi))
                 stack.append((lo, mid))
                 continue
-            anti = Chebyshev(coef, domain=[lo, hi]).integ()
             if lo != self.edges[-1]:
                 raise BudgetError("panel table built out of order")  # pragma: no cover
-            self.pieces.append(anti)
-            off, scl = anti.mapparms()
-            off, scl, c = float(off), float(scl), anti.coef.tolist()
+            off, scl, c = _antiderivative(coef.tolist(), lo, hi)
             left = _clenshaw(off, scl, c, lo)
-            self._panels.append((off, scl, c, left))
+            self.pieces.append((off, scl, c, left))
             self.edges.append(hi)
             self.cumulative.append(self.cumulative[-1] + (_clenshaw(off, scl, c, hi) - left))
             self.tail_bound += tail * width
@@ -154,8 +154,26 @@ class AntiderivativeTable:
     def __call__(self, s: float) -> float:
         idx = bisect.bisect_right(self.edges, s) - 1
         idx = min(max(idx, 0), len(self.pieces) - 1)
-        off, scl, c, left = self._panels[idx]
+        off, scl, c, left = self.pieces[idx]
         return self.cumulative[idx] + (_clenshaw(off, scl, c, s) - left)
+
+
+def _antiderivative(c: list, lo: float, hi: float) -> tuple[float, float, list]:
+    """Map parameters and coefficient list of the antiderivative, zero at the
+    window's centre, of the panel interpolant with coefficients c on [lo, hi]:
+    ``Chebyshev(c, domain=[lo, hi]).integ()`` in plain floats, repeating
+    ``pu.mapparms`` and ``chebint``'s operations in their order."""
+    width = hi - lo
+    off = (hi * -1.0 - lo * 1.0) / width  # pu.mapparms onto the window [-1, 1]
+    scl = 2.0 / width
+    inv = 1.0 / scl
+    c = [a * inv for a in c]  # chebint's ``c *= scl`` with integ's scl = 1/scl
+    n = len(c)
+    t = [c[0] * 0, c[0], c[1] / 4] + [c[j] / (2 * (j + 1)) for j in range(2, n)]
+    for j in range(2, n):
+        t[j - 1] -= c[j] / (2 * (j - 1))
+    t[0] += 0 - _clenshaw(0.0, 1.0, t, 0.0)  # the constant: chebval(0, t)
+    return off, scl, t
 
 
 def _clenshaw(off: float, scl: float, c: list, s: float) -> float:

@@ -24,11 +24,15 @@ singularity.)
 
 Every integral has two independent evaluation routes: adaptive quadrature
 over pointwise evaluators, and exact termwise integration of the majorant
-series.  The two serve as each other's oracle in the test suite.  Root
-finding uses both: the series curve (a lower bound, its coefficients being
+series.  The two serve as each other's oracle in the test suite.  The
+pointwise evaluators are closures built once per spec (``phi_evaluator``
+and its kin), so a quadrature node pays no family dispatch.  Root finding
+uses both routes: the series curve (a lower bound, its coefficients being
 nonnegative) hints the 1e-3 grid cell where the monotone lhs first reaches
-the target.  Bisection of that cell lets the series decide each step whose
-distance from the target exceeds the quadrature tolerance plus the series
+the target, found by bisecting the grid indices on the curve's Horner
+values (monotone in r, rounding included, for nonnegative coefficients).
+Bisection of that cell lets the series decide each step whose distance
+from the target exceeds the quadrature tolerance plus the series
 truncation tail, and quadrature the rest; a quadrature bracket check at the
 end certifies the result.  Only if it fails is the cell confirmed with
 quadrature (a binary search over the grid when the hint was wrong), bisected
@@ -55,14 +59,14 @@ from .catalog import (
     has_positive_coeffs,
     janowski,
     lemniscate,
-    majorant_phi_at,
-    phi_at,
+    majorant_phi_evaluator,
+    phi_evaluator,
     phi_series,
     sakaguchi,
     wang,
 )
 from .errors import InconsistencyError, NoRootError, ParameterError
-from .extremal import build_extremal, growth_exponent, h_at, k_prime_at, starlike_at
+from .extremal import build_extremal, growth_evaluator, h_at, k_prime_evaluator, starlike_at
 from .quadrature import DEFAULT_TOL, check_tol, integrate_1d, integrate_nested
 
 _SCAN_STEP = 1e-3
@@ -70,6 +74,10 @@ _SCAN_LIMIT = 0.999
 _BISECT_WIDTH = 1e-11
 _SERIES_EVAL_TAIL = 1e-11
 _ONE_THIRD = 1.0 / 3.0
+
+#: Smallest series order a radius solve accepts: below it the truncated
+#: series curves can misplace the root while their tail hints stay small.
+MIN_ORDER = 8
 
 
 def _scan_grid() -> tuple[float, ...]:
@@ -82,6 +90,7 @@ def _scan_grid() -> tuple[float, ...]:
 
 
 _SCAN_GRID = _scan_grid()
+_LAST = len(_SCAN_GRID) - 1
 
 
 class ClassId(enum.Enum):
@@ -110,10 +119,10 @@ _NESTED = (ClassId.CC, ClassId.CS)
 
 def _majorant_evaluator(series: ps.TruncatedSeries) -> Callable[[float], float]:
     """Pointwise evaluation of the coefficient-modulus series M_f."""
-    maj = ps.majorant(series)
-    return lambda t: ps.eval_at(maj, t, tail_tol=_SERIES_EVAL_TAIL)
+    return ps.evaluator(ps.majorant(series), _SERIES_EVAL_TAIL)
 
 
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def lhs_integrand(
     class_id: ClassId, spec: PhiSpec, order: int = ps.DEFAULT_ORDER
 ) -> Callable[[float], float]:
@@ -123,28 +132,27 @@ def lhs_integrand(
     inner integrand of the nested double integral.  All four equal 1 at
     t = 0.
     """
+    m_phi = majorant_phi_evaluator(spec)
     if class_id is ClassId.KS:
-        return lambda t: majorant_phi_at(spec, t) / (1.0 - t * t)
+        return lambda t: m_phi(t) / (1.0 - t * t)
     if class_id is ClassId.CS:  # K' has mixed signs for every family
         m = _majorant_evaluator(build_extremal(spec, order).K_prime)
     elif has_positive_coeffs(spec):  # then M_{k'} = k', which has a closed or tabulated form
-        m = lambda t: k_prime_at(spec, t)
+        m = k_prime_evaluator(spec)
     else:
         m = _majorant_evaluator(build_extremal(spec, order).k_prime)
-    return lambda t: m(t) * majorant_phi_at(spec, t)
+    return lambda t: m(t) * m_phi(t)
 
 
 def distance_integrand(class_id: ClassId, spec: PhiSpec) -> Callable[[float], float]:
     """Pointwise integrand of the distance bound for the classes whose
     target is itself an integral (Ks directly, Cs nested)."""
+    phi = phi_evaluator(spec)
     if class_id is ClassId.KS:
-        return lambda t: phi_at(spec, -t) / (1.0 + t * t)
+        return lambda t: phi(-t) / (1.0 + t * t)
     if class_id is ClassId.CS:
-
-        def inner(t: float) -> float:
-            return math.exp(0.5 * growth_exponent(spec, -t * t)) * phi_at(spec, -t)
-
-        return inner
+        growth = growth_evaluator(spec)
+        return lambda t: math.exp(0.5 * growth(-t * t)) * phi(-t)
     raise ParameterError(f"{class_id.value} has a boundary-value target, not an integral")
 
 
@@ -281,6 +289,21 @@ class RadiusResult:
         }
 
 
+def _first_reached(f: Callable[[float], float], target: float, lo: int = 0, hi: int = _LAST):
+    """The first scan-grid index i in (lo, hi] with f(g[i]) >= target for a
+    nondecreasing f with f(g[lo]) < target, by bisection over the indices,
+    or None when f(g[hi]) stays below the target."""
+    if f(_SCAN_GRID[hi]) < target:
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if f(_SCAN_GRID[mid]) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _locate_cell(lhs: Callable[[float], float], target: float, hint: int | None):
     """The first scan-grid cell (g[i-1], g[i]) with lhs(g[i-1]) < target <=
     lhs(g[i]) for a nondecreasing lhs with lhs(0) = 0, or None when lhs(0.999)
@@ -290,7 +313,7 @@ def _locate_cell(lhs: Callable[[float], float], target: float, hint: int | None)
     right the cell costs two evaluations, otherwise a binary search over the
     grid indices it narrows.
     """
-    lo, hi = 0, len(_SCAN_GRID) - 1  # lhs(g[lo]) < target; lhs(g[hi]) >= target once checked
+    lo, hi = 0, _LAST
     if hint is not None:
         if lhs(_SCAN_GRID[hint]) < target:
             lo = hint
@@ -298,15 +321,8 @@ def _locate_cell(lhs: Callable[[float], float], target: float, hint: int | None)
             lo, hi = hint - 1, hint
         else:
             hi = hint - 1
-    if lhs(_SCAN_GRID[hi]) < target:
-        return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if lhs(_SCAN_GRID[mid]) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return _SCAN_GRID[lo], _SCAN_GRID[hi]
+    i = _first_reached(lhs, target, lo, hi)
+    return None if i is None else (_SCAN_GRID[i - 1], _SCAN_GRID[i])
 
 
 def _bisect(reached: Callable[[float], bool], lo: float, hi: float, width: float = _BISECT_WIDTH):
@@ -372,8 +388,12 @@ def solve_radius(
     tol: float = DEFAULT_TOL,
 ) -> RadiusResult:
     """Smallest positive root of the class radius equation, capped at 1/3,
-    with the sharpness verdict of :func:`_radius_result`."""
-    return _solve_cached(class_id, spec, int(order), float(tol))
+    with the sharpness verdict of :func:`_radius_result`.  The series order
+    must be at least :data:`MIN_ORDER`."""
+    order = int(order)
+    if order < MIN_ORDER:
+        raise ParameterError(f"order must be at least {MIN_ORDER}, got {order}")
+    return _solve_cached(class_id, spec, order, float(tol))
 
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)
@@ -381,16 +401,18 @@ def _solve_cached(class_id: ClassId, spec: PhiSpec, order: int, tol: float) -> R
     check_tol(tol)
     target = target_constant(class_id, spec, order, tol)
     curve = _series_lhs_curve(class_id, spec, order)
+    series = ps.evaluator(curve)
     lhs = cache(lambda r: lhs_at(class_id, spec, r, "quadrature", order, tol))
 
     def guided(r: float) -> float:
         # quadrature and series differ by up to tol plus the truncation tail
-        s = ps.eval_at(curve, r)
+        s = series(r)
         return s if abs(s - target) > tol + ps.tail_hint_at(curve, r) else lhs(r)
 
-    on_grid = np.polynomial.polynomial.polyval(np.array(_SCAN_GRID), curve.coeffs)
-    reached = np.flatnonzero(on_grid >= target)
-    hint = int(reached[0]) if reached.size else None
+    # the curve's coefficients are nonnegative, so its Horner values rise
+    # with r on the grid even in floating point and bisection finds the
+    # first grid point where it reaches the target
+    hint = _first_reached(series, target)
     if hint is not None:
         # a certified bracket here is the one the quadrature-only path gives
         lo, hi = _bisect(lambda r: guided(r) >= target, _SCAN_GRID[hint - 1], _SCAN_GRID[hint])

@@ -29,6 +29,11 @@ def test_every_cache_is_bounded():
     caches = package_caches()
     assert {
         "catalog.has_positive_coeffs",
+        "catalog.phi_evaluator",
+        "catalog.majorant_phi_evaluator",
+        "extremal.growth_evaluator",
+        "extremal.k_prime_evaluator",
+        "solver.lhs_integrand",
         "extremal._build_extremal",
         "extremal._growth_table",
         "solver._series_lhs_curve",
@@ -48,12 +53,16 @@ def test_sweep_over_many_specs_stays_bounded():
             solver.target_constant(ClassId.SC, spec, 8)
             solver.lhs_at(ClassId.SC, spec, 0.2, "series", 8)
             solver.distance_integral_at(ClassId.KS, spec, 0.2, "series", 8)
+            solver.lhs_integrand(ClassId.SC, spec, 8)(0.2)
         infos = {name: c.cache_info() for name, c in package_caches().items()}
         for name in (
             "extremal._build_extremal",
             "solver.target_constant",
             "solver._series_lhs_curve",
             "solver._series_distance_curve",
+            "solver.lhs_integrand",
+            "catalog.majorant_phi_evaluator",
+            "extremal.k_prime_evaluator",
         ):
             assert infos[name].misses == 300, name
             assert infos[name].currsize == SPEC_CACHE_SIZE, name

@@ -1,10 +1,10 @@
 import hashlib
-import importlib.util
 import json
 import math
 from pathlib import Path
 
 import pytest
+from _bench_inputs import BENCH_INPUTS
 
 from bohrcc import reference, solver
 from bohrcc.cli import main
@@ -87,6 +87,16 @@ class TestRadiusCommand:
         )
         assert code == 0
         assert json.loads(out)["r_f"] == pytest.approx(0.3040402, abs=1e-6)
+
+    @pytest.mark.parametrize("command", ["radius", "verify"])
+    def test_low_order_exits_2(self, capsys, monkeypatch, command):
+        # the floor is solve_radius's; the flag and BOHR_ORDER both reach it
+        argv = (command, "--class", "Cs", "--phi", "strongly", "--alpha", "0.5")
+        code, out, err = run_cli(capsys, *argv, "--order", "2")
+        assert (code, out) == (2, "")
+        assert err == "parameter error: order must be at least 8, got 2\n"
+        monkeypatch.setenv("BOHR_ORDER", "2")
+        assert run_cli(capsys, *argv) == (2, "", err)
 
     def test_bad_env_order(self, capsys, monkeypatch):
         monkeypatch.setenv("BOHR_ORDER", "many")
@@ -315,15 +325,6 @@ class TestNumericBudgetExit:
         assert "numeric error" in err
 
 
-def _load_bench_inputs():
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-BENCH_INPUTS = _load_bench_inputs()
 
 
 @pytest.mark.parametrize(

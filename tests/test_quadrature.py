@@ -123,19 +123,24 @@ TABLE_CASES = [
 ]
 
 
+def _numpy_piece(table, idx):
+    """Panel idx's antiderivative as numpy's ``Chebyshev`` on the panel."""
+    return Chebyshev(table.pieces[idx][2], domain=[table.edges[idx], table.edges[idx + 1]])
+
+
 def _numpy_lookup(table, s):
     """The table value through numpy: searchsorted and the panel's Chebyshev."""
     idx = int(np.searchsorted(np.asarray(table.edges), s, side="right")) - 1
     idx = min(max(idx, 0), len(table.pieces) - 1)
-    anti = table.pieces[idx]
+    anti = _numpy_piece(table, idx)
     return table.cumulative[idx] + float(anti(s) - anti(table.edges[idx]))
 
 
 def _numpy_build(fn, a, b, tol):
     """A table's (edges, cumulative, tail_bound, antiderivative coefficient
-    lists, _panels) built through ``Chebyshev.interpolate`` per panel, with
-    the table's acceptance rule."""
-    edges, cumulative, coefs, panels, tail_bound = [a], [0.0], [], [], 0.0
+    lists, map parameters, pieces) built through ``Chebyshev.interpolate``
+    and ``Chebyshev.integ`` per panel, with the table's acceptance rule."""
+    edges, cumulative, coefs, maps, panels, tail_bound = [a], [0.0], [], [], [], 0.0
     coef_tol = 0.25 * tol / (b - a)
     stack = [(a, b)]
     while stack:
@@ -151,39 +156,66 @@ def _numpy_build(fn, a, b, tol):
         anti = interp.integ()
         off, scl = anti.mapparms()
         coefs.append(anti.coef.tolist())
+        maps.append((float(off), float(scl)))
         panels.append((float(off), float(scl), anti.coef.tolist(), float(anti(lo))))
         edges.append(hi)
         cumulative.append(cumulative[-1] + float(anti(hi) - anti(lo)))
         tail_bound += tail * (hi - lo)
-    return edges, cumulative, tail_bound, coefs, panels
+    return edges, cumulative, tail_bound, coefs, maps, panels
 
 
 def _table_state(table):
-    coefs = [p.coef.tolist() for p in table.pieces]
-    return table.edges, table.cumulative, table.tail_bound, coefs, table._panels
+    coefs = [c for _, _, c, _ in table.pieces]
+    maps = [(off, scl) for off, scl, _, _ in table.pieces]
+    return table.edges, table.cumulative, table.tail_bound, coefs, maps, table.pieces
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("table build went through numpy's Chebyshev class")
 
 
 class TestTableBuildBits:
-    """The hoisted-node panel build equals ``Chebyshev.interpolate`` bit for bit."""
+    """The plain-float panel build (interpolation and antiderivative)
+    equals ``Chebyshev.interpolate(...).integ()`` bit for bit."""
 
     @pytest.mark.parametrize("case", TABLE_CASES, ids=["cos", "sqrt", "pole"])
     def test_matches_numpy_route(self, case):
         table = AntiderivativeTable(*case)
         assert _table_state(table) == _numpy_build(*case)
-        assert [tuple(p.domain) for p in table.pieces] == list(zip(table.edges, table.edges[1:]))
+        assert len(table.pieces) == len(table.edges) - 1  # what the bench counts as panels
+        for idx, (off, scl) in enumerate(_table_state(table)[4]):
+            assert (off, scl) == tuple(map(float, _numpy_piece(table, idx).mapparms()))
 
     @pytest.mark.parametrize("case", TABLE_CASES, ids=["cos", "sqrt", "pole"])
     def test_build_does_not_call_numpy_interpolate(self, case, monkeypatch):
-        from numpy.polynomial import chebyshev
+        from numpy.polynomial import chebyshev, polyutils
 
         want = _numpy_build(*case)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("table build went through numpy's interpolate")
-
-        monkeypatch.setattr(chebyshev.Chebyshev, "interpolate", refuse)
-        monkeypatch.setattr(chebyshev, "chebvander", refuse)
+        monkeypatch.setattr(chebyshev.Chebyshev, "interpolate", _refuse)
+        monkeypatch.setattr(chebyshev.Chebyshev, "integ", _refuse)
+        monkeypatch.setattr(chebyshev.Chebyshev, "_int", _refuse)
+        monkeypatch.setattr(chebyshev, "chebvander", _refuse)
+        monkeypatch.setattr(chebyshev, "chebint", _refuse)
+        monkeypatch.setattr(chebyshev, "chebval", _refuse)
+        monkeypatch.setattr(polyutils, "mapparms", _refuse)
         assert _table_state(AntiderivativeTable(*case)) == want
+
+    def test_antiderivative_matches_integ_on_random_panels(self):
+        # the sign of a zero counts too, so compare the hex forms
+        from bohrcc.quadrature import _antiderivative
+
+        rng = np.random.default_rng(20261018)
+        for _ in range(2000):
+            lo = float(rng.uniform(-1.0, 1.0))
+            hi = lo + float(10.0 ** rng.uniform(-9.0, 0.3))
+            coef = rng.standard_normal(25) * 10.0 ** rng.uniform(-16.0, 2.0, 25)
+            coef[rng.random(25) < 0.1] = 0.0
+            coef *= rng.choice([-1.0, 1.0])
+            anti = Chebyshev(coef, domain=[lo, hi]).integ()
+            want = (*map(float, anti.mapparms()), anti.coef.tolist())
+            got = _antiderivative(coef.tolist(), lo, hi)
+            hexed = lambda p: (p[0].hex(), p[1].hex(), [c.hex() for c in p[2]])
+            assert hexed(got) == hexed(want), (lo, hi)
 
 
 class TestTableLookupBits:
@@ -200,6 +232,9 @@ class TestTableLookupBits:
         points += [a - 0.25 * width, a - 1e-9, b + 1e-9, b + 0.25 * width]
         for s in points:
             assert table(s) == _numpy_lookup(table, s), s
+        # the stored left-edge values are the numpy ones too
+        for idx, (_, _, _, left) in enumerate(table.pieces):
+            assert left == float(_numpy_piece(table, idx)(table.edges[idx]))
 
     def test_many_panels_case(self):
         assert len(AntiderivativeTable(*TABLE_CASES[1]).pieces) >= 8

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from _bench_inputs import BENCH_INPUTS
 
 from bohrcc import power_series as ps
 from bohrcc import solver
-from bohrcc.catalog import expblend, janowski, lemniscate, phi_series, sakaguchi, strongly, wang
+from bohrcc.catalog import PhiSpec, expblend, janowski, lemniscate, phi_series, sakaguchi, strongly, wang
 from bohrcc.errors import InconsistencyError, NoRootError, ParameterError
 from bohrcc.extremal import build_extremal, h_at, k_prime_series
 from bohrcc.solver import (
@@ -400,3 +403,63 @@ class TestRootSearch:
         reached = r"lemniscate\(s=1e-06\).*lhs\(0\.999\) = 0\.99900\d* < target 0\.99999"
         with pytest.raises(NoRootError, match=reached):
             solve_radius(ClassId.SC, lemniscate(1e-6))
+
+
+def _numpy_first_reached(coeffs, target):
+    """The grid hint as numpy gives it: polyval over the whole scan grid."""
+    on_grid = np.polynomial.polynomial.polyval(np.array(solver._SCAN_GRID), coeffs)
+    reached = np.flatnonzero(on_grid >= target)
+    return int(reached[0]) if reached.size else None
+
+
+_NONNEGATIVE = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=10.0),
+    st.floats(min_value=0.0, max_value=1e300),
+)
+
+
+class TestGridHint:
+    """The bisected hint is the first grid index where numpy's polyval of
+    the series curve reaches the target: Horner's rule over nonnegative
+    coefficients is monotone on x >= 0 in floating point too."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        coeffs=st.lists(_NONNEGATIVE, min_size=1, max_size=80),
+        target=st.floats(min_value=0.0, max_value=1e6, exclude_min=True),
+        tie_at=st.none() | st.integers(min_value=1, max_value=len(solver._SCAN_GRID) - 1),
+    )
+    def test_random_nonnegative_series(self, coeffs, target, tie_at):
+        if tie_at is not None:  # a target the curve meets exactly at a grid point
+            target = ps._horner(coeffs, solver._SCAN_GRID[tie_at])
+        assume(target > coeffs[0])  # the search starts below the target at r = 0
+        series = ps.evaluator(ps.TruncatedSeries(np.array(coeffs)))
+        assert solver._first_reached(series, target) == _numpy_first_reached(coeffs, target)
+
+    def test_lhs_curves_of_canonical_and_box_specs(self):
+        pairs = [(c, spec) for c in ClassId for spec in CANONICAL]
+        for seed in range(1, 21):
+            pairs += [
+                (ClassId.parse(c), PhiSpec(family, params))
+                for c, family, params in BENCH_INPUTS.box_draws(seed)
+            ]
+        assert len(pairs) == 24 + 20 * 24
+        for class_id, spec in pairs:
+            curve = solver._series_lhs_curve(class_id, spec, 64)
+            target = target_constant(class_id, spec, 64, 1e-10)
+            want = _numpy_first_reached(curve.coeffs, target)
+            assert want is not None
+            assert solver._first_reached(ps.evaluator(curve), target) == want, (class_id, spec)
+
+
+class TestOrderFloor:
+    @pytest.mark.parametrize("order", [-1, 0, 2, solver.MIN_ORDER - 1])
+    def test_low_order_is_rejected(self, order):
+        # at order 2 the Cs curve would give a wrong radius with a tiny residual
+        with pytest.raises(ParameterError, match=f"order must be at least 8, got {order}"):
+            solve_radius(ClassId.CS, strongly(0.5), order)
+
+    def test_floor_order_solves(self):
+        res = solve_radius(ClassId.SC, lemniscate(0.5), solver.MIN_ORDER)
+        assert res.r_f == pytest.approx(0.3040402, abs=1e-6)
