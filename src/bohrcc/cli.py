@@ -201,8 +201,6 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     spec = _spec_from_args(args)
     class_id = ClassId.parse(args.class_id)
-    if args.samples < 1:
-        raise ParameterError(f"--samples must be >= 1, got {args.samples}")
     report = run_campaign(
         class_id, spec, args.samples, args.seed, r=args.r, order=args.order, tol=args.tol
     )

@@ -16,16 +16,12 @@ that the coefficient-modulus sum at the computed radius stays below the
 class's distance bound.  The radius theorems guarantee this, so any
 failure is an implementation bug and is reported loudly.
 
-Sample i >= 1 of a campaign with seed s draws its self-map from numpy's
-stream ``Generator(PCG64(SeedSequence((s, i))))``: epsilon is the first
-``random()`` and the power the first ``integers(1, 9)``.  SeedSequence and
-PCG64 are fixed algorithms whose streams numpy keeps stable across
-versions (NEP 19), so a block's draws are computed directly, without
-building those objects: SeedSequence's entropy hashing runs once per block
-on uint32 columns (its hash constants depend only on the number of
-entropy words, never on their values), and the two PCG64 outputs each
-sample needs are stepped with Python ints.  The tests compare every draw
-with numpy's own generator.
+A campaign with seed s draws its self-maps from one numpy stream,
+``rng = np.random.default_rng(s)``.  Sample 0 is the identity map; sample
+i >= 1 reads the stream's doubles 2i-2 and 2i-1 as u0 and u1 and takes
+epsilon = u0 and power = 1 + floor(8 u1), uniform on 1..8.  Each block of
+members draws its own rows of (u0, u1) pairs, so the draws, and with them
+the report bytes, do not depend on the block size.
 
 A campaign builds its members as one batch, in blocks of 4096 members
 when it has more.  phi, the class kernel (z/(1-z^2), k' or K') and the
@@ -45,6 +41,7 @@ sample would raise on its own.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -99,9 +96,12 @@ class SampledFunction:
     distance_bound: float
 
 
-def _members(class_id: ClassId, spec: PhiSpec, omegas: Sequence[SelfMap], order: int) -> np.ndarray:
+def _members(
+    class_id: ClassId, spec: PhiSpec, eps: np.ndarray, powers: np.ndarray, order: int
+) -> np.ndarray:
     """Coefficient rows of the class members built from phi o w, one per
-    self-map w, bit-identical to the series-by-series construction."""
+    self-map w = eps[i] * z^powers[i], bit-identical to the series-by-series
+    construction."""
     order = int(order)
     phi = phi_series(spec, order).coeffs
     if class_id is ClassId.KS:
@@ -110,25 +110,23 @@ def _members(class_id: ClassId, spec: PhiSpec, omegas: Sequence[SelfMap], order:
     else:
         es = build_extremal(spec, order)
         kernel = (es.K_prime if class_id is ClassId.CS else es.k_prime).coeffs
-    eps = np.array([omega.epsilon for omega in omegas], dtype=np.float64)
-    powers = np.array([omega.power for omega in omegas])
-    composed = np.zeros((len(omegas), order))
+    composed = np.zeros((len(eps), order))
     composed[:, 0] = phi[0]  # a row whose w vanishes to this order keeps only phi(0)
     live = (eps != 0.0) & (powers < order)
     for m in np.unique(powers[live]).tolist():
         rows = np.flatnonzero(live & (powers == m))
         k_max = (order - 1) // m
         composed[rows, ::m] = phi[: k_max + 1] * eps[rows, None] ** np.arange(k_max + 1)
-    products = np.empty((len(omegas), order))
+    products = np.empty((len(eps), order))
     for row, terms in zip(products, composed):
         row[:] = np.convolve(kernel, terms)[:order]
     weights = np.arange(1, order + 1)
     if class_id is ClassId.KS:
         # divide by z, then integrate; an order-1 quotient keeps one zero coefficient
-        members = np.zeros((len(omegas), max(order, 2)))
+        members = np.zeros((len(eps), max(order, 2)))
         members[:, 1:order] = products[:, 1:] / weights[:-1]
     else:
-        members = np.zeros((len(omegas), order + 1))
+        members = np.zeros((len(eps), order + 1))
         members[:, 1:] = products / weights
         if class_id is not ClassId.SC:  # the nested transform weights c_n by 1/(n+1)^2
             members[:, 1:] /= weights
@@ -153,7 +151,7 @@ def _margins(members: np.ndarray, target: float, r: float) -> np.ndarray:
     """target - sum |a_n| r^n for every row, after the tail guard of
     ``power_series.eval_at`` on each row in turn."""
     if not (0.0 < r < 1.0):
-        raise ParameterError(f"check_bohr needs 0 < r < 1, got {r}")
+        raise ParameterError(f"the radius to check must satisfy 0 < r < 1, got {r}")
     r = float(r)
     majorants = np.abs(members)
     hints = majorants[:, -1] * r ** members.shape[1] / (1.0 - r)
@@ -173,7 +171,7 @@ def sample_member(
     tol: float = DEFAULT_TOL,
 ) -> SampledFunction:
     """Build one class member from the defining identity."""
-    members = _members(class_id, spec, [omega], order)
+    members = _members(class_id, spec, np.array([omega.epsilon]), np.array([omega.power]), order)
     if _first_unbuilt(members) == 0:
         raise _unbuilt_error(members[0])
     bound = target_constant(class_id, spec, order, tol)
@@ -238,94 +236,6 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-# numpy's SeedSequence hash constants and the PCG64 multiplier
-_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_POOL_WORDS = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _uint32_words(n: int) -> list[int]:
-    """The 32-bit words, low first, that SeedSequence reads from an int."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's hashmix over uint32 columns; its constant advances
-    on every call, the same for every row."""
-    state = [const]
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        value = value ^ np.uint32(state[0])
-        state[0] = state[0] * mult & _MASK32
-        value = value * np.uint32(state[0])
-        return value ^ (value >> np.uint32(16))
-
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_L * x - _MIX_R * y
-    return result ^ (result >> np.uint32(16))
-
-
-def _seed_states(entropy: np.ndarray) -> list[tuple[int, int]]:
-    """(initstate, initseq) of ``PCG64(SeedSequence(words))`` for each row of
-    an (n, words) uint32 entropy matrix: mix_entropy into a 4-word pool,
-    then generate_state(4, uint64), one column operation at a time."""
-    n, width = entropy.shape
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    zero = np.zeros(n, dtype=np.uint32)
-    pool = [hashmix(entropy[:, j] if j < width else zero) for j in range(_POOL_WORDS)]
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_WORDS, width):
-        for dst in range(_POOL_WORDS):
-            pool[dst] = _mix(pool[dst], hashmix(entropy[:, src]))
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    words = [hashmix(pool[j % _POOL_WORDS]).astype(np.uint64) for j in range(8)]
-    # little-endian pairs of words give 4 uint64, read as two 128-bit values
-    w = [(words[2 * j] | words[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)]
-    return [(s0 << 64 | s1, q0 << 64 | q1) for s0, s1, q0, q1 in zip(*w)]
-
-
-def _xsl_rr(state: int) -> int:
-    x = ((state >> 64) ^ state) & _MASK64
-    rot = state >> 122
-    return (x >> rot | x << (64 - rot)) & _MASK64
-
-
-def _draw_maps(seed: int, indices: Sequence[int]) -> list[SelfMap]:
-    """``SelfMap(rng.random(), rng.integers(1, 9))`` with
-    ``rng = Generator(PCG64(SeedSequence((seed, i))))`` for every index i,
-    computed without building any of those objects."""
-    seed_words = _uint32_words(seed)
-    entropy = [seed_words + _uint32_words(i) for i in indices]
-    maps: list = [None] * len(entropy)
-    # the hash constants depend on the number of entropy words only
-    for width in sorted({len(words) for words in entropy}):
-        rows = [pos for pos, words in enumerate(entropy) if len(words) == width]
-        states = _seed_states(np.array([entropy[pos] for pos in rows], dtype=np.uint32))
-        for pos, (initstate, initseq) in zip(rows, states):
-            inc = (initseq << 1 | 1) & _MASK128
-            state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
-            state = (state * _PCG_MULT + inc) & _MASK128
-            first = _xsl_rr(state)
-            state = (state * _PCG_MULT + inc) & _MASK128
-            second = _xsl_rr(state)
-            # random() keeps the top 53 bits; integers(1, 9) is Lemire's
-            # method on the low 32 bits, whose threshold for range 8 is 0
-            maps[pos] = SelfMap((first >> 11) * 2.0**-53, 1 + ((second & _MASK32) >> 29))
-    return maps
-
-
 def run_campaign(
     class_id: ClassId,
     spec: PhiSpec,
@@ -339,33 +249,42 @@ def run_campaign(
     (or overridden) radius.
 
     Sample 0 is always the identity self-map, which for Sc reproduces the
-    extremal member; samples 1.. are seeded monomial maps with per-sample
-    substreams, so reports are deterministic given the seed.
+    extremal member; samples 1.. are monomial maps drawn in order from one
+    ``np.random.default_rng(seed)`` stream, so reports are deterministic
+    given the seed.
     """
+    try:
+        n_samples, seed = operator.index(n_samples), operator.index(seed)
+    except TypeError:
+        raise ParameterError(f"need integer n_samples and seed, got {n_samples!r}, {seed!r}") from None
     if n_samples < 1:
-        raise ParameterError("need at least one sample")
+        raise ParameterError(f"need at least one sample, got {n_samples}")
     if seed < 0:
         raise ParameterError(f"seed must be nonnegative, got {seed}")
     result = solve_radius(class_id, spec, order, tol)
     r_checked = float(r) if r is not None else result.capped
+    rng = np.random.default_rng(seed)
     margins: list[float] = []
     failures = []
     for start in range(0, n_samples, _BLOCK_ROWS):
-        indices = range(start, min(start + _BLOCK_ROWS, n_samples))
-        omegas = _draw_maps(seed, indices[1:] if start == 0 else indices)
-        if start == 0:
-            omegas.insert(0, IDENTITY_MAP)
-        members = _members(class_id, spec, omegas, order)
+        stop = min(start + _BLOCK_ROWS, n_samples)
+        u = rng.random((stop - max(start, 1), 2))
+        if start == 0:  # sample 0 is the identity map: u = (1, 0) gives epsilon 1, power 1
+            u = np.vstack(([1.0, 0.0], u))
+        eps, powers = u[:, 0], 1 + (8.0 * u[:, 1]).astype(np.int64)
+        members = _members(class_id, spec, eps, powers, order)
         n_built = _first_unbuilt(members)
         if n_built:  # the rows before the first unbuilt one are checked first, as one by one
             block = _margins(members[:n_built], target_constant(class_id, spec, order, tol), r_checked)
             margins += block.tolist()
             failures += [
-                {"index": i, "epsilon": omega.epsilon, "power": omega.power, "margin": margin}
-                for i, omega, margin in zip(indices, omegas, block.tolist())
+                {"index": i, "epsilon": e, "power": m, "margin": margin}
+                for i, e, m, margin in zip(
+                    range(start, stop), eps.tolist(), powers.tolist(), block.tolist()
+                )
                 if not margin >= -_MARGIN_SLACK
             ]
-        if n_built < len(omegas):
+        if n_built < len(eps):
             raise _unbuilt_error(members[n_built])
     witness = None
     if result.sharp:

@@ -177,6 +177,16 @@ class TestVerifyCommand:
             "verify", "--class", "Sc", "--phi", "lemniscate", "--s", "0.5", "--samples", "0",
         )
         assert code == 2
+        assert "parameter error: need at least one sample, got 0" in err
+
+    def test_radius_out_of_range_is_parameter_error(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "verify", "--class", "Sc", "--phi", "lemniscate", "--s", "0.5", "--r", "1.5",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "parameter error: the radius to check must satisfy 0 < r < 1, got 1.5\n"
 
     def test_negative_seed_is_parameter_error(self, capsys):
         code, out, err = run_cli(
@@ -350,3 +360,17 @@ def test_verify_stdout_matches_pin(capsys, monkeypatch, cls, seed):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PINS[seed][cls]
+
+
+FAILING_VERIFY_PINS = json.loads(
+    (Path(__file__).parent / "golden" / "verify_failing_sha256.json").read_text()
+)
+
+
+@pytest.mark.parametrize("command", sorted(FAILING_VERIFY_PINS))
+def test_failing_verify_stdout_matches_pin(capsys, monkeypatch, command):
+    # a report past the sharp radius lists failing draws, so these bytes pin the campaign's stream
+    monkeypatch.delenv("BOHR_ORDER", raising=False)
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 4
+    assert hashlib.sha256(out.encode()).hexdigest() == FAILING_VERIFY_PINS[command]

@@ -180,8 +180,18 @@ class TestCampaign:
         assert payload["spec"] == {"family": "lemniscate", "params": {"s": 0.5}}
 
     def test_sample_count_validation(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="need at least one sample, got 0"):
             run_campaign(ClassId.SC, lemniscate(0.5), 0, seed=1)
+
+    @pytest.mark.parametrize("n, seed", [(5, 1.0), (2.5, 1)], ids=["float-seed", "float-count"])
+    def test_non_integer_count_or_seed_is_parameter_error(self, monkeypatch, n, seed):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the radius was solved before the arguments were checked")
+
+        monkeypatch.setattr(verifier, "solve_radius", forbidden)
+        message = f"need integer n_samples and seed, got {n!r}, {seed!r}"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            run_campaign(ClassId.SC, lemniscate(0.5), n, seed)
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_negative_seed_is_parameter_error(self, n):
@@ -248,6 +258,11 @@ CAMPAIGN_PINS = {
     ("Cs", "wang", (0.5, 1.0), 2): "d3ee6f8f242149c4da97907515185ae9932b7b752c8c05d312c5447d259c2da2",
 }
 
+#: sha256 of run_campaign(Sc, lemniscate(0.5), 100, 3, r=0.34).to_json(), the
+#: one pinned report whose bytes depend on the drawn self-maps;
+#: test_failing_campaign_failures_match_oracle rebuilds its failures.
+FAILING_CAMPAIGN_PIN = "b6d4483971dd956ea1b04929fa58fe089a7bcf3b23ba1ba624cd813430cf76e5"
+
 
 class TestCampaignBits:
     @pytest.mark.parametrize(
@@ -260,8 +275,8 @@ class TestCampaignBits:
 
     def test_failing_campaign_bytes(self):
         report = run_campaign(ClassId.SC, lemniscate(0.5), 100, 3, r=0.34)
-        assert len(report.failures) == 13
-        assert _sha(report) == "e269819aabfe1c383b383309ad32e7cdcf044b666785aa08667ec1015c13ceb2"
+        assert len(report.failures) == 14
+        assert _sha(report) == FAILING_CAMPAIGN_PIN
 
     def test_order_32_campaign_bytes(self):
         report = run_campaign(ClassId.CS, strongly(0.5), 100, 9, order=32)
@@ -294,12 +309,12 @@ class TestCampaignBits:
         build = verifier._members
         seen = [0]
 
-        def corrupted(class_id, spec, omegas, order):
-            members = build(class_id, spec, omegas, order)
+        def corrupted(class_id, spec, eps, powers, order):
+            members = build(class_id, spec, eps, powers, order)
             for i, value in rows.items():
-                if seen[0] <= i < seen[0] + len(omegas):
+                if seen[0] <= i < seen[0] + len(eps):
                     members[i - seen[0], 1] = value
-            seen[0] += len(omegas)
+            seen[0] += len(eps)
             return members
 
         monkeypatch.setattr(verifier, "_members", corrupted)
@@ -313,7 +328,7 @@ class TestCampaignBits:
             cls, family, params, seed = key
             assert _sha(run_campaign(ClassId(cls), PhiSpec(family, params), 100, seed)) == CAMPAIGN_PINS[key]
         report = run_campaign(ClassId.SC, lemniscate(0.5), 100, 3, r=0.34)
-        assert _sha(report) == "e269819aabfe1c383b383309ad32e7cdcf044b666785aa08667ec1015c13ceb2"
+        assert _sha(report) == FAILING_CAMPAIGN_PIN
 
     def test_tail_guard_message(self):
         with pytest.raises(PrecisionError) as exc:
@@ -336,36 +351,23 @@ class TestCampaignBits:
 
 
 _DRAW_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 3)
-_DRAW_INDICES = (*range(1, 301), 2**32 - 1, 2**32)
-
-
-def _numpy_map(seed: int, index: int) -> SelfMap:
-    """The self-map numpy draws from the stream of (seed, index)."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
-    return SelfMap(float(rng.random()), int(rng.integers(1, 9)))
 
 
 class TestStreamDraws:
     @pytest.mark.parametrize("seed", _DRAW_SEEDS)
-    def test_draws_equal_numpy_streams(self, seed):
-        want = [_numpy_map(seed, i) for i in _DRAW_INDICES]
-        assert verifier._draw_maps(seed, _DRAW_INDICES) == want
+    def test_draws_equal_numpy_streams(self, monkeypatch, seed):
+        # sample i >= 1 takes doubles 2i-2 and 2i-1 of default_rng(seed), across blocks of 7
+        build, drawn = verifier._members, []
 
-    def test_indices_of_mixed_widths_keep_their_order(self):
-        # 1, 2 and 3 index words in one call, out of order
-        indices = [2**64, 7, 2**32, 2**32 - 1, 3]
-        assert verifier._draw_maps(2**64 + 5, indices) == [_numpy_map(2**64 + 5, i) for i in indices]
+        def recording(class_id, spec, eps, powers, order):
+            drawn.extend(zip(eps.tolist(), powers.tolist()))
+            return build(class_id, spec, eps, powers, order)
 
-    def test_campaign_builds_no_numpy_generator(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a campaign built a numpy random generator")
-
-        for name in ("SeedSequence", "PCG64", "Generator", "default_rng"):
-            monkeypatch.setattr(np.random, name, forbidden)
-            monkeypatch.setattr(verifier, name, forbidden, raising=False)
-        for key in sorted(CAMPAIGN_PINS):
-            cls, family, params, seed = key
-            assert _sha(run_campaign(ClassId(cls), PhiSpec(family, params), 100, seed)) == CAMPAIGN_PINS[key]
+        monkeypatch.setattr(verifier, "_members", recording)
+        monkeypatch.setattr(verifier, "_BLOCK_ROWS", 7)
+        run_campaign(ClassId.SC, lemniscate(0.5), 300, seed)
+        u = np.random.default_rng(seed).random((299, 2))
+        assert drawn == [(1.0, 1)] + [(float(u0), 1 + int(np.floor(8.0 * u1))) for u0, u1 in u]
 
 
 def _series_route(class_id: ClassId, spec: PhiSpec, omega: SelfMap, order: int) -> ps.TruncatedSeries:
@@ -390,7 +392,9 @@ _OMEGAS = (IDENTITY_MAP, SelfMap(0.0, 3), SelfMap(0.37, 2), SelfMap(0.91, 5), Se
 @pytest.mark.parametrize("class_id", list(ClassId), ids=lambda c: c.value)
 def test_one_member_is_one_batch_row(class_id, spec):
     r = 0.3
-    batch = verifier._members(class_id, spec, _OMEGAS, 64)
+    eps = np.array([omega.epsilon for omega in _OMEGAS])
+    powers = np.array([omega.power for omega in _OMEGAS])
+    batch = verifier._members(class_id, spec, eps, powers, 64)
     bound = target_constant(class_id, spec)
     margins = verifier._margins(batch, bound, r)
     for i, omega in enumerate(_OMEGAS):
@@ -400,3 +404,20 @@ def test_one_member_is_one_batch_row(class_id, spec):
         margin = bound - ps.eval_at(ps.majorant(want), r, tail_tol=1e-10)
         assert margins[i] == margin
         assert check_bohr(sf, r) == (margin >= -1e-9, margin)
+
+
+def test_failing_campaign_failures_match_oracle():
+    # the draws of the pinned failing campaign, each member built and checked on its own
+    spec, r = lemniscate(0.5), 0.34
+    u = np.random.default_rng(3).random((99, 2))
+    omegas = [IDENTITY_MAP] + [SelfMap(float(u0), 1 + int(np.floor(8.0 * u1))) for u0, u1 in u]
+    bound = target_constant(ClassId.SC, spec)
+    want = []
+    for i, omega in enumerate(omegas):
+        member = _series_route(ClassId.SC, spec, omega, 64)
+        margin = bound - ps.eval_at(ps.majorant(member), r, tail_tol=1e-10)
+        if margin < -1e-9:
+            want.append({"index": i, "epsilon": omega.epsilon, "power": omega.power, "margin": margin})
+    report = run_campaign(ClassId.SC, spec, 100, 3, r=r)
+    assert len(want) == 14 and {f["power"] for f in want} == {1, 2}
+    assert list(report.failures) == want
