@@ -4,6 +4,9 @@ For each spec there is a starlike extremal h (z h'/h = phi) and a convex
 extremal k (1 + z k''/k' = phi).  Their values at -1 measure how far the
 image of the unit disk is guaranteed to reach around the origin, which is
 exactly the constant the radius equations aim at.
+
+Pointwise values come straight from the spec; the series come from the
+bundle's k' (h = z k', and k is its antiderivative).
 """
 
 import numpy as np
@@ -13,26 +16,28 @@ from bohrcc.extremal import K_prime_at, h_at, k_at
 from bohrcc import power_series as ps
 
 for spec in (janowski(1.0, -1.0), sakaguchi(0.25), lemniscate(0.5), strongly(0.5)):
-    es = build_extremal(spec)
+    h = ps.shift_up(build_extremal(spec).k_prime)
     print(spec.label())
-    print(f"  h coefficients: {np.round(es.h.coeffs[:6], 6)}")
-    print(f"  h(1/3) = {h_at(es, 1/3):.9f}   -h(-1) = {-es.h_at_minus_one:.9f}")
-    print(f"  k(1/3) = {k_at(es, 1/3):.9f}   -k(-1) = {-es.k_at_minus_one:.9f}")
+    print(f"  h coefficients: {np.round(h.coeffs[:6], 6)}")
+    print(f"  h(1/3) = {h_at(spec, 1/3):.9f}   -h(-1) = {-h_at(spec, -1.0):.9f}")
+    print(f"  k(1/3) = {k_at(spec, 1/3):.9f}   -k(-1) = {-k_at(spec, -1.0):.9f}")
 
 # The widest Janowski spec reproduces the classical extremal geometry:
 # h is the Koebe function z/(1-z)^2 and k maps onto a half plane.
-es = build_extremal(janowski(1.0, -1.0))
-print("\nKoebe check: h coefficients are 0, 1, 2, 3, ...:", es.h.coeffs[:6])
-print("half-plane check: k coefficients are 0, 1, 1, 1, ...:", np.round(es.k.coeffs[:6], 12))
+spec = janowski(1.0, -1.0)
+es = build_extremal(spec)
+h, k = ps.shift_up(es.k_prime), ps.integrate_from_zero(es.k_prime)
+print("\nKoebe check: h coefficients are 0, 1, 2, 3, ...:", h.coeffs[:6])
+print("half-plane check: k coefficients are 0, 1, 1, 1, ...:", np.round(k.coeffs[:6], 12))
 
 # The odd convex extremal K has derivative K'(t) = sqrt(k'(t^2)); the
-# bundle stores it both as a series and as a pointwise evaluator, and
+# bundle stores its series, K_prime_at evaluates it from the spec, and
 # z K'(z) squares to h(z^2).
 t = 0.4
 series_val = ps.eval_at(es.K_prime, t)
-print(f"\nK'({t}) via series {series_val:.12f} vs pointwise {K_prime_at(es, t):.12f}")
+print(f"\nK'({t}) via series {series_val:.12f} vs pointwise {K_prime_at(spec, t):.12f}")
 zKp = ps.shift_up(es.K_prime)
 square = ps.mul(zKp, zKp)
-h_of_z2 = ps.compose_with_selfmap(es.h, ps.monomial(1.0, 2, 64))
+h_of_z2 = ps.compose_with_selfmap(h, ps.monomial(1.0, 2, 64))
 print("max |(zK')^2 - h(z^2)| over 40 coefficients:",
       float(np.max(np.abs(square.coeffs[:40] - h_of_z2.coeffs[:40]))))

@@ -19,13 +19,12 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 from . import reference
 from .catalog import FAMILIES, PhiSpec, check_min_max_hypothesis, expblend, janowski, lemniscate, strongly
 from .errors import BudgetError, NoRootError, ParameterError, PrecisionError
-from .extremal import build_extremal, h_at
+from .extremal import h_at
 from .power_series import DEFAULT_ORDER
 from .quadrature import DEFAULT_TOL
 from .solver import SCAN_EQUATIONS, ClassId, solve_radius, threshold_scan
@@ -36,16 +35,6 @@ _SCHEMA = 1
 _SCAN_MAX_POINTS = 100_000
 
 _PARAM_FLAGS = tuple(dict.fromkeys(name for names in FAMILIES.values() for name in names))
-
-
-def _default_order() -> int:
-    raw = os.environ.get("BOHR_ORDER", "")
-    if not raw:
-        return DEFAULT_ORDER
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ParameterError(f"BOHR_ORDER must be an integer, got {raw!r}") from exc
 
 
 def _fmt(x: float) -> str:
@@ -125,25 +114,17 @@ def cmd_radius(args) -> int:
     return 0
 
 
-def _table1_rows(order: int):
+def _radius_table_rows(table, make_spec, names, order: int):
+    """Sc radii against a reference table of (*spec parameters, radius) rows."""
     rows = []
-    for s, ref in reference.TABLE1:
-        r_f = solve_radius(ClassId.SC, lemniscate(s), order, _TABLE_TOL).r_f
+    for *params, ref in table:
+        r_f = solve_radius(ClassId.SC, make_spec(*params), order, _TABLE_TOL).r_f
         diff = reference.truncate_to(r_f, reference.decimals(ref)) - float(ref)
-        rows.append([s, r_f, ref, diff])
-    return ["s", "r_f", "reference", "diff"], rows
+        rows.append([*params, r_f, ref, diff])
+    return [*names, "r_f", "reference", "diff"], rows
 
 
-def _table4_rows(order: int):
-    rows = []
-    for a, b, ref in reference.TABLE4:
-        r_f = solve_radius(ClassId.SC, janowski(a, b), order, _TABLE_TOL).r_f
-        diff = reference.truncate_to(r_f, reference.decimals(ref)) - float(ref)
-        rows.append([a, b, r_f, ref, diff])
-    return ["A", "B", "r_f", "reference", "diff"], rows
-
-
-def _growth_table_rows(table, make_spec, order: int):
+def _growth_table_rows(table, make_spec):
     header = [
         "alpha",
         "h_one_third",
@@ -157,9 +138,9 @@ def _growth_table_rows(table, make_spec, order: int):
     ]
     rows = []
     for alpha, h3_ref, hm1_ref, _, _ in table:
-        es = build_extremal(make_spec(alpha), order)
-        h3 = h_at(es, 1.0 / 3.0)
-        hm1 = -es.h_at_minus_one
+        spec = make_spec(alpha)
+        h3 = h_at(spec, 1.0 / 3.0)
+        hm1 = -h_at(spec, -1.0)
         sign0 = "-"  # h(0) + h(-1) = h(-1) < 0 always
         sign3 = "+" if h3 - hm1 > 0.0 else "-"
         rows.append([
@@ -177,15 +158,14 @@ def _growth_table_rows(table, make_spec, order: int):
 
 
 def cmd_table(args) -> int:
-    order = args.order
     if args.id == 1:
-        header, rows = _table1_rows(order)
+        header, rows = _radius_table_rows(reference.TABLE1, lemniscate, ["s"], args.order)
     elif args.id == 2:
-        header, rows = _growth_table_rows(reference.TABLE2, expblend, order)
+        header, rows = _growth_table_rows(reference.TABLE2, expblend)
     elif args.id == 3:
-        header, rows = _growth_table_rows(reference.TABLE3, strongly, order)
+        header, rows = _growth_table_rows(reference.TABLE3, strongly)
     elif args.id == 4:
-        header, rows = _table4_rows(order)
+        header, rows = _radius_table_rows(reference.TABLE4, janowski, ["A", "B"], args.order)
     else:
         raise ParameterError(f"table id must be 1..4, got {args.id}")
     if args.out == "json":
@@ -249,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, outs, order=True, spec=True):
         if order:
-            p.add_argument("--order", type=int, default=None,
-                           help="series truncation order (env BOHR_ORDER overrides the default)")
+            p.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                           help=f"series truncation order (default {DEFAULT_ORDER})")
         p.add_argument("--out", choices=outs, default=outs[0],
                        help=f"output format (default {outs[0]})")
         if spec:
@@ -293,10 +273,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # scan takes no order: threshold_scan runs at the default order; the
-        # library rejects an order below solver.MIN_ORDER
-        if "order" in args and args.order is None:
-            args.order = _default_order()
         return args.func(args)
     except ParameterError as exc:
         sys.stderr.write(f"parameter error: {exc}\n")

@@ -1,20 +1,21 @@
-"""Extremal function bundle for a given shape function phi.
+"""Extremal functions for a given shape function phi.
 
-For each catalog spec this builds, as truncated series and as pointwise
-evaluators on [-1, 1):
+The radius equations read four quantities per catalog spec, which
+:func:`build_extremal` bundles as an :class:`ExtremalSet`:
 
-* ``h``   -- the starlike extremal, z h'(z)/h(z) = phi(z),
-             h(z) = z exp(integral_0^z (phi(t)-1)/t dt)
-* ``k``   -- the convex extremal, 1 + z k''(z)/k'(z) = phi(z)
-* ``k'``  -- which coincides with h(z)/z (both equal the same exponential)
+* ``k'``  -- the convex extremal's derivative, 1 + z k''(z)/k'(z) = phi(z);
+             it equals h(z)/z for the starlike extremal h, z h'(z)/h(z) =
+             phi(z), so the series of h and k are ``shift_up`` and
+             ``integrate_from_zero`` of its series
 * ``K'``  -- (k'(t^2))^{1/2}, the derivative of the odd convex extremal
-* ``H``   -- (h(z^2))^{1/2} = z K'(z), the odd starlike extremal
+* h(-1) and k(-1), the boundary values that serve as distance targets.
 
-plus the boundary values h(-1) and k(-1) that serve as distance targets.
-Closed forms are used where a family admits them; otherwise the growth
-exponent integral_0^x (phi(t)-1)/t dt is computed by adaptive quadrature
-with the removable point at 0 handled through the series of the integrand
-(its value there is the leading phi coefficient).
+Pointwise values on [-1, 1) (``h_at``, ``k_at``, ``k_prime_at``,
+``K_prime_at``) take the spec and need no series.  Closed forms are used
+where a family admits them; otherwise the growth exponent
+integral_0^x (phi(t)-1)/t dt is computed by adaptive quadrature with the
+removable point at 0 handled through the series of the integrand (its
+value there is the leading phi coefficient).
 """
 
 from __future__ import annotations
@@ -38,25 +39,12 @@ _TABLE_HI = 0.9995  # cached growth-exponent table covers [-1, _TABLE_HI]
 
 @dataclass(frozen=True)
 class ExtremalSet:
-    """Immutable bundle of extremal data derived from one spec."""
+    """Immutable bundle of the extremal data the radius equations read."""
 
-    spec: PhiSpec
-    h: ps.TruncatedSeries
-    k: ps.TruncatedSeries
     k_prime: ps.TruncatedSeries
     K_prime: ps.TruncatedSeries  # series in t of (k'(t^2))^{1/2}
     h_at_minus_one: float
     k_at_minus_one: float
-
-
-def build_extremal(spec: PhiSpec, order: int = ps.DEFAULT_ORDER) -> ExtremalSet:
-    """Construct the extremal bundle for a spec.
-
-    Series route: h/z = exp(sum B_n z^n / n) which is also k'; k follows
-    by termwise integration and K' by composing k' with z^2 and taking the
-    series square root.  Deterministic, so results are memoized.
-    """
-    return _build_extremal(spec, int(order))
 
 
 def k_prime_series(phi: ps.TruncatedSeries) -> ps.TruncatedSeries:
@@ -67,17 +55,22 @@ def k_prime_series(phi: ps.TruncatedSeries) -> ps.TruncatedSeries:
 
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)
-def _build_extremal(spec: PhiSpec, order: int) -> ExtremalSet:
+def build_extremal(spec: PhiSpec, order: int = ps.DEFAULT_ORDER) -> ExtremalSet:
+    """Construct the extremal bundle for a spec.
+
+    Series route: k' = exp(sum B_n z^n / n), and K' by composing k' with
+    z^2 and taking the series square root.  Deterministic, so results are
+    memoized.
+    """
+    order = ps.as_order(order)
     k_prime = k_prime_series(phi_series(spec, order))
-    h = ps.shift_up(k_prime)
-    k = ps.integrate_from_zero(k_prime)
     K_prime = ps.sqrt_series(ps.compose_with_selfmap(k_prime, ps.monomial(1.0, 2, order)))
 
-    h_m1 = starlike_at(spec, -1.0)
-    k_m1 = _k(spec, -1.0)
+    h_m1 = h_at(spec, -1.0)
+    k_m1 = k_at(spec, -1.0)
     if not (h_m1 < 0.0 < -h_m1):
         raise InconsistencyError(f"h(-1) = {h_m1} has the wrong sign for {spec.label()}")
-    return ExtremalSet(spec, h, k, k_prime, K_prime, float(h_m1), float(k_m1))
+    return ExtremalSet(k_prime, K_prime, float(h_m1), float(k_m1))
 
 
 def growth_exponent(spec: PhiSpec, x: float) -> float:
@@ -159,7 +152,7 @@ def _growth_table(spec: PhiSpec) -> tuple[AntiderivativeTable, float]:
     return table, table(0.0)
 
 
-def starlike_at(spec: PhiSpec, x: float) -> float:
+def h_at(spec: PhiSpec, x: float) -> float:
     """Pointwise h(x) = x k'(x) on [-1, 1) straight from the spec (no
     series), as a power for Janowski-style specs with B != 0."""
     x = float(x)
@@ -175,9 +168,12 @@ def starlike_at(spec: PhiSpec, x: float) -> float:
     return x * k_prime_at(spec, x)
 
 
-def _k(spec: PhiSpec, x: float) -> float:
-    """k(x) = integral_0^x k'(t) dt: closed form for Janowski-style specs,
-    else quadrature of the k' evaluator."""
+def k_at(spec: PhiSpec, x: float) -> float:
+    """Pointwise k(x) = integral_0^x k'(t) dt on [-1, 1): closed form for
+    Janowski-style specs, else quadrature of the k' evaluator."""
+    x = float(x)
+    if not (-1.0 <= x < 1.0):
+        raise DomainError(f"k is evaluated on [-1, 1), got {x}")
     ab = as_janowski(spec)
     if ab is not None:
         a, b = ab
@@ -216,26 +212,6 @@ def k_prime_evaluator(spec: PhiSpec) -> Callable[[float], float]:
     return lambda x: math.exp(growth(x))
 
 
-def h_at(es: ExtremalSet, x: float) -> float:
-    """Pointwise h(x) on [-1, 1)."""
-    return starlike_at(es.spec, x)
-
-
-def k_at(es: ExtremalSet, x: float) -> float:
-    """Pointwise k(x) on [-1, 1)."""
-    x = float(x)
-    if not (-1.0 <= x < 1.0):
-        raise DomainError(f"k is evaluated on [-1, 1), got {x}")
-    return _k(es.spec, x)
-
-
-def K_prime_at(es: ExtremalSet, t: float) -> float:
+def K_prime_at(spec: PhiSpec, t: float) -> float:
     """Pointwise (k'(t^2))^{1/2} via the growth exponent (no series)."""
-    return math.exp(0.5 * growth_exponent(es.spec, t * t))
-
-
-def odd_starlike_at(es: ExtremalSet, t: float) -> float:
-    """Pointwise (h(t^2))^{1/2} = t * K'(t) for t in [0, 1)."""
-    if not (0.0 <= t < 1.0):
-        raise DomainError("odd extremal evaluated on [0, 1)")
-    return t * K_prime_at(es, t)
+    return math.exp(0.5 * growth_exponent(spec, t * t))

@@ -17,17 +17,26 @@ catastrophic cancellation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, ParameterError, PrecisionError
 
 #: Default truncation order (number of stored coefficients).  Radius work
 #: happens at r <= 1/3 where geometric tail decay makes 64 coefficients
 #: give tails far below double-precision noise for every catalog family.
 DEFAULT_ORDER = 64
+
+
+def as_order(order) -> int:
+    """A series order as an int, rejecting (not truncating) a float."""
+    try:
+        return operator.index(order)
+    except TypeError:
+        raise ParameterError(f"order must be an integer, got {order!r}") from None
 
 
 @dataclass(frozen=True, eq=False)

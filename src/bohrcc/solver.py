@@ -34,9 +34,9 @@ values (monotone in r, rounding included, for nonnegative coefficients).
 Bisection of that cell lets the series decide each step whose distance
 from the target exceeds the quadrature tolerance plus the series
 truncation tail, and quadrature the rest; a quadrature bracket check at the
-end certifies the result.  Only if it fails is the cell confirmed with
-quadrature (a binary search over the grid when the hint was wrong), bisected
-again and, failing the check once more, bisected on quadrature alone.  The
+end certifies the result.  Only if it fails, or the curve stays below the
+target, is the cell located with quadrature (a binary search over the grid
+indices the hint narrows) and bisected on quadrature alone.  The
 closed-form equations and threshold scans use the same ``_bisect``, and
 every result gets its sharpness verdict and notes from ``_radius_result``.
 """
@@ -66,7 +66,7 @@ from .catalog import (
     wang,
 )
 from .errors import InconsistencyError, NoRootError, ParameterError
-from .extremal import build_extremal, growth_evaluator, h_at, k_prime_evaluator, starlike_at
+from .extremal import build_extremal, growth_evaluator, h_at, k_prime_evaluator
 from .quadrature import DEFAULT_TOL, check_tol, integrate_1d, integrate_nested
 
 _SCAN_STEP = 1e-3
@@ -390,7 +390,7 @@ def solve_radius(
     """Smallest positive root of the class radius equation, capped at 1/3,
     with the sharpness verdict of :func:`_radius_result`.  The series order
     must be at least :data:`MIN_ORDER`."""
-    order = int(order)
+    order = ps.as_order(order)
     if order < MIN_ORDER:
         raise ParameterError(f"order must be at least {MIN_ORDER}, got {order}")
     return _solve_cached(class_id, spec, order, float(tol))
@@ -425,9 +425,7 @@ def _solve_cached(class_id: ClassId, spec: PhiSpec, order: int, tol: float) -> R
             f"(0, {_SCAN_LIMIT}]: lhs({_SCAN_LIMIT}) = {lhs(_SCAN_LIMIT):.10g} < "
             f"target {target:.10g}, so any root lies beyond {_SCAN_LIMIT}"
         )
-    lo, hi = _bisect(lambda r: guided(r) >= target, *cell)
-    if not (lhs(lo) < target <= lhs(hi)):  # a series decision disagreed with lhs
-        lo, hi = _bisect(lambda r: lhs(r) >= target, *cell)
+    lo, hi = _bisect(lambda r: lhs(r) >= target, *cell)
     return _radius_result(class_id, spec, lhs, target, lo, hi)
 
 
@@ -464,7 +462,7 @@ def _sc_sakaguchi_parts(gamma: float):
 def _sc_expblend_parts(alpha: float):
     # no closed form: the extremal growth h(r) against -h(-1), pointwise from the spec
     spec = expblend(alpha)
-    return (lambda r: starlike_at(spec, r)), -starlike_at(spec, -1.0)
+    return (lambda r: h_at(spec, r)), -h_at(spec, -1.0)
 
 
 def _sc_janowski_b0_parts(a: float):
@@ -563,7 +561,6 @@ def sharpness_witness(
     spec: PhiSpec,
     result: RadiusResult,
     delta: float = 0.01,
-    order: int = ps.DEFAULT_ORDER,
 ) -> WitnessReport:
     """Check that the extremal member attains the bound at r_f and
     strictly exceeds it at r_f + delta."""
@@ -571,9 +568,8 @@ def sharpness_witness(
         raise ParameterError("sharpness witness applies to sharp Sc results only")
     if delta < 0.0:
         raise ParameterError("delta must be nonnegative")
-    es = build_extremal(spec, order)
-    bound = -es.h_at_minus_one
-    value = h_at(es, result.r_f)  # positive coefficients: M_h(r) == h(r)
+    bound = -h_at(spec, -1.0)
+    value = h_at(spec, result.r_f)  # positive coefficients: M_h(r) == h(r)
     if abs(value - bound) > 1e-7:
         raise InconsistencyError(
             f"extremal value {value!r} misses the bound {bound!r} at r_f={result.r_f!r}; "
@@ -582,7 +578,7 @@ def sharpness_witness(
     value_beyond = None
     exceeds = None
     if delta > 0.0 and result.r_f + delta < 1.0:
-        value_beyond = h_at(es, result.r_f + delta)
+        value_beyond = h_at(spec, result.r_f + delta)
         exceeds = bool(value_beyond > bound)
     return WitnessReport(result.r_f, value, bound, delta, value_beyond, exceeds)
 

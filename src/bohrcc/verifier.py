@@ -102,7 +102,7 @@ def _members(
     """Coefficient rows of the class members built from phi o w, one per
     self-map w = eps[i] * z^powers[i], bit-identical to the series-by-series
     construction."""
-    order = int(order)
+    order = ps.as_order(order)
     phi = phi_series(spec, order).coeffs
     if class_id is ClassId.KS:
         kernel = np.zeros(order)
@@ -288,7 +288,7 @@ def run_campaign(
             raise _unbuilt_error(members[n_built])
     witness = None
     if result.sharp:
-        report = sharpness_witness(class_id, spec, result, delta=0.01, order=order)
+        report = sharpness_witness(class_id, spec, result, delta=0.01)
         witness = {
             "radius": report.radius,
             "value_at_radius": report.value_at_radius,

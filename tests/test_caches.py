@@ -34,7 +34,7 @@ def test_every_cache_is_bounded():
         "extremal.growth_evaluator",
         "extremal.k_prime_evaluator",
         "solver.lhs_integrand",
-        "extremal._build_extremal",
+        "extremal.build_extremal",
         "extremal._growth_table",
         "solver._series_lhs_curve",
         "solver._series_distance_curve",
@@ -56,7 +56,7 @@ def test_sweep_over_many_specs_stays_bounded():
             solver.lhs_integrand(ClassId.SC, spec, 8)(0.2)
         infos = {name: c.cache_info() for name, c in package_caches().items()}
         for name in (
-            "extremal._build_extremal",
+            "extremal.build_extremal",
             "solver.target_constant",
             "solver._series_lhs_curve",
             "solver._series_distance_curve",

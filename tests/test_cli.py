@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 from _bench_inputs import BENCH_INPUTS
 
-from bohrcc import reference, solver
+from bohrcc import cli, extremal, reference, solver
+from bohrcc.catalog import lemniscate
 from bohrcc.cli import main
 
 
@@ -80,30 +81,22 @@ class TestRadiusCommand:
         assert header.startswith("class,family,params")
         assert row.startswith("Sc,wang,alpha=0.5;beta=1")
 
-    def test_order_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("BOHR_ORDER", "48")
+    def test_order_flag(self, capsys):
         code, out, _ = run_cli(
-            capsys, "radius", "--class", "Sc", "--phi", "lemniscate", "--s", "0.5"
+            capsys, "radius", "--class", "Sc", "--phi", "lemniscate", "--s", "0.5", "--order", "48"
         )
         assert code == 0
-        assert json.loads(out)["r_f"] == pytest.approx(0.3040402, abs=1e-6)
+        r_f = json.loads(out)["r_f"]
+        assert r_f == pytest.approx(0.3040402, abs=1e-6)
+        assert r_f == float(format(solver.solve_radius(solver.ClassId.SC, lemniscate(0.5), 48).r_f, ".9g"))
 
     @pytest.mark.parametrize("command", ["radius", "verify"])
-    def test_low_order_exits_2(self, capsys, monkeypatch, command):
-        # the floor is solve_radius's; the flag and BOHR_ORDER both reach it
+    def test_low_order_exits_2(self, capsys, command):
+        # the floor is solve_radius's; the flag reaches it
         argv = (command, "--class", "Cs", "--phi", "strongly", "--alpha", "0.5")
         code, out, err = run_cli(capsys, *argv, "--order", "2")
         assert (code, out) == (2, "")
         assert err == "parameter error: order must be at least 8, got 2\n"
-        monkeypatch.setenv("BOHR_ORDER", "2")
-        assert run_cli(capsys, *argv) == (2, "", err)
-
-    def test_bad_env_order(self, capsys, monkeypatch):
-        monkeypatch.setenv("BOHR_ORDER", "many")
-        code, _, err = run_cli(
-            capsys, "radius", "--class", "Sc", "--phi", "lemniscate", "--s", "0.5"
-        )
-        assert code == 2 and "BOHR_ORDER" in err
 
 
 class TestTableCommand:
@@ -238,16 +231,6 @@ class TestScanCommand:
         )
         assert code == 2
 
-    def test_scan_ignores_bad_env_order(self, capsys, monkeypatch):
-        # scan takes no series order, so BOHR_ORDER cannot make it fail
-        monkeypatch.setenv("BOHR_ORDER", "4")
-        code, _, _ = run_cli(
-            capsys,
-            "scan", "--equation", "sc-lemniscate",
-            "--start", "0.5", "--stop", "0.52", "--step", "0.01",
-        )
-        assert code == 0
-
     @pytest.mark.parametrize("equation", ["ks-wang", "sc-janowski"])
     def test_two_parameter_equation_is_a_usage_error(self, capsys, equation):
         with pytest.raises(SystemExit) as exc:
@@ -335,13 +318,29 @@ class TestNumericBudgetExit:
         assert "numeric error" in err
 
 
+def test_growth_tables_and_witness_build_no_bundle(capsys, monkeypatch):
+    # h(1/3), h(-1) and h(r_f) come from the spec alone, so neither the
+    # tables of h nor the sharpness witness may build the extremal bundle
+    spec = lemniscate(0.5)
+    result = solver.solve_radius(solver.ClassId.SC, spec)
+    want = solver.sharpness_witness(solver.ClassId.SC, spec, result)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built an extremal bundle")
+
+    for module in (extremal, solver, cli):
+        monkeypatch.setattr(module, "build_extremal", forbidden, raising=False)
+    for tag in ("table2", "table3"):
+        code, out, _ = run_cli(capsys, "table", tag[-1])
+        assert code == 0
+        assert out.encode() == (BENCH_INPUTS.GOLDEN / f"{tag}.out").read_bytes()
+    assert solver.sharpness_witness(solver.ClassId.SC, spec, result) == want
 
 
 @pytest.mark.parametrize(
     "tag, argv", BENCH_INPUTS.CLI_GOLDEN, ids=[tag for tag, _ in BENCH_INPUTS.CLI_GOLDEN]
 )
-def test_stdout_matches_bench_golden(capsys, monkeypatch, tag, argv):
-    monkeypatch.delenv("BOHR_ORDER", raising=False)
+def test_stdout_matches_bench_golden(capsys, tag, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out.encode() == (BENCH_INPUTS.GOLDEN / f"{tag}.out").read_bytes()
@@ -354,8 +353,7 @@ VERIFY_PINS = json.loads((Path(__file__).parent / "golden" / "verify_sha256.json
 
 @pytest.mark.parametrize("seed", sorted(VERIFY_PINS, key=int), ids=lambda seed: f"seed{seed}")
 @pytest.mark.parametrize("cls", list(BENCH_INPUTS.CLI_VERIFY))
-def test_verify_stdout_matches_pin(capsys, monkeypatch, cls, seed):
-    monkeypatch.delenv("BOHR_ORDER", raising=False)
+def test_verify_stdout_matches_pin(capsys, cls, seed):
     (argv,) = [a for tag, _, a in BENCH_INPUTS.cli_commands(int(seed)) if tag == f"verify-{cls}"]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -368,9 +366,8 @@ FAILING_VERIFY_PINS = json.loads(
 
 
 @pytest.mark.parametrize("command", sorted(FAILING_VERIFY_PINS))
-def test_failing_verify_stdout_matches_pin(capsys, monkeypatch, command):
+def test_failing_verify_stdout_matches_pin(capsys, command):
     # a report past the sharp radius lists failing draws, so these bytes pin the campaign's stream
-    monkeypatch.delenv("BOHR_ORDER", raising=False)
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 4
     assert hashlib.sha256(out.encode()).hexdigest() == FAILING_VERIFY_PINS[command]

@@ -16,7 +16,7 @@ from bohrcc.catalog import (
     strongly,
     wang,
 )
-from bohrcc.errors import BudgetError, DomainError
+from bohrcc.errors import BudgetError, DomainError, ParameterError
 from bohrcc.extremal import (
     K_prime_at,
     build_extremal,
@@ -24,7 +24,6 @@ from bohrcc.extremal import (
     h_at,
     k_at,
     k_prime_at,
-    odd_starlike_at,
 )
 
 ALL_SPECS = [
@@ -40,13 +39,14 @@ ALL_SPECS = [
 
 class TestClosedForms:
     def test_full_range_janowski_is_koebe(self):
-        es = build_extremal(janowski(1, -1))
-        # h(z) = z/(1-z)^2: coefficient n at z^n
-        assert np.allclose(es.h.coeffs, np.arange(64), atol=1e-10)
+        spec = janowski(1, -1)
+        es = build_extremal(spec)
+        # h(z) = z k'(z) = z/(1-z)^2: coefficient n at z^n
+        assert np.allclose(ps.shift_up(es.k_prime).coeffs, np.arange(64), atol=1e-10)
         assert es.h_at_minus_one == pytest.approx(-0.25, abs=1e-12)
         assert es.k_at_minus_one == pytest.approx(-0.5, abs=1e-12)
-        assert h_at(es, 1 / 3) == pytest.approx(0.75, abs=1e-12)
-        assert k_at(es, 1 / 3) == pytest.approx(0.5, abs=1e-12)
+        assert h_at(spec, 1 / 3) == pytest.approx(0.75, abs=1e-12)
+        assert k_at(spec, 1 / 3) == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("a", [0.5, 0.9, 1.0])
     def test_janowski_b0_boundary(self, a):
@@ -55,21 +55,20 @@ class TestClosedForms:
 
     def test_lemniscate_growth(self):
         s = 0.5
-        es = build_extremal(lemniscate(s))
         for r in (0.2, 1 / 3, 0.7):
             want = r * math.exp(s * (2 * r + s * r * r / 2))
-            assert h_at(es, r) == pytest.approx(want, abs=1e-13)
+            assert h_at(lemniscate(s), r) == pytest.approx(want, abs=1e-13)
 
     @pytest.mark.parametrize("g", [0.0, 0.25, 0.4])
     def test_sakaguchi_growth_identities(self, g):
         es = build_extremal(sakaguchi(g))
         e = 2 * (1 - g)
-        assert h_at(es, 1 / 3) == pytest.approx(3 ** (e - 1) / 2**e, abs=1e-10)
+        assert h_at(sakaguchi(g), 1 / 3) == pytest.approx(3 ** (e - 1) / 2**e, abs=1e-10)
         assert -es.h_at_minus_one == pytest.approx(1.0 / 2**e, abs=1e-10)
         # quadrature route must agree with the closed form
         f = lambda t: (phi_at(sakaguchi(g), t) - 1.0) / t if abs(t) > 1e-12 else 2 * (1 - g)
         direct = (1 / 3) * math.exp(quad(f, 0, 1 / 3, epsabs=1e-13)[0])
-        assert h_at(es, 1 / 3) == pytest.approx(direct, abs=1e-10)
+        assert h_at(sakaguchi(g), 1 / 3) == pytest.approx(direct, abs=1e-10)
 
     @pytest.mark.parametrize("a", [0.0, 0.03, 0.05, 0.07])
     def test_expblend_boundary_constant(self, a):
@@ -77,12 +76,11 @@ class TestClosedForms:
         assert -es.h_at_minus_one == pytest.approx(0.450859463 ** (1 - a), abs=1e-6)
 
     def test_expblend_growth_value(self):
-        es = build_extremal(expblend(0.0))
-        assert h_at(es, 1 / 3) == pytest.approx(0.479357902, abs=1e-8)
+        assert h_at(expblend(0.0), 1 / 3) == pytest.approx(0.479357902, abs=1e-8)
 
     def test_strongly_growth_value(self):
         es = build_extremal(strongly(0.5))
-        assert h_at(es, 1 / 3) == pytest.approx(0.482023176, abs=1e-8)
+        assert h_at(strongly(0.5), 1 / 3) == pytest.approx(0.482023176, abs=1e-8)
         assert -es.h_at_minus_one == pytest.approx(0.415759153, abs=1e-8)
 
 
@@ -91,7 +89,7 @@ class TestSeriesIdentities:
     def test_h_equals_z_times_k_prime(self, spec):
         es = build_extremal(spec)
         prod = ps.mul(ps.monomial(1.0, 1, 64), es.k_prime)
-        assert ps.allclose(es.h, prod, 1e-12)
+        assert ps.allclose(ps.shift_up(es.k_prime), prod, 1e-12)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_odd_extremal_square_identity(self, spec):
@@ -99,7 +97,7 @@ class TestSeriesIdentities:
         es = build_extremal(spec, 48)
         zKp = ps.shift_up(es.K_prime)
         lhs = ps.mul(zKp, zKp)
-        rhs = ps.compose_with_selfmap(es.h, ps.monomial(1.0, 2, 48))
+        rhs = ps.compose_with_selfmap(ps.shift_up(es.k_prime), ps.monomial(1.0, 2, 48))
         assert ps.allclose(lhs, rhs, 1e-10)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
@@ -110,8 +108,9 @@ class TestSeriesIdentities:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_normalizations(self, spec):
         es = build_extremal(spec)
-        assert es.h.coeffs[0] == 0.0 and es.h.coeffs[1] == 1.0
-        assert es.k.coeffs[0] == 0.0 and es.k.coeffs[1] == 1.0
+        h, k = ps.shift_up(es.k_prime), ps.integrate_from_zero(es.k_prime)
+        assert h.coeffs[0] == 0.0 and h.coeffs[1] == 1.0
+        assert k.coeffs[0] == 0.0 and k.coeffs[1] == 1.0
         assert es.h_at_minus_one < 0.0 < -es.h_at_minus_one
 
 
@@ -154,23 +153,22 @@ class TestReflection:
 class TestPointwiseEvaluators:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_h_series_matches_pointwise(self, spec):
-        es = build_extremal(spec)
+        h = ps.shift_up(build_extremal(spec).k_prime)
         for x in (-0.4, -0.1, 0.2, 1 / 3):
-            assert ps.eval_at(es.h, x) == pytest.approx(h_at(es, x), abs=1e-11)
+            assert ps.eval_at(h, x) == pytest.approx(h_at(spec, x), abs=1e-11)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_k_series_matches_pointwise(self, spec):
-        es = build_extremal(spec)
+        k = ps.integrate_from_zero(build_extremal(spec).k_prime)
         for x in (-0.4, 0.25, 1 / 3):
-            assert ps.eval_at(es.k, x) == pytest.approx(k_at(es, x), abs=1e-10)
+            assert ps.eval_at(k, x) == pytest.approx(k_at(spec, x), abs=1e-10)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_K_prime_series_vs_pointwise_sqrt(self, spec):
         es = build_extremal(spec)
         for t in (0.1, 0.3, 0.5):
             series_val = ps.eval_at(es.K_prime, t)
-            assert series_val == pytest.approx(K_prime_at(es, t), abs=1e-11)
-            assert odd_starlike_at(es, t) == pytest.approx(t * series_val, abs=1e-11)
+            assert series_val == pytest.approx(K_prime_at(spec, t), abs=1e-11)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_h_strictly_increasing_for_positive(self, spec):
@@ -200,7 +198,7 @@ class TestPointwiseEvaluators:
 
     def test_large_k_is_accepted_to_a_relative_error(self):
         # strongly(1) has k = x/(1-x): about 999 here, where an absolute 1e-11 is out of reach
-        assert k_at(build_extremal(strongly(1.0)), 0.999) == pytest.approx(999.0, abs=1e-8)
+        assert k_at(strongly(1.0), 0.999) == pytest.approx(999.0, abs=1e-8)
 
     @pytest.mark.parametrize(
         "x, best, error, want",
@@ -220,16 +218,19 @@ class TestPointwiseEvaluators:
         monkeypatch.setattr(extremal, "integrate_1d", budget)
         if want is None:
             with pytest.raises(BudgetError):
-                extremal._k(strongly(0.5), x)
+                k_at(strongly(0.5), x)
         else:
-            assert extremal._k(strongly(0.5), x) == want
+            assert k_at(strongly(0.5), x) == want
+
+    def test_fractional_order_is_rejected(self):
+        with pytest.raises(ParameterError, match="^order must be an integer, got 64.5$"):
+            build_extremal(strongly(0.5), 64.5)
 
     def test_domain_errors(self):
-        es = build_extremal(janowski(1, -1))
         with pytest.raises(DomainError):
-            h_at(es, 1.0)
+            h_at(janowski(1, -1), 1.0)
         with pytest.raises(DomainError):
-            k_at(es, -1.5)
+            k_at(janowski(1, -1), -1.5)
 
     def test_boundary_values_via_quadrature_fallbacks(self):
         # strongly has no closed forms at all; spot-check h(-1), k(-1)

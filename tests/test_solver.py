@@ -117,9 +117,8 @@ class TestSeriesVsQuadratureLhs:
     @pytest.mark.parametrize("spec", CANONICAL, ids=lambda s: s.label())
     def test_sc_lhs_equals_growth_function_for_positive(self, spec):
         # positive coefficients collapse the Sc lhs to the extremal growth h(r)
-        es = build_extremal(spec)
         for r in (0.1, 0.25, 1 / 3):
-            assert lhs_at(ClassId.SC, spec, r) == pytest.approx(h_at(es, r), abs=1e-9)
+            assert lhs_at(ClassId.SC, spec, r) == pytest.approx(h_at(spec, r), abs=1e-9)
 
 
 class TestRotationInvariance:
@@ -342,17 +341,26 @@ class TestRootSearch:
     @pytest.mark.parametrize(
         "key,factor",
         [
-            (("Sc", "lemniscate(s=0.5)"), 1.01),
-            (("Cs", "strongly(alpha=0.5)"), 1.01),
-            (("Sc", "lemniscate(s=0.5)"), 0.99),
-            (("Cs", "strongly(alpha=0.5)"), 0.99),
+            pytest.param(("Sc", "lemniscate(s=0.5)"), 1.01, id="Sc"),
+            pytest.param(("Cs", "strongly(alpha=0.5)"), 1.01, id="Cs"),
+            pytest.param(("Sc", "lemniscate(s=0.5)"), 0.99, id="Sc-deflated"),
+            pytest.param(("Cs", "strongly(alpha=0.5)"), 0.99, id="Cs-deflated"),
+        ]
+        + [
+            pytest.param(key, factor, id=f"{key[0]}-{key[1]}-x{factor}")
+            for factor in (0.5, 0.99)
+            for key in PINNED
+            if factor == 0.5 or key not in (("Sc", "lemniscate(s=0.5)"), ("Cs", "strongly(alpha=0.5)"))
         ],
-        ids=["Sc", "Cs", "Sc-deflated", "Cs-deflated"],
     )
     def test_wrong_series_cannot_change_the_radius(self, monkeypatch, key, factor):
         # a scaled series hints the wrong cell (too early or too late), so the
         # hinted-cell certificate fails and the fallback search must still
-        # give the quadrature bits
+        # give the quadrature bits.  A late hint (x0.5 and x0.99 on every
+        # pair) confines that search to the grid above the hint; a search of
+        # the whole grid would probe lhs(0.999) first, which raises
+        # BudgetError for Sc and Cc janowski(1, -1) and sakaguchi(0.25),
+        # whose lhs has a pole at 1
         class_id = ClassId.parse(key[0])
         spec = next(s for s in CANONICAL if s.label() == key[1])
         true_curve = solver._series_lhs_curve
@@ -459,6 +467,15 @@ class TestOrderFloor:
         # at order 2 the Cs curve would give a wrong radius with a tiny residual
         with pytest.raises(ParameterError, match=f"order must be at least 8, got {order}"):
             solve_radius(ClassId.CS, strongly(0.5), order)
+
+    def test_fractional_order_is_rejected(self):
+        # not truncated to the order-64 radius
+        with pytest.raises(ParameterError, match="^order must be an integer, got 64.5$"):
+            solve_radius(ClassId.SC, lemniscate(0.5), 64.5)
+
+    def test_numpy_integer_order_gives_the_pinned_bits(self):
+        res = solve_radius(ClassId.CS, strongly(0.5), np.int64(64))
+        assert (res.r_f, res.residual, res.bracket) == PINNED[("Cs", "strongly(alpha=0.5)")]
 
     def test_floor_order_solves(self):
         res = solve_radius(ClassId.SC, lemniscate(0.5), solver.MIN_ORDER)

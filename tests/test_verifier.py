@@ -42,7 +42,7 @@ class TestSampleMember:
         spec = lemniscate(0.5)
         es = build_extremal(spec)
         sf = sample_member(ClassId.SC, spec, IDENTITY_MAP)
-        assert ps.allclose(sf.series, es.h, 1e-12)
+        assert ps.allclose(sf.series, ps.shift_up(es.k_prime), 1e-12)  # h = z k'
 
     def test_ks_identity_base_case_is_geometric(self):
         # zf' = G(z) phi(z) with G = z/(1-z^2), phi = (1+z)/(1-z)
@@ -51,17 +51,21 @@ class TestSampleMember:
         assert np.allclose(sf.series.coeffs[1:], np.ones(15), atol=1e-12)
 
     def test_zero_map_divides_coefficients(self):
-        # phi(0 * z) == 1, so the Sc construction gives a_n = h_n / n
+        # phi(0 * z) == 1, so the Sc construction gives a_n = h_n / n with h = z k'
         spec = janowski(1, -1)
-        es = build_extremal(spec)
+        h = ps.shift_up(build_extremal(spec).k_prime)
         sf = sample_member(ClassId.SC, spec, SelfMap(0.0, 1))
         n = np.arange(1, 64)
-        assert np.allclose(sf.series.coeffs[1:64], es.h.coeffs[1:] / n, atol=1e-13)
+        assert np.allclose(sf.series.coeffs[1:64], h.coeffs[1:] / n, atol=1e-13)
 
     def test_unnormalized_member_is_rejected(self):
         # an order-1 Ks integrand loses its only coefficient to the division by z
         with pytest.raises(InconsistencyError, match=r"f\(0\)=0.0, f'\(0\)=0.0"):
             sample_member(ClassId.KS, sakaguchi(0.0), IDENTITY_MAP, order=1)
+
+    def test_fractional_order_is_rejected(self):
+        with pytest.raises(ParameterError, match="^order must be an integer, got 64.5$"):
+            sample_member(ClassId.SC, lemniscate(0.5), IDENTITY_MAP, order=64.5)
 
     @pytest.mark.parametrize("class_id", list(ClassId), ids=lambda c: c.value)
     def test_normalization_and_bound(self, class_id):
@@ -192,6 +196,11 @@ class TestCampaign:
         message = f"need integer n_samples and seed, got {n!r}, {seed!r}"
         with pytest.raises(ParameterError, match=re.escape(message)):
             run_campaign(ClassId.SC, lemniscate(0.5), n, seed)
+
+    def test_fractional_order_is_rejected(self):
+        # not truncated to the order-64 report
+        with pytest.raises(ParameterError, match="^order must be an integer, got 64.5$"):
+            run_campaign(ClassId.SC, lemniscate(0.5), 5, 1, order=64.5)
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_negative_seed_is_parameter_error(self, n):
