@@ -225,6 +225,7 @@ def phi_evaluator(spec: PhiSpec) -> Callable[[float], float]:
             raise DomainError(f"phi is evaluated on [-1, 1], got {x}")
         return formula(x)
 
+    phi.formula = formula  # unchecked, for evaluators that check their own domain
     return phi
 
 
@@ -266,7 +267,7 @@ def majorant_phi_evaluator(spec: PhiSpec) -> Callable[[float], float]:
         rise, ratio = a - b, abs(b)
         formula = lambda t: 1.0 + rise * t / (1.0 - ratio * t)
     else:
-        formula = phi_evaluator(spec)
+        formula = phi_evaluator(spec).formula
 
     def majorant(t: float) -> float:
         if not (0.0 <= t < 1.0):

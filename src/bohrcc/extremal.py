@@ -54,15 +54,18 @@ def k_prime_series(phi: ps.TruncatedSeries) -> ps.TruncatedSeries:
     return ps.exp_series(ps.TruncatedSeries(log_h))
 
 
-@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def build_extremal(spec: PhiSpec, order: int = ps.DEFAULT_ORDER) -> ExtremalSet:
     """Construct the extremal bundle for a spec.
 
     Series route: k' = exp(sum B_n z^n / n), and K' by composing k' with
     z^2 and taking the series square root.  Deterministic, so results are
-    memoized.
+    memoized by value, however the order is spelled.
     """
-    order = ps.as_order(order)
+    return _build_extremal(spec, ps.as_order(order))
+
+
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
+def _build_extremal(spec: PhiSpec, order: int) -> ExtremalSet:
     k_prime = k_prime_series(phi_series(spec, order))
     K_prime = ps.sqrt_series(ps.compose_with_selfmap(k_prime, ps.monomial(1.0, 2, order)))
 
@@ -112,11 +115,15 @@ def growth_evaluator(spec: PhiSpec) -> Callable[[float], float]:
             return (1.0 - alpha) * total
 
     else:
+        lookup = at_zero = None  # from _growth_table(spec), once, on the first x <= _TABLE_HI
 
         def formula(x: float) -> float:
+            nonlocal lookup, at_zero
             if x <= _TABLE_HI:
-                table, at_zero = _growth_table(spec)
-                return table(x) - at_zero
+                if lookup is None:
+                    table, at_zero = _growth_table(spec)
+                    lookup = table.__call__
+                return lookup(x) - at_zero
             return integrate_1d(_growth_integrand(spec), 0.0, x, _BOUNDARY_TOL).value
 
     def growth(x: float) -> float:
@@ -126,18 +133,19 @@ def growth_evaluator(spec: PhiSpec) -> Callable[[float], float]:
             return 0.0
         return formula(x)
 
+    growth.formula = formula  # for x != 0 in [-1, 1), unchecked
     return growth
 
 
 def _growth_integrand(spec: PhiSpec):
     """(phi(t)-1)/t on [-1, 1], whose value at 0 is its limit there."""
-    head = phi_series(spec, 32).coeffs[1:].tolist()
+    top, *rest = phi_series(spec, 32).coeffs[:0:-1].tolist()  # the head past phi_0, reversed
     phi = phi_evaluator(spec)
 
     def integrand(t: float) -> float:
         if abs(t) < _SERIES_SWITCH:
             # (phi(t)-1)/t from the coefficient vector, exact at t = 0
-            return ps._horner(head, t)
+            return ps._horner(top, rest, t)
         return (phi(t) - 1.0) / t
 
     return integrand
@@ -209,7 +217,8 @@ def k_prime_at(spec: PhiSpec, x: float) -> float:
 def k_prime_evaluator(spec: PhiSpec) -> Callable[[float], float]:
     """:func:`k_prime_at` for one spec as a function of a float."""
     growth = growth_evaluator(spec)
-    return lambda x: math.exp(growth(x))
+    formula = growth.formula  # growth itself only answers x = 0 and raises outside [-1, 1)
+    return lambda x: math.exp(formula(x) if x != 0.0 and -1.0 <= x < 1.0 else growth(x))
 
 
 def K_prime_at(spec: PhiSpec, t: float) -> float:

@@ -1,9 +1,10 @@
 """Truncated Taylor series about 0 with exact recurrence arithmetic.
 
 A series is stored as a plain vector of real coefficients (``coeffs[n]``
-multiplies ``z**n``).  All operations are pure functions returning new
-series; arrays are frozen after construction so values can be shared
-freely between threads.
+multiplies ``z**n``); an :func:`evaluator` keeps them reversed, highest
+degree first as Horner's rule reads them, so evaluating copies nothing.
+All operations are pure functions returning new series; arrays are
+frozen after construction so values can be shared freely between threads.
 
 The one non-obvious operation is :func:`majorant`, which replaces every
 coefficient by its absolute value.  Evaluating the majorant of ``f`` at a
@@ -222,31 +223,28 @@ def _tail_hint(last: float, n: int, r: float) -> float:
     return last * r**n / (1.0 - r)
 
 
-def _horner(c: list, x: float) -> float:
-    """Horner's rule over plain floats in numpy ``polyval``'s operation
-    order, so the value is bit-identical to ``polyval(x, c)``."""
-    t = c[-1] + x * 0
-    for a in c[-2::-1]:
+def _horner(top, rest, x):
+    """Horner's rule from ``top`` down through ``rest`` (highest degree
+    first) in numpy ``polyval``'s operation order: bit-identical to
+    ``polyval(x, [*reversed(rest), top])`` for a float or array x."""
+    t = top + x * 0
+    for a in rest:
         t = a + t * x
     return t
 
 
 def eval_at(s: TruncatedSeries, x: float, tail_tol: float | None = None) -> float:
-    """Horner evaluation of the stored coefficients at |x| < 1.
-
-    The loop runs over plain floats in numpy ``polyval``'s operation order
-    and is bit-identical to it.  When ``tail_tol`` is given, the geometric
-    tail heuristic is checked against it and a :class:`PrecisionError` is
-    raised if the truncation cannot be trusted at this radius.
-    """
+    """Horner evaluation of the stored coefficients at |x| < 1, bit-identical
+    to numpy's ``polyval``; with ``tail_tol`` given, a :class:`PrecisionError`
+    when the geometric tail heuristic at this radius exceeds it."""
     return evaluator(s, tail_tol)(x)
 
 
 def evaluator(s: TruncatedSeries, tail_tol: float | None = None) -> Callable[[float], float]:
     """``eval_at(s, ., tail_tol)`` as one function, with the coefficient
-    list and the tail's leading coefficient read off s once."""
-    c = s.coeffs.tolist()
-    last, n = abs(c[-1]), len(c)
+    list reversed and the tail's leading coefficient read off s once."""
+    top, *rest = s.coeffs[::-1].tolist()
+    last, n = abs(top), s.order
 
     def at(x: float) -> float:
         x = float(x)
@@ -258,7 +256,7 @@ def evaluator(s: TruncatedSeries, tail_tol: float | None = None) -> Callable[[fl
                 raise PrecisionError(
                     f"truncation tail ~{hint:.3g} exceeds tolerance {tail_tol:.3g} at r={abs(x):.6g}"
                 )
-        return _horner(c, x)
+        return _horner(top, rest, x)
 
     return at
 

@@ -13,19 +13,22 @@ feeding the outer quotient, whose s -> 0 limit is exactly ``f(0.0)``,
 back through the adaptive 1-D rule.  A table lookup is a plain-float
 Clenshaw recurrence that repeats ``numpy.polynomial.chebyshev.chebval``'s
 operations in the same order, so it is bit-identical to evaluating the
-panel's ``Chebyshev`` object but skips numpy's per-call overhead.  A panel
-build likewise repeats ``Chebyshev.interpolate``'s arithmetic with the
-Chebyshev nodes and the transposed Vandermonde matrix computed once at
-import, and then ``Chebyshev.integ``'s (``pu.mapparms`` and ``chebint``)
-over plain floats, so every panel has the bits numpy would give it without
-building a numpy polynomial object.
+panel's ``Chebyshev`` object but skips numpy's per-call overhead; panels
+store their coefficients reversed, as the recurrence reads them, so a
+lookup is one bisect and one loop in one frame.  A panel build likewise
+repeats ``Chebyshev.interpolate``'s arithmetic with the Chebyshev nodes
+and the transposed Vandermonde matrix computed once at import, and then
+``Chebyshev.integ``'s (``pu.mapparms`` and ``chebint``) over plain floats,
+so every panel has the bits numpy would give it without building a numpy
+polynomial object.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -40,14 +43,16 @@ DEFAULT_TOL = 1e-10
 _OUTER_LIMIT_CUTOFF = 1e-8  # below this, (1/s) * inner antiderivative ~ inner(0)
 
 _DEGREE = 24  # interpolation degree of each table panel
-_NODES = chebpts1(_DEGREE + 1)
+_NODES = chebpts1(_DEGREE + 1).tolist()
 _VANDER_T = chebvander(_NODES, _DEGREE).T  # the transposed view, as chebinterpolate uses it
+_HALF_NODES = 0.5 * (_DEGREE + 1)  # chebinterpolate's divisor past the constant
 
 
-def check_tol(tol: float) -> None:
-    """Raise ParameterError unless tol is a positive, finite number."""
-    if not (0.0 < tol < math.inf):
+def check_tol(tol) -> float:
+    """tol as a float; ParameterError unless a positive, finite real (not a bool)."""
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not (0.0 < tol < math.inf):
         raise ParameterError(f"tolerance must be positive and finite, got {tol!r}")
+    return float(tol)
 
 
 @dataclass(frozen=True)
@@ -67,7 +72,7 @@ def integrate_1d(
     """Adaptive Gauss-Kronrod estimate of the integral of f over [a, b], an
     interval within [-1, 1], with absolute error at most tol, else a
     BudgetError carrying the best estimate found."""
-    check_tol(tol)
+    tol = check_tol(tol)
     if not (-1.0 <= a <= b <= 1.0):
         raise ParameterError(f"[{a}, {b}] is not an interval within [-1, 1]")
     if a == b:
@@ -97,7 +102,8 @@ class AntiderivativeTable:
     ``pieces`` holds, for each accepted panel, its antiderivative's map
     parameters, coefficient list and left-edge value, the ones
     ``P = Chebyshev(interpolant, domain=[lo, hi]).integ()`` would have.
-    Lookups run Clenshaw's recurrence over plain floats in ``chebval``'s
+    Lookups read the same panels as one flat list of :func:`_panel` tuples
+    and run Clenshaw's recurrence over plain floats in ``chebval``'s
     operation order, so ``table(s)`` equals
     ``cumulative[i] + float(P(s) - P(edges[i]))`` bit for bit.
     ``evaluations`` counts the calls of fn, one per node of every panel
@@ -110,6 +116,7 @@ class AntiderivativeTable:
         self.edges = [a]
         self.cumulative = [0.0]  # A at panel left edges
         self.pieces = []  # (off, scl, coefficient list, value at left edge)
+        self._panels = []  # the lookup tuple of each piece
         self.tail_bound = 0.0
         self.evaluations = 0
         coef_tol = 0.25 * tol / (b - a)
@@ -120,72 +127,70 @@ class AntiderivativeTable:
             width = hi - lo
             # Chebyshev.interpolate(fn, _DEGREE, domain=[lo, hi]) step by step:
             # pu.mapdomain's node map, then chebinterpolate's product and scaling
-            xs = (lo + hi) / 2.0 + (hi - lo) / 2.0 * _NODES
-            coef = np.dot(_VANDER_T, np.array([fn(x) for x in xs.tolist()]))
+            mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+            coef = np.dot(_VANDER_T, [fn(mid + half * x) for x in _NODES]).tolist()
             self.evaluations += _DEGREE + 1
-            coef[0] /= _DEGREE + 1
-            coef[1:] /= 0.5 * (_DEGREE + 1)
-            tail = float(np.max(np.abs(coef[-3:])))
-            scale = float(np.max(np.abs(coef))) or 1.0
+            coef = [coef[0] / (_DEGREE + 1)] + [c / _HALF_NODES for c in coef[1:]]
+            mags = [abs(c) for c in coef]
+            tail, scale = max(mags[-3:]), max(mags) or 1.0
             # accept on certified convergence (down to the evaluator's own
             # roundoff floor) or when the committed error tail*width is
             # below budget; the latter terminates the splitting cascade at
-            # endpoint singularities in derivatives.
+            # endpoint singularities in derivatives.  NaN coefficients fail.
             ok = tail <= max(coef_tol, 5e-14 * scale) or tail * width <= 0.05 * tol
-            if not ok:
+            if not ok or math.isnan(sum(mags)):
                 if len(self.pieces) + len(stack) >= self._MAX_PANELS:
                     raise BudgetError(
                         "inner antiderivative table exceeded its panel budget",
                         best=None,
                     )
-                mid = 0.5 * (lo + hi)
                 stack.append((mid, hi))
                 stack.append((lo, mid))
                 continue
             if lo != self.edges[-1]:
                 raise BudgetError("panel table built out of order")  # pragma: no cover
-            off, scl, c = _antiderivative(coef.tolist(), lo, hi)
-            left = _clenshaw(off, scl, c, lo)
+            off, scl, c = self._antiderivative(coef, lo, hi)
+            raw = _panel(-0.0, off, scl, 0.0, c)  # -0.0 + (P(s) - 0.0) is P(s) itself
+            base, left = self.cumulative[-1], self(lo, raw)
             self.pieces.append((off, scl, c, left))
+            self._panels.append(_panel(base, off, scl, left, c))
             self.edges.append(hi)
-            self.cumulative.append(self.cumulative[-1] + (_clenshaw(off, scl, c, hi) - left))
+            self.cumulative.append(base + (self(hi, raw) - left))
             self.tail_bound += tail * width
+        self._cuts = self.edges[1:-1]  # bisecting these clamps s to the first or last panel
 
-    def __call__(self, s: float) -> float:
-        idx = bisect.bisect_right(self.edges, s) - 1
-        idx = min(max(idx, 0), len(self.pieces) - 1)
-        off, scl, c, left = self.pieces[idx]
-        return self.cumulative[idx] + (_clenshaw(off, scl, c, s) - left)
+    def __call__(self, s: float, panel: tuple | None = None) -> float:
+        """A(s) from the panel holding s, or from the lookup tuple ``panel``."""
+        if panel is None:
+            panel = self._panels[bisect_right(self._cuts, s)]
+        base, off, scl, left, c1, c0, rest = panel
+        x = off + scl * s
+        x2 = 2 * x
+        for a in rest:
+            c0, c1 = a - c1, c0 + c1 * x2
+        return base + ((c0 + c1 * x) - left)
+
+    def _antiderivative(self, c: list, lo: float, hi: float) -> tuple[float, float, list]:
+        """Map parameters and coefficients of ``Chebyshev(c, domain=[lo,
+        hi]).integ()``, zero at the window's centre, in plain floats that
+        repeat ``pu.mapparms`` and ``chebint``'s operations in their order."""
+        width = hi - lo
+        off = (hi * -1.0 - lo * 1.0) / width  # pu.mapparms onto the window [-1, 1]
+        scl = 2.0 / width
+        inv = 1.0 / scl
+        c = [a * inv for a in c]  # chebint's ``c *= scl`` with integ's scl = 1/scl
+        n = len(c)
+        t = [c[0] * 0, c[0], c[1] / 4] + [c[j] / (2 * (j + 1)) for j in range(2, n)]
+        for j in range(2, n):
+            t[j - 1] -= c[j] / (2 * (j - 1))
+        t[0] += 0 - self(0.0, _panel(-0.0, 0.0, 1.0, 0.0, t))  # the constant: chebval(0, t)
+        return off, scl, t
 
 
-def _antiderivative(c: list, lo: float, hi: float) -> tuple[float, float, list]:
-    """Map parameters and coefficient list of the antiderivative, zero at the
-    window's centre, of the panel interpolant with coefficients c on [lo, hi]:
-    ``Chebyshev(c, domain=[lo, hi]).integ()`` in plain floats, repeating
-    ``pu.mapparms`` and ``chebint``'s operations in their order."""
-    width = hi - lo
-    off = (hi * -1.0 - lo * 1.0) / width  # pu.mapparms onto the window [-1, 1]
-    scl = 2.0 / width
-    inv = 1.0 / scl
-    c = [a * inv for a in c]  # chebint's ``c *= scl`` with integ's scl = 1/scl
-    n = len(c)
-    t = [c[0] * 0, c[0], c[1] / 4] + [c[j] / (2 * (j + 1)) for j in range(2, n)]
-    for j in range(2, n):
-        t[j - 1] -= c[j] / (2 * (j - 1))
-    t[0] += 0 - _clenshaw(0.0, 1.0, t, 0.0)  # the constant: chebval(0, t)
-    return off, scl, t
-
-
-def _clenshaw(off: float, scl: float, c: list, s: float) -> float:
-    """A panel polynomial at s: the map x = off + scl*s, then Clenshaw's
-    recurrence over the coefficient list (at least three of them) in
-    ``chebval``'s operation order."""
-    x = off + scl * s
-    x2 = 2 * x
-    c0, c1 = c[-2], c[-1]
-    for i in range(3, len(c) + 1):
-        c0, c1 = c[-i] - c1, c0 + c1 * x2
-    return c0 + c1 * x
+def _panel(base: float, off: float, scl: float, left: float, c: list) -> tuple:
+    """The lookup tuple of base + (P(s) - left) for the polynomial P with map
+    x = off + scl*s and Chebyshev coefficients c (at least three), reversed."""
+    return (base, off, scl, left, c[-1], c[-2], tuple(c[-3::-1]))
 
 
 def integrate_nested(
@@ -199,15 +204,16 @@ def integrate_nested(
     """
     if not (0.0 <= r <= 1.0):
         raise ParameterError(f"nested integration needs 0 <= r <= 1, got {r}")
-    check_tol(tol)
+    tol = check_tol(tol)
     if r == 0.0:
         return QuadratureResult(0.0, 0.0, 0)
     table = AntiderivativeTable(inner, 0.0, r, 0.25 * tol)
+    lookup = table.__call__  # bound once: the outer rule reads it at every node
 
     def outer(s: float) -> float:
         if s < _OUTER_LIMIT_CUTOFF:
             return inner(0.0)
-        return table(s) / s
+        return lookup(s) / s
 
     out = quad(outer, 0.0, r, epsabs=0.5 * tol, epsrel=1e-13, limit=300, full_output=True)
     value, abserr, info = out[0], out[1], out[2]

@@ -122,7 +122,6 @@ def _majorant_evaluator(series: ps.TruncatedSeries) -> Callable[[float], float]:
     return ps.evaluator(ps.majorant(series), _SERIES_EVAL_TAIL)
 
 
-@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def lhs_integrand(
     class_id: ClassId, spec: PhiSpec, order: int = ps.DEFAULT_ORDER
 ) -> Callable[[float], float]:
@@ -130,8 +129,13 @@ def lhs_integrand(
 
     For Ks and Sc this is the full 1-D integrand; for Cc and Cs it is the
     inner integrand of the nested double integral.  All four equal 1 at
-    t = 0.
+    t = 0.  Memoized by value, however the order is spelled.
     """
+    return _lhs_integrand(class_id, spec, ps.as_order(order))
+
+
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
+def _lhs_integrand(class_id: ClassId, spec: PhiSpec, order: int) -> Callable[[float], float]:
     m_phi = majorant_phi_evaluator(spec)
     if class_id is ClassId.KS:
         return lambda t: m_phi(t) / (1.0 - t * t)
@@ -235,15 +239,17 @@ def distance_integral_at(
     return integrate_1d(distance_integrand(class_id, spec), 0.0, r, tol).value
 
 
-@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def target_constant(
-    class_id: ClassId,
-    spec: PhiSpec,
-    order: int = ps.DEFAULT_ORDER,
-    tol: float = DEFAULT_TOL,
+    class_id: ClassId, spec: PhiSpec, order: int = ps.DEFAULT_ORDER, tol: float = DEFAULT_TOL
 ) -> float:
     """The class's lower bound on the distance from f(0) to the image
-    boundary: an integral to 1 for Ks/Cs, a boundary value for Sc/Cc."""
+    boundary: an integral to 1 for Ks/Cs, a boundary value for Sc/Cc.
+    Memoized by value, however the order and tolerance are spelled."""
+    return _target_constant(class_id, spec, ps.as_order(order), check_tol(tol))
+
+
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
+def _target_constant(class_id: ClassId, spec: PhiSpec, order: int, tol: float) -> float:
     es = build_extremal(spec, order)
     if class_id is ClassId.SC:
         target = -es.h_at_minus_one
@@ -393,12 +399,11 @@ def solve_radius(
     order = ps.as_order(order)
     if order < MIN_ORDER:
         raise ParameterError(f"order must be at least {MIN_ORDER}, got {order}")
-    return _solve_cached(class_id, spec, order, float(tol))
+    return _solve_cached(class_id, spec, order, check_tol(tol))
 
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)
 def _solve_cached(class_id: ClassId, spec: PhiSpec, order: int, tol: float) -> RadiusResult:
-    check_tol(tol)
     target = target_constant(class_id, spec, order, tol)
     curve = _series_lhs_curve(class_id, spec, order)
     series = ps.evaluator(curve)

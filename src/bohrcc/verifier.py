@@ -160,7 +160,7 @@ def _margins(members: np.ndarray, target: float, r: float) -> np.ndarray:
         raise PrecisionError(
             f"truncation tail ~{hints[over[0]]:.3g} exceeds tolerance {_TAIL_GUARD:.3g} at r={r:.6g}"
         )
-    return target - ps._horner(list(majorants.T), r)
+    return target - ps._horner(majorants[:, -1], majorants.T[-2::-1], r)
 
 
 def sample_member(

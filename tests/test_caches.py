@@ -1,9 +1,11 @@
 import importlib
 import pkgutil
 
+import numpy as np
+
 import bohrcc
-from bohrcc import solver
-from bohrcc.catalog import SPEC_CACHE_SIZE, sakaguchi
+from bohrcc import extremal, solver
+from bohrcc.catalog import SPEC_CACHE_SIZE, sakaguchi, strongly
 from bohrcc.solver import ClassId
 
 
@@ -33,12 +35,12 @@ def test_every_cache_is_bounded():
         "catalog.majorant_phi_evaluator",
         "extremal.growth_evaluator",
         "extremal.k_prime_evaluator",
-        "solver.lhs_integrand",
-        "extremal.build_extremal",
+        "solver._lhs_integrand",
+        "extremal._build_extremal",
         "extremal._growth_table",
         "solver._series_lhs_curve",
         "solver._series_distance_curve",
-        "solver.target_constant",
+        "solver._target_constant",
         "solver._solve_cached",
     } <= set(caches)
     for name, cache in caches.items():
@@ -56,16 +58,60 @@ def test_sweep_over_many_specs_stays_bounded():
             solver.lhs_integrand(ClassId.SC, spec, 8)(0.2)
         infos = {name: c.cache_info() for name, c in package_caches().items()}
         for name in (
-            "extremal.build_extremal",
-            "solver.target_constant",
+            "extremal._build_extremal",
+            "solver._target_constant",
             "solver._series_lhs_curve",
             "solver._series_distance_curve",
-            "solver.lhs_integrand",
+            "solver._lhs_integrand",
             "catalog.majorant_phi_evaluator",
             "extremal.k_prime_evaluator",
         ):
             assert infos[name].misses == 300, name
             assert infos[name].currsize == SPEC_CACHE_SIZE, name
         assert all(info.currsize <= SPEC_CACHE_SIZE for info in infos.values())
+    finally:
+        clear_all()
+
+
+def test_caches_key_on_values_not_on_spelling():
+    # each spelling of the same call, a numpy integer order included, is one entry
+    spec = strongly(0.5)
+    cases = [
+        (
+            extremal.build_extremal,
+            extremal._build_extremal,
+            [(spec,), (spec, 64), (spec,), (spec, np.int64(64))],
+            [{}, {}, {"order": 64}, {}],
+        ),
+        (
+            solver.target_constant,
+            solver._target_constant,
+            [
+                (ClassId.CS, spec),
+                (ClassId.CS, spec, 64, 1e-10),
+                (ClassId.CS, spec),
+                (ClassId.CS, spec, np.int64(64)),
+            ],
+            [{}, {}, {"order": 64, "tol": 1e-10}, {"tol": np.float64(1e-10)}],
+        ),
+        (
+            solver.lhs_integrand,
+            solver._lhs_integrand,
+            [
+                (ClassId.CC, spec),
+                (ClassId.CC, spec, 64),
+                (ClassId.CC, spec),
+                (ClassId.CC, spec, np.int64(64)),
+            ],
+            [{}, {}, {"order": 64}, {}],
+        ),
+    ]
+    clear_all()
+    try:
+        for public, cache, args, kwargs in cases:
+            results = [public(*a, **k) for a, k in zip(args, kwargs)]
+            assert all(r is results[0] for r in results), public.__name__
+            info = cache.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (1, 3, 1), public.__name__
     finally:
         clear_all()

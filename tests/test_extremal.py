@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from bohrcc.extremal import (
     k_at,
     k_prime_at,
 )
+from bohrcc.quadrature import integrate_1d
 
 ALL_SPECS = [
     janowski(1.0, -1.0),
@@ -242,3 +244,51 @@ class TestPointwiseEvaluators:
         kp = lambda t: math.exp(quad(f, 0.0, t, epsabs=1e-13)[0])
         want_k = quad(kp, 0.0, -1.0, epsabs=1e-11, limit=200)[0]
         assert es.k_at_minus_one == pytest.approx(want_k, abs=1e-9)
+
+
+class TestStronglyTableBranch:
+    """The strongly growth and k' evaluators fetch their growth table once,
+    on the first x <= 0.9995, and then read it as ``_growth_table`` gives
+    it; beyond 0.9995 they integrate the growth integrand."""
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0])
+    def test_values_are_the_table_read_directly(self, alpha):
+        spec = strongly(alpha)
+        growth, k_prime = extremal.growth_evaluator(spec), extremal.k_prime_evaluator(spec)
+        table, _ = extremal._growth_table(spec)
+        grid = [float(x) for x in np.linspace(-1.0, extremal._TABLE_HI, 501)]
+        for x in grid + [0.0, -0.0, 1e-300, -1e-300, math.nextafter(-1.0, 0.0)]:
+            want = 0.0 if x == 0.0 else table(x) - table(0.0)
+            assert growth(x).hex() == want.hex(), x
+            assert k_prime(x).hex() == math.exp(want).hex(), x
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5])
+    def test_quadrature_branch_past_the_table(self, alpha):
+        spec = strongly(alpha)
+        growth, k_prime = extremal.growth_evaluator(spec), extremal.k_prime_evaluator(spec)
+        integrand = extremal._growth_integrand(spec)
+        for x in (math.nextafter(extremal._TABLE_HI, 1.0), 0.9997, 0.9999):
+            want = integrate_1d(integrand, 0.0, x, extremal._BOUNDARY_TOL).value
+            assert growth(x).hex() == want.hex(), x
+            assert k_prime(x).hex() == math.exp(want).hex(), x
+
+    def test_domain_errors_keep_their_text(self):
+        spec = strongly(0.5)
+        text = r"^growth exponent defined on \[-1, 1\), got "
+        for fn in (extremal.growth_evaluator(spec), extremal.k_prime_evaluator(spec)):
+            for x in (math.nextafter(-1.0, -2.0), -1.5, 1.0, 1.5, math.nan):
+                with pytest.raises(DomainError, match=text + re.escape(str(x)) + "$"):
+                    fn(x)
+
+    def test_table_is_fetched_once_and_only_when_read(self):
+        spec = strongly(0.375)
+        caches = (extremal._growth_table, extremal.growth_evaluator, extremal.k_prime_evaluator)
+        for cache in caches:
+            cache.cache_clear()
+        growth, k_prime = extremal.growth_evaluator(spec), extremal.k_prime_evaluator(spec)
+        growth(0.0), k_prime(0.0), growth(0.9999), k_prime(0.9999)
+        assert extremal._growth_table.cache_info().misses == 0  # neither branch needed it
+        for x in np.linspace(-1.0, 0.99, 50):
+            growth(float(x)), k_prime(float(x))
+        info = extremal._growth_table.cache_info()
+        assert (info.hits, info.misses) == (0, 1)

@@ -189,6 +189,36 @@ class TestEvalBits:
         assert [ps.eval_at(s, x) for x in xs] == want
 
 
+class TestReversedEvaluator:
+    """An evaluator stores the coefficients reversed once; its values are
+    numpy's ``np.polyval`` of the reversed vector, bit for bit."""
+
+    @pytest.mark.parametrize("order", [1, 2, 5, 64, 200])
+    def test_matches_np_polyval(self, order):
+        rng = np.random.default_rng(7000 + order)
+        for _ in range(5):
+            s = ps.TruncatedSeries(rng.standard_normal(order) * 10.0 ** rng.uniform(-3, 3, order))
+            at = ps.evaluator(s)
+            for x in _eval_points(order) + [float(x) for x in rng.uniform(-1.0, 1.0, 50)]:
+                got, want = at(x), float(np.polyval(s.coeffs[::-1], x))
+                assert got.hex() == want.hex(), x
+
+    def test_signed_zero_and_a_zero_series(self):
+        at = ps.evaluator(ps.make([-0.0, 0.0, -0.0]))
+        for x in (0.0, -0.0, 0.5, -0.5):
+            assert at(x).hex() == float(np.polyval([-0.0, 0.0, -0.0], x)).hex(), x
+
+    def test_tail_guard_text(self):
+        at = ps.evaluator(geometric(16), 1e-12)
+        assert at(0.1) == float(np.polyval(np.ones(16), 0.1))
+        with pytest.raises(
+            PrecisionError, match=r"^truncation tail ~1\.85 exceeds tolerance 1e-12 at r=0\.9$"
+        ):
+            at(-0.9)
+        with pytest.raises(DomainError, match=r"^series evaluation requires \|x\| < 1, got -1\.0$"):
+            at(-1.0)
+
+
 class TestCompose:
     def test_identity_map(self):
         s = ps.make([1, 2, 3, 4])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from bohrcc.quadrature import (
     integrate_1d,
     integrate_nested,
 )
-from bohrcc.solver import ClassId, distance_integral_at, lhs_at
+from bohrcc.solver import ClassId, distance_integral_at, lhs_at, solve_radius, target_constant
+from bohrcc.verifier import run_campaign
 
 
 class TestIntegrate1D:
@@ -100,11 +102,48 @@ class TestIntegrateNested:
         assert out.evaluations == len(calls)  # the table's nodes and the outer rule's
 
 
+class TestToleranceGate:
+    """check_tol is the one gate: a tolerance that is not a positive,
+    finite real number is a ParameterError naming the value, everywhere."""
+
+    ENTRY_POINTS = {
+        "integrate_1d": lambda tol: integrate_1d(math.cos, 0.0, 0.5, tol),
+        "integrate_nested": lambda tol: integrate_nested(math.cos, 0.5, tol),
+        "solve_radius": lambda tol: solve_radius(ClassId.SC, lemniscate(0.5), 64, tol),
+        "target_constant": lambda tol: target_constant(ClassId.CS, lemniscate(0.5), 64, tol),
+        "run_campaign": lambda tol: run_campaign(ClassId.SC, lemniscate(0.5), 5, 1, tol=tol),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "tol", [None, "x", "1e-10", True, False, 0.0, -1e-10, math.inf, math.nan, np.bool_(True)]
+    )
+    def test_rejected(self, entry, tol):
+        want = f"^tolerance must be positive and finite, got {re.escape(repr(tol))}$"
+        with pytest.raises(ParameterError, match=want):
+            self.ENTRY_POINTS[entry](tol)
+
+    @pytest.mark.parametrize("tol", [1e-10, np.float64(1e-10), np.float32(1e-6), 1, np.int64(1)])
+    def test_real_numbers_pass(self, tol):
+        got = integrate_1d(math.cos, 0.0, 0.5, tol).value
+        assert got == pytest.approx(math.sin(0.5), abs=float(tol))
+
+    def test_numpy_float_solves_as_its_float(self):
+        want = solve_radius(ClassId.SC, lemniscate(0.5), 64, 1e-10)
+        assert solve_radius(ClassId.SC, lemniscate(0.5), 64, np.float64(1e-10)) is want
+
+
 class TestAntiderivativeTable:
     def test_matches_exact_antiderivative(self):
         table = AntiderivativeTable(math.cos, 0.0, 1.0, 1e-12)
         for s in np.linspace(0.0, 1.0, 17):
             assert table(s) == pytest.approx(math.sin(s), abs=1e-12)
+
+    def test_nan_node_fails_every_panel(self):
+        # numpy's max of a NaN coefficient is NaN, so no split panel is ever accepted
+        fn = lambda t: math.nan if t > 0.5 else math.cos(t)
+        with pytest.raises(BudgetError, match="exceeded its panel budget"):
+            AntiderivativeTable(fn, 0.0, 1.0, 1e-12)
 
     def test_handles_endpoint_derivative_singularity(self):
         # sqrt has an infinite derivative at 0; the table must still deliver
@@ -202,8 +241,7 @@ class TestTableBuildBits:
 
     def test_antiderivative_matches_integ_on_random_panels(self):
         # the sign of a zero counts too, so compare the hex forms
-        from bohrcc.quadrature import _antiderivative
-
+        _antiderivative = AntiderivativeTable(*TABLE_CASES[0])._antiderivative
         rng = np.random.default_rng(20261018)
         for _ in range(2000):
             lo = float(rng.uniform(-1.0, 1.0))
@@ -238,6 +276,15 @@ class TestTableLookupBits:
 
     def test_many_panels_case(self):
         assert len(AntiderivativeTable(*TABLE_CASES[1]).pieces) >= 8
+
+    @pytest.mark.parametrize("case", TABLE_CASES, ids=["cos", "sqrt", "pole"])
+    def test_lookup_tuples_hold_the_pieces_reversed(self, case):
+        table = AntiderivativeTable(*case)
+        assert len(table._panels) == len(table.pieces)
+        for idx, (off, scl, c, left) in enumerate(table.pieces):
+            base, p_off, p_scl, p_left, top, second, rest = table._panels[idx]
+            assert (base, p_off, p_scl, p_left) == (table.cumulative[idx], off, scl, left)
+            assert [*reversed(rest), second, top] == c
 
     @pytest.mark.parametrize("case", TABLE_CASES, ids=["cos", "sqrt", "pole"])
     def test_lookup_does_not_call_numpy(self, case, monkeypatch):

@@ -311,7 +311,7 @@ PINNED = {
 
 def _cold_solve(class_id, spec, order=64, tol=1e-10):
     """solve_radius with the solve and target caches bypassed."""
-    solver.target_constant.cache_clear()
+    solver._target_constant.cache_clear()
     return solver._solve_cached.__wrapped__(class_id, spec, order, tol)
 
 
@@ -439,10 +439,10 @@ class TestGridHint:
         tie_at=st.none() | st.integers(min_value=1, max_value=len(solver._SCAN_GRID) - 1),
     )
     def test_random_nonnegative_series(self, coeffs, target, tie_at):
-        if tie_at is not None:  # a target the curve meets exactly at a grid point
-            target = ps._horner(coeffs, solver._SCAN_GRID[tie_at])
-        assume(target > coeffs[0])  # the search starts below the target at r = 0
         series = ps.evaluator(ps.TruncatedSeries(np.array(coeffs)))
+        if tie_at is not None:  # a target the curve meets exactly at a grid point
+            target = series(solver._SCAN_GRID[tie_at])
+        assume(target > coeffs[0])  # the search starts below the target at r = 0
         assert solver._first_reached(series, target) == _numpy_first_reached(coeffs, target)
 
     def test_lhs_curves_of_canonical_and_box_specs(self):
