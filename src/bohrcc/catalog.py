@@ -278,7 +278,7 @@ def majorant_phi_evaluator(spec: PhiSpec) -> Callable[[float], float]:
 
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)
-def has_positive_coeffs(spec: PhiSpec, order: int = ps.DEFAULT_ORDER) -> bool:
+def has_positive_coeffs(spec: PhiSpec) -> bool:
     """True when every series coefficient past the constant is nonnegative
     with a strictly positive leading one.
 
@@ -286,7 +286,7 @@ def has_positive_coeffs(spec: PhiSpec, order: int = ps.DEFAULT_ORDER) -> bool:
     still satisfy the identity ``majorant(phi)(r) == phi(r)`` that this
     predicate exists to certify.
     """
-    c = phi_series(spec, order).coeffs
+    c = phi_series(spec, ps.DEFAULT_ORDER).coeffs
     return bool(c[1] > 0.0 and np.all(c[1:] >= 0.0))
 
 

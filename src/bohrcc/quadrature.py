@@ -99,11 +99,11 @@ class AntiderivativeTable:
     panel is so narrow that its whole contribution is below budget (this
     absorbs integrable endpoint singularities in derivatives).
 
-    ``pieces`` holds, for each accepted panel, its antiderivative's map
-    parameters, coefficient list and left-edge value, the ones
+    ``pieces`` holds, for each accepted panel, its :func:`_panel` lookup
+    tuple: the table value at its left edge, then its antiderivative's map
+    parameters, left-edge value and coefficients (reversed), the ones
     ``P = Chebyshev(interpolant, domain=[lo, hi]).integ()`` would have.
-    Lookups read the same panels as one flat list of :func:`_panel` tuples
-    and run Clenshaw's recurrence over plain floats in ``chebval``'s
+    Lookups run Clenshaw's recurrence over plain floats in ``chebval``'s
     operation order, so ``table(s)`` equals
     ``cumulative[i] + float(P(s) - P(edges[i]))`` bit for bit.
     ``evaluations`` counts the calls of fn, one per node of every panel
@@ -115,8 +115,7 @@ class AntiderivativeTable:
     def __init__(self, fn, a, b, tol):
         self.edges = [a]
         self.cumulative = [0.0]  # A at panel left edges
-        self.pieces = []  # (off, scl, coefficient list, value at left edge)
-        self._panels = []  # the lookup tuple of each piece
+        self.pieces = []  # the lookup tuple of each panel
         self.tail_bound = 0.0
         self.evaluations = 0
         coef_tol = 0.25 * tol / (b - a)
@@ -152,8 +151,7 @@ class AntiderivativeTable:
             off, scl, c = self._antiderivative(coef, lo, hi)
             raw = _panel(-0.0, off, scl, 0.0, c)  # -0.0 + (P(s) - 0.0) is P(s) itself
             base, left = self.cumulative[-1], self(lo, raw)
-            self.pieces.append((off, scl, c, left))
-            self._panels.append(_panel(base, off, scl, left, c))
+            self.pieces.append(_panel(base, off, scl, left, c))
             self.edges.append(hi)
             self.cumulative.append(base + (self(hi, raw) - left))
             self.tail_bound += tail * width
@@ -162,7 +160,7 @@ class AntiderivativeTable:
     def __call__(self, s: float, panel: tuple | None = None) -> float:
         """A(s) from the panel holding s, or from the lookup tuple ``panel``."""
         if panel is None:
-            panel = self._panels[bisect_right(self._cuts, s)]
+            panel = self.pieces[bisect_right(self._cuts, s)]
         base, off, scl, left, c1, c0, rest = panel
         x = off + scl * s
         x2 = 2 * x

@@ -29,22 +29,25 @@ pointwise evaluators are closures built once per spec (``phi_evaluator``
 and its kin), so a quadrature node pays no family dispatch.  Root finding
 uses both routes: the series curve (a lower bound, its coefficients being
 nonnegative) hints the 1e-3 grid cell where the monotone lhs first reaches
-the target, found by bisecting the grid indices on the curve's Horner
-values (monotone in r, rounding included, for nonnegative coefficients).
+the target, found by ``bisect_left`` over the grid indices on the curve's
+Horner values (monotone in r, rounding included, for nonnegative coefficients).
 Bisection of that cell lets the series decide each step whose distance
 from the target exceeds the quadrature tolerance plus the series
 truncation tail, and quadrature the rest; a quadrature bracket check at the
 end certifies the result.  Only if it fails, or the curve stays below the
-target, is the cell located with quadrature (a binary search over the grid
-indices the hint narrows) and bisected on quadrature alone.  The
-closed-form equations and threshold scans use the same ``_bisect``, and
-every result gets its sharpness verdict and notes from ``_radius_result``.
+target, is the cell located with quadrature (``bisect_left`` over the grid
+indices the hint narrows) and bisected on quadrature alone.  The closed-form
+equations and threshold scans use the same ``_bisect``, the one bisection
+loop; the Sc corollaries among them are the one equation h(r) = -h(-1) with
+h read from ``extremal`` (M_h = h for nonnegative coefficients).  Every
+result gets its sharpness verdict and notes from ``_radius_result``.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Callable, Mapping, Sequence
@@ -301,13 +304,7 @@ def _first_reached(f: Callable[[float], float], target: float, lo: int = 0, hi: 
     or None when f(g[hi]) stays below the target."""
     if f(_SCAN_GRID[hi]) < target:
         return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if f(_SCAN_GRID[mid]) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return bisect_left(_SCAN_GRID, True, lo + 1, hi, key=lambda r: f(r) >= target)
 
 
 def _locate_cell(lhs: Callable[[float], float], target: float, hint: int | None):
@@ -439,47 +436,35 @@ def _solve_cached(class_id: ClassId, spec: PhiSpec, order: int, tol: float) -> R
 # ---------------------------------------------------------------------------
 
 
-def _ks_sakaguchi_parts(gamma: float):
+def _ks_sakaguchi_parts(spec: PhiSpec):
+    (gamma,) = spec.params
     lhs = lambda r: gamma / 2.0 * math.log((1.0 + r) / (1.0 - r)) + (1.0 - gamma) * r / (1.0 - r)
     rhs = (1.0 - gamma) / 2.0 * math.log(2.0) + gamma * math.pi / 4.0
     return lhs, rhs
 
 
-def _ks_wang_parts(alpha: float, beta: float):
+def _ks_wang_parts(spec: PhiSpec):
+    alpha, beta = spec.params
     f = lambda t: (1.0 + beta * t) / ((1.0 - alpha * beta * t) * (1.0 - t * t))
     g = lambda t: (1.0 - beta * t) / ((1.0 + alpha * beta * t) * (1.0 + t * t))
     lhs = lambda r: integrate_1d(f, 0.0, r, 1e-13).value
     return lhs, integrate_1d(g, 0.0, 1.0, 1e-13).value
 
 
-def _sc_lemniscate_parts(s: float):
-    lhs = lambda r: r * math.exp(s * (2.0 * r + s * r * r / 2.0))
-    rhs = math.exp(s * (-2.0 + s / 2.0))
-    return lhs, rhs
-
-
-def _sc_sakaguchi_parts(gamma: float):
+def _sc_sakaguchi_parts(spec: PhiSpec):
+    (gamma,) = spec.params
     e = 1.0 / (2.0 * (1.0 - gamma))
     lhs = lambda r: r + 2.0 * r**e
     return lhs, 1.0
 
 
-def _sc_expblend_parts(alpha: float):
-    # no closed form: the extremal growth h(r) against -h(-1), pointwise from the spec
-    spec = expblend(alpha)
+def _sc_growth_parts(spec: PhiSpec):
+    # nonnegative coefficients make M_h = h, so the equation is h(r) = -h(-1)
+    # for the extremal growth, pointwise from the spec
     return (lambda r: h_at(spec, r)), -h_at(spec, -1.0)
 
 
-def _sc_janowski_b0_parts(a: float):
-    return (lambda r: r * math.exp(a * r)), math.exp(-a)
-
-
-def _sc_janowski_parts(a: float, b: float):
-    c = (a - b) / b
-    return (lambda r: r * (1.0 + b * r) ** c), (1.0 - b) ** c
-
-
-#: equation id -> (class, spec builder, parts builder, parameter names)
+#: equation id -> (class, spec builder, parts builder on the spec, parameter names)
 CLOSED_FORM_EQUATIONS: Mapping[str, tuple] = {
     "ks-sakaguchi": (ClassId.KS, lambda p: sakaguchi(p["gamma"]), _ks_sakaguchi_parts, ("gamma",)),
     "ks-wang": (
@@ -488,19 +473,19 @@ CLOSED_FORM_EQUATIONS: Mapping[str, tuple] = {
         _ks_wang_parts,
         ("alpha", "beta"),
     ),
-    "sc-lemniscate": (ClassId.SC, lambda p: lemniscate(p["s"]), _sc_lemniscate_parts, ("s",)),
+    "sc-lemniscate": (ClassId.SC, lambda p: lemniscate(p["s"]), _sc_growth_parts, ("s",)),
     "sc-sakaguchi": (ClassId.SC, lambda p: sakaguchi(p["gamma"]), _sc_sakaguchi_parts, ("gamma",)),
-    "sc-expblend": (ClassId.SC, lambda p: expblend(p["alpha"]), _sc_expblend_parts, ("alpha",)),
+    "sc-expblend": (ClassId.SC, lambda p: expblend(p["alpha"]), _sc_growth_parts, ("alpha",)),
     "sc-janowski-b0": (
         ClassId.SC,
         lambda p: janowski(p["A"], 0.0),
-        _sc_janowski_b0_parts,
+        _sc_growth_parts,
         ("A",),
     ),
     "sc-janowski": (
         ClassId.SC,
         lambda p: janowski(p["A"], p["B"]),
-        _sc_janowski_parts,
+        _sc_growth_parts,
         ("A", "B"),
     ),
 }
@@ -527,7 +512,7 @@ def solve_corollary_closed_form(equation_id: str, params: Mapping[str, float]) -
         raise ParameterError(
             "sc-janowski requires B < 0; use sc-janowski-b0 for B = 0, solve_radius for B > 0"
         )
-    lhs, rhs = parts_builder(*(params[n] for n in names))
+    lhs, rhs = parts_builder(spec)
     # walk the upper end toward 1 only as far as needed; several lhs have
     # a pole at 1 that the quadrature-backed variants should not probe
     hi = 0.9
@@ -616,7 +601,7 @@ def threshold_scan(equation_id: str, params: Sequence[float]) -> ThresholdScan:
             f"scan needs a one-parameter equation, got {equation_id!r}; expected one of "
             f"{list(SCAN_EQUATIONS)}"
         )
-    _, _, parts_builder, (name,) = CLOSED_FORM_EQUATIONS[equation_id]
+    _, spec_builder, parts_builder, (name,) = CLOSED_FORM_EQUATIONS[equation_id]
     grid = [float(p) for p in params]
     if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ParameterError("parameter grid must be increasing with at least two points")
@@ -631,7 +616,7 @@ def threshold_scan(equation_id: str, params: Sequence[float]) -> ThresholdScan:
     if bracket is not None:
 
         def g(p: float) -> float:  # > 0 iff r_f(p) < 1/3, the lhs being increasing in r
-            lhs, rhs = parts_builder(p)
+            lhs, rhs = parts_builder(spec_builder({name: p}))
             return lhs(_ONE_THIRD) - rhs
 
         g_lo = g(bracket[0])

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -288,15 +288,7 @@ def run_campaign(
             raise _unbuilt_error(members[n_built])
     witness = None
     if result.sharp:
-        report = sharpness_witness(class_id, spec, result, delta=0.01)
-        witness = {
-            "radius": report.radius,
-            "value_at_radius": report.value_at_radius,
-            "bound": report.bound,
-            "delta": report.delta,
-            "value_beyond": report.value_beyond,
-            "exceeds_beyond": report.exceeds_beyond,
-        }
+        witness = asdict(sharpness_witness(class_id, spec, result, delta=0.01))
     return VerificationReport(
         class_id=class_id,
         spec=spec,

@@ -2,9 +2,10 @@ import importlib
 import pkgutil
 
 import numpy as np
+import pytest
 
 import bohrcc
-from bohrcc import extremal, solver
+from bohrcc import catalog, extremal, solver
 from bohrcc.catalog import SPEC_CACHE_SIZE, sakaguchi, strongly
 from bohrcc.solver import ClassId
 
@@ -113,5 +114,21 @@ def test_caches_key_on_values_not_on_spelling():
             assert all(r is results[0] for r in results), public.__name__
             info = cache.cache_info()
             assert (info.misses, info.hits, info.currsize) == (1, 3, 1), public.__name__
+    finally:
+        clear_all()
+
+
+def test_positive_coefficient_check_takes_the_spec_only():
+    # no order to spell: the check reads phi at the default order, one entry per spec
+    spec = strongly(0.5)
+    with pytest.raises(TypeError):
+        catalog.has_positive_coeffs(spec, 64)
+    with pytest.raises(TypeError):
+        catalog.has_positive_coeffs(spec, order=64)
+    clear_all()
+    try:
+        assert all(catalog.has_positive_coeffs(spec) for _ in range(3))
+        info = catalog.has_positive_coeffs.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
     finally:
         clear_all()

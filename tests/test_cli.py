@@ -371,3 +371,15 @@ def test_failing_verify_stdout_matches_pin(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 4
     assert hashlib.sha256(out.encode()).hexdigest() == FAILING_VERIFY_PINS[command]
+
+
+#: sha256 of the stdout of `scan` over the Sc corollaries that h(r) = -h(-1)
+#: solves; CI checks the installed `bohrcc` script against them too.
+SCAN_PINS = json.loads((Path(__file__).parent / "golden" / "scan_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(SCAN_PINS))
+def test_scan_stdout_matches_pin(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_PINS[command]

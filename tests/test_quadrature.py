@@ -162,9 +162,16 @@ TABLE_CASES = [
 ]
 
 
+def _coefficients(piece):
+    """A lookup tuple's Chebyshev coefficients, lowest degree first."""
+    *_, top, second, rest = piece
+    return [*reversed(rest), second, top]
+
+
 def _numpy_piece(table, idx):
     """Panel idx's antiderivative as numpy's ``Chebyshev`` on the panel."""
-    return Chebyshev(table.pieces[idx][2], domain=[table.edges[idx], table.edges[idx + 1]])
+    coef = _coefficients(table.pieces[idx])
+    return Chebyshev(coef, domain=[table.edges[idx], table.edges[idx + 1]])
 
 
 def _numpy_lookup(table, s):
@@ -196,7 +203,9 @@ def _numpy_build(fn, a, b, tol):
         off, scl = anti.mapparms()
         coefs.append(anti.coef.tolist())
         maps.append((float(off), float(scl)))
-        panels.append((float(off), float(scl), anti.coef.tolist(), float(anti(lo))))
+        c = anti.coef.tolist()  # the lookup tuple stores them highest degree first
+        left = float(anti(lo))
+        panels.append((cumulative[-1], float(off), float(scl), left, c[-1], c[-2], tuple(c[-3::-1])))
         edges.append(hi)
         cumulative.append(cumulative[-1] + float(anti(hi) - anti(lo)))
         tail_bound += tail * (hi - lo)
@@ -204,8 +213,8 @@ def _numpy_build(fn, a, b, tol):
 
 
 def _table_state(table):
-    coefs = [c for _, _, c, _ in table.pieces]
-    maps = [(off, scl) for off, scl, _, _ in table.pieces]
+    coefs = [_coefficients(piece) for piece in table.pieces]
+    maps = [(off, scl) for _, off, scl, *_ in table.pieces]
     return table.edges, table.cumulative, table.tail_bound, coefs, maps, table.pieces
 
 
@@ -271,20 +280,12 @@ class TestTableLookupBits:
         for s in points:
             assert table(s) == _numpy_lookup(table, s), s
         # the stored left-edge values are the numpy ones too
-        for idx, (_, _, _, left) in enumerate(table.pieces):
+        for idx, (base, _, _, left, *_) in enumerate(table.pieces):
+            assert base == table.cumulative[idx]
             assert left == float(_numpy_piece(table, idx)(table.edges[idx]))
 
     def test_many_panels_case(self):
         assert len(AntiderivativeTable(*TABLE_CASES[1]).pieces) >= 8
-
-    @pytest.mark.parametrize("case", TABLE_CASES, ids=["cos", "sqrt", "pole"])
-    def test_lookup_tuples_hold_the_pieces_reversed(self, case):
-        table = AntiderivativeTable(*case)
-        assert len(table._panels) == len(table.pieces)
-        for idx, (off, scl, c, left) in enumerate(table.pieces):
-            base, p_off, p_scl, p_left, top, second, rest = table._panels[idx]
-            assert (base, p_off, p_scl, p_left) == (table.cumulative[idx], off, scl, left)
-            assert [*reversed(rest), second, top] == c
 
     @pytest.mark.parametrize("case", TABLE_CASES, ids=["cos", "sqrt", "pole"])
     def test_lookup_does_not_call_numpy(self, case, monkeypatch):

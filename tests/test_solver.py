@@ -194,6 +194,28 @@ class TestClosedForms:
         assert abs(closed.r_f - general.r_f) <= 1e-7
         assert (closed.sharp, closed.notes) == (general.sharp, general.notes)
 
+    @pytest.mark.parametrize(
+        "eid,params,r_f",
+        [
+            ("ks-sakaguchi", {"gamma": 0.0}, "0.25737441516844217"),
+            ("ks-sakaguchi", {"gamma": 0.2}, "0.31564190103904366"),
+            ("ks-wang", {"alpha": 0.5, "beta": 1.0}, "0.2979233101641058"),
+            ("ks-wang", {"alpha": 0.25, "beta": 0.5}, "0.4657301226550317"),
+            ("sc-lemniscate", {"s": 0.5}, "0.3040402215515769"),
+            ("sc-lemniscate", {"s": 0.6}, "0.2605657770069683"),
+            ("sc-sakaguchi", {"gamma": 0.25}, "0.2360679774998517"),
+            ("sc-sakaguchi", {"gamma": 0.6}, "0.38784910553254137"),
+            ("sc-expblend", {"alpha": 0.03}, "0.3269921740051814"),
+            ("sc-expblend", {"alpha": 0.3}, "0.41445302640536286"),
+            ("sc-janowski-b0", {"A": 0.9}, "0.3081098593471779"),
+            ("sc-janowski-b0", {"A": 0.5}, "0.4776700622629051"),
+            ("sc-janowski", {"A": 1.0, "B": -1.0}, "0.17157287525374154"),
+            ("sc-janowski", {"A": 1.0, "B": -0.5}, "0.21178508605039498"),
+        ],
+    )
+    def test_closed_form_bits(self, eid, params, r_f):
+        assert repr(solve_corollary_closed_form(eid, params).r_f) == r_f
+
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
             solve_corollary_closed_form("no-such-equation", {})
@@ -235,8 +257,10 @@ class TestThresholdScan:
             ("sc-lemniscate", np.arange(0.40, 0.501, 1e-3), "0.4449809489250184"),
             ("sc-expblend", np.arange(0.0, 0.081, 1e-3), "0.0528421483039856"),
             ("ks-sakaguchi", np.arange(0.25, 0.271, 1e-3), "0.2590564036369324"),
+            ("sc-janowski-b0", np.arange(0.7, 0.951, 5e-3), "0.8239592167735101"),
+            ("sc-sakaguchi", np.arange(0.45, 0.551, 1e-3), "0.5000000004768371"),
         ],
-        ids=["lemniscate", "expblend", "ks-sakaguchi"],
+        ids=["lemniscate", "expblend", "ks-sakaguchi", "janowski-b0", "sc-sakaguchi"],
     )
     def test_threshold_bits(self, eid, grid, threshold):
         assert repr(threshold_scan(eid, grid).threshold) == threshold
