@@ -192,7 +192,6 @@ def phi_at(spec: PhiSpec, x: float) -> float:
     return phi_evaluator(spec)(float(x))
 
 
-@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def phi_evaluator(spec: PhiSpec) -> Callable[[float], float]:
     """:func:`phi_at` for one spec as a function of a float, its family
     dispatched and its parameters unpacked once.  Integrands call this."""
@@ -258,7 +257,6 @@ def majorant_phi_at(spec: PhiSpec, t: float) -> float:
     return majorant_phi_evaluator(spec)(float(t))
 
 
-@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def majorant_phi_evaluator(spec: PhiSpec) -> Callable[[float], float]:
     """:func:`majorant_phi_at` for one spec as a function of a float."""
     ab = as_janowski(spec)

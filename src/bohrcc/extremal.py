@@ -11,8 +11,10 @@ The radius equations read four quantities per catalog spec, which
 * h(-1) and k(-1), the boundary values that serve as distance targets.
 
 Pointwise values on [-1, 1) (``h_at``, ``k_at``, ``k_prime_at``,
-``K_prime_at``) take the spec and need no series.  Closed forms are used
-where a family admits them; otherwise the growth exponent
+``K_prime_at``) take the spec and need no series; the ``*_evaluator``
+closures bind one spec for probes and integrands, uncached: a cache here
+holds work (the bundle, the growth table), never a closure.  Closed forms
+are used where a family admits them; otherwise the growth exponent
 integral_0^x (phi(t)-1)/t dt is computed by adaptive quadrature with the
 removable point at 0 handled through the series of the integrand (its
 value there is the leading phi coefficient).
@@ -86,7 +88,6 @@ def growth_exponent(spec: PhiSpec, x: float) -> float:
     return growth_evaluator(spec)(float(x))
 
 
-@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def growth_evaluator(spec: PhiSpec) -> Callable[[float], float]:
     """:func:`growth_exponent` for one spec as a function of a float, its
     family dispatched and its parameters unpacked once.  Integrands call
@@ -115,14 +116,11 @@ def growth_evaluator(spec: PhiSpec) -> Callable[[float], float]:
             return (1.0 - alpha) * total
 
     else:
-        lookup = at_zero = None  # from _growth_table(spec), once, on the first x <= _TABLE_HI
+        table, at_zero = _growth_table(spec)
+        lookup = table.__call__
 
         def formula(x: float) -> float:
-            nonlocal lookup, at_zero
             if x <= _TABLE_HI:
-                if lookup is None:
-                    table, at_zero = _growth_table(spec)
-                    lookup = table.__call__
                 return lookup(x) - at_zero
             return integrate_1d(_growth_integrand(spec), 0.0, x, _BOUNDARY_TOL).value
 
@@ -163,17 +161,26 @@ def _growth_table(spec: PhiSpec) -> tuple[AntiderivativeTable, float]:
 def h_at(spec: PhiSpec, x: float) -> float:
     """Pointwise h(x) = x k'(x) on [-1, 1) straight from the spec (no
     series), as a power for Janowski-style specs with B != 0."""
-    x = float(x)
-    if not (-1.0 <= x < 1.0):
-        raise DomainError(f"h is evaluated on [-1, 1), got {x}")
+    return h_evaluator(spec)(float(x))
+
+
+def h_evaluator(spec: PhiSpec) -> Callable[[float], float]:
+    """:func:`h_at` for one spec as a function of a float."""
     ab = as_janowski(spec)
-    if ab is not None and ab[1] != 0.0:
+    k_prime = None if ab is not None and ab[1] != 0.0 else k_prime_evaluator(spec)
+
+    def h(x: float) -> float:
+        if not (-1.0 <= x < 1.0):
+            raise DomainError(f"h is evaluated on [-1, 1), got {x}")
+        if k_prime is not None:
+            return x * k_prime(x)
         a, b = ab
         base = 1.0 + b * x
         if base <= 0.0:
             raise DomainError(f"h of {spec.label()} is singular at x={x}")
         return x * base ** ((a - b) / b)
-    return x * k_prime_at(spec, x)
+
+    return h
 
 
 def k_at(spec: PhiSpec, x: float) -> float:
@@ -213,7 +220,6 @@ def k_prime_at(spec: PhiSpec, x: float) -> float:
     return k_prime_evaluator(spec)(float(x))
 
 
-@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def k_prime_evaluator(spec: PhiSpec) -> Callable[[float], float]:
     """:func:`k_prime_at` for one spec as a function of a float."""
     growth = growth_evaluator(spec)

@@ -24,9 +24,9 @@ singularity.)
 
 Every integral has two independent evaluation routes: adaptive quadrature
 over pointwise evaluators, and exact termwise integration of the majorant
-series.  The two serve as each other's oracle in the test suite.  The
-pointwise evaluators are closures built once per spec (``phi_evaluator``
-and its kin), so a quadrature node pays no family dispatch.  Root finding
+series.  The two serve as each other's oracle in the test suite.  An
+integrand binds per-spec closures (``phi_evaluator`` and its kin) when it
+is made, so a quadrature node pays no family dispatch.  Root finding
 uses both routes: the series curve (a lower bound, its coefficients being
 nonnegative) hints the 1e-3 grid cell where the monotone lhs first reaches
 the target, found by ``bisect_left`` over the grid indices on the curve's
@@ -39,8 +39,9 @@ target, is the cell located with quadrature (``bisect_left`` over the grid
 indices the hint narrows) and bisected on quadrature alone.  The closed-form
 equations and threshold scans use the same ``_bisect``, the one bisection
 loop; the Sc corollaries among them are the one equation h(r) = -h(-1) with
-h read from ``extremal`` (M_h = h for nonnegative coefficients).  Every
-result gets its sharpness verdict and notes from ``_radius_result``.
+h bound once per spec by ``extremal.h_evaluator`` (M_h = h for nonnegative
+coefficients).  Every result gets its sharpness verdict and notes from
+``_radius_result``.
 """
 
 from __future__ import annotations
@@ -56,20 +57,16 @@ import numpy as np
 
 from . import power_series as ps
 from .catalog import (
+    FAMILIES,
     SPEC_CACHE_SIZE,
     PhiSpec,
-    expblend,
     has_positive_coeffs,
-    janowski,
-    lemniscate,
     majorant_phi_evaluator,
     phi_evaluator,
     phi_series,
-    sakaguchi,
-    wang,
 )
 from .errors import InconsistencyError, NoRootError, ParameterError
-from .extremal import build_extremal, growth_evaluator, h_at, k_prime_evaluator
+from .extremal import build_extremal, growth_evaluator, h_at, h_evaluator, k_prime_evaluator
 from .quadrature import DEFAULT_TOL, check_tol, integrate_1d, integrate_nested
 
 _SCAN_STEP = 1e-3
@@ -181,7 +178,6 @@ def nested_series_transform(c: ps.TruncatedSeries) -> ps.TruncatedSeries:
     return ps.integrate_from_zero(ps.divide_by_z(ps.integrate_from_zero(c)))
 
 
-@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def _series_lhs_curve(class_id: ClassId, spec: PhiSpec, order: int) -> ps.TruncatedSeries:
     m_phi = ps.majorant(phi_series(spec, order))
     if class_id is ClassId.KS:
@@ -194,7 +190,6 @@ def _series_lhs_curve(class_id: ClassId, spec: PhiSpec, order: int) -> ps.Trunca
     return nested_series_transform(ps.mul(ps.majorant(es.K_prime), m_phi))
 
 
-@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def _series_distance_curve(class_id: ClassId, spec: PhiSpec, order: int) -> ps.TruncatedSeries:
     phi_neg = ps.reflect(phi_series(spec, order))
     if class_id is ClassId.KS:
@@ -461,34 +456,36 @@ def _sc_sakaguchi_parts(spec: PhiSpec):
 def _sc_growth_parts(spec: PhiSpec):
     # nonnegative coefficients make M_h = h, so the equation is h(r) = -h(-1)
     # for the extremal growth, pointwise from the spec
-    return (lambda r: h_at(spec, r)), -h_at(spec, -1.0)
+    h = h_evaluator(spec)
+    return h, -h(-1.0)
 
 
-#: equation id -> (class, spec builder, parts builder on the spec, parameter names)
+#: equation id -> (class, family, parts builder on the spec, fixed parameters)
 CLOSED_FORM_EQUATIONS: Mapping[str, tuple] = {
-    "ks-sakaguchi": (ClassId.KS, lambda p: sakaguchi(p["gamma"]), _ks_sakaguchi_parts, ("gamma",)),
-    "ks-wang": (
-        ClassId.KS,
-        lambda p: wang(p["alpha"], p["beta"]),
-        _ks_wang_parts,
-        ("alpha", "beta"),
-    ),
-    "sc-lemniscate": (ClassId.SC, lambda p: lemniscate(p["s"]), _sc_growth_parts, ("s",)),
-    "sc-sakaguchi": (ClassId.SC, lambda p: sakaguchi(p["gamma"]), _sc_sakaguchi_parts, ("gamma",)),
-    "sc-expblend": (ClassId.SC, lambda p: expblend(p["alpha"]), _sc_growth_parts, ("alpha",)),
-    "sc-janowski-b0": (
-        ClassId.SC,
-        lambda p: janowski(p["A"], 0.0),
-        _sc_growth_parts,
-        ("A",),
-    ),
-    "sc-janowski": (
-        ClassId.SC,
-        lambda p: janowski(p["A"], p["B"]),
-        _sc_growth_parts,
-        ("A", "B"),
-    ),
+    "ks-sakaguchi": (ClassId.KS, "sakaguchi", _ks_sakaguchi_parts, {}),
+    "ks-wang": (ClassId.KS, "wang", _ks_wang_parts, {}),
+    "sc-lemniscate": (ClassId.SC, "lemniscate", _sc_growth_parts, {}),
+    "sc-sakaguchi": (ClassId.SC, "sakaguchi", _sc_sakaguchi_parts, {}),
+    "sc-expblend": (ClassId.SC, "expblend", _sc_growth_parts, {}),
+    "sc-janowski-b0": (ClassId.SC, "janowski", _sc_growth_parts, {"B": 0.0}),
+    "sc-janowski": (ClassId.SC, "janowski", _sc_growth_parts, {}),
 }
+
+
+def _free_names(equation_id: str) -> tuple[str, ...]:
+    """The family's parameter names that the equation does not fix."""
+    _, family, _, fixed = CLOSED_FORM_EQUATIONS[equation_id]
+    return tuple(n for n in FAMILIES[family] if n not in fixed)
+
+
+def _closed_form_spec(equation_id: str, params: Mapping[str, float]) -> PhiSpec:
+    """The equation's spec: its free parameters read from params, the rest fixed."""
+    _, family, _, fixed = CLOSED_FORM_EQUATIONS[equation_id]
+    names = _free_names(equation_id)
+    missing = [n for n in names if n not in params]
+    if missing:
+        raise ParameterError(f"{equation_id} needs parameters {names}, missing {missing}")
+    return PhiSpec(family, tuple({**params, **fixed}[n] for n in FAMILIES[family]))
 
 
 def solve_corollary_closed_form(equation_id: str, params: Mapping[str, float]) -> RadiusResult:
@@ -502,11 +499,8 @@ def solve_corollary_closed_form(equation_id: str, params: Mapping[str, float]) -
         raise ParameterError(
             f"unknown equation {equation_id!r}; expected one of {sorted(CLOSED_FORM_EQUATIONS)}"
         )
-    class_id, spec_builder, parts_builder, names = CLOSED_FORM_EQUATIONS[equation_id]
-    missing = [n for n in names if n not in params]
-    if missing:
-        raise ParameterError(f"{equation_id} needs parameters {names}, missing {missing}")
-    spec = spec_builder(params)  # validates ranges
+    class_id, _, parts_builder, _ = CLOSED_FORM_EQUATIONS[equation_id]
+    spec = _closed_form_spec(equation_id, params)  # validates ranges
     if equation_id == "sc-janowski" and params["B"] >= 0.0:
         # B > 0 gives phi mixed-sign coefficients: the class lhs is then M_h(r), not h(r)
         raise ParameterError(
@@ -589,7 +583,7 @@ class ThresholdScan:
 
 
 #: the closed-form equations with one parameter, the ones a scan can sweep
-SCAN_EQUATIONS = tuple(sorted(e for e, row in CLOSED_FORM_EQUATIONS.items() if len(row[3]) == 1))
+SCAN_EQUATIONS = tuple(sorted(e for e in CLOSED_FORM_EQUATIONS if len(_free_names(e)) == 1))
 
 
 def threshold_scan(equation_id: str, params: Sequence[float]) -> ThresholdScan:
@@ -601,7 +595,8 @@ def threshold_scan(equation_id: str, params: Sequence[float]) -> ThresholdScan:
             f"scan needs a one-parameter equation, got {equation_id!r}; expected one of "
             f"{list(SCAN_EQUATIONS)}"
         )
-    _, spec_builder, parts_builder, (name,) = CLOSED_FORM_EQUATIONS[equation_id]
+    parts_builder = CLOSED_FORM_EQUATIONS[equation_id][2]
+    (name,) = _free_names(equation_id)
     grid = [float(p) for p in params]
     if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ParameterError("parameter grid must be increasing with at least two points")
@@ -616,7 +611,7 @@ def threshold_scan(equation_id: str, params: Sequence[float]) -> ThresholdScan:
     if bracket is not None:
 
         def g(p: float) -> float:  # > 0 iff r_f(p) < 1/3, the lhs being increasing in r
-            lhs, rhs = parts_builder(spec_builder({name: p}))
+            lhs, rhs = parts_builder(_closed_form_spec(equation_id, {name: p}))
             return lhs(_ONE_THIRD) - rhs
 
         g_lo = g(bracket[0])

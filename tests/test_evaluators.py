@@ -1,9 +1,9 @@
 """The per-spec pointwise evaluators against the per-call dispatch they replaced.
 
 ``catalog.phi_evaluator``, ``catalog.majorant_phi_evaluator``,
-``extremal.growth_evaluator``, ``extremal.k_prime_evaluator`` and
-``power_series.evaluator`` dispatch on the family (or read the series) once
-per spec.  The functions below are the route they replaced, which redid
+``extremal.growth_evaluator``, ``extremal.k_prime_evaluator``,
+``extremal.h_evaluator`` and ``power_series.evaluator`` dispatch on the
+family (or read the series) once per spec.  The functions below are the route they replaced, which redid
 that dispatch on every call; they are the oracle here.  Values must agree
 bit for bit (hex forms, so the sign of a zero counts) and errors must carry
 the same type and text.
@@ -90,6 +90,20 @@ def old_growth_exponent(spec, x):
         table, at_zero = extremal._growth_table(spec)
         return table(x) - at_zero
     return integrate_1d(extremal._growth_integrand(spec), 0.0, x, extremal._BOUNDARY_TOL).value
+
+
+def old_h_at(spec, x):
+    x = float(x)
+    if not (-1.0 <= x < 1.0):
+        raise DomainError(f"h is evaluated on [-1, 1), got {x}")
+    ab = as_janowski(spec)
+    if ab is not None and ab[1] != 0.0:
+        a, b = ab
+        base = 1.0 + b * x
+        if base <= 0.0:
+            raise DomainError(f"h of {spec.label()} is singular at x={x}")
+        return x * base ** ((a - b) / b)
+    return x * math.exp(old_growth_exponent(spec, x))
 
 
 def old_eval_at(s, x, tail_tol=None):
@@ -197,6 +211,13 @@ class TestPerSpecEvaluators:
             want = outcome(lambda y: math.exp(old_growth_exponent(spec, y)), x)
             assert outcome(k_prime, x) == want, x
             assert outcome(extremal.k_prime_at, spec, x) == want, x
+
+    def test_h(self, spec):
+        new = extremal.h_evaluator(spec)
+        for x in FULL + OUTSIDE:
+            want = outcome(old_h_at, spec, x)
+            assert outcome(new, x) == want, x
+            assert outcome(extremal.h_at, spec, x) == want, x
 
     @pytest.mark.parametrize("class_id", list(solver.ClassId), ids=lambda c: c.value)
     def test_lhs_integrand(self, spec, class_id):

@@ -248,8 +248,8 @@ class TestPointwiseEvaluators:
 
 class TestStronglyTableBranch:
     """The strongly growth and k' evaluators fetch their growth table once,
-    on the first x <= 0.9995, and then read it as ``_growth_table`` gives
-    it; beyond 0.9995 they integrate the growth integrand."""
+    when they are built, and then read it as ``_growth_table`` gives it;
+    beyond 0.9995 they integrate the growth integrand."""
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0])
     def test_values_are_the_table_read_directly(self, alpha):
@@ -280,15 +280,17 @@ class TestStronglyTableBranch:
                 with pytest.raises(DomainError, match=text + re.escape(str(x)) + "$"):
                     fn(x)
 
-    def test_table_is_fetched_once_and_only_when_read(self):
+    def test_table_is_fetched_once_when_built(self):
         spec = strongly(0.375)
-        caches = (extremal._growth_table, extremal.growth_evaluator, extremal.k_prime_evaluator)
-        for cache in caches:
-            cache.cache_clear()
-        growth, k_prime = extremal.growth_evaluator(spec), extremal.k_prime_evaluator(spec)
-        growth(0.0), k_prime(0.0), growth(0.9999), k_prime(0.9999)
-        assert extremal._growth_table.cache_info().misses == 0  # neither branch needed it
-        for x in np.linspace(-1.0, 0.99, 50):
-            growth(float(x)), k_prime(float(x))
+        extremal._growth_table.cache_clear()
+        growth = extremal.growth_evaluator(spec)
         info = extremal._growth_table.cache_info()
         assert (info.hits, info.misses) == (0, 1)
+        for x in [*np.linspace(-1.0, 0.99, 50), 0.0, 0.9999]:
+            growth(float(x))
+        assert extremal._growth_table.cache_info() == info  # reading it fetches nothing
+        k_prime = extremal.k_prime_evaluator(spec)  # a new growth closure: one fetch, a hit
+        for x in np.linspace(-1.0, 0.99, 50):
+            k_prime(float(x))
+        info = extremal._growth_table.cache_info()
+        assert (info.hits, info.misses) == (1, 1)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,17 @@ from _bench_inputs import BENCH_INPUTS
 
 from bohrcc import power_series as ps
 from bohrcc import solver
-from bohrcc.catalog import PhiSpec, expblend, janowski, lemniscate, phi_series, sakaguchi, strongly, wang
+from bohrcc.catalog import (
+    FAMILIES,
+    PhiSpec,
+    expblend,
+    janowski,
+    lemniscate,
+    phi_series,
+    sakaguchi,
+    strongly,
+    wang,
+)
 from bohrcc.errors import InconsistencyError, NoRootError, ParameterError
 from bohrcc.extremal import build_extremal, h_at, k_prime_series
 from bohrcc.solver import (
@@ -142,8 +153,6 @@ class TestRotationInvariance:
 
         monkeypatch.setattr(solver, "phi_series", flipped_phi)
         monkeypatch.setattr(solver, "build_extremal", flipped_bundle)
-        # uncached, so no curve built from the flipped series outlives the test
-        monkeypatch.setattr(solver, "_series_lhs_curve", solver._series_lhs_curve.__wrapped__)
         assert np.array_equal(solver._series_lhs_curve(class_id, spec, 64).coeffs, plain.coeffs)
         res = _cold_solve(class_id, spec)
         assert (res.r_f, res.residual, res.bracket) == PINNED[(class_id.value, spec.label())]
@@ -230,6 +239,23 @@ class TestClosedForms:
         with pytest.raises(ParameterError):
             solve_corollary_closed_form("sc-lemniscate", {"s": 0.9})
 
+    @pytest.mark.parametrize(
+        "eid, names",
+        [
+            ("ks-sakaguchi", "('gamma',)"),
+            ("ks-wang", "('alpha', 'beta')"),
+            ("sc-lemniscate", "('s',)"),
+            ("sc-sakaguchi", "('gamma',)"),
+            ("sc-expblend", "('alpha',)"),
+            ("sc-janowski-b0", "('A',)"),
+            ("sc-janowski", "('A', 'B')"),
+        ],
+    )
+    def test_missing_parameters_are_named(self, eid, names):
+        # the free names are the family's minus the fixed ones, printed as a tuple
+        with pytest.raises(ParameterError, match=re.escape(f"{eid} needs parameters {names}, missing")):
+            solve_corollary_closed_form(eid, {"B": 0.0})
+
 
 class TestThresholdScan:
     def test_lemniscate_threshold(self):
@@ -297,7 +323,11 @@ class TestThresholdScan:
             threshold_scan(equation, [0.1, 0.2])
 
     def test_scan_equations_are_the_one_parameter_rows(self):
-        one = [e for e, row in solver.CLOSED_FORM_EQUATIONS.items() if len(row[3]) == 1]
+        one = [
+            e
+            for e, (_, family, _, fixed) in solver.CLOSED_FORM_EQUATIONS.items()
+            if len(FAMILIES[family]) - len(fixed) == 1
+        ]
         assert sorted(one) == list(solver.SCAN_EQUATIONS)
         assert "sc-expblend" in solver.SCAN_EQUATIONS
 
