@@ -12,10 +12,13 @@ six parameterized families:
 ``strongly(alpha)``     ((1+z)/(1-z))**a,            0 < a <= 1
 ``wang(alpha, beta)``   (1 + b z) / (1 - a b z),     0 <= a <= 1, 0 < b <= 1
 
-``sakaguchi(g)`` coincides with ``janowski(1-2g, -1)`` and
-``wang(a, b)`` with ``janowski(b, -a*b)``; the shared closed forms are
-routed through that equivalence.  Out-of-range parameters are rejected at
-construction, never clamped.
+``FAMILIES`` maps each name to its :class:`Family` record, the one place
+that knows the family: parameter names, box, and the formulas for the
+series, real and complex values, majorant and growth exponent.
+``sakaguchi(g)`` is ``janowski(1-2g, -1)`` and ``wang(a, b)`` is
+``janowski(b, -a*b)``, so their records hold only that map and borrow the
+Janowski formulas through :func:`formulas_of`.  Out-of-range parameters
+are rejected at construction, never clamped.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -37,72 +40,162 @@ SPEC_CACHE_SIZE = 256
 
 _SQRT_HALF = math.sqrt(0.5)  # correctly-rounded 1/sqrt(2); the admissible endpoint
 
-#: family name -> ordered parameter names
-FAMILIES = {
-    "janowski": ("A", "B"),
-    "sakaguchi": ("gamma",),
-    "lemniscate": ("s",),
-    "expblend": ("alpha",),
-    "strongly": ("alpha",),
-    "wang": ("alpha", "beta"),
+
+@dataclass(frozen=True)
+class Family:
+    """One catalog family.  The formulas take the parameters last; ``real``,
+    ``majorant`` and ``growth`` return the unchecked function of a float
+    that an evaluator wraps, and ``real`` takes the spec for its pole text."""
+
+    names: tuple[str, ...]
+    box: str  # as the ParameterError states it, one {} per parameter value
+    admits: Callable[..., bool]
+    janowski: Callable[..., tuple[float, float]] | None = None  # the (A, B) of the same phi
+    series: Callable[..., ps.TruncatedSeries] | None = None  # (order, *params)
+    real: Callable[..., Callable[[float], float]] | None = None  # (spec, *params)
+    complex: Callable[..., complex] | None = None  # (z, *params)
+    majorant: Callable[..., Callable[[float], float]] | None = None  # None: phi itself
+    growth: Callable[..., Callable[[float], float]] | None = None  # None: by quadrature
+
+
+def _janowski_series(order: int, a: float, b: float) -> ps.TruncatedSeries:
+    out = np.empty(max(order, 2))
+    out[:2] = 1.0, a - b
+    for n in range(2, order):
+        out[n] = -b * out[n - 1]
+    return ps.TruncatedSeries(out[:order])
+
+
+def _janowski_real(spec: PhiSpec, a: float, b: float) -> Callable[[float], float]:
+    def formula(x: float) -> float:
+        denom = 1.0 + b * x
+        if denom <= 0.0:
+            raise DomainError(f"pole of {spec.label()} at x={x}")
+        return (1.0 + a * x) / denom
+
+    return formula
+
+
+def _janowski_majorant(a: float, b: float) -> Callable[[float], float]:
+    rise, ratio = a - b, abs(b)
+    return lambda t: 1.0 + rise * t / (1.0 - ratio * t)
+
+
+def _janowski_growth(a: float, b: float) -> Callable[[float], float]:
+    if b == 0.0:
+        return lambda x: a * x
+    power = (a - b) / b
+    return lambda x: power * math.log(1.0 + b * x)
+
+
+def _lemniscate_series(order: int, s: float) -> ps.TruncatedSeries:
+    out = np.zeros(max(order, 3))
+    out[:3] = 1.0, 2.0 * s, s * s
+    return ps.TruncatedSeries(out[:order])
+
+
+def _expblend_series(order: int, a: float) -> ps.TruncatedSeries:
+    out = np.empty(order)
+    out[0] = 1.0
+    fact = 1.0
+    for n in range(1, order):
+        fact *= n
+        out[n] = (1.0 - a) / fact
+    return ps.TruncatedSeries(out)
+
+
+def _expblend_growth(alpha: float) -> Callable[[float], float]:
+    def formula(x: float) -> float:
+        total, term = 0.0, 1.0
+        for n in range(1, 60):
+            term *= x / n
+            total += term / n
+            if abs(term) < 1e-18:
+                break
+        return (1.0 - alpha) * total
+
+    return formula
+
+
+def _strongly_series(order: int, a: float) -> ps.TruncatedSeries:
+    # exp(alpha * log((1+z)/(1-z))), log series 2 * sum z^odd / odd
+    log_part = np.zeros(order)
+    for n in range(1, order, 2):
+        log_part[n] = 2.0 * a / n
+    return ps.exp_series(ps.TruncatedSeries(log_part))
+
+
+def _strongly_real(spec: PhiSpec, a: float) -> Callable[[float], float]:
+    def formula(x: float) -> float:
+        if x == 1.0:
+            raise DomainError(f"pole of {spec.label()} at x=1")
+        return ((1.0 + x) / (1.0 - x)) ** a
+
+    return formula
+
+
+FAMILIES: Mapping[str, Family] = {
+    "janowski": Family(
+        ("A", "B"), "-1 <= B < A <= 1, got A={}, B={}", lambda a, b: -1.0 <= b < a <= 1.0,
+        janowski=lambda a, b: (a, b), series=_janowski_series, real=_janowski_real,
+        complex=lambda z, a, b: (1.0 + a * z) / (1.0 + b * z),
+        majorant=_janowski_majorant, growth=_janowski_growth,
+    ),
+    "sakaguchi": Family(
+        ("gamma",), "0 <= gamma < 1, got {}", lambda g: 0.0 <= g < 1.0,
+        janowski=lambda g: (1.0 - 2.0 * g, -1.0),
+    ),
+    "lemniscate": Family(
+        ("s",), "0 < s <= 1/sqrt(2), got {}", lambda s: 0.0 < s <= _SQRT_HALF,
+        series=_lemniscate_series, real=lambda spec, s: lambda x: (1.0 + s * x) ** 2,
+        complex=lambda z, s: (1.0 + s * z) ** 2,
+        growth=lambda s: lambda x: s * (2.0 * x + s * x * x / 2.0),
+    ),
+    "expblend": Family(
+        ("alpha",), "0 <= alpha < 1, got {}", lambda a: 0.0 <= a < 1.0,
+        series=_expblend_series, real=lambda spec, a: lambda x: a + (1.0 - a) * math.exp(x),
+        complex=lambda z, a: a + (1.0 - a) * cmath.exp(z),
+        growth=_expblend_growth,
+    ),
+    "strongly": Family(
+        ("alpha",), "0 < alpha <= 1, got {}", lambda a: 0.0 < a <= 1.0,
+        series=_strongly_series, real=_strongly_real,
+        complex=lambda z, a: ((1.0 + z) / (1.0 - z)) ** a,  # right half plane, principal power is safe
+    ),
+    "wang": Family(
+        ("alpha", "beta"), "0 <= alpha <= 1 and 0 < beta <= 1, got {}, {}",
+        lambda a, b: 0.0 <= a <= 1.0 and 0.0 < b <= 1.0,
+        janowski=lambda a, b: (b, -a * b),
+    ),
 }
 
 
 @dataclass(frozen=True)
 class PhiSpec:
-    """One catalog family plus its numeric parameters.
-
-    The single source of truth for phi: series coefficients, pointwise
-    values, and majorant data are all derived from this record.
-    """
+    """One catalog family plus its numeric parameters, checked against the
+    family's box when made; every quantity of phi is derived from it."""
 
     family: str
     params: tuple[float, ...]
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        fam = FAMILIES.get(self.family)
+        if fam is None:
             raise ParameterError(f"unknown family {self.family!r}")
-        names = FAMILIES[self.family]
-        if len(self.params) != len(names):
+        if len(self.params) != len(fam.names):
             raise ParameterError(
-                f"{self.family} takes parameters {names}, got {len(self.params)} values"
+                f"{self.family} takes parameters {fam.names}, got {len(self.params)} values"
             )
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        _validate(self.family, self.params)
+        if not fam.admits(*self.params):
+            raise ParameterError(f"{self.family} requires " + fam.box.format(*self.params))
 
     def param_dict(self) -> dict[str, float]:
-        return dict(zip(FAMILIES[self.family], self.params))
+        return dict(zip(FAMILIES[self.family].names, self.params))
 
     def label(self) -> str:
         inner = ", ".join(f"{k}={v:g}" for k, v in self.param_dict().items())
         return f"{self.family}({inner})"
-
-
-def _validate(family: str, p: tuple[float, ...]) -> None:
-    if family == "janowski":
-        a, b = p
-        if not (-1.0 <= b < a <= 1.0):
-            raise ParameterError(f"janowski requires -1 <= B < A <= 1, got A={a}, B={b}")
-    elif family == "sakaguchi":
-        (g,) = p
-        if not (0.0 <= g < 1.0):
-            raise ParameterError(f"sakaguchi requires 0 <= gamma < 1, got {g}")
-    elif family == "lemniscate":
-        (s,) = p
-        if not (0.0 < s <= _SQRT_HALF):
-            raise ParameterError(f"lemniscate requires 0 < s <= 1/sqrt(2), got {s}")
-    elif family == "expblend":
-        (a,) = p
-        if not (0.0 <= a < 1.0):
-            raise ParameterError(f"expblend requires 0 <= alpha < 1, got {a}")
-    elif family == "strongly":
-        (a,) = p
-        if not (0.0 < a <= 1.0):
-            raise ParameterError(f"strongly requires 0 < alpha <= 1, got {a}")
-    elif family == "wang":
-        a, b = p
-        if not (0.0 <= a <= 1.0 and 0.0 < b <= 1.0):
-            raise ParameterError(f"wang requires 0 <= alpha <= 1 and 0 < beta <= 1, got {a}, {b}")
 
 
 def janowski(a: float, b: float) -> PhiSpec:
@@ -131,55 +224,23 @@ def wang(alpha: float, beta: float) -> PhiSpec:
 
 def as_janowski(spec: PhiSpec) -> tuple[float, float] | None:
     """(A, B) parameters when the family is a Janowski re-parameterization."""
-    if spec.family == "janowski":
-        return spec.params
-    if spec.family == "sakaguchi":
-        (g,) = spec.params
-        return (1.0 - 2.0 * g, -1.0)
-    if spec.family == "wang":
-        a, b = spec.params
-        return (b, -a * b)
-    return None
+    to_ab = FAMILIES[spec.family].janowski
+    return None if to_ab is None else to_ab(*spec.params)
+
+
+def formulas_of(spec: PhiSpec) -> tuple[Family, tuple[float, ...]]:
+    """The record whose formulas serve the spec, and the parameters they
+    take: the Janowski record and (A, B) for a Janowski-style spec."""
+    ab = as_janowski(spec)
+    return (FAMILIES[spec.family], spec.params) if ab is None else (FAMILIES["janowski"], ab)
 
 
 def phi_series(spec: PhiSpec, order: int = ps.DEFAULT_ORDER) -> ps.TruncatedSeries:
     """Taylor coefficients of phi about 0 to the requested order."""
     if order <= 0:
         raise ParameterError("order must be positive")
-    ab = as_janowski(spec)
-    if ab is not None:
-        a, b = ab
-        out = np.empty(order)
-        out[0] = 1.0
-        if order > 1:
-            out[1] = a - b
-            for n in range(2, order):
-                out[n] = -b * out[n - 1]
-        return ps.TruncatedSeries(out)
-    if spec.family == "lemniscate":
-        (s,) = spec.params
-        out = np.zeros(order)
-        out[0] = 1.0
-        if order > 1:
-            out[1] = 2.0 * s
-        if order > 2:
-            out[2] = s * s
-        return ps.TruncatedSeries(out)
-    if spec.family == "expblend":
-        (a,) = spec.params
-        out = np.empty(order)
-        out[0] = 1.0
-        fact = 1.0
-        for n in range(1, order):
-            fact *= n
-            out[n] = (1.0 - a) / fact
-        return ps.TruncatedSeries(out)
-    # strongly: exp(alpha * log((1+z)/(1-z))), log series 2 * sum z^odd / odd
-    (a,) = spec.params
-    log_part = np.zeros(order)
-    for n in range(1, order, 2):
-        log_part[n] = 2.0 * a / n
-    return ps.exp_series(ps.TruncatedSeries(log_part))
+    fam, p = formulas_of(spec)
+    return fam.series(order, *p)
 
 
 def phi_at(spec: PhiSpec, x: float) -> float:
@@ -194,37 +255,15 @@ def phi_at(spec: PhiSpec, x: float) -> float:
 
 def phi_evaluator(spec: PhiSpec) -> Callable[[float], float]:
     """:func:`phi_at` for one spec as a function of a float, its family
-    dispatched and its parameters unpacked once.  Integrands call this."""
-    ab = as_janowski(spec)
-    if ab is not None:
-        a, b = ab
-
-        def formula(x: float) -> float:
-            denom = 1.0 + b * x
-            if denom <= 0.0:
-                raise DomainError(f"pole of {spec.label()} at x={x}")
-            return (1.0 + a * x) / denom
-
-    elif spec.family == "lemniscate":
-        (s,) = spec.params
-        formula = lambda x: (1.0 + s * x) ** 2
-    elif spec.family == "expblend":
-        (a,) = spec.params
-        formula = lambda x: a + (1.0 - a) * math.exp(x)
-    else:
-        (a,) = spec.params
-
-        def formula(x: float) -> float:
-            if x == 1.0:
-                raise DomainError(f"pole of {spec.label()} at x=1")
-            return ((1.0 + x) / (1.0 - x)) ** a
+    looked up and its parameters unpacked once.  Integrands call this."""
+    fam, p = formulas_of(spec)
+    formula = fam.real(spec, *p)
 
     def phi(x: float) -> float:
         if not (-1.0 <= x <= 1.0):
             raise DomainError(f"phi is evaluated on [-1, 1], got {x}")
         return formula(x)
 
-    phi.formula = formula  # unchecked, for evaluators that check their own domain
     return phi
 
 
@@ -232,19 +271,8 @@ def phi_complex(spec: PhiSpec, z: complex) -> complex:
     """phi at a complex point of the open disk (principal branches)."""
     if abs(z) >= 1.0:
         raise DomainError("phi_complex requires |z| < 1")
-    ab = as_janowski(spec)
-    if ab is not None:
-        a, b = ab
-        return (1.0 + a * z) / (1.0 + b * z)
-    if spec.family == "lemniscate":
-        (s,) = spec.params
-        return (1.0 + s * z) ** 2
-    if spec.family == "expblend":
-        (a,) = spec.params
-        return a + (1.0 - a) * cmath.exp(z)
-    (a,) = spec.params
-    w = (1.0 + z) / (1.0 - z)  # right half plane, principal power is safe
-    return w**a
+    fam, p = formulas_of(spec)
+    return fam.complex(z, *p)
 
 
 def majorant_phi_at(spec: PhiSpec, t: float) -> float:
@@ -259,13 +287,8 @@ def majorant_phi_at(spec: PhiSpec, t: float) -> float:
 
 def majorant_phi_evaluator(spec: PhiSpec) -> Callable[[float], float]:
     """:func:`majorant_phi_at` for one spec as a function of a float."""
-    ab = as_janowski(spec)
-    if ab is not None:
-        a, b = ab
-        rise, ratio = a - b, abs(b)
-        formula = lambda t: 1.0 + rise * t / (1.0 - ratio * t)
-    else:
-        formula = phi_evaluator(spec).formula
+    fam, p = formulas_of(spec)
+    formula = fam.real(spec, *p) if fam.majorant is None else fam.majorant(*p)
 
     def majorant(t: float) -> float:
         if not (0.0 <= t < 1.0):

@@ -34,7 +34,7 @@ _TABLE_TOL = 1e-11
 _SCHEMA = 1
 _SCAN_MAX_POINTS = 100_000
 
-_PARAM_FLAGS = tuple(dict.fromkeys(name for names in FAMILIES.values() for name in names))
+_PARAM_FLAGS = tuple(dict.fromkeys(name for fam in FAMILIES.values() for name in fam.names))
 
 
 def _fmt(x: float) -> str:
@@ -66,10 +66,8 @@ def _emit_csv(header: list[str], rows: list[list]) -> None:
 
 
 def _spec_from_args(args) -> PhiSpec:
-    family = args.phi
-    if family not in FAMILIES:
-        raise ParameterError(f"unknown family {args.phi!r}; expected one of {sorted(FAMILIES)}")
-    wanted = FAMILIES[family]
+    family = args.phi  # argparse's choices admit only catalog names
+    wanted = FAMILIES[family].names
     values = []
     for name in wanted:
         value = getattr(args, name, None)

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import power_series as ps
-from .catalog import SPEC_CACHE_SIZE, PhiSpec, as_janowski, phi_evaluator, phi_series
+from .catalog import SPEC_CACHE_SIZE, PhiSpec, as_janowski, formulas_of, phi_evaluator, phi_series
 from .errors import BudgetError, DomainError, InconsistencyError
 from .quadrature import AntiderivativeTable, integrate_1d
 
@@ -81,40 +81,20 @@ def _build_extremal(spec: PhiSpec, order: int) -> ExtremalSet:
 def growth_exponent(spec: PhiSpec, x: float) -> float:
     """integral_0^x (phi(t) - 1)/t dt, the log of h(x)/x.
 
-    Janowski-style and lemniscate families have elementary forms; the
-    expblend integral is summed from its (entire) series; strongly falls
-    back to adaptive quadrature.
+    The catalog record gives the elementary or series form where the
+    family has one; otherwise (strongly) the exponent is read from a
+    cached antiderivative table, with adaptive quadrature past its end.
     """
     return growth_evaluator(spec)(float(x))
 
 
 def growth_evaluator(spec: PhiSpec) -> Callable[[float], float]:
     """:func:`growth_exponent` for one spec as a function of a float, its
-    family dispatched and its parameters unpacked once.  Integrands call
+    family looked up and its parameters unpacked once.  Integrands call
     this."""
-    ab = as_janowski(spec)
-    if ab is not None:
-        a, b = ab
-        if b == 0.0:
-            formula = lambda x: a * x
-        else:
-            power = (a - b) / b
-            formula = lambda x: power * math.log(1.0 + b * x)
-    elif spec.family == "lemniscate":
-        (s,) = spec.params
-        formula = lambda x: s * (2.0 * x + s * x * x / 2.0)
-    elif spec.family == "expblend":
-        (alpha,) = spec.params
-
-        def formula(x: float) -> float:
-            total, term = 0.0, 1.0
-            for n in range(1, 60):
-                term *= x / n
-                total += term / n
-                if abs(term) < 1e-18:
-                    break
-            return (1.0 - alpha) * total
-
+    fam, p = formulas_of(spec)
+    if fam.growth is not None:
+        formula = fam.growth(*p)
     else:
         table, at_zero = _growth_table(spec)
         lookup = table.__call__
@@ -175,10 +155,7 @@ def h_evaluator(spec: PhiSpec) -> Callable[[float], float]:
         if k_prime is not None:
             return x * k_prime(x)
         a, b = ab
-        base = 1.0 + b * x
-        if base <= 0.0:
-            raise DomainError(f"h of {spec.label()} is singular at x={x}")
-        return x * base ** ((a - b) / b)
+        return x * (1.0 + b * x) ** ((a - b) / b)  # an admissible B keeps 1 + Bx > 0 on [-1, 1)
 
     return h
 

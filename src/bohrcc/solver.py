@@ -475,7 +475,7 @@ CLOSED_FORM_EQUATIONS: Mapping[str, tuple] = {
 def _free_names(equation_id: str) -> tuple[str, ...]:
     """The family's parameter names that the equation does not fix."""
     _, family, _, fixed = CLOSED_FORM_EQUATIONS[equation_id]
-    return tuple(n for n in FAMILIES[family] if n not in fixed)
+    return tuple(n for n in FAMILIES[family].names if n not in fixed)
 
 
 def _closed_form_spec(equation_id: str, params: Mapping[str, float]) -> PhiSpec:
@@ -485,7 +485,7 @@ def _closed_form_spec(equation_id: str, params: Mapping[str, float]) -> PhiSpec:
     missing = [n for n in names if n not in params]
     if missing:
         raise ParameterError(f"{equation_id} needs parameters {names}, missing {missing}")
-    return PhiSpec(family, tuple({**params, **fixed}[n] for n in FAMILIES[family]))
+    return PhiSpec(family, tuple({**params, **fixed}[n] for n in FAMILIES[family].names))
 
 
 def solve_corollary_closed_form(equation_id: str, params: Mapping[str, float]) -> RadiusResult:

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,9 @@ from bohrcc.catalog import (
 )
 from bohrcc.errors import DomainError, ParameterError
 
+_up = lambda x: math.nextafter(x, math.inf)
+_down = lambda x: math.nextafter(x, -math.inf)
+
 ALL_SPECS = [
     janowski(1.0, -1.0),
     janowski(0.5, 0.25),
@@ -31,6 +37,10 @@ ALL_SPECS = [
     strongly(0.5),
     wang(0.5, 1.0),
 ]
+
+#: sha256 of phi_series(spec, order).coeffs.tobytes() for each of ALL_SPECS
+#: at orders 1, 2, 3, 64 and 256
+SERIES_PINS = json.loads((Path(__file__).parent / "golden" / "phi_series_sha256.json").read_text())
 
 
 class TestValidation:
@@ -57,9 +67,73 @@ class TestValidation:
     def test_boundary_lemniscate_accepted(self):
         lemniscate(math.sqrt(0.5))
 
+    @pytest.mark.parametrize(
+        "factory,args,message",
+        [
+            (janowski, (0.5, -1.0), None),
+            (janowski, (0.5, _down(-1.0)), "janowski requires -1 <= B < A <= 1, got A=0.5, B=-1.0000000000000002"),
+            (janowski, (0.3, _down(0.3)), None),
+            (janowski, (0.3, 0.3), "janowski requires -1 <= B < A <= 1, got A=0.3, B=0.3"),
+            (janowski, (1.0, 0.0), None),
+            (janowski, (_up(1.0), 0.0), "janowski requires -1 <= B < A <= 1, got A=1.0000000000000002, B=0.0"),
+            (janowski, (math.nan, 0.0), "janowski requires -1 <= B < A <= 1, got A=nan, B=0.0"),
+            (sakaguchi, (0.0,), None),
+            (sakaguchi, (_down(0.0),), "sakaguchi requires 0 <= gamma < 1, got -5e-324"),
+            (sakaguchi, (_down(1.0),), None),
+            (sakaguchi, (1.0,), "sakaguchi requires 0 <= gamma < 1, got 1.0"),
+            (sakaguchi, (math.nan,), "sakaguchi requires 0 <= gamma < 1, got nan"),
+            (lemniscate, (_up(0.0),), None),
+            (lemniscate, (0.0,), "lemniscate requires 0 < s <= 1/sqrt(2), got 0.0"),
+            (lemniscate, (math.sqrt(0.5),), None),
+            (lemniscate, (_up(math.sqrt(0.5)),), "lemniscate requires 0 < s <= 1/sqrt(2), got 0.7071067811865477"),
+            (lemniscate, (math.nan,), "lemniscate requires 0 < s <= 1/sqrt(2), got nan"),
+            (expblend, (0.0,), None),
+            (expblend, (_down(0.0),), "expblend requires 0 <= alpha < 1, got -5e-324"),
+            (expblend, (_down(1.0),), None),
+            (expblend, (1.0,), "expblend requires 0 <= alpha < 1, got 1.0"),
+            (expblend, (math.nan,), "expblend requires 0 <= alpha < 1, got nan"),
+            (strongly, (_up(0.0),), None),
+            (strongly, (0.0,), "strongly requires 0 < alpha <= 1, got 0.0"),
+            (strongly, (1.0,), None),
+            (strongly, (_up(1.0),), "strongly requires 0 < alpha <= 1, got 1.0000000000000002"),
+            (strongly, (math.nan,), "strongly requires 0 < alpha <= 1, got nan"),
+            (wang, (0.0, 0.5), None),
+            (wang, (_down(0.0), 0.5), "wang requires 0 <= alpha <= 1 and 0 < beta <= 1, got -5e-324, 0.5"),
+            (wang, (1.0, 0.5), None),
+            (wang, (_up(1.0), 0.5), "wang requires 0 <= alpha <= 1 and 0 < beta <= 1, got 1.0000000000000002, 0.5"),
+            (wang, (0.5, _up(0.0)), None),
+            (wang, (0.5, 0.0), "wang requires 0 <= alpha <= 1 and 0 < beta <= 1, got 0.5, 0.0"),
+            (wang, (0.5, 1.0), None),
+            (wang, (0.5, _up(1.0)), "wang requires 0 <= alpha <= 1 and 0 < beta <= 1, got 0.5, 1.0000000000000002"),
+            (wang, (0.5, math.nan), "wang requires 0 <= alpha <= 1 and 0 < beta <= 1, got 0.5, nan"),
+        ],
+    )
+    def test_box_edges(self, factory, args, message):
+        # one float inside and one outside each edge of the family's box
+        if message is None:
+            assert factory(*args).params == args
+        else:
+            with pytest.raises(ParameterError) as exc:
+                factory(*args)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "family,params,message",
+        [
+            ("janowski", (1.0,), "janowski takes parameters ('A', 'B'), got 1 values"),
+            ("wang", (1.0, 2.0, 3.0), "wang takes parameters ('alpha', 'beta'), got 3 values"),
+            ("lemniscate", (), "lemniscate takes parameters ('s',), got 0 values"),
+        ],
+    )
+    def test_arity_text(self, family, params, message):
+        with pytest.raises(ParameterError) as exc:
+            PhiSpec(family, params)
+        assert str(exc.value) == message
+
     def test_unknown_family(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError) as exc:
             PhiSpec("mystery", (1.0,))
+        assert str(exc.value) == "unknown family 'mystery'"
 
     def test_label(self):
         assert janowski(1, -1).label() == "janowski(A=1, B=-1)"
@@ -101,6 +175,14 @@ class TestSeries:
 
     def test_wang_is_janowski_reparam(self):
         assert as_janowski(wang(0.5, 0.8)) == (0.8, -0.4)
+
+    @pytest.mark.parametrize("key", sorted(SERIES_PINS))
+    def test_coefficient_bits(self, key):
+        # orders 1 to 3 stop inside the closed-form heads of the series
+        label, order = key.rsplit(" order ", 1)
+        spec = next(s for s in ALL_SPECS if s.label() == label)
+        coeffs = phi_series(spec, int(order)).coeffs
+        assert hashlib.sha256(coeffs.tobytes()).hexdigest() == SERIES_PINS[key]
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_normalization(self, spec):

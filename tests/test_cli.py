@@ -64,6 +64,12 @@ class TestRadiusCommand:
         )
         assert code == 2 and "does not take" in err
 
+    def test_unknown_family_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["radius", "--class", "Sc", "--phi", "nope", "--s", "0.5"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+
     def test_deterministic_output(self, capsys):
         argv = ("radius", "--class", "Cc", "--phi", "lemniscate", "--s", "0.5")
         _, out1, _ = run_cli(capsys, *argv)

@@ -326,7 +326,7 @@ class TestThresholdScan:
         one = [
             e
             for e, (_, family, _, fixed) in solver.CLOSED_FORM_EQUATIONS.items()
-            if len(FAMILIES[family]) - len(fixed) == 1
+            if len(FAMILIES[family].names) - len(fixed) == 1
         ]
         assert sorted(one) == list(solver.SCAN_EQUATIONS)
         assert "sc-expblend" in solver.SCAN_EQUATIONS
