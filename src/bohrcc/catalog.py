@@ -236,9 +236,16 @@ def formulas_of(spec: PhiSpec) -> tuple[Family, tuple[float, ...]]:
 
 
 def phi_series(spec: PhiSpec, order: int = ps.DEFAULT_ORDER) -> ps.TruncatedSeries:
-    """Taylor coefficients of phi about 0 to the requested order."""
+    """Taylor coefficients of phi about 0 to the requested order.
+    Memoized by value, however the order is spelled."""
+    order = ps.as_order(order)
     if order <= 0:
         raise ParameterError("order must be positive")
+    return _phi_series(spec, order)
+
+
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
+def _phi_series(spec: PhiSpec, order: int) -> ps.TruncatedSeries:
     fam, p = formulas_of(spec)
     return fam.series(order, *p)
 
@@ -298,16 +305,15 @@ def majorant_phi_evaluator(spec: PhiSpec) -> Callable[[float], float]:
     return majorant
 
 
-@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def has_positive_coeffs(spec: PhiSpec) -> bool:
     """True when every series coefficient past the constant is nonnegative
     with a strictly positive leading one.
 
     Zeros are allowed: families with finitely many terms (lemniscate)
     still satisfy the identity ``majorant(phi)(r) == phi(r)`` that this
-    predicate exists to certify.
+    predicate exists to certify.  It reads phi's memoized order-64 series.
     """
-    c = phi_series(spec, ps.DEFAULT_ORDER).coeffs
+    c = _phi_series(spec, ps.DEFAULT_ORDER).coeffs
     return bool(c[1] > 0.0 and np.all(c[1:] >= 0.0))
 
 

@@ -144,30 +144,36 @@ def exp_series(s: TruncatedSeries) -> TruncatedSeries:
 
     Uses the derivative recurrence E' = s'E, i.e.
     ``(n+1) E_{n+1} = sum_{k=0..n} (k+1) s_{k+1} E_{n-k}``,
-    which is exact to the truncation order.
+    which is exact to the truncation order.  The coefficients are written
+    into a reversed buffer, so each step's dot product reads two
+    contiguous slices.
     """
     if s.coeffs[0] != 0.0:
         raise DomainError("exp_series requires a zero constant term")
     n = s.order
     weighted = s.coeffs * np.arange(n)  # k * s_k
-    out = np.zeros(n)
-    out[0] = 1.0
+    rev = np.zeros(n)  # rev[n-1-j] = E_j
+    rev[n - 1] = 1.0
     for m in range(1, n):
-        # m * E_m = sum_{k=1..m} k s_k E_{m-k}
-        out[m] = np.dot(weighted[1 : m + 1], out[m - 1 :: -1][:m]) / m
-    return TruncatedSeries(out)
+        # m * E_m = sum_{k=1..m} k s_k E_{m-k}, with E_{m-1} .. E_0 = rev[n-m:]
+        rev[n - 1 - m] = np.dot(weighted[1 : m + 1], rev[n - m :]) / m
+    return TruncatedSeries(rev[::-1])
 
 
 def sqrt_series(s: TruncatedSeries) -> TruncatedSeries:
-    """Square root of a series with constant term 1 (direct recurrence)."""
+    """Square root of a series with constant term 1 (direct recurrence).
+    Each coefficient is also written into a reversed buffer, so each step's
+    dot product reads two contiguous slices."""
     if s.coeffs[0] != 1.0:
         raise DomainError("sqrt_series requires constant term exactly 1")
     n = s.order
     out = np.zeros(n)
-    out[0] = 1.0
+    rev = np.zeros(n)  # rev[n-1-j] = out[j]
+    out[0] = rev[n - 1] = 1.0
     for m in range(1, n):
-        conv = np.dot(out[1:m], out[m - 1 : 0 : -1]) if m >= 2 else 0.0
-        out[m] = 0.5 * (s.coeffs[m] - conv)
+        # out[m-1] .. out[1] = rev[n-m : n-1]
+        conv = np.dot(out[1:m], rev[n - m : n - 1]) if m >= 2 else 0.0
+        out[m] = rev[n - 1 - m] = 0.5 * (s.coeffs[m] - conv)
     return TruncatedSeries(out)
 
 

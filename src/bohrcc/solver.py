@@ -399,12 +399,13 @@ def _solve_cached(class_id: ClassId, spec: PhiSpec, order: int, tol: float) -> R
     target = target_constant(class_id, spec, order, tol)
     curve = _series_lhs_curve(class_id, spec, order)
     series = ps.evaluator(curve)
+    last, n = abs(float(curve.coeffs[-1])), curve.order
     lhs = cache(lambda r: lhs_at(class_id, spec, r, "quadrature", order, tol))
 
     def guided(r: float) -> float:
         # quadrature and series differ by up to tol plus the truncation tail
         s = series(r)
-        return s if abs(s - target) > tol + ps.tail_hint_at(curve, r) else lhs(r)
+        return s if abs(s - target) > tol + ps._tail_hint(last, n, r) else lhs(r)
 
     # the curve's coefficients are nonnegative, so its Horner values rise
     # with r on the grid even in floating point and bisection finds the

@@ -1,7 +1,8 @@
 """A 30-digit mpmath oracle for the radius equations, independent of bohrcc's
 series, quadrature and closed forms.  Every slice assumes phi has
-nonnegative coefficients, so that each majorant M_f in a class lhs is f.
-Integrals are taken by ``mp.quad`` and roots by ``mp.findroot``.
+nonnegative coefficients, so that each majorant M_f in a class lhs is f,
+save K' in the Cs lhs.  Integrals are taken by ``mp.quad`` and roots by
+``mp.findroot``.
 
 Ks slice: the root of integral_0^r phi(t)/(1-t^2) dt =
 integral_0^1 phi(-t)/(1+t^2) dt.
@@ -15,6 +16,12 @@ Cc slice: k' phi = (z k')' = h', so the Cc lhs
 integral_0^r (1/s) integral_0^s k' phi dt ds is k(r), and the Cc radius is
 the root of k(r) = -k(-1), with k(x) = integral_0^x k'(t) dt by nested
 quadrature.
+
+Cs slice: by Fubini the target integral_0^1 (1/s) integral_0^s g dt ds is
+integral_0^1 g(t) (-ln t) dt with g(t) = (k'(-t^2))^{1/2} phi(-t).  The
+coefficients of K'(t) = (k'(t^2))^{1/2} = exp(sum_n phi_n t^{2n} / (2n))
+mix signs, so the lhs is the termwise nested integral of the order-160
+series M_{K'} phi, with phi's Taylor coefficients from ``mp.taylor``.
 """
 
 from __future__ import annotations
@@ -22,6 +29,9 @@ from __future__ import annotations
 from mpmath import mp, mpf
 
 DPS = 30
+#: order of the Cs lhs series: its tail is about 0.64^160 < 1e-30 up to the
+#: largest canonical Cs root, 0.638
+CS_ORDER = 160
 
 
 def phi(spec):
@@ -89,3 +99,33 @@ def cc_root(spec, lo=0.01, hi=0.95):
     """The root of k(r) = -k(-1) in (lo, hi)."""
     with mp.workdps(DPS):
         return _root(lambda r: k(spec, r), -k(spec, -1), lo, hi)
+
+
+def _exp_series(c):
+    """Coefficients of exp of the series c (c[0] = 0), by E' = c'E."""
+    e = [mpf(1)] + [mpf(0)] * (len(c) - 1)
+    for m in range(1, len(c)):
+        e[m] = mp.fsum(j * c[j] * e[m - j] for j in range(1, m + 1)) / m
+    return e
+
+
+def cs_lhs_coefficients(spec, order=CS_ORDER):
+    """Coefficients c_n of the series M_{K'} phi, to the given order."""
+    with mp.workdps(DPS):
+        p = mp.taylor(phi(spec), 0, order - 1)
+        log_big_k = [mpf(0)] * order
+        for n in range(1, (order + 1) // 2):
+            log_big_k[2 * n] = p[n] / (2 * n)
+        big_k = [abs(c) for c in _exp_series(log_big_k)]
+        return [mp.fsum(big_k[j] * p[n - j] for j in range(n + 1)) for n in range(order)]
+
+
+def cs_root(spec, lo=0.01, hi=0.95):
+    """The root of the Cs equation in (lo, hi): the lhs sum_n c_n r^{n+1} / (n+1)^2
+    against integral_0^1 (k'(-t^2))^{1/2} phi(-t) (-ln t) dt."""
+    f = phi(spec)
+    with mp.workdps(DPS):
+        c = cs_lhs_coefficients(spec)
+        lhs = lambda r: mp.fsum(cn * r ** (n + 1) / (n + 1) ** 2 for n, cn in enumerate(c))
+        target = mp.quad(lambda t: mp.sqrt(k_prime(spec, -t * t)) * f(-t) * -mp.log(t), [0, 1])
+        return _root(lhs, target, lo, hi)

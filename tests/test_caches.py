@@ -28,11 +28,11 @@ def clear_all():
         cache.cache_clear()
 
 
-#: the package's spec caches: each holds work that a workload reuses (a
+#: the package's spec caches: each holds work that a workload reuses (phi's
 #: series, a bundle, a table, an integrand, a target or a solve), never a
 #: closure that rebuilds in about a microsecond
 KEPT = {
-    "catalog.has_positive_coeffs",
+    "catalog._phi_series",
     "extremal._build_extremal",
     "extremal._growth_table",
     "solver._lhs_integrand",
@@ -63,13 +63,15 @@ def test_sweep_over_many_specs_stays_bounded():
             solver.lhs_integrand(ClassId.SC, spec, 8)(0.2)
         infos = {name: c.cache_info() for name, c in package_caches().items()}
         for name in (
-            "catalog.has_positive_coeffs",
             "extremal._build_extremal",
             "solver._target_constant",
             "solver._lhs_integrand",
         ):
             assert infos[name].misses == 300, name
             assert infos[name].currsize == SPEC_CACHE_SIZE, name
+        # phi at the sweep's order 8 and at the positivity check's order 64
+        assert infos["catalog._phi_series"].misses == 600
+        assert infos["catalog._phi_series"].currsize == SPEC_CACHE_SIZE
         assert all(info.currsize <= SPEC_CACHE_SIZE for info in infos.values())
     finally:
         clear_all()
@@ -79,6 +81,12 @@ def test_caches_key_on_values_not_on_spelling():
     # each spelling of the same call, a numpy integer order included, is one entry
     spec = strongly(0.5)
     cases = [
+        (
+            catalog.phi_series,
+            catalog._phi_series,
+            [(spec,), (spec, 64), (spec,), (spec, np.int64(64))],
+            [{}, {}, {"order": 64}, {}],
+        ),
         (
             extremal.build_extremal,
             extremal._build_extremal,
@@ -120,7 +128,8 @@ def test_caches_key_on_values_not_on_spelling():
 
 
 def test_positive_coefficient_check_takes_the_spec_only():
-    # no order to spell: the check reads phi at the default order, one entry per spec
+    # no order to spell: the check reads phi's cached series at the default
+    # order, the same entry phi_series(spec) reads
     spec = strongly(0.5)
     with pytest.raises(TypeError):
         catalog.has_positive_coeffs(spec, 64)
@@ -129,7 +138,8 @@ def test_positive_coefficient_check_takes_the_spec_only():
     clear_all()
     try:
         assert all(catalog.has_positive_coeffs(spec) for _ in range(3))
-        info = catalog.has_positive_coeffs.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        catalog.phi_series(spec)
+        info = catalog._phi_series.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
     finally:
         clear_all()

@@ -38,6 +38,9 @@ ALL_SPECS = [
     wang(0.5, 1.0),
 ]
 
+#: ALL_SPECS without its second Janowski spec: one spec per family
+ONE_PER_FAMILY = ALL_SPECS[:1] + ALL_SPECS[2:]
+
 #: sha256 of phi_series(spec, order).coeffs.tobytes() for each of ALL_SPECS
 #: at orders 1, 2, 3, 64 and 256
 SERIES_PINS = json.loads((Path(__file__).parent / "golden" / "phi_series_sha256.json").read_text())
@@ -140,6 +143,17 @@ class TestValidation:
 
 
 class TestSeries:
+    @pytest.mark.parametrize("order", [64.0, 64.5])
+    @pytest.mark.parametrize("spec", ONE_PER_FAMILY, ids=lambda s: s.family)
+    def test_non_integer_order_is_rejected(self, spec, order):
+        with pytest.raises(ParameterError, match=f"^order must be an integer, got {order}$"):
+            phi_series(spec, order)
+
+    @pytest.mark.parametrize("spec", ONE_PER_FAMILY, ids=lambda s: s.family)
+    def test_order_zero_is_rejected(self, spec):
+        with pytest.raises(ParameterError, match="^order must be positive$"):
+            phi_series(spec, 0)
+
     def test_lemniscate_coeffs(self):
         c = phi_series(lemniscate(0.5), 6).coeffs
         assert np.allclose(c, [1.0, 1.0, 0.25, 0.0, 0.0, 0.0])

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +40,20 @@ ALL_SPECS = [
     strongly(0.5),
     wang(0.5, 1.0),
 ]
+
+#: sha256 of build_extremal(spec, order).k_prime and .K_prime coefficient
+#: bytes for the six canonical specs at orders 8, 64 and 256, keyed
+#: '<label> order <n> <field>'
+BUNDLE_PINS = json.loads((Path(__file__).parent / "golden" / "bundle_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(BUNDLE_PINS))
+def test_bundle_bits(key):
+    head, field = key.rsplit(" ", 1)
+    label, order = head.rsplit(" order ", 1)
+    spec = next(s for s in ALL_SPECS if s.label() == label)
+    coeffs = getattr(build_extremal(spec, int(order)), field).coeffs
+    assert hashlib.sha256(coeffs.tobytes()).hexdigest() == BUNDLE_PINS[key]
 
 
 class TestClosedForms:

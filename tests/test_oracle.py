@@ -1,18 +1,20 @@
-"""The Ks, Sc and Cc radii against a 30-digit mpmath oracle.
+"""The Ks, Sc, Cc and Cs radii against a 30-digit mpmath oracle.
 
-Every canonical spec has nonnegative coefficients, so each majorant in a
-class lhs is the function itself: the Ks radius is the root of
+Every canonical spec has nonnegative coefficients, so each majorant of phi
+in a class lhs is phi itself: the Ks radius is the root of
 integral_0^r phi(t)/(1-t^2) dt = integral_0^1 phi(-t)/(1+t^2) dt, the Sc
 radius the root of h(r) = -h(-1) and the Cc radius the root of
-k(r) = -k(-1).  ``oracle`` finds each root without any of bohrcc's series,
-quadrature or closed forms.  The Cc oracle takes k by nested quadrature,
-several seconds a spec, so its sweep is marked ``slow``.
+k(r) = -k(-1).  K' mixes signs, so the Cs lhs is an order-160 majorant
+series against the log-weighted target integral.  ``oracle`` finds each
+root without any of bohrcc's series, quadrature or closed forms.  The Cc
+oracle takes k by nested quadrature, several seconds a spec, and the Cs
+target about a second a spec, so their sweeps are marked ``slow``.
 """
 
 from functools import cache
 
 import pytest
-from oracle import cc_root, ks_root, sc_root
+from oracle import cc_root, cs_root, ks_root, sc_root
 
 from bohrcc.catalog import expblend, janowski, lemniscate, sakaguchi, strongly, wang
 from bohrcc.solver import ClassId, solve_corollary_closed_form, solve_radius
@@ -81,6 +83,17 @@ def test_cc_radius_of_janowski_1_minus_1_is_one_third():
 @pytest.mark.parametrize("spec", CANONICAL[1:], ids=lambda s: s.label())
 def test_cc_solver_brackets_the_oracle_root(spec):
     assert_brackets(ClassId.CC, spec, cc_root(spec))
+
+
+def test_cs_solver_brackets_the_oracle_root_of_one_spec():
+    spec = lemniscate(0.5)  # the cheapest Cs target: phi is a polynomial
+    assert_brackets(ClassId.CS, spec, cs_root(spec))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec", CANONICAL, ids=lambda s: s.label())
+def test_cs_solver_brackets_the_oracle_root(spec):
+    assert_brackets(ClassId.CS, spec, cs_root(spec))
 
 
 @pytest.mark.parametrize(

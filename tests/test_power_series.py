@@ -1,4 +1,8 @@
+import hashlib
+import json
 import math
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 
 from bohrcc import power_series as ps
+from bohrcc.catalog import expblend, janowski, lemniscate, phi_series, sakaguchi, strongly, wang
 from bohrcc.errors import DomainError, PrecisionError
 
 
@@ -92,6 +97,88 @@ class TestSqrt:
     def test_rejects_other_constant(self):
         with pytest.raises(DomainError):
             ps.sqrt_series(ps.make([4.0, 1.0]))
+
+
+#: the six canonical specs and a mixed-sign Janowski spec
+RECURRENCE_SPECS = [
+    janowski(1.0, -1.0),
+    sakaguchi(0.25),
+    lemniscate(0.5),
+    expblend(0.03),
+    strongly(0.5),
+    wang(0.5, 1.0),
+    janowski(0.5, 0.3),
+]
+
+#: sha256 of the coefficient bytes of each output of recurrence_outputs()
+RECURRENCE_PINS = json.loads(
+    (Path(__file__).parent / "golden" / "recurrence_sha256.json").read_text()
+)
+
+
+@cache
+def recurrence_outputs() -> dict[str, ps.TruncatedSeries]:
+    """exp of each spec's log-k' series sum phi_n z^n / n, and sqrt of that
+    k' composed with z^2 (zeros at the odd places) and with -z^2 (signs
+    alternating in pairs), at orders 1, 2, 3, 8, 64 and 256."""
+    out = {}
+    for spec in RECURRENCE_SPECS:
+        for order in (1, 2, 3, 8, 64, 256):
+            log_k_prime = np.zeros(order)
+            log_k_prime[1:] = phi_series(spec, order).coeffs[1:] / np.arange(1, order)
+            k_prime = ps.exp_series(ps.TruncatedSeries(log_k_prime))
+            out[f"exp {spec.label()} log-k' order {order}"] = k_prime
+            for sign, name in ((1.0, "+z^2"), (-1.0, "-z^2")):
+                square = ps.compose_with_selfmap(k_prime, ps.monomial(sign, 2, order))
+                out[f"sqrt {spec.label()} k'({name}) order {order}"] = ps.sqrt_series(square)
+    return out
+
+
+def _exp_reference(s: ps.TruncatedSeries) -> np.ndarray:
+    """exp_series as a dot with the negative-stride view of the
+    coefficients written so far."""
+    n = s.order
+    weighted = s.coeffs * np.arange(n)
+    out = np.zeros(n)
+    out[0] = 1.0
+    for m in range(1, n):
+        out[m] = np.dot(weighted[1 : m + 1], out[m - 1 :: -1][:m]) / m
+    return out
+
+
+def _sqrt_reference(s: ps.TruncatedSeries) -> np.ndarray:
+    """sqrt_series as a dot with the negative-stride view of the
+    coefficients written so far."""
+    n = s.order
+    out = np.zeros(n)
+    out[0] = 1.0
+    for m in range(1, n):
+        conv = np.dot(out[1:m], out[m - 1 : 0 : -1]) if m >= 2 else 0.0
+        out[m] = 0.5 * (s.coeffs[m] - conv)
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 8, 33, 64, 256])
+def test_recurrences_match_the_strided_reference(order):
+    rng = np.random.default_rng(9000 + order)
+    for _ in range(5):
+        c = rng.standard_normal(order) * 10.0 ** rng.uniform(-3, 1, order)
+        c[0] = 0.0
+        s = ps.TruncatedSeries(c)
+        assert np.array_equal(ps.exp_series(s).coeffs, _exp_reference(s))
+        c[0] = 1.0
+        s = ps.TruncatedSeries(c)
+        assert np.array_equal(ps.sqrt_series(s).coeffs, _sqrt_reference(s))
+
+
+def test_recurrence_pins_cover_every_output():
+    assert sorted(RECURRENCE_PINS) == sorted(recurrence_outputs())
+
+
+@pytest.mark.parametrize("key", sorted(RECURRENCE_PINS))
+def test_recurrence_bits(key):
+    coeffs = recurrence_outputs()[key].coeffs
+    assert hashlib.sha256(coeffs.tobytes()).hexdigest() == RECURRENCE_PINS[key]
 
 
 class TestIntegrate:
