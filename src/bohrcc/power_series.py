@@ -44,7 +44,7 @@ def as_order(order) -> int:
 class TruncatedSeries:
     """Real coefficient vector of a Taylor series about 0.
 
-    Use :func:`tail_hint_at` for a heuristic bound on the discarded tail.
+    ``evaluator(s, tail_tol)`` checks a heuristic bound on the discarded tail.
     """
 
     coeffs: np.ndarray
@@ -211,15 +211,6 @@ def reflect(s: TruncatedSeries) -> TruncatedSeries:
     """The series of f(-z): odd coefficients change sign."""
     signs = np.where(np.arange(s.order) % 2 == 0, 1.0, -1.0)
     return TruncatedSeries(s.coeffs * signs)
-
-
-def tail_hint_at(s: TruncatedSeries, r: float) -> float:
-    """Geometric-majorant heuristic for the discarded tail at radius r:
-    ``|c_{N-1}| r^N / (1 - r)``."""
-    r = abs(float(r))
-    if r >= 1.0:
-        raise DomainError("tail hint only defined for radii < 1")
-    return _tail_hint(abs(float(s.coeffs[-1])), s.order, r)
 
 
 def _tail_hint(last: float, n: int, r: float) -> float:

@@ -27,15 +27,20 @@ A campaign builds its members as one batch, in blocks of 4096 members
 when it has more.  phi, the class kernel (z/(1-z^2), k' or K') and the
 target are computed once.  Row i of an n x N matrix holds phi o w_i by the
 monomial re-indexing of ``power_series.compose_with_selfmap``, filled for
-all rows of one power at once, each row is convolved with the kernel as
-``power_series.mul`` does, and the class's termwise integration is applied
-to the whole matrix.  One Horner pass over the columns then gives every
-row's coefficient-modulus sum.  Each step repeats the scalar operations
-of the series functions in the same order, so every row and margin is
-bit-identical to building and checking that member on its own.
-:func:`sample_member` and :func:`check_bohr` are the one-row case of the
-same code, and a failing batch raises the error that the first failing
-sample would raise on its own.
+all rows of one power at once.  One matrix product with the kernel's
+upper-triangular Toeplitz matrix then gives every row's product with the
+kernel, and the class's termwise integration is applied to the whole
+matrix.  One Horner pass over the columns gives every row's
+coefficient-modulus sum.  The product sums each coefficient in another
+order than ``power_series.mul``, so a row agrees with the member built
+series by series within the rounding bound 2 gamma_N (|kernel| * |phi o w|)
+of two N-term dot products, not bit for bit.  Within the batch code every
+row is computed alike whatever the block size: a one-row block gets a zero
+second row, so BLAS takes the same matrix-matrix path for it as for any
+other block.  :func:`sample_member` and :func:`check_bohr` are that
+one-row case, so they equal the batch row and margin bit for bit, report
+bytes do not depend on the block size, and a failing batch raises the
+error that the first failing sample would raise on its own.
 """
 
 from __future__ import annotations
@@ -100,8 +105,12 @@ def _members(
     class_id: ClassId, spec: PhiSpec, eps: np.ndarray, powers: np.ndarray, order: int
 ) -> np.ndarray:
     """Coefficient rows of the class members built from phi o w, one per
-    self-map w = eps[i] * z^powers[i], bit-identical to the series-by-series
-    construction."""
+    self-map w = eps[i] * z^powers[i].
+
+    The composed rows are multiplied by the kernel's Toeplitz matrix in one
+    product, which agrees with the series-by-series construction within
+    the rounding of its dot products; a row does not depend on how many
+    rows share the product."""
     order = ps.as_order(order)
     phi = phi_series(spec, order).coeffs
     if class_id is ClassId.KS:
@@ -110,16 +119,17 @@ def _members(
     else:
         es = build_extremal(spec, order)
         kernel = (es.K_prime if class_id is ClassId.CS else es.k_prime).coeffs
-    composed = np.zeros((len(eps), order))
-    composed[:, 0] = phi[0]  # a row whose w vanishes to this order keeps only phi(0)
+    # a one-row product would go to gemv, whose sums round unlike gemm's rows
+    composed = np.zeros((max(len(eps), 2), order))
+    composed[: len(eps), 0] = phi[0]  # a row whose w vanishes to this order keeps only phi(0)
     live = (eps != 0.0) & (powers < order)
     for m in np.unique(powers[live]).tolist():
         rows = np.flatnonzero(live & (powers == m))
         k_max = (order - 1) // m
         composed[rows, ::m] = phi[: k_max + 1] * eps[rows, None] ** np.arange(k_max + 1)
-    products = np.empty((len(eps), order))
-    for row, terms in zip(products, composed):
-        row[:] = np.convolve(kernel, terms)[:order]
+    index = np.arange(order)
+    toeplitz = np.triu(kernel[index - index[:, None]])  # toeplitz[j, n] = kernel[n - j], 0 for n < j
+    products = (composed @ toeplitz)[: len(eps)]
     weights = np.arange(1, order + 1)
     if class_id is ClassId.KS:
         # divide by z, then integrate; an order-1 quotient keeps one zero coefficient

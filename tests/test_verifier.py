@@ -1,12 +1,16 @@
 import hashlib
+import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohrcc import power_series as ps
 from bohrcc import verifier
-from bohrcc.catalog import PhiSpec, janowski, lemniscate, phi_series, sakaguchi, strongly
+from bohrcc.catalog import FAMILIES, PhiSpec, janowski, lemniscate, phi_series, sakaguchi, strongly
 from bohrcc.errors import DomainError, InconsistencyError, ParameterError, PrecisionError
 from bohrcc.extremal import build_extremal
 from bohrcc.solver import ClassId, nested_series_transform, solve_radius, target_constant
@@ -332,12 +336,13 @@ class TestCampaignBits:
             run_campaign(ClassId.CS, strongly(0.5), 10, 1, r=r)
 
     def test_blocks_leave_the_bytes(self, monkeypatch):
-        monkeypatch.setattr(verifier, "_BLOCK_ROWS", 7)
-        for key in sorted(CAMPAIGN_PINS):
-            cls, family, params, seed = key
-            assert _sha(run_campaign(ClassId(cls), PhiSpec(family, params), 100, seed)) == CAMPAIGN_PINS[key]
-        report = run_campaign(ClassId.SC, lemniscate(0.5), 100, 3, r=0.34)
-        assert _sha(report) == FAILING_CAMPAIGN_PIN
+        for block_rows in (7, 99, 1):  # 100 samples in blocks of 99 leave a one-row block
+            monkeypatch.setattr(verifier, "_BLOCK_ROWS", block_rows)
+            for key in sorted(CAMPAIGN_PINS):
+                cls, family, params, seed = key
+                assert _sha(run_campaign(ClassId(cls), PhiSpec(family, params), 100, seed)) == CAMPAIGN_PINS[key]
+            report = run_campaign(ClassId.SC, lemniscate(0.5), 100, 3, r=0.34)
+            assert _sha(report) == FAILING_CAMPAIGN_PIN
 
     def test_tail_guard_message(self):
         with pytest.raises(PrecisionError) as exc:
@@ -379,19 +384,67 @@ class TestStreamDraws:
         assert drawn == [(1.0, 1)] + [(float(u0), 1 + int(np.floor(8.0 * u1))) for u0, u1 in u]
 
 
-def _series_route(class_id: ClassId, spec: PhiSpec, omega: SelfMap, order: int) -> ps.TruncatedSeries:
-    """The member built one series object at a time, as the defining
-    identities read (the test oracle for the batch)."""
+def _kernel_and_composed(
+    class_id: ClassId, spec: PhiSpec, omega: SelfMap, order: int
+) -> tuple[ps.TruncatedSeries, ps.TruncatedSeries]:
+    """The class kernel and phi o omega as series objects."""
     composed = ps.compose_with_selfmap(phi_series(spec, order), omega.to_series(order))
     if class_id is ClassId.KS:
         odd = np.zeros(order)
         odd[1::2] = 1.0
-        return ps.integrate_from_zero(ps.divide_by_z(ps.mul(ps.TruncatedSeries(odd), composed)))
+        return ps.TruncatedSeries(odd), composed
     es = build_extremal(spec, order)
+    return (es.K_prime if class_id is ClassId.CS else es.k_prime), composed
+
+
+def _transform(class_id: ClassId, product: ps.TruncatedSeries) -> ps.TruncatedSeries:
+    """The class's termwise integration of kernel * (phi o omega)."""
+    if class_id is ClassId.KS:
+        return ps.integrate_from_zero(ps.divide_by_z(product))
     if class_id is ClassId.SC:
-        return ps.integrate_from_zero(ps.mul(es.k_prime, composed))
-    kernel = es.k_prime if class_id is ClassId.CC else es.K_prime
-    return nested_series_transform(ps.mul(kernel, composed))
+        return ps.integrate_from_zero(product)
+    return nested_series_transform(product)
+
+
+def _series_route(class_id: ClassId, spec: PhiSpec, omega: SelfMap, order: int) -> ps.TruncatedSeries:
+    """The member built one series object at a time, as the defining
+    identities read (the test oracle for the batch)."""
+    kernel, composed = _kernel_and_composed(class_id, spec, omega, order)
+    return _transform(class_id, ps.mul(kernel, composed))
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u) for the unit roundoff u = 2^-53 of doubles."""
+    u = 2.0**-53
+    return n * u / (1.0 - n * u)
+
+
+def _rounding_bound(class_id: ClassId, spec: PhiSpec, omega: SelfMap, order: int) -> np.ndarray:
+    """Coefficientwise bound on |batch row - series route|.
+
+    Both routes sum the same products kernel[n - j] * composed[j], at most
+    ``order`` of them, in different orders, so each sum is within
+    gamma_order (|kernel| * |composed|)[n] of the exact one (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1).  The
+    class transform divides each coefficient by n at most twice, which
+    raises the factor to gamma_(order+2); the envelope itself is a sum of
+    nonnegative terms, so its own rounding is the last 1/(1 - gamma).
+    """
+    kernel, composed = _kernel_and_composed(class_id, spec, omega, order)
+    envelope = _transform(class_id, ps.mul(ps.majorant(kernel), ps.majorant(composed))).coeffs
+    g = _gamma(order + 2)
+    return 2.0 * g / (1.0 - g) * envelope
+
+
+def _margin_bound(error: np.ndarray, target: float, margins: tuple[float, float], r: float) -> float:
+    """Bound on the difference of two margins target - sum |a_n| r^n whose
+    coefficients differ by at most ``error``: the sums of the exact moduli
+    differ by at most sum error_n r^n, each Horner sum of N coefficients
+    is within gamma_2N of its exact value (Higham, 5.1), and the
+    subtraction from the target rounds once more."""
+    carried = ps.eval_at(ps.TruncatedSeries(error), r)
+    sums = sum(target - margin for margin in margins)
+    return carried + _gamma(2 * len(error) + 2) * (sums + 2.0 * target)
 
 
 _OMEGAS = (IDENTITY_MAP, SelfMap(0.0, 3), SelfMap(0.37, 2), SelfMap(0.91, 5), SelfMap(1.0, 70))
@@ -408,11 +461,51 @@ def test_one_member_is_one_batch_row(class_id, spec):
     margins = verifier._margins(batch, bound, r)
     for i, omega in enumerate(_OMEGAS):
         sf = sample_member(class_id, spec, omega)
+        assert sf.series.coeffs.tobytes() == batch[i].tobytes()
+        assert check_bohr(sf, r) == (margins[i] >= -1e-9, margins[i])
+        # the series route sums each product coefficient in another order
         want = _series_route(class_id, spec, omega, 64)
-        assert sf.series.coeffs.tobytes() == batch[i].tobytes() == want.coeffs.tobytes()
+        error = _rounding_bound(class_id, spec, omega, 64)
+        assert np.all(np.abs(batch[i] - want.coeffs) <= error)
         margin = bound - ps.eval_at(ps.majorant(want), r, tail_tol=1e-10)
-        assert margins[i] == margin
-        assert check_bohr(sf, r) == (margin >= -1e-9, margin)
+        assert abs(margins[i] - margin) <= _margin_bound(error, bound, (margins[i], margin), r)
+
+
+#: each family's admissible box, as PhiSpec checks it
+_BOXES = {
+    "janowski": st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(lambda ab: ab[1] < ab[0]),
+    "sakaguchi": st.tuples(st.floats(0.0, 1.0, exclude_max=True)),
+    "lemniscate": st.tuples(st.floats(0.0, math.sqrt(0.5), exclude_min=True)),
+    "expblend": st.tuples(st.floats(0.0, 1.0, exclude_max=True)),
+    "strongly": st.tuples(st.floats(0.0, 1.0, exclude_min=True)),
+    "wang": st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0, exclude_min=True)),
+}
+_BOX_SPECS = st.sampled_from(sorted(_BOXES)).flatmap(
+    lambda family: _BOXES[family].map(lambda params: PhiSpec(family, params))
+)
+
+
+def test_the_boxes_cover_every_family():
+    assert set(_BOXES) == set(FAMILIES)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spec=_BOX_SPECS,
+    class_id=st.sampled_from(list(ClassId)),
+    epsilon=st.floats(0.0, 1.0),
+    power=st.integers(1, 70),
+)
+def test_batch_rows_over_the_family_boxes(spec, class_id, epsilon, power):
+    omega = SelfMap(epsilon, power)
+    eps, powers = np.array([epsilon, 1.0, 0.5]), np.array([power, 1, 3])
+    row = verifier._members(class_id, spec, eps, powers, 64)[0]
+    want = _series_route(class_id, spec, omega, 64)
+    assert np.all(np.abs(row - want.coeffs) <= _rounding_bound(class_id, spec, omega, 64))
+    # the row is under test, not the distance target, so its quadrature is skipped
+    with mock.patch.object(verifier, "target_constant", return_value=1.0):
+        sf = sample_member(class_id, spec, omega)
+    assert sf.series.coeffs.tobytes() == row.tobytes()
 
 
 def test_failing_campaign_failures_match_oracle():
