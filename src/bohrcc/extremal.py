@@ -170,7 +170,7 @@ def k_at(spec: PhiSpec, x: float) -> float:
     if ab is not None:
         a, b = ab
         if b == 0.0:  # k' = e^{at}
-            return (math.exp(a * x) - 1.0) / a  # a > b = 0 so a != 0
+            return math.expm1(a * x) / a  # a > b = 0 so a != 0; expm1 keeps a tiny a
         if a == 0.0:  # k' = (1+bt)^{-1}
             return math.log(1.0 + b * x) / b
         return ((1.0 + b * x) ** (a / b) - 1.0) / a

@@ -72,6 +72,17 @@ class TestClosedForms:
         es = build_extremal(janowski(a, 0.0))
         assert -es.h_at_minus_one == pytest.approx(math.exp(-a), abs=1e-12)
 
+    @pytest.mark.parametrize("a", [1e-16, 1e-300])
+    def test_janowski_b0_small_a(self, a):
+        # k = (e^{ax} - 1)/a tends to x as a -> 0, and expm1 keeps that limit
+        # where e^{ax} - 1 would cancel (to -1.11 at a = 1e-16, x = -1)
+        for x in (-1.0, -0.5, 0.5):
+            assert k_at(janowski(a, 0.0), x) == x
+
+    def test_janowski_b0_smallest_a(self):
+        assert k_at(janowski(5e-324, 0.0), -1.0) == -1.0
+        assert k_at(wang(0.0, 5e-324), -1.0) == -1.0
+
     def test_lemniscate_growth(self):
         s = 0.5
         for r in (0.2, 1 / 3, 0.7):

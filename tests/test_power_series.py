@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 
@@ -300,6 +302,80 @@ class TestReversedEvaluator:
         assert at(0.1) == float(np.polyval(np.ones(16), 0.1))
         with pytest.raises(
             PrecisionError, match=r"^truncation tail ~1\.85 exceeds tolerance 1e-12 at r=0\.9$"
+        ):
+            at(-0.9)
+        with pytest.raises(DomainError, match=r"^series evaluation requires \|x\| < 1, got -1\.0$"):
+            at(-1.0)
+
+
+#: log10 ranges of the even coefficients' magnitudes: tiny (down to the
+#: subnormals and 0.0), moderate, huge, and all of them at once
+_MAGNITUDES = {
+    "tiny": (-330.0, -290.0),
+    "moderate": (-3.0, 3.0),
+    "huge": (290.0, 308.2),
+    "any": (-330.0, 308.2),
+}
+_EVEN_POINTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 0.999999, -0.999999]),
+    st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+)
+
+
+@st.composite
+def _even_series(draw):
+    """A series of order 1-256 whose odd coefficients are all +-0.0 and whose
+    even ones are signed, with magnitudes from one of ``_MAGNITUDES``."""
+    n = draw(st.integers(1, 256))
+    lo, hi = _MAGNITUDES[draw(st.sampled_from(sorted(_MAGNITUDES)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = np.zeros(n)
+    c[::2] = rng.choice([-1.0, 1.0], c[::2].size) * 10.0 ** rng.uniform(lo, hi, c[::2].size)
+    c[1::2] = rng.choice([0.0, -0.0], c[1::2].size)
+    return ps.TruncatedSeries(c)
+
+
+def _geometric_even(order):
+    return ps.TruncatedSeries(np.where(np.arange(order) % 2 == 0, 1.0, 0.0))
+
+
+class TestEvenSeries:
+    """An even series is evaluated over its even coefficients in x * x, and
+    every value is still ``_horner``'s over all of them, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=_even_series(), xs=st.lists(_EVEN_POINTS, min_size=1, max_size=6))
+    def test_matches_horner_bits(self, s, xs):
+        top, *rest = s.coeffs[::-1].tolist()
+        at = ps.evaluator(s)
+        for x in xs:
+            assert at(x).hex() == ps._horner(top, rest, x).hex(), x
+
+    @pytest.mark.parametrize("order", [1, 2, 63, 64, 256])
+    def test_skips_horner(self, monkeypatch, order):
+        s = _geometric_even(order)
+        top, *rest = s.coeffs[::-1].tolist()
+        want = [ps._horner(top, rest, x).hex() for x in (0.0, -0.3, 0.7)]
+
+        def refuse(*args):
+            raise AssertionError("an even series went through the full Horner loop")
+
+        monkeypatch.setattr(ps, "_horner", refuse)
+        assert [ps.evaluator(s)(x).hex() for x in (0.0, -0.3, 0.7)] == want
+
+    def test_negative_zero_takes_the_full_loop(self):
+        # c_0 = -0.0 after the underflow 1e-300 * -1e-300 = -0.0: Horner adds
+        # the odd 0.0 (giving +0.0) where a step in x * x would not
+        s = ps.make([-0.0, 0.0, 1e-300])
+        assert ps.evaluator(s)(-1e-300).hex() == "-0x0.0p+0"
+        assert (1e-300 * -1e-300 * -1e-300 + -0.0).hex() == "0x0.0p+0"
+
+    def test_tail_guard_text(self):
+        # the guard reads c_{N-1}, here the even top coefficient
+        at = ps.evaluator(_geometric_even(17), 1e-12)
+        assert at(0.1) == float(np.polyval(_geometric_even(17).coeffs[::-1], 0.1))
+        with pytest.raises(
+            PrecisionError, match=r"^truncation tail ~1\.67 exceeds tolerance 1e-12 at r=0\.9$"
         ):
             at(-0.9)
         with pytest.raises(DomainError, match=r"^series evaluation requires \|x\| < 1, got -1\.0$"):

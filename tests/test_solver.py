@@ -16,6 +16,7 @@ from bohrcc.catalog import (
     expblend,
     janowski,
     lemniscate,
+    majorant_phi_evaluator,
     phi_series,
     sakaguchi,
     strongly,
@@ -26,6 +27,7 @@ from bohrcc.extremal import build_extremal, h_at, k_prime_series
 from bohrcc.solver import (
     ClassId,
     lhs_at,
+    lhs_integrand,
     sharpness_witness,
     solve_corollary_closed_form,
     solve_radius,
@@ -130,6 +132,23 @@ class TestSeriesVsQuadratureLhs:
         # positive coefficients collapse the Sc lhs to the extremal growth h(r)
         for r in (0.1, 0.25, 1 / 3):
             assert lhs_at(ClassId.SC, spec, r) == pytest.approx(h_at(spec, r), abs=1e-9)
+
+    @pytest.mark.parametrize("spec", CANONICAL, ids=lambda s: s.label())
+    def test_cs_integrand_skips_the_full_horner_loop(self, monkeypatch, spec):
+        # M_{K'} is even in t, so its evaluator steps in t * t over the even
+        # coefficients and gives the full Horner loop's values without it
+        m = ps.majorant(build_extremal(spec).K_prime)  # built before the patch
+        top, *rest = m.coeffs[::-1].tolist()
+        m_phi = majorant_phi_evaluator(spec)
+        ts = (0.0, 0.1, 1 / 3, 0.7, 0.95)
+        want = [ps._horner(top, rest, t) * m_phi(t) for t in ts]
+
+        def refuse(*args):
+            raise AssertionError("the Cs integrand went through the full Horner loop")
+
+        monkeypatch.setattr(ps, "_horner", refuse)
+        integrand = lhs_integrand(ClassId.CS, spec)
+        assert [integrand(t).hex() for t in ts] == [w.hex() for w in want]
 
 
 class TestRotationInvariance:
@@ -363,6 +382,15 @@ PINNED = {
 }
 
 
+#: (r_f, residual, bracket) of Sc solves whose hinted-cell certificate fails,
+#: pinned to the last bit
+CERTIFICATE_FALLBACK = {
+    sakaguchi(0.9962127258534218): (0.9689437101595111, 9.28812582401406e-13, (0.9689437101557858, 0.9689437101632363)),
+    sakaguchi(0.9985018509047698): (0.9853722907491038, 3.823941163716427e-12, (0.9853722907453786, 0.9853722907528292)),
+    janowski(-0.9876463424314437, -0.9910998738633257): (0.9847271368615336, 6.245004513516506e-13, (0.9847271368578082, 0.9847271368652588)),
+}
+
+
 def _cold_solve(class_id, spec, order=64, tol=1e-10):
     """solve_radius with the solve and target caches bypassed."""
     solver._target_constant.cache_clear()
@@ -465,6 +493,36 @@ class TestRootSearch:
         reached = r"lemniscate\(s=1e-06\).*lhs\(0\.999\) = 0\.99900\d* < target 0\.99999"
         with pytest.raises(NoRootError, match=reached):
             solve_radius(ClassId.SC, lemniscate(1e-6))
+
+    @pytest.mark.parametrize("spec", [janowski(5e-324, 0.0), wang(0.0, 5e-324)], ids=lambda s: s.label())
+    def test_smallest_janowski_a_has_no_cc_root(self, spec):
+        # k(-1) = expm1(-A)/A = -1 keeps the target at 1 (exp(-A) - 1 gave
+        # -0.0, an InconsistencyError), and the near-identity lhs stays below it
+        assert target_constant(ClassId.CC, spec) == 1.0
+        with pytest.raises(NoRootError, match=r"lhs\(0\.999\) = 0\.999 < target 1, so"):
+            solve_radius(ClassId.CC, spec)
+
+    @pytest.mark.parametrize(
+        "spec, hint",
+        [
+            pytest.param(spec, hint, id=f"{spec.label()}-hint{hint}")
+            for spec, hint in zip(CERTIFICATE_FALLBACK, (970, 987, 986))
+        ],
+    )
+    def test_failed_certificate_searches_from_the_hint(self, monkeypatch, spec, hint):
+        # the series hints the right cell, but quadrature does not confirm the
+        # bisected bracket near r = 1, so the hinted cell search decides
+        hints = []
+        locate = solver._locate_cell
+
+        def spy(lhs, target, h):
+            hints.append(h)
+            return locate(lhs, target, h)
+
+        monkeypatch.setattr(solver, "_locate_cell", spy)
+        res = _cold_solve(ClassId.SC, spec)
+        assert hints == [hint]
+        assert (res.r_f, res.residual, res.bracket) == CERTIFICATE_FALLBACK[spec]
 
 
 def _numpy_first_reached(coeffs, target):

@@ -276,6 +276,11 @@ CAMPAIGN_PINS = {
 #: test_failing_campaign_failures_match_oracle rebuilds its failures.
 FAILING_CAMPAIGN_PIN = "b6d4483971dd956ea1b04929fa58fe089a7bcf3b23ba1ba624cd813430cf76e5"
 
+#: sha256 of run_campaign(Ks, strongly(0.5), 100, 3, r=0.45).to_json(): 37
+#: failing draws over powers 1-4 of a phi with a full series, whose members
+#: test_blocks_leave_the_bytes also compares bit for bit
+FULL_SERIES_FAILING_PIN = "95881268164a4ff471b3a90bad5a9506907fd188c50700b4e3881633cbbfd69e"
+
 
 class TestCampaignBits:
     @pytest.mark.parametrize(
@@ -290,6 +295,12 @@ class TestCampaignBits:
         report = run_campaign(ClassId.SC, lemniscate(0.5), 100, 3, r=0.34)
         assert len(report.failures) == 14
         assert _sha(report) == FAILING_CAMPAIGN_PIN
+
+    def test_full_series_failing_campaign_bytes(self):
+        report = run_campaign(ClassId.KS, strongly(0.5), 100, 3, r=0.45)
+        assert len(report.failures) == 37
+        assert {f["power"] for f in report.failures} == {1, 2, 3, 4}
+        assert _sha(report) == FULL_SERIES_FAILING_PIN
 
     def test_order_32_campaign_bytes(self):
         report = run_campaign(ClassId.CS, strongly(0.5), 100, 9, order=32)
@@ -336,6 +347,23 @@ class TestCampaignBits:
             run_campaign(ClassId.CS, strongly(0.5), 10, 1, r=r)
 
     def test_blocks_leave_the_bytes(self, monkeypatch):
+        build = verifier._members
+        blocks = []
+
+        def recorded(*args):
+            blocks.append(build(*args))
+            return blocks[-1].copy()
+
+        def full_series_members():
+            # a last-bit change in a member rarely moves a printed margin, so
+            # the members of the full-series failing campaign are compared too
+            blocks.clear()
+            report = run_campaign(ClassId.KS, strongly(0.5), 100, 3, r=0.45)
+            assert _sha(report) == FULL_SERIES_FAILING_PIN
+            return np.concatenate(blocks).tobytes()
+
+        monkeypatch.setattr(verifier, "_members", recorded)
+        one_block = full_series_members()
         for block_rows in (7, 99, 1):  # 100 samples in blocks of 99 leave a one-row block
             monkeypatch.setattr(verifier, "_BLOCK_ROWS", block_rows)
             for key in sorted(CAMPAIGN_PINS):
@@ -343,6 +371,7 @@ class TestCampaignBits:
                 assert _sha(run_campaign(ClassId(cls), PhiSpec(family, params), 100, seed)) == CAMPAIGN_PINS[key]
             report = run_campaign(ClassId.SC, lemniscate(0.5), 100, 3, r=0.34)
             assert _sha(report) == FAILING_CAMPAIGN_PIN
+            assert full_series_members() == one_block
 
     def test_tail_guard_message(self):
         with pytest.raises(PrecisionError) as exc:
