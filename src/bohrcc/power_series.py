@@ -120,13 +120,6 @@ def integrate_from_zero(s: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
-def differentiate(s: TruncatedSeries) -> TruncatedSeries:
-    """Termwise derivative; order shrinks by one."""
-    if s.order == 1:
-        return zero(1)
-    return TruncatedSeries(s.coeffs[1:] * np.arange(1, s.order))
-
-
 def shift_up(s: TruncatedSeries) -> TruncatedSeries:
     """Multiply by z, keeping the order (top coefficient is dropped)."""
     out = np.zeros(s.order)

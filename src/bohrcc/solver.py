@@ -6,21 +6,23 @@ origin's image to the image boundary, through the class's extremal
 member).  The class radius is the smallest positive root of lhs = target
 in (0, 1); the usable radius is capped at 1/3.
 
-  Ks  close-to-convex w.r.t. the odd starlike factor:
-        lhs = integral_0^r M_phi(t)/(1-t^2) dt
-        target = integral_0^1 phi(-t)/(1+t^2) dt
-  Sc  starlike w.r.t. conjugate points:
-        lhs = integral_0^r M_h(t) M_phi(t)/t dt        target = -h(-1)
-  Cc  convex w.r.t. conjugate points:
-        lhs = integral_0^r (1/s) integral_0^s M_{k'} M_phi dt ds
-        target = -k(-1)
-  Cs  convex w.r.t. symmetric points:
-        lhs = integral_0^r (1/s) integral_0^s M_{K'} M_phi dt ds
-        target = integral_0^1 (1/s) integral_0^s (k'(-t^2))^{1/2} phi(-t) dt ds
+A class member is f = T(K p) with p = phi o w subordinate to phi, for a
+class kernel K and a transform T:
 
-(M_f is the coefficient-modulus series of f; note M_h(t)/t = M_{k'}(t)
-coefficientwise, so the Sc integrand is evaluated without the removable
-singularity.)
+  class  K            T                                       target
+  Ks     1/(1-z^2)    integral_0^r                            T(K(it) phi(-t)) at 1
+  Sc     k'           integral_0^r                            -h(-1)
+  Cc     k'           integral_0^r (1/s) integral_0^s         -k(-1)
+  Cs     K'           integral_0^r (1/s) integral_0^s         T(K(it) phi(-t)) at 1
+
+(Ks: close-to-convex w.r.t. the odd starlike factor; Sc and Cc: starlike
+and convex w.r.t. conjugate points; Cs: convex w.r.t. symmetric points.)
+``kernel_series`` is the one place that knows K and ``ClassId.nested`` the
+one place that knows T; k' and K' = (k'(t^2))^{1/2} come from the extremal
+bundle.  The lhs is T(M_K M_phi) at r, with M_f the coefficient-modulus
+series of f (M_{k'} = M_h/t, so the Sc integrand has no removable
+singularity).  K is even for Ks and Cs, so K(it) is K with the sign (-1)^n
+on t^{2n}: 1/(1+t^2) and (k'(-t^2))^{1/2}.
 
 Every integral has two independent evaluation routes: adaptive quadrature
 over pointwise evaluators, and exact termwise integration of the majorant
@@ -74,6 +76,7 @@ _SCAN_LIMIT = 0.999
 _BISECT_WIDTH = 1e-11
 _SERIES_EVAL_TAIL = 1e-11
 _ONE_THIRD = 1.0 / 3.0
+_WITNESS_STEP = 0.01  # how far past a sharp radius the witness checks the bound is exceeded
 
 #: Smallest series order a radius solve accepts: below it the truncated
 #: series curves can misplace the root while their tail hints stay small.
@@ -108,8 +111,27 @@ class ClassId(enum.Enum):
                 return member
         raise ParameterError(f"unknown class {name!r}; expected one of Ks, Sc, Cc, Cs")
 
+    @property
+    def nested(self) -> bool:
+        """Whether the class transform T is the nested (1/s) integral (Cc, Cs)
+        rather than one integration (Ks, Sc)."""
+        return self in (ClassId.CC, ClassId.CS)
 
-_NESTED = (ClassId.CC, ClassId.CS)
+
+def kernel_series(
+    class_id: ClassId, spec: PhiSpec, order: int = ps.DEFAULT_ORDER
+) -> ps.TruncatedSeries:
+    """The class kernel K: 1/(1 - z^2) for Ks, the bundle's k' for Sc and
+    Cc, and the bundle's K' for Cs."""
+    order = ps.as_order(order)
+    if order <= 0:
+        raise ParameterError("order must be positive")
+    if class_id is ClassId.KS:
+        out = np.zeros(order)
+        out[0::2] = 1.0
+        return ps.TruncatedSeries(out)
+    es = build_extremal(spec, order)
+    return es.K_prime if class_id is ClassId.CS else es.k_prime
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +161,10 @@ def _lhs_integrand(class_id: ClassId, spec: PhiSpec, order: int) -> Callable[[fl
     m_phi = majorant_phi_evaluator(spec)
     if class_id is ClassId.KS:
         return lambda t: m_phi(t) / (1.0 - t * t)
-    if class_id is ClassId.CS:  # K' has mixed signs for every family
-        m = _majorant_evaluator(build_extremal(spec, order).K_prime)
-    elif has_positive_coeffs(spec):  # then M_{k'} = k', which has a closed or tabulated form
-        m = k_prime_evaluator(spec)
-    else:
-        m = _majorant_evaluator(build_extremal(spec, order).k_prime)
+    if class_id is not ClassId.CS and has_positive_coeffs(spec):
+        m = k_prime_evaluator(spec)  # M_{k'} = k', which has a closed or tabulated form
+    else:  # M_K from the series; K' has mixed signs for every family
+        m = _majorant_evaluator(kernel_series(class_id, spec, order))
     return lambda t: m(t) * m_phi(t)
 
 
@@ -165,40 +185,39 @@ def distance_integrand(class_id: ClassId, spec: PhiSpec) -> Callable[[float], fl
 # ---------------------------------------------------------------------------
 
 
-def _geometric_even(order: int, ratio: float = 1.0) -> ps.TruncatedSeries:
-    """sum ratio^n z^{2n}: 1/(1 - ratio z^2)."""
-    out = np.zeros(order)
-    out[0::2] = ratio ** np.arange(out[0::2].size)
-    return ps.TruncatedSeries(out)
-
-
 def nested_series_transform(c: ps.TruncatedSeries) -> ps.TruncatedSeries:
     """Termwise image of c under f -> integral_0^r (1/s) integral_0^s f:
     coefficient c_n lands on z^{n+1} with weight 1/(n+1)^2."""
     return ps.integrate_from_zero(ps.divide_by_z(ps.integrate_from_zero(c)))
 
 
+def _series_transform(class_id: ClassId, c: ps.TruncatedSeries) -> ps.TruncatedSeries:
+    """The class transform T applied termwise to c."""
+    return nested_series_transform(c) if class_id.nested else ps.integrate_from_zero(c)
+
+
+def _integrate(class_id: ClassId, f: Callable[[float], float], r: float, tol: float) -> float:
+    """The class transform T of the integrand f at r, by quadrature."""
+    if class_id.nested:
+        return integrate_nested(f, r, tol).value
+    return integrate_1d(f, 0.0, r, tol).value
+
+
 def _series_lhs_curve(class_id: ClassId, spec: PhiSpec, order: int) -> ps.TruncatedSeries:
-    m_phi = ps.majorant(phi_series(spec, order))
-    if class_id is ClassId.KS:
-        return ps.integrate_from_zero(ps.mul(m_phi, _geometric_even(order)))
-    es = build_extremal(spec, order)
-    if class_id is ClassId.SC:
-        return ps.integrate_from_zero(ps.mul(ps.majorant(es.k_prime), m_phi))
-    if class_id is ClassId.CC:
-        return nested_series_transform(ps.mul(ps.majorant(es.k_prime), m_phi))
-    return nested_series_transform(ps.mul(ps.majorant(es.K_prime), m_phi))
+    """T(M_K M_phi)."""
+    m_kernel = ps.majorant(kernel_series(class_id, spec, order))
+    return _series_transform(class_id, ps.mul(m_kernel, ps.majorant(phi_series(spec, order))))
 
 
 def _series_distance_curve(class_id: ClassId, spec: PhiSpec, order: int) -> ps.TruncatedSeries:
-    phi_neg = ps.reflect(phi_series(spec, order))
-    if class_id is ClassId.KS:
-        return ps.integrate_from_zero(ps.mul(phi_neg, _geometric_even(order, -1.0)))
-    if class_id is ClassId.CS:
-        es = build_extremal(spec, order)
-        kp_neg_sq = ps.compose_with_selfmap(es.k_prime, ps.monomial(-1.0, 2, order))
-        return nested_series_transform(ps.mul(ps.sqrt_series(kp_neg_sq), phi_neg))
-    raise ParameterError(f"{class_id.value} has a boundary-value target, not an integral")
+    """T(K(iz) phi(-z)) for the classes with an even kernel K, whose K(iz)
+    carries the sign (-1)^n on z^{2n}: 1/(1+z^2) for Ks, (k'(-z^2))^{1/2} for Cs."""
+    if class_id in (ClassId.SC, ClassId.CC):
+        raise ParameterError(f"{class_id.value} has a boundary-value target, not an integral")
+    rotated = kernel_series(class_id, spec, order).coeffs.copy()
+    rotated[2::4] *= -1.0
+    product = ps.mul(ps.TruncatedSeries(rotated), ps.reflect(phi_series(spec, order)))
+    return _series_transform(class_id, product)
 
 
 def lhs_at(
@@ -214,9 +233,7 @@ def lhs_at(
         return ps.eval_at(_series_lhs_curve(class_id, spec, order), r)
     if method != "quadrature":
         raise ParameterError(f"unknown method {method!r}")
-    if class_id in _NESTED:
-        return integrate_nested(lhs_integrand(class_id, spec, order), r, tol).value
-    return integrate_1d(lhs_integrand(class_id, spec, order), 0.0, r, tol).value
+    return _integrate(class_id, lhs_integrand(class_id, spec, order), r, tol)
 
 
 def distance_integral_at(
@@ -232,9 +249,7 @@ def distance_integral_at(
         return ps.eval_at(_series_distance_curve(class_id, spec, order), r)
     if method != "quadrature":
         raise ParameterError(f"unknown method {method!r}")
-    if class_id is ClassId.CS:
-        return integrate_nested(distance_integrand(class_id, spec), r, tol).value
-    return integrate_1d(distance_integrand(class_id, spec), 0.0, r, tol).value
+    return _integrate(class_id, distance_integrand(class_id, spec), r, tol)
 
 
 def target_constant(
@@ -532,27 +547,19 @@ class WitnessReport:
     value_at_radius: float
     bound: float
     delta: float
-    value_beyond: float | None
-    exceeds_beyond: bool | None
+    value_beyond: float
+    exceeds_beyond: bool
 
     @property
     def ok(self) -> bool:
-        attained = abs(self.value_at_radius - self.bound) <= 1e-7
-        return attained and (self.exceeds_beyond is not False)
+        return abs(self.value_at_radius - self.bound) <= 1e-7 and self.exceeds_beyond
 
 
-def sharpness_witness(
-    class_id: ClassId,
-    spec: PhiSpec,
-    result: RadiusResult,
-    delta: float = 0.01,
-) -> WitnessReport:
+def sharpness_witness(class_id: ClassId, spec: PhiSpec, result: RadiusResult) -> WitnessReport:
     """Check that the extremal member attains the bound at r_f and
-    strictly exceeds it at r_f + delta."""
+    strictly exceeds it at r_f + 0.01 (below 1, a sharp r_f being at most 1/3)."""
     if class_id is not ClassId.SC or not result.sharp:
         raise ParameterError("sharpness witness applies to sharp Sc results only")
-    if delta < 0.0:
-        raise ParameterError("delta must be nonnegative")
     bound = -h_at(spec, -1.0)
     value = h_at(spec, result.r_f)  # positive coefficients: M_h(r) == h(r)
     if abs(value - bound) > 1e-7:
@@ -560,12 +567,8 @@ def sharpness_witness(
             f"extremal value {value!r} misses the bound {bound!r} at r_f={result.r_f!r}; "
             "solver or extremal-function bug"
         )
-    value_beyond = None
-    exceeds = None
-    if delta > 0.0 and result.r_f + delta < 1.0:
-        value_beyond = h_at(spec, result.r_f + delta)
-        exceeds = bool(value_beyond > bound)
-    return WitnessReport(result.r_f, value, bound, delta, value_beyond, exceeds)
+    beyond = h_at(spec, result.r_f + _WITNESS_STEP)
+    return WitnessReport(result.r_f, value, bound, _WITNESS_STEP, beyond, bool(beyond > bound))
 
 
 @dataclass(frozen=True)

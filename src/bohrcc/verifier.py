@@ -2,12 +2,12 @@
 
 Members are constructed directly from the defining identities with a
 sampled disk self-map w(z) = eps * z^m (0 <= eps <= 1, m >= 1): writing
-p = phi o w,
-
-  Ks:  f = integral_0^z G(x) p(x) / x dx     with G(z) = z/(1-z^2)
-  Sc:  f = integral_0^z h(x) p(x) / x dx
-  Cc:  f = integral_0^z (1/x) integral_0^x k'(y) p(y) dy dx
-  Cs:  f = integral_0^z (1/x) integral_0^x K'(y) p(y) dy dx
+p = phi o w, a member is f = T(K p), with the class kernel K of
+``solver.kernel_series`` (1/(1-z^2) for Ks, k' for Sc and Cc, K' for Cs)
+and T one integration, or the nested integral_0^z (1/x) integral_0^x
+when ``ClassId.nested`` (Cc and Cs).  Ks members are built as
+integral_0^z G(x) p(x) / x dx with G(z) = z/(1-z^2) = z K(z), the odd
+starlike envelope.
 
 Monomial self-maps keep the series composition exact while still sweeping
 the subordination family; with the identity map the Sc construction
@@ -24,7 +24,7 @@ members draws its own rows of (u0, u1) pairs, so the draws, and with them
 the report bytes, do not depend on the block size.
 
 A campaign builds its members as one batch, in blocks of 4096 members
-when it has more.  phi, the class kernel (z/(1-z^2), k' or K') and the
+when it has more.  phi, the class kernel (z/(1-z^2) for Ks) and the
 target are computed once.  Row i of an n x N matrix holds phi o w_i by the
 monomial re-indexing of ``power_series.compose_with_selfmap``, filled for
 all rows of one power at once.  One matrix product with the kernel's
@@ -55,11 +55,11 @@ import numpy as np
 from . import power_series as ps
 from .catalog import PhiSpec, phi_series
 from .errors import DomainError, InconsistencyError, ParameterError, PrecisionError
-from .extremal import build_extremal
 from .quadrature import DEFAULT_TOL
 from .solver import (
     ClassId,
     RadiusResult,
+    kernel_series,
     sharpness_witness,
     solve_radius,
     target_constant,
@@ -113,12 +113,9 @@ def _members(
     rows share the product."""
     order = ps.as_order(order)
     phi = phi_series(spec, order).coeffs
+    kernel = kernel_series(class_id, spec, order)
     if class_id is ClassId.KS:
-        kernel = np.zeros(order)
-        kernel[1::2] = 1.0  # z/(1-z^2), the odd starlike envelope
-    else:
-        es = build_extremal(spec, order)
-        kernel = (es.K_prime if class_id is ClassId.CS else es.k_prime).coeffs
+        kernel = ps.shift_up(kernel)  # z/(1-z^2), the odd starlike envelope
     # a one-row product would go to gemv, whose sums round unlike gemm's rows
     composed = np.zeros((max(len(eps), 2), order))
     composed[: len(eps), 0] = phi[0]  # a row whose w vanishes to this order keeps only phi(0)
@@ -128,7 +125,7 @@ def _members(
         k_max = (order - 1) // m
         composed[rows, ::m] = phi[: k_max + 1] * eps[rows, None] ** np.arange(k_max + 1)
     index = np.arange(order)
-    toeplitz = np.triu(kernel[index - index[:, None]])  # toeplitz[j, n] = kernel[n - j], 0 for n < j
+    toeplitz = np.triu(kernel.coeffs[index - index[:, None]])  # toeplitz[j, n] = kernel[n - j], 0 for n < j
     products = (composed @ toeplitz)[: len(eps)]
     weights = np.arange(1, order + 1)
     if class_id is ClassId.KS:
@@ -138,7 +135,7 @@ def _members(
     else:
         members = np.zeros((len(eps), order + 1))
         members[:, 1:] = products / weights
-        if class_id is not ClassId.SC:  # the nested transform weights c_n by 1/(n+1)^2
+        if class_id.nested:  # the nested transform weights c_n by 1/(n+1)^2
             members[:, 1:] /= weights
     return members
 
@@ -298,7 +295,7 @@ def run_campaign(
             raise _unbuilt_error(members[n_built])
     witness = None
     if result.sharp:
-        witness = asdict(sharpness_witness(class_id, spec, result, delta=0.01))
+        witness = asdict(sharpness_witness(class_id, spec, result))
     return VerificationReport(
         class_id=class_id,
         spec=spec,

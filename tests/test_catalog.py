@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bohrcc import catalog
 from bohrcc import power_series as ps
 from bohrcc.catalog import (
     PhiSpec,
@@ -275,6 +276,17 @@ class TestMinMaxHypothesis:
             z = 0.3 + 0.0j
             assert phi_complex(spec, z).real == pytest.approx(phi_at(spec, 0.3), abs=1e-14)
             assert abs(phi_complex(spec, z).imag) < 1e-14
+
+    @pytest.mark.parametrize("modulus", [0.0, 10.0], ids=["below", "above"])
+    def test_violation_off_the_axis(self, monkeypatch, modulus):
+        # |phi| on the circle outside [phi(-r), phi(r)]
+        monkeypatch.setattr(catalog, "phi_complex", lambda spec, z: complex(modulus))
+        assert check_min_max_hypothesis(janowski(1, -1), 0.5, 10) is False
+
+    @pytest.mark.parametrize("z", [1.0, -1.0, 0.6 + 0.8j, 2j])
+    def test_phi_complex_needs_the_open_disk(self, z):
+        with pytest.raises(DomainError, match=r"^phi_complex requires \|z\| < 1$"):
+            phi_complex(lemniscate(0.5), z)
 
     def test_bad_args(self):
         with pytest.raises(ParameterError):

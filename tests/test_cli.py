@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -6,9 +7,10 @@ from pathlib import Path
 import pytest
 from _bench_inputs import BENCH_INPUTS
 
-from bohrcc import cli, extremal, reference, solver
+from bohrcc import catalog, cli, extremal, reference, solver
 from bohrcc.catalog import lemniscate
 from bohrcc.cli import main
+from bohrcc.errors import ParameterError
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +107,18 @@ class TestRadiusCommand:
         assert err == "parameter error: order must be at least 8, got 2\n"
 
 
+def test_radius_warns_when_the_min_max_hypothesis_fails(capsys, monkeypatch):
+    # the warning goes to stderr; stdout keeps the golden bytes
+    monkeypatch.setattr(catalog, "phi_complex", lambda spec, z: complex(10.0))
+    code, out, err = run_cli(capsys, "radius", "--class", "Sc", "--phi", "lemniscate", "--s", "0.5")
+    assert code == 0
+    assert out.encode() == (BENCH_INPUTS.GOLDEN / "radius-Sc.out").read_bytes()
+    assert err == (
+        "warning: |phi| on the circle r=0.30404 is not extremized on the real axis; "
+        "the growth bounds assume it\n"
+    )
+
+
 class TestTableCommand:
     def test_table1_diffs_within_tolerance(self, capsys):
         code, out, _ = run_cli(capsys, "table", "1")
@@ -142,6 +156,13 @@ class TestTableCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["table"] == 2 and len(payload["rows"]) == 8
+
+    @pytest.mark.parametrize("table_id", [0, 5])
+    def test_table_id_outside_one_to_four(self, table_id):
+        # argparse admits only 1..4; the command itself refuses the rest
+        args = argparse.Namespace(id=table_id, out="csv", order=64)
+        with pytest.raises(ParameterError, match=f"^table id must be 1..4, got {table_id}$"):
+            cli.cmd_table(args)
 
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "table", "2")

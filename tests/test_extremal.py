@@ -20,7 +20,7 @@ from bohrcc.catalog import (
     strongly,
     wang,
 )
-from bohrcc.errors import BudgetError, DomainError, ParameterError
+from bohrcc.errors import BudgetError, DomainError, InconsistencyError, ParameterError
 from bohrcc.extremal import (
     K_prime_at,
     build_extremal,
@@ -178,6 +178,21 @@ class TestReflection:
         if kernel != "phi":  # the kernel built here is the one the extremal bundle carries
             assert np.array_equal(getattr(build_extremal(spec, 64), kernel).coeffs, plain.coeffs)
         assert np.array_equal(ps.majorant(build(ps.reflect(phi))).coeffs, ps.majorant(plain).coeffs)
+
+
+class TestGuards:
+    def test_h_minus_one_must_be_negative(self, monkeypatch):
+        monkeypatch.setattr(extremal, "h_at", lambda spec, x: 0.5)
+        with pytest.raises(InconsistencyError, match=r"^h\(-1\) = 0\.5 has the wrong sign for lemniscate\(s=0\.5\)$"):
+            extremal._build_extremal.__wrapped__(lemniscate(0.5), 8)
+
+    @pytest.mark.parametrize("spec", [lemniscate(0.5), strongly(0.5), expblend(0.03)], ids=lambda s: s.label())
+    def test_k_at_zero_needs_no_quadrature(self, monkeypatch, spec):
+        def refuse(*args, **kwargs):
+            raise AssertionError("k(0) went through quadrature")
+
+        monkeypatch.setattr(extremal, "integrate_1d", refuse)
+        assert k_at(spec, 0.0).hex() == "0x0.0p+0"  # +0.0, not the -0.0 of a reversed empty integral
 
 
 class TestPointwiseEvaluators:

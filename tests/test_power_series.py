@@ -420,15 +420,21 @@ class TestHelpers:
         assert list(out.coeffs) == [3, 5]
         with pytest.raises(DomainError):
             ps.divide_by_z(ps.make([1, 0]))
+        # an order-1 quotient keeps one zero coefficient
+        assert ps.divide_by_z(ps.make([0.0])).coeffs.tolist() == [0.0]
+
+    def test_monomial(self):
+        assert ps.monomial(2.5, 2, 4).coeffs.tolist() == [0.0, 0.0, 2.5, 0.0]
+        assert ps.monomial(2.5, 4, 4).coeffs.tolist() == [0.0] * 4
+        for degree, order in ((-1, 4), (0, 0)):
+            with pytest.raises(DomainError, match="^degree must be >= 0 and order >= 1$"):
+                ps.monomial(1.0, degree, order)
 
     def test_shift_up(self):
         assert list(ps.shift_up(ps.make([1, 2, 3])).coeffs) == [0, 1, 2]
 
     def test_reflect(self):
         assert list(ps.reflect(ps.make([1, 2, 3, 4])).coeffs) == [1, -2, 3, -4]
-
-    def test_differentiate(self):
-        assert list(ps.differentiate(ps.make([5, 1, 2])).coeffs) == [1, 4]
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -70,6 +70,24 @@ class TestIntegrateNested:
     def test_zero_radius(self):
         assert integrate_nested(lambda t: 1.0, 0.0, 1e-11).value == 0.0
 
+    @pytest.mark.parametrize("r", [-0.1, 1.5, math.nan])
+    def test_radius_outside_the_unit_interval(self, r):
+        with pytest.raises(ParameterError, match=f"^nested integration needs 0 <= r <= 1, got {r}$"):
+            integrate_nested(lambda t: 1.0, r)
+
+    def test_total_error_above_tol_carries_the_best_estimate(self):
+        # a one-panel table, then QUADPACK's error floor of about 50 eps |value|
+        # is far above 1e-300
+        with pytest.raises(BudgetError, match="^nested quadrature error estimate .* exceeds tol 1e-300$") as exc:
+            integrate_nested(lambda t: 1.0 + t, 0.5, 1e-300)
+        assert exc.value.best == pytest.approx(0.5 + 0.25 / 4.0, abs=1e-14)
+        assert 1e-300 < exc.value.error_estimate < 1e-12
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_result(self, value):
+        with pytest.raises(BudgetError, match="^quadrature produced a non-finite value$"):
+            QuadratureResult(value, 0.0, 1)
+
     def test_full_range_janowski_series_oracle(self):
         # inner = M_{k'} M_phi = (1+t)/(1-t)^3; termwise the double integral
         # is sum c_n r^{n+1}/(n+1)^2

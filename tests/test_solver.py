@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import lambertw
 from _bench_inputs import BENCH_INPUTS
 
 from bohrcc import power_series as ps
@@ -108,22 +109,26 @@ class TestSharpness:
     def test_witness_attains_bound(self):
         spec = sakaguchi(0.0)
         res = solve_radius(ClassId.SC, spec)
-        report = sharpness_witness(ClassId.SC, spec, res, delta=0.01)
+        report = sharpness_witness(ClassId.SC, spec, res)
         assert report.ok
         assert report.value_at_radius == pytest.approx(0.25, abs=1e-7)
         assert report.bound == pytest.approx(0.25, abs=1e-12)
+        assert report.delta == 0.01
+        assert report.value_beyond.hex() == h_at(spec, res.r_f + 0.01).hex()
         assert report.exceeds_beyond is True
-
-    def test_witness_zero_delta(self):
-        spec = lemniscate(0.5)
-        res = solve_radius(ClassId.SC, spec)
-        report = sharpness_witness(ClassId.SC, spec, res, delta=0.0)
-        assert report.ok and report.value_beyond is None
+        assert not dataclasses.replace(report, exceeds_beyond=False).ok
 
     def test_witness_requires_sharp_sc(self):
         res = solve_radius(ClassId.KS, sakaguchi(0.0))
         with pytest.raises(ParameterError):
             sharpness_witness(ClassId.KS, sakaguchi(0.0), res)
+
+    def test_witness_that_misses_the_bound_is_an_inconsistency(self):
+        # a "sharp" result whose radius is not the root of h(r) = -h(-1)
+        spec = lemniscate(0.5)
+        wrong = solver.RadiusResult(0.2, 0.2, True, 0.0, (0.2, 0.2), "")
+        with pytest.raises(InconsistencyError, match="misses the bound .* at r_f=0.2; solver"):
+            sharpness_witness(ClassId.SC, spec, wrong)
 
 
 class TestSeriesVsQuadratureLhs:
@@ -175,6 +180,130 @@ class TestRotationInvariance:
         assert np.array_equal(solver._series_lhs_curve(class_id, spec, 64).coeffs, plain.coeffs)
         res = _cold_solve(class_id, spec)
         assert (res.r_f, res.residual, res.bracket) == PINNED[(class_id.value, spec.label())]
+
+
+#: distance_integral_at(class, spec, r, "series") at r = 0.2, 0.5 and 0.9 and
+#: order 64, pinned to the last bit
+DISTANCE_SERIES_PINS = {
+    ("Ks", "janowski(A=1, B=-1)"): ("0x1.4d3b879d029acp-3", "0x1.2cf25fad8f1c4p-2", "0x1.617976cfeb247p-2"),
+    ("Ks", "sakaguchi(gamma=0.25)"): ("0x1.5efdad999e8c4p-3", "0x1.586763d7b2426p-2", "0x1.c4b444f73ccf5p-2"),
+    ("Ks", "lemniscate(s=0.5)"): ("0x1.6d700490b5624p-3", "0x1.71d4f5222a5f3p-2", "0x1.e96b806d4ffe1p-2"),
+    ("Ks", "expblend(alpha=0.03)"): ("0x1.6fc5994fda4c4p-3", "0x1.7bfcb6bf8ac58p-2", "0x1.05c7a025f198fp-1"),
+    ("Ks", "strongly(alpha=0.5)"): ("0x1.6e69b055a6dedp-3", "0x1.75a9bf273a5bbp-2", "0x1.eaf60bdc04794p-2"),
+    ("Ks", "wang(alpha=0.5, beta=1)"): ("0x1.5bbf0f5d4ea55p-3", "0x1.47026be08ac5dp-2", "0x1.88345e215c22cp-2"),
+    ("Ks", "janowski(A=0.5, B=0.3)"): ("0x1.8be609840833cp-3", "0x1.c16922badd4bap-2", "0x1.526a383cb5c97p-1"),
+    ("Cs", "janowski(A=1, B=-1)"): ("0x1.727adc1cf253fp-3", "0x1.8ec921c784249p-2", "0x1.29280e7502d1cp-1"),
+    ("Cs", "sakaguchi(gamma=0.25)"): ("0x1.7c30e5225917dp-3", "0x1.a9fe19a547f87p-2", "0x1.4deab588c0339p-1"),
+    ("Cs", "lemniscate(s=0.5)"): ("0x1.84c4abc63b538p-3", "0x1.be7181864d993p-2", "0x1.64b887f88573ap-1"),
+    ("Cs", "expblend(alpha=0.03)"): ("0x1.85cc57576820cp-3", "0x1.c3247f680d990p-2", "0x1.6e2efdebd560fp-1"),
+    ("Cs", "strongly(alpha=0.5)"): ("0x1.8520e5bc2a420p-3", "0x1.c0535a9c02d22p-2", "0x1.6733bb53d00f6p-1"),
+    ("Cs", "wang(alpha=0.5, beta=1)"): ("0x1.7b08c0fd4c4ffp-3", "0x1.a2e79a95b4426p-2", "0x1.3ef6015a80a96p-1"),
+    ("Cs", "janowski(A=0.5, B=0.3)"): ("0x1.9536809511dc8p-3", "0x1.f0ebd6c3e6ee5p-2", "0x1.b15ea9d3360b5p-1"),
+}
+
+_SHAPE_SPECS = CANONICAL + [janowski(0.5, 0.3)]
+
+
+def _hexes(series: ps.TruncatedSeries) -> list[str]:
+    return [float(c).hex() for c in series.coeffs]
+
+
+def _old_distance_curve(class_id: ClassId, spec: PhiSpec, order: int) -> ps.TruncatedSeries:
+    """The distance curve with 1/(1+z^2) as its own geometric series (Ks)
+    and K'(iz) as a second square root, of k'(-z^2) (Cs), the kernel
+    multiplied first as in every class curve."""
+    phi_neg = ps.reflect(phi_series(spec, order))
+    if class_id is ClassId.KS:
+        rotated = np.zeros(order)
+        rotated[0::2] = (-1.0) ** np.arange(rotated[0::2].size)
+        return ps.integrate_from_zero(ps.mul(ps.TruncatedSeries(rotated), phi_neg))
+    k_prime = build_extremal(spec, order).k_prime
+    rotated = ps.sqrt_series(ps.compose_with_selfmap(k_prime, ps.monomial(-1.0, 2, order)))
+    return solver.nested_series_transform(ps.mul(rotated, phi_neg))
+
+
+class TestClassShape:
+    """Each class is a kernel K and a transform T: ``kernel_series`` and
+    ``ClassId.nested``, which the curves, the integrands and the members read."""
+
+    def test_nested_classes(self):
+        assert [c for c in ClassId if c.nested] == [ClassId.CC, ClassId.CS]
+
+    @pytest.mark.parametrize("order", [8, 9, 64, 65, 256])
+    @pytest.mark.parametrize("spec", _SHAPE_SPECS, ids=lambda s: s.label())
+    def test_kernels(self, spec, order):
+        es = build_extremal(spec, order)
+        geometric = np.zeros(order)
+        geometric[0::2] = 1.0  # 1/(1-z^2)
+        kernels = [ps.TruncatedSeries(geometric), es.k_prime, es.k_prime, es.K_prime]
+        for class_id, want in zip(ClassId, kernels):
+            assert _hexes(solver.kernel_series(class_id, spec, order)) == _hexes(want)
+
+    @pytest.mark.parametrize("class_id", list(ClassId), ids=lambda c: c.value)
+    def test_kernel_order_must_be_positive(self, class_id):
+        for order in (0, -1):
+            with pytest.raises(ParameterError, match="^order must be positive$"):
+                solver.kernel_series(class_id, lemniscate(0.5), order)
+
+    @pytest.mark.parametrize("spec", _SHAPE_SPECS, ids=lambda s: s.label())
+    @pytest.mark.parametrize("class_id", [ClassId.KS, ClassId.CS], ids=lambda c: c.value)
+    def test_rotated_kernel_gives_the_distance_curve(self, class_id, spec):
+        # K(iz) carries (-1)^n on z^{2n}; the old constructions differ from it
+        # in the signs of zero coefficients only, which np.array_equal ignores
+        for order in (8, 9, 64, 65, 256):
+            new = solver._series_distance_curve(class_id, spec, order)
+            assert np.array_equal(new.coeffs, _old_distance_curve(class_id, spec, order).coeffs)
+        at = [
+            solver.distance_integral_at(class_id, spec, r, "series").hex() for r in (0.2, 0.5, 0.9)
+        ]
+        assert tuple(at) == DISTANCE_SERIES_PINS[(class_id.value, spec.label())]
+
+    @pytest.mark.parametrize("class_id", [ClassId.SC, ClassId.CC], ids=lambda c: c.value)
+    def test_boundary_value_classes_have_no_distance_integral(self, class_id):
+        spec = lemniscate(0.5)
+        message = f"{class_id.value} has a boundary-value target, not an integral"
+        with pytest.raises(ParameterError, match=message):
+            solver.distance_integrand(class_id, spec)
+        with pytest.raises(ParameterError, match=message):
+            solver._series_distance_curve(class_id, spec, 64)
+        for method in ("quadrature", "series"):
+            with pytest.raises(ParameterError, match=message):
+                solver.distance_integral_at(class_id, spec, 0.5, method)
+
+    @pytest.mark.parametrize("at", [lhs_at, solver.distance_integral_at], ids=["lhs", "distance"])
+    def test_unknown_method(self, at):
+        with pytest.raises(ParameterError, match="^unknown method 'simpson'$"):
+            at(ClassId.KS, lemniscate(0.5), 0.5, "simpson")
+
+    def test_unknown_class(self):
+        assert ClassId.parse("cS") is ClassId.CS
+        with pytest.raises(ParameterError, match="^unknown class 'Kc'; expected one of Ks, Sc, Cc, Cs$"):
+            ClassId.parse("Kc")
+
+    @pytest.mark.parametrize(
+        "class_id, field, value, shown",
+        [(ClassId.SC, "h_at_minus_one", 0.25, "-0.25"), (ClassId.CC, "k_at_minus_one", 0.0, "-0.0")],
+        ids=["Sc", "Cc"],
+    )
+    def test_target_must_be_positive(self, monkeypatch, class_id, field, value, shown):
+        def wrong_bundle(spec, order):
+            return dataclasses.replace(build_extremal(spec, order), **{field: value})
+
+        monkeypatch.setattr(solver, "build_extremal", wrong_bundle)
+        with pytest.raises(InconsistencyError, match=f"^target must be positive, got {shown}$"):
+            solver._target_constant.__wrapped__(class_id, lemniscate(0.5), 64, 1e-10)
+
+
+class TestRadiusResultInvariants:
+    @pytest.mark.parametrize("r_f", [0.0, 1.0, -0.5, math.nan])
+    def test_radius_inside_the_disk(self, r_f):
+        with pytest.raises(InconsistencyError, match=r"radius .* outside \(0, 1\)"):
+            solver.RadiusResult(r_f, 1 / 3, False, 0.0, (r_f, r_f), "")
+
+    def test_residual_at_most_1e_8(self):
+        assert solver.RadiusResult(0.5, 1 / 3, False, 1e-8, (0.5, 0.5), "").residual == 1e-8
+        with pytest.raises(InconsistencyError, match="radius residual 2e-08 exceeds 1e-8"):
+            solver.RadiusResult(0.5, 1 / 3, False, 2e-8, (0.5, 0.5), "")
 
 
 class TestClosedForms:
@@ -243,6 +372,17 @@ class TestClosedForms:
     )
     def test_closed_form_bits(self, eid, params, r_f):
         assert repr(solve_corollary_closed_form(eid, params).r_f) == r_f
+
+    @pytest.mark.parametrize("a", [0.01, 0.001])
+    def test_root_past_the_first_upper_end(self, a):
+        # r e^{Ar} = e^{-A} puts the root past 0.9, so the upper end walks toward 1
+        want = lambertw(a * math.exp(-a)).real / a
+        assert solve_corollary_closed_form("sc-janowski-b0", {"A": a}).r_f == pytest.approx(want, abs=1e-12)
+
+    def test_no_root_below_one(self):
+        # the root 1 - 2e-12 lies past the last upper end the walk tries
+        with pytest.raises(NoRootError, match=r"^sc-janowski-b0 equation shows no root in \(0, 1\)$"):
+            solve_corollary_closed_form("sc-janowski-b0", {"A": 1e-12})
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
@@ -452,6 +592,46 @@ class TestRootSearch:
 
         monkeypatch.setattr(solver, "_series_lhs_curve", scaled)
         res = _cold_solve(class_id, spec)
+        assert (res.r_f, res.residual, res.bracket) == PINNED[key]
+
+    @pytest.mark.parametrize(
+        "key, factor",
+        [
+            (("Ks", "wang(alpha=0.5, beta=1)"), 0.99999),
+            (("Sc", "lemniscate(s=0.5)"), 1.00001),
+            (("Cc", "lemniscate(s=0.5)"), 0.99999),
+            (("Cs", "strongly(alpha=0.5)"), 1.00001),
+        ],
+        ids=lambda v: v if isinstance(v, float) else v[0],
+    )
+    def test_hinted_cell_when_only_the_bisection_is_off(self, monkeypatch, key, factor):
+        # a series off by 1e-5 still hints the right grid cell, but bisects to
+        # its own root, which quadrature does not certify; the cell search
+        # then confirms the hinted cell with two evaluations and searches
+        # only it, so the radius is the quadrature-only search's
+        class_id = ClassId.parse(key[0])
+        spec = next(s for s in CANONICAL if s.label() == key[1])
+        true_curve = solver._series_lhs_curve
+        searched = []
+        first_reached = solver._first_reached
+
+        def spy(f, target, lo=0, hi=solver._LAST):
+            searched.append((lo, hi))
+            return first_reached(f, target, lo, hi)
+
+        monkeypatch.setattr(
+            solver, "_series_lhs_curve", lambda *a: ps.TruncatedSeries(factor * true_curve(*a).coeffs)
+        )
+        monkeypatch.setattr(solver, "_first_reached", spy)
+        res = _cold_solve(class_id, spec)
+        hint_search, cell_search = searched
+        assert hint_search == (0, solver._LAST)
+        assert cell_search[0] == cell_search[1] - 1
+        monkeypatch.undo()
+        target = target_constant(class_id, spec)
+        lhs = lambda r: lhs_at(class_id, spec, r)
+        lo, hi = solver._bisect(lambda r: lhs(r) >= target, *solver._locate_cell(lhs, target, None))
+        assert res.r_f.hex() == (0.5 * (lo + hi)).hex()
         assert (res.r_f, res.residual, res.bracket) == PINNED[key]
 
     @staticmethod
