@@ -35,13 +35,21 @@ from .errors import DomainError, ParameterError, PrecisionError
 #: give tails far below double-precision noise for every catalog family.
 DEFAULT_ORDER = 64
 
+#: Largest order :func:`as_order` admits.  A campaign at order N builds an
+#: N x N kernel matrix, so 4096 is a 134 MB matrix where 20,000 would be 3.2 GB.
+MAX_ORDER = 4096
+
 
 def as_order(order) -> int:
-    """A series order as an int, rejecting (not truncating) a float."""
+    """A series order as an int, rejecting (not truncating) a float and
+    rejecting an order above :data:`MAX_ORDER`."""
     try:
-        return operator.index(order)
+        order = operator.index(order)
     except TypeError:
         raise ParameterError(f"order must be an integer, got {order!r}") from None
+    if order > MAX_ORDER:
+        raise ParameterError(f"order must be at most {MAX_ORDER}, got {order}")
+    return order
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,12 @@
 Integrands are plain functions of one float, finite on the whole closed
 interval they are integrated over (they handle their own removable points
 internally).  The 1-D entry point wraps QUADPACK's adaptive Gauss-Kronrod
-rule.  The nested entry point evaluates
+rule ``qagse``.  QUADPACK comes from scipy's compiled ``_quadpack``
+extension, loaded straight from scipy's ``integrate/`` directory, so
+``scipy.integrate`` (and the scipy.special, scipy.optimize and
+scipy.sparse.linalg it pulls in) is never imported; the call is the one
+``scipy.integrate.quad`` makes, so every value is the same.  The nested
+entry point evaluates
 
     integral_0^r (1/s) integral_0^s f(t) dt ds
 
@@ -26,14 +31,17 @@ polynomial object.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
+from importlib.machinery import ExtensionFileLoader, PathFinder
+from importlib.util import module_from_spec
 from numbers import Real
 from typing import Callable
 
 import numpy as np
+import scipy
 from numpy.polynomial.chebyshev import chebpts1, chebvander
-from scipy.integrate import quad
 
 from .errors import BudgetError, ParameterError
 
@@ -46,6 +54,44 @@ _DEGREE = 24  # interpolation degree of each table panel
 _NODES = chebpts1(_DEGREE + 1).tolist()
 _VANDER_T = chebvander(_NODES, _DEGREE).T  # the transposed view, as chebinterpolate uses it
 _HALF_NODES = 0.5 * (_DEGREE + 1)  # chebinterpolate's divisor past the constant
+
+#: qagse's ier codes for a result it could not certify; its code 6, invalid
+#: input, needs limit < 1 or epsabs <= 0 with a tiny epsrel, which no call here makes
+_IER_REASONS = {
+    1: "subdivision limit reached",
+    2: "roundoff error detected",
+    3: "extremely bad integrand behaviour",
+    4: "extrapolation table does not converge",
+    5: "integral probably divergent",
+}
+
+
+def _load_qagse():
+    """``_qagse`` from scipy's compiled ``integrate/_quadpack`` extension,
+    loaded without running ``scipy/integrate/__init__.py`` and without
+    registering the module in ``sys.modules``."""
+    where = [os.path.join(p, "integrate") for p in scipy.__path__]
+    spec = PathFinder.find_spec("_quadpack", where)
+    if spec is None or not isinstance(spec.loader, ExtensionFileLoader):
+        raise ImportError(f"scipy {scipy.__version__} has no compiled integrate/_quadpack extension")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    qagse = getattr(module, "_qagse", None)
+    if qagse is None:
+        raise ImportError(f"scipy {scipy.__version__}'s integrate/_quadpack has no _qagse")
+    return qagse
+
+
+_QAGSE = _load_qagse()
+
+
+def _quad(f: Callable[[float], float], a: float, b: float, epsabs: float) -> tuple:
+    """QUADPACK's qagse over finite a < b, called as ``scipy.integrate.quad(f,
+    a, b, epsabs=epsabs, epsrel=1e-13, limit=300, full_output=True)`` calls
+    it: the value, the error estimate, the integrand evaluations and ier.
+    An exception raised by f propagates unchanged."""
+    value, abserr, info, ier = _QAGSE(f, a, b, (), 1, epsabs, 1e-13, 300)
+    return value, abserr, info["neval"], ier
 
 
 def check_tol(tol) -> float:
@@ -77,13 +123,11 @@ def integrate_1d(
         raise ParameterError(f"[{a}, {b}] is not an interval within [-1, 1]")
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
-    out = quad(f, a, b, epsabs=tol, epsrel=1e-13, limit=300, full_output=True)
-    value, abserr, info = out[0], out[1], out[2]
-    neval = int(info.get("neval", 0))
+    value, abserr, neval, ier = _quad(f, a, b, tol)
     if abserr > tol:
-        warning = f": {out[3]}" if len(out) > 3 else ""  # QUADPACK's message, when it gave one
+        reason = f": QUADPACK ier={ier}, {_IER_REASONS[ier]}" if ier else ""
         raise BudgetError(
-            f"quadrature error estimate {abserr:.3g} exceeds tol {tol:.3g}{warning}",
+            f"quadrature error estimate {abserr:.3g} exceeds tol {tol:.3g}{reason}",
             best=value,
             error_estimate=abserr,
         )
@@ -213,8 +257,7 @@ def integrate_nested(
             return inner(0.0)
         return lookup(s) / s
 
-    out = quad(outer, 0.0, r, epsabs=0.5 * tol, epsrel=1e-13, limit=300, full_output=True)
-    value, abserr, info = out[0], out[1], out[2]
+    value, abserr, neval, _ = _quad(outer, 0.0, r, 0.5 * tol)
     total_err = abserr + table.tail_bound
     if total_err > tol:
         raise BudgetError(
@@ -222,4 +265,4 @@ def integrate_nested(
             best=value,
             error_estimate=total_err,
         )
-    return QuadratureResult(float(value), float(total_err), table.evaluations + int(info.get("neval", 0)))
+    return QuadratureResult(float(value), float(total_err), table.evaluations + neval)

@@ -106,6 +106,21 @@ class TestRadiusCommand:
         assert (code, out) == (2, "")
         assert err == "parameter error: order must be at least 8, got 2\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("radius", "--class", "Ks", "--phi", "wang", "--alpha", "0.5", "--beta", "1"),
+            ("table", "1"),
+            ("verify", "--class", "Cs", "--phi", "strongly", "--alpha", "0.5"),
+        ],
+        ids=["radius", "table", "verify"],
+    )
+    def test_order_above_the_cap_exits_2(self, capsys, argv):
+        # rejected before any series or kernel matrix of that order is built
+        code, out, err = run_cli(capsys, *argv, "--order", "4097")
+        assert (code, out) == (2, "")
+        assert err == "parameter error: order must be at most 4096, got 4097\n"
+
 
 def test_radius_warns_when_the_min_max_hypothesis_fails(capsys, monkeypatch):
     # the warning goes to stderr; stdout keeps the golden bytes

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy.special import lambertw
 from _bench_inputs import BENCH_INPUTS
 
+from bohrcc import catalog, extremal, solver
 from bohrcc import power_series as ps
-from bohrcc import solver
 from bohrcc.catalog import (
     FAMILIES,
     PhiSpec,
@@ -35,6 +35,7 @@ from bohrcc.solver import (
     target_constant,
     threshold_scan,
 )
+from bohrcc.verifier import _members
 
 CANONICAL = [
     janowski(1.0, -1.0),
@@ -772,3 +773,27 @@ class TestOrderFloor:
     def test_floor_order_solves(self):
         res = solve_radius(ClassId.SC, lemniscate(0.5), solver.MIN_ORDER)
         assert res.r_f == pytest.approx(0.3040402, abs=1e-6)
+
+
+class TestOrderCap:
+    ENTRY_POINTS = {
+        "phi_series": lambda order: phi_series(strongly(0.5), order),
+        "build_extremal": lambda order: build_extremal(strongly(0.5), order),
+        "kernel_series": lambda order: solver.kernel_series(ClassId.CS, strongly(0.5), order),
+        "lhs_integrand": lambda order: lhs_integrand(ClassId.CC, strongly(0.5), order),
+        "target_constant": lambda order: target_constant(ClassId.CS, strongly(0.5), order),
+        "solve_radius": lambda order: solve_radius(ClassId.KS, strongly(0.5), order),
+        "verifier._members": lambda order: _members(ClassId.CS, strongly(0.5), [0.5], [1], order),
+    }
+
+    @pytest.mark.parametrize("order", [ps.MAX_ORDER + 1, 10**8, np.int64(ps.MAX_ORDER + 1)])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_order_above_the_cap_is_rejected_before_any_build(self, entry, order):
+        builds = lambda: (catalog._phi_series.cache_info().misses, extremal._build_extremal.cache_info().misses)
+        before = builds()
+        with pytest.raises(ParameterError, match=f"^order must be at most 4096, got {order}$"):
+            self.ENTRY_POINTS[entry](order)
+        assert builds() == before
+
+    def test_the_cap_is_an_admissible_order(self):
+        assert ps.as_order(ps.MAX_ORDER) == ps.MAX_ORDER == 4096
