@@ -238,10 +238,7 @@ def formulas_of(spec: PhiSpec) -> tuple[Family, tuple[float, ...]]:
 def phi_series(spec: PhiSpec, order: int = ps.DEFAULT_ORDER) -> ps.TruncatedSeries:
     """Taylor coefficients of phi about 0 to the requested order.
     Memoized by value, however the order is spelled."""
-    order = ps.as_order(order)
-    if order <= 0:
-        raise ParameterError("order must be positive")
-    return _phi_series(spec, order)
+    return _phi_series(spec, ps.as_order(order))
 
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)

@@ -6,6 +6,9 @@ Subcommands:
   verify  run a seeded verification campaign and emit a JSON report
   scan    sweep a family parameter and bracket the 1/3 sharpness threshold
 
+``table`` takes no ``--order``: tables 1 and 4 solve the Sc corollary
+h(r) = -h(-1) through the ``scan`` equations, and tables 2 and 3 evaluate h.
+
 Exit codes: 0 ok, 2 parameter error, 3 numeric-budget error,
 4 verification failure.  Output is byte-deterministic for fixed
 arguments and seed; numbers are printed to 9 significant digits and CSV
@@ -22,15 +25,14 @@ import math
 import sys
 
 from . import reference
-from .catalog import FAMILIES, PhiSpec, check_min_max_hypothesis, expblend, janowski, lemniscate, strongly
+from .catalog import FAMILIES, PhiSpec, check_min_max_hypothesis, expblend, strongly
 from .errors import BudgetError, NoRootError, ParameterError, PrecisionError
 from .extremal import h_at
 from .power_series import DEFAULT_ORDER
 from .quadrature import DEFAULT_TOL
-from .solver import SCAN_EQUATIONS, ClassId, solve_radius, threshold_scan
+from .solver import SCAN_EQUATIONS, ClassId, solve_corollary_closed_form, solve_radius, threshold_scan
 from .verifier import run_campaign
 
-_TABLE_TOL = 1e-11
 _SCHEMA = 1
 _SCAN_MAX_POINTS = 100_000
 
@@ -112,11 +114,11 @@ def cmd_radius(args) -> int:
     return 0
 
 
-def _radius_table_rows(table, make_spec, names, order: int):
-    """Sc radii against a reference table of (*spec parameters, radius) rows."""
+def _radius_table_rows(table, equation_id: str, names):
+    """Sc radii, roots of h(r) = -h(-1), against a reference table of (*params, radius) rows."""
     rows = []
     for *params, ref in table:
-        r_f = solve_radius(ClassId.SC, make_spec(*params), order, _TABLE_TOL).r_f
+        r_f = solve_corollary_closed_form(equation_id, dict(zip(names, params))).r_f
         diff = reference.truncate_to(r_f, reference.decimals(ref)) - float(ref)
         rows.append([*params, r_f, ref, diff])
     return [*names, "r_f", "reference", "diff"], rows
@@ -155,17 +157,19 @@ def _growth_table_rows(table, make_spec):
     return header, rows
 
 
+#: table id -> its row builder
+_TABLES = {
+    1: lambda: _radius_table_rows(reference.TABLE1, "sc-lemniscate", ["s"]),
+    2: lambda: _growth_table_rows(reference.TABLE2, expblend),
+    3: lambda: _growth_table_rows(reference.TABLE3, strongly),
+    4: lambda: _radius_table_rows(reference.TABLE4, "sc-janowski", ["A", "B"]),
+}
+
+
 def cmd_table(args) -> int:
-    if args.id == 1:
-        header, rows = _radius_table_rows(reference.TABLE1, lemniscate, ["s"], args.order)
-    elif args.id == 2:
-        header, rows = _growth_table_rows(reference.TABLE2, expblend)
-    elif args.id == 3:
-        header, rows = _growth_table_rows(reference.TABLE3, strongly)
-    elif args.id == 4:
-        header, rows = _radius_table_rows(reference.TABLE4, janowski, ["A", "B"], args.order)
-    else:
+    if args.id not in _TABLES:
         raise ParameterError(f"table id must be 1..4, got {args.id}")
+    header, rows = _TABLES[args.id]()
     if args.out == "json":
         _emit_json({
             "table": args.id,
@@ -225,13 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, outs, order=True, spec=True):
-        if order:
-            p.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                           help=f"series truncation order (default {DEFAULT_ORDER})")
+    def add_common(p, outs, spec=True):
         p.add_argument("--out", choices=outs, default=outs[0],
                        help=f"output format (default {outs[0]})")
         if spec:
+            p.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                           help=f"series truncation order (default {DEFAULT_ORDER})")
             p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="quadrature tolerance")
             p.add_argument("--class", dest="class_id", required=True,
                            choices=tuple(c.value for c in ClassId))
@@ -244,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_radius.set_defaults(func=cmd_radius)
 
     p_table = sub.add_parser("table", help="reproduce a bundled result table")
-    p_table.add_argument("id", type=int, choices=(1, 2, 3, 4))
+    p_table.add_argument("id", type=int, choices=tuple(_TABLES))
     add_common(p_table, ("csv", "json"), spec=False)
     p_table.set_defaults(func=cmd_table)
 
@@ -261,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--start", type=float, required=True)
     p_scan.add_argument("--stop", type=float, required=True)
     p_scan.add_argument("--step", type=float, required=True)
-    add_common(p_scan, ("json", "csv"), order=False, spec=False)
+    add_common(p_scan, ("json", "csv"), spec=False)
     p_scan.set_defaults(func=cmd_scan)
 
     return parser

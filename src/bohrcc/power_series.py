@@ -40,13 +40,16 @@ DEFAULT_ORDER = 64
 MAX_ORDER = 4096
 
 
-def as_order(order) -> int:
+def as_order(order, minimum: int = 1) -> int:
     """A series order as an int, rejecting (not truncating) a float and
-    rejecting an order above :data:`MAX_ORDER`."""
+    rejecting an order below ``minimum`` or above :data:`MAX_ORDER`."""
     try:
         order = operator.index(order)
     except TypeError:
         raise ParameterError(f"order must be an integer, got {order!r}") from None
+    if order < minimum:
+        want = f"at least {minimum}, got {order}" if minimum > 1 else "positive"
+        raise ParameterError(f"order must be {want}")
     if order > MAX_ORDER:
         raise ParameterError(f"order must be at most {MAX_ORDER}, got {order}")
     return order

@@ -124,8 +124,6 @@ def kernel_series(
     """The class kernel K: 1/(1 - z^2) for Ks, the bundle's k' for Sc and
     Cc, and the bundle's K' for Cs."""
     order = ps.as_order(order)
-    if order <= 0:
-        raise ParameterError("order must be positive")
     if class_id is ClassId.KS:
         out = np.zeros(order)
         out[0::2] = 1.0
@@ -403,9 +401,7 @@ def solve_radius(
     """Smallest positive root of the class radius equation, capped at 1/3,
     with the sharpness verdict of :func:`_radius_result`.  The series order
     must be at least :data:`MIN_ORDER`."""
-    order = ps.as_order(order)
-    if order < MIN_ORDER:
-        raise ParameterError(f"order must be at least {MIN_ORDER}, got {order}")
+    order = ps.as_order(order, MIN_ORDER)
     return _solve_cached(class_id, spec, order, check_tol(tol))
 
 

@@ -10,7 +10,7 @@ import pytest
 from bohrcc import power_series as ps
 from bohrcc.catalog import expblend, janowski, lemniscate, sakaguchi, strongly, wang
 from bohrcc.extremal import build_extremal, h_at
-from bohrcc.reference import TABLE1, TABLE2, TABLE3, TABLE4, decimals
+from bohrcc.reference import TABLE1, TABLE2, TABLE3, TABLE4, decimals, truncate_to
 from bohrcc.solver import (
     ClassId,
     distance_integral_at,
@@ -37,6 +37,14 @@ def _printed_precision_tol(ref: str) -> float:
     return 5e-7 if d >= 7 else 5.0 * 10.0 ** (-d)
 
 
+def _assert_table_row_agrees(general: float, corollary: float, ref: str):
+    """`table` prints the corollary root of h(r) = -h(-1); the general
+    solver must print the same digits and diff, and lie within 1e-11."""
+    assert format(general, ".9g") == format(corollary, ".9g")
+    assert truncate_to(general, decimals(ref)) == truncate_to(corollary, decimals(ref))
+    assert abs(general - corollary) <= 1e-11
+
+
 def test_criterion_1_table1_reproduction():
     start = time.perf_counter()
     worst = 0.0
@@ -44,6 +52,7 @@ def test_criterion_1_table1_reproduction():
         r_f = solve_radius(ClassId.SC, lemniscate(s), tol=TABLE_TOL).r_f
         worst = max(worst, abs(r_f - float(ref)))
         assert abs(r_f - float(ref)) <= 1e-4, (s, r_f, ref)
+        _assert_table_row_agrees(r_f, solve_corollary_closed_form("sc-lemniscate", {"s": s}).r_f, ref)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"table 1 took {elapsed:.2f}s, budget is 5s"
     print(f"\n[criterion 1] PASS: 14/14 lemniscate radii within 1e-4 "
@@ -56,6 +65,7 @@ def test_criterion_2_table4_reproduction():
         r_f = solve_radius(ClassId.SC, janowski(a, b), tol=TABLE_TOL).r_f
         worst = max(worst, abs(r_f - float(ref)))
         assert abs(r_f - float(ref)) <= 1e-4, (a, b, r_f, ref)
+        _assert_table_row_agrees(r_f, solve_corollary_closed_form("sc-janowski", {"A": a, "B": b}).r_f, ref)
     anchor = solve_radius(ClassId.SC, janowski(1.0, -1.0), tol=TABLE_TOL).r_f
     exact = 3.0 - 2.0 * math.sqrt(2.0)
     assert abs(anchor - exact) <= 1e-10

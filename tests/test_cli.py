@@ -110,10 +110,9 @@ class TestRadiusCommand:
         "argv",
         [
             ("radius", "--class", "Ks", "--phi", "wang", "--alpha", "0.5", "--beta", "1"),
-            ("table", "1"),
             ("verify", "--class", "Cs", "--phi", "strongly", "--alpha", "0.5"),
         ],
-        ids=["radius", "table", "verify"],
+        ids=["radius", "verify"],
     )
     def test_order_above_the_cap_exits_2(self, capsys, argv):
         # rejected before any series or kernel matrix of that order is built
@@ -336,11 +335,12 @@ _VERIFY_ARGS = ("verify", "--class", "Sc", "--phi", "lemniscate", "--s", "0.5")
     "argv, message",
     [
         (("table", "1", "--tol", "nan"), "unrecognized arguments"),
+        (("table", "1", "--order", "64"), "unrecognized arguments"),
         ((*_SCAN_ARGS, "--tol", "nan"), "unrecognized arguments"),
         ((*_SCAN_ARGS, "--order", "64"), "unrecognized arguments"),
         ((*_VERIFY_ARGS, "--out", "csv"), "invalid choice: 'csv'"),  # verify emits JSON only
     ],
-    ids=["table-tol", "scan-tol", "scan-order", "verify-out-csv"],
+    ids=["table-tol", "table-order", "scan-tol", "scan-order", "verify-out-csv"],
 )
 def test_flag_a_command_would_ignore_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -361,18 +361,22 @@ class TestNumericBudgetExit:
 
 
 def test_growth_tables_and_witness_build_no_bundle(capsys, monkeypatch):
-    # h(1/3), h(-1) and h(r_f) come from the spec alone, so neither the
-    # tables of h nor the sharpness witness may build the extremal bundle
+    # h(1/3), h(-1), h(r_f) and the table radii, roots of h(r) = -h(-1), come
+    # from the spec alone, so neither the tables nor the sharpness witness
+    # may run the general solver, build the extremal bundle or integrate a class lhs
     spec = lemniscate(0.5)
     result = solver.solve_radius(solver.ClassId.SC, spec)
     want = solver.sharpness_witness(solver.ClassId.SC, spec, result)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("built an extremal bundle")
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"called {name}")
+        return call
 
     for module in (extremal, solver, cli):
-        monkeypatch.setattr(module, "build_extremal", forbidden, raising=False)
-    for tag in ("table2", "table3"):
+        for name in ("solve_radius", "build_extremal", "integrate_1d", "integrate_nested"):
+            monkeypatch.setattr(module, name, forbidden(name), raising=False)
+    for tag in ("table1", "table2", "table3", "table4"):
         code, out, _ = run_cli(capsys, "table", tag[-1])
         assert code == 0
         assert out.encode() == (BENCH_INPUTS.GOLDEN / f"{tag}.out").read_bytes()

@@ -114,11 +114,13 @@ def test_a_missing_quadpack_is_an_import_error(monkeypatch, attr, stand_in, miss
 
 
 def test_import_leaves_scipy_integrate_unloaded():
+    # a Cc radius integrates its lhs by nested quadrature, so QUADPACK runs
     out = _run_fresh(
         "import contextlib, io, sys\n"
         "import bohrcc, bohrcc.cli\n"
+        "argv = ['radius', '--class', 'Cc', '--phi', 'janowski', '--A', '1', '--B', '-1']\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert bohrcc.cli.main(['table', '1']) == 0\n"
+        "    assert bohrcc.cli.main(argv) == 0\n"
         "print(sorted(m for m in ('scipy.integrate', 'scipy.special', 'scipy.optimize') if m in sys.modules))\n"
     )
     assert out == "[]\n"

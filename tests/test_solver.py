@@ -781,19 +781,33 @@ class TestOrderCap:
         "build_extremal": lambda order: build_extremal(strongly(0.5), order),
         "kernel_series": lambda order: solver.kernel_series(ClassId.CS, strongly(0.5), order),
         "lhs_integrand": lambda order: lhs_integrand(ClassId.CC, strongly(0.5), order),
+        "lhs_at": lambda order: lhs_at(ClassId.KS, strongly(0.5), 0.3, "quadrature", order),
         "target_constant": lambda order: target_constant(ClassId.CS, strongly(0.5), order),
         "solve_radius": lambda order: solve_radius(ClassId.KS, strongly(0.5), order),
         "verifier._members": lambda order: _members(ClassId.CS, strongly(0.5), [0.5], [1], order),
     }
 
+    @staticmethod
+    def _builds():
+        return catalog._phi_series.cache_info().misses, extremal._build_extremal.cache_info().misses
+
     @pytest.mark.parametrize("order", [ps.MAX_ORDER + 1, 10**8, np.int64(ps.MAX_ORDER + 1)])
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_order_above_the_cap_is_rejected_before_any_build(self, entry, order):
-        builds = lambda: (catalog._phi_series.cache_info().misses, extremal._build_extremal.cache_info().misses)
-        before = builds()
+        before = self._builds()
         with pytest.raises(ParameterError, match=f"^order must be at most 4096, got {order}$"):
             self.ENTRY_POINTS[entry](order)
-        assert builds() == before
+        assert self._builds() == before
+
+    @pytest.mark.parametrize("order", [0, -5])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_order_below_one_is_rejected_before_any_build(self, entry, order):
+        # the Ks integrand reads no series, yet an order of 0 is refused there too
+        want = f"order must be at least 8, got {order}" if entry == "solve_radius" else "order must be positive"
+        before = self._builds()
+        with pytest.raises(ParameterError, match=f"^{want}$"):
+            self.ENTRY_POINTS[entry](order)
+        assert self._builds() == before
 
     def test_the_cap_is_an_admissible_order(self):
         assert ps.as_order(ps.MAX_ORDER) == ps.MAX_ORDER == 4096
