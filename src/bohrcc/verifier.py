@@ -26,11 +26,12 @@ the report bytes, do not depend on the block size.
 A campaign builds its members as one batch, in blocks of 4096 members
 when it has more.  phi, the class kernel (z/(1-z^2) for Ks) and the
 target are computed once.  Row i of an n x N matrix holds phi o w_i by the
-monomial re-indexing of ``power_series.compose_with_selfmap``, filled for
-all rows of one power at once.  One matrix product with the kernel's
-upper-triangular Toeplitz matrix then gives every row's product with the
+monomial re-indexing of ``power_series.compose_with_selfmap``: one
+scatter writes phi_k eps_i^k to column k m_i of every row i with power m_i.
+One matrix product with the kernel's Toeplitz matrix, gathered at once from
+the kernel behind N - 1 zeros, then gives every row's product with the
 kernel, and the class's termwise integration is applied to the whole
-matrix.  One Horner pass over the columns gives every row's
+matrix.  One in-place Horner pass over the columns gives every row's
 coefficient-modulus sum.  The product sums each coefficient in another
 order than ``power_series.mul``, so a row agrees with the member built
 series by series within the rounding bound 2 gamma_N (|kernel| * |phi o w|)
@@ -101,32 +102,41 @@ class SampledFunction:
     distance_bound: float
 
 
+def _composed(phi: np.ndarray, eps: np.ndarray, powers: np.ndarray, order: int) -> np.ndarray:
+    """Rows phi o w for w = eps[i] * z^powers[i], written in one scatter:
+    row i holds phi_k eps[i]^k at column k powers[i]."""
+    # a one-row product would go to gemv, whose sums round unlike gemm's rows
+    composed = np.zeros((max(len(eps), 2), order))
+    composed[: len(eps), 0] = phi[0]  # a row whose w vanishes to this order keeps only phi(0)
+    rows = np.flatnonzero((eps != 0.0) & (powers < order))
+    steps = powers[rows]
+    counts = (order - 1) // steps + 1  # row i takes k = 0 .. counts[i] - 1
+    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    at = np.repeat(rows * order, counts) + k * np.repeat(steps, counts)  # flat index of (i, k powers[i])
+    composed.ravel()[at] = phi[k] * np.repeat(eps[rows], counts) ** k
+    return composed
+
+
 def _members(
     class_id: ClassId, spec: PhiSpec, eps: np.ndarray, powers: np.ndarray, order: int
 ) -> np.ndarray:
     """Coefficient rows of the class members built from phi o w, one per
     self-map w = eps[i] * z^powers[i].
 
-    The composed rows are multiplied by the kernel's Toeplitz matrix in one
-    product, which agrees with the series-by-series construction within
-    the rounding of its dot products; a row does not depend on how many
-    rows share the product."""
+    The composed rows are multiplied in one product by the kernel's
+    Toeplitz matrix, gathered from the kernel padded with order - 1 zeros.
+    The product agrees with the series-by-series construction within the
+    rounding of its dot products, and a row does not depend on how many
+    rows share it.  The composed rows are freed with the product."""
     order = ps.as_order(order)
     phi = phi_series(spec, order).coeffs
     kernel = kernel_series(class_id, spec, order)
     if class_id is ClassId.KS:
         kernel = ps.shift_up(kernel)  # z/(1-z^2), the odd starlike envelope
-    # a one-row product would go to gemv, whose sums round unlike gemm's rows
-    composed = np.zeros((max(len(eps), 2), order))
-    composed[: len(eps), 0] = phi[0]  # a row whose w vanishes to this order keeps only phi(0)
-    live = (eps != 0.0) & (powers < order)
-    for m in np.unique(powers[live]).tolist():
-        rows = np.flatnonzero(live & (powers == m))
-        k_max = (order - 1) // m
-        composed[rows, ::m] = phi[: k_max + 1] * eps[rows, None] ** np.arange(k_max + 1)
+    padded = np.concatenate((np.zeros(order - 1), kernel.coeffs))
     index = np.arange(order)
-    toeplitz = np.triu(kernel.coeffs[index - index[:, None]])  # toeplitz[j, n] = kernel[n - j], 0 for n < j
-    products = (composed @ toeplitz)[: len(eps)]
+    toeplitz = padded[(order - 1) - index[:, None] + index]  # toeplitz[j, n] = kernel[n - j], 0 for n < j
+    products = (_composed(phi, eps, powers, order) @ toeplitz)[: len(eps)]
     weights = np.arange(1, order + 1)
     if class_id is ClassId.KS:
         # divide by z, then integrate; an order-1 quotient keeps one zero coefficient
@@ -167,7 +177,11 @@ def _margins(members: np.ndarray, target: float, r: float) -> np.ndarray:
         raise PrecisionError(
             f"truncation tail ~{hints[over[0]]:.3g} exceeds tolerance {_TAIL_GUARD:.3g} at r={r:.6g}"
         )
-    return target - ps._horner(majorants[:, -1], majorants.T[-2::-1], r)
+    t = majorants[:, -1] + r * 0  # ps._horner's products and sums, in place
+    for a in majorants.T[-2::-1]:
+        t *= r
+        t += a
+    return target - t
 
 
 def sample_member(

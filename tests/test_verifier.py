@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _bench_inputs import BENCH_INPUTS
+
 from bohrcc import power_series as ps
 from bohrcc import verifier
 from bohrcc.catalog import FAMILIES, PhiSpec, janowski, lemniscate, phi_series, sakaguchi, strongly
 from bohrcc.errors import DomainError, InconsistencyError, ParameterError, PrecisionError
 from bohrcc.extremal import build_extremal
-from bohrcc.solver import ClassId, nested_series_transform, solve_radius, target_constant
+from bohrcc.solver import ClassId, kernel_series, nested_series_transform, solve_radius, target_constant
 from bohrcc.verifier import (
     IDENTITY_MAP,
     SelfMap,
@@ -281,6 +284,15 @@ FAILING_CAMPAIGN_PIN = "b6d4483971dd956ea1b04929fa58fe089a7bcf3b23ba1ba624cd8134
 #: test_blocks_leave_the_bytes also compares bit for bit
 FULL_SERIES_FAILING_PIN = "95881268164a4ff471b3a90bad5a9506907fd188c50700b4e3881633cbbfd69e"
 
+#: sha256 of run_campaign(class, strongly(0.5), 100, 3, r=r).to_json() for the
+#: nested classes, keyed by (class, r), with the number of failing draws (all
+#: of powers 1-2): the drawn Cc and Cs members, whose passing reports are set
+#: by sample 0 alone
+NESTED_FAILING_PINS = {
+    ("Cc", 0.55): ("682ef9f8844a2b4e50c0f5d222a3dd3169e3dcf165fde3a29589f7dba49c27b7", 15),
+    ("Cs", 0.7): ("0bbd37364938869745dc3dca1e5811ffe51360d2d2220d1f5cd08359150b1091", 12),
+}
+
 
 class TestCampaignBits:
     @pytest.mark.parametrize(
@@ -301,6 +313,14 @@ class TestCampaignBits:
         assert len(report.failures) == 37
         assert {f["power"] for f in report.failures} == {1, 2, 3, 4}
         assert _sha(report) == FULL_SERIES_FAILING_PIN
+
+    @pytest.mark.parametrize("key", sorted(NESTED_FAILING_PINS), ids=lambda k: k[0])
+    def test_nested_failing_campaign_bytes(self, key):
+        pin, n_failing = NESTED_FAILING_PINS[key]
+        report = run_campaign(ClassId(key[0]), strongly(0.5), 100, 3, r=key[1])
+        assert len(report.failures) == n_failing
+        assert {f["power"] for f in report.failures} == {1, 2}
+        assert _sha(report) == pin
 
     def test_order_32_campaign_bytes(self):
         report = run_campaign(ClassId.CS, strongly(0.5), 100, 9, order=32)
@@ -371,6 +391,8 @@ class TestCampaignBits:
                 assert _sha(run_campaign(ClassId(cls), PhiSpec(family, params), 100, seed)) == CAMPAIGN_PINS[key]
             report = run_campaign(ClassId.SC, lemniscate(0.5), 100, 3, r=0.34)
             assert _sha(report) == FAILING_CAMPAIGN_PIN
+            for (cls, r), (pin, _) in NESTED_FAILING_PINS.items():
+                assert _sha(run_campaign(ClassId(cls), strongly(0.5), 100, 3, r=r)) == pin
             assert full_series_members() == one_block
 
     def test_tail_guard_message(self):
@@ -552,3 +574,107 @@ def test_failing_campaign_failures_match_oracle():
     report = run_campaign(ClassId.SC, spec, 100, 3, r=r)
     assert len(want) == 14 and {f["power"] for f in want} == {1, 2}
     assert list(report.failures) == want
+
+
+def _members_by_power(
+    class_id: ClassId, spec: PhiSpec, eps: np.ndarray, powers: np.ndarray, order: int
+) -> np.ndarray:
+    """``verifier._members`` with the composed rows filled for all rows of
+    one power at once and the kernel's Toeplitz matrix cut from a full
+    gather by ``np.triu`` (the test oracle for its scatter and its padded
+    gather, which must give the same bits)."""
+    order = ps.as_order(order)
+    phi = phi_series(spec, order).coeffs
+    kernel = kernel_series(class_id, spec, order)
+    if class_id is ClassId.KS:
+        kernel = ps.shift_up(kernel)
+    composed = np.zeros((max(len(eps), 2), order))
+    composed[: len(eps), 0] = phi[0]
+    live = (eps != 0.0) & (powers < order)
+    for m in np.unique(powers[live]).tolist():
+        rows = np.flatnonzero(live & (powers == m))
+        k_max = (order - 1) // m
+        composed[rows, ::m] = phi[: k_max + 1] * eps[rows, None] ** np.arange(k_max + 1)
+    index = np.arange(order)
+    toeplitz = np.triu(kernel.coeffs[index - index[:, None]])
+    products = (composed @ toeplitz)[: len(eps)]
+    weights = np.arange(1, order + 1)
+    if class_id is ClassId.KS:
+        members = np.zeros((len(eps), max(order, 2)))
+        members[:, 1:order] = products[:, 1:] / weights[:-1]
+    else:
+        members = np.zeros((len(eps), order + 1))
+        members[:, 1:] = products / weights
+        if class_id.nested:
+            members[:, 1:] /= weights
+    return members
+
+
+def _fixed_draw(rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first rows of one fixed draw of 100 self-maps: the identity,
+    epsilon 0 and 1, every power 1-70 and power 300, past every order tested."""
+    eps = np.random.default_rng(24).random(100)
+    eps[[0, 5, 40]] = 1.0
+    eps[[1, 9, 70]] = 0.0
+    powers = np.concatenate(([1, 2, 300], np.arange(1, 71), [300], np.arange(3, 29)))
+    return eps[:rows], powers[:rows]
+
+
+_CANONICAL_SPECS = [PhiSpec(family, params) for family, params in BENCH_INPUTS.CANONICAL]
+
+
+class TestMembersEqualThePowerLoop:
+    @pytest.mark.parametrize("spec", _CANONICAL_SPECS, ids=PhiSpec.label)
+    @pytest.mark.parametrize("class_id", list(ClassId), ids=lambda c: c.value)
+    def test_canonical_specs(self, class_id, spec):
+        eps, powers = _fixed_draw(100)
+        want = _members_by_power(class_id, spec, eps, powers, 64)
+        assert verifier._members(class_id, spec, eps, powers, 64).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", [1, 2, 8, 9, 64, 65, 256])
+    @pytest.mark.parametrize("class_id", list(ClassId), ids=lambda c: c.value)
+    def test_orders_and_row_counts(self, class_id, order):
+        for rows in (1, 2, 7, 100):
+            eps, powers = _fixed_draw(rows)
+            want = _members_by_power(class_id, strongly(0.5), eps, powers, order)
+            assert verifier._members(class_id, strongly(0.5), eps, powers, order).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 100])
+    @pytest.mark.parametrize("class_id", list(ClassId), ids=lambda c: c.value)
+    def test_margins_are_horner(self, class_id, rows):
+        eps, powers = _fixed_draw(rows)
+        members = verifier._members(class_id, strongly(0.5), eps, powers, 64)
+        majorants, target = np.abs(members), target_constant(class_id, strongly(0.5))
+        for r in (0.05, 0.3, 0.6):
+            want = target - ps._horner(majorants[:, -1], majorants.T[-2::-1], r)
+            got = verifier._margins(members, target, r)
+            assert [m.hex() for m in got.tolist()] == [m.hex() for m in want.tolist()]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    spec=_BOX_SPECS,
+    class_id=st.sampled_from(list(ClassId)),
+    maps=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, 70)), min_size=1, max_size=9),
+    order=st.sampled_from((8, 9, 64)),
+)
+def test_members_equal_the_power_loop_over_the_family_boxes(spec, class_id, maps, order):
+    eps, powers = np.array([e for e, _ in maps]), np.array([m for _, m in maps])
+    want = _members_by_power(class_id, spec, eps, powers, order)
+    assert verifier._members(class_id, spec, eps, powers, order).tobytes() == want.tobytes()
+
+
+@pytest.mark.slow
+def test_members_peak_memory_within_the_power_loop():
+    # the largest block at order 1024; phi and the kernel are cached before tracing
+    u = np.random.default_rng(1).random((4096, 2))
+    eps, powers = u[:, 0], 1 + (8.0 * u[:, 1]).astype(np.int64)
+    verifier._members(ClassId.KS, strongly(0.5), eps[:2], powers[:2], 1024)
+    built, peaks = [], []
+    for build in (verifier._members, _members_by_power):
+        tracemalloc.start()
+        built.append(build(ClassId.KS, strongly(0.5), eps, powers, 1024))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert built[0].tobytes() == built[1].tobytes()
+    assert peaks[0] <= peaks[1]
