@@ -12,8 +12,8 @@ from bohrcc import expblend, janowski, lemniscate, sakaguchi, strongly, wang
 from bohrcc.catalog import (
     check_min_max_hypothesis,
     has_positive_coeffs,
-    majorant_phi_at,
-    phi_at,
+    majorant_phi_evaluator,
+    phi_evaluator,
     phi_series,
 )
 
@@ -36,8 +36,9 @@ for spec in specs:
 # itself; the others here keep every coefficient nonnegative.
 mixed = janowski(0.5, 0.25)
 print("\nmixed-sign example", mixed.label())
+phi, majorant = phi_evaluator(mixed), majorant_phi_evaluator(mixed)
 for r in (0.2, 0.4):
-    print(f"  r={r}: phi(r) = {phi_at(mixed, r):.6f},  majorant sum = {majorant_phi_at(mixed, r):.6f}")
+    print(f"  r={r}: phi(r) = {phi(r):.6f},  majorant sum = {majorant(r):.6f}")
 
 # The growth estimates assume |phi| on each circle is extremized on the
 # real axis.  The catalog can check that numerically for any spec.

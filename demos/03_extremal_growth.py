@@ -5,21 +5,24 @@ extremal k (1 + z k''/k' = phi).  Their values at -1 measure how far the
 image of the unit disk is guaranteed to reach around the origin, which is
 exactly the constant the radius equations aim at.
 
-Pointwise values come straight from the spec; the series come from the
-bundle's k' (h = z k', and k is its antiderivative).
+Pointwise values come straight from the spec, through evaluators that bind
+it once; the series come from the bundle's k' (h = z k', and k is its
+antiderivative).
 """
+
+import math
 
 import numpy as np
 
 from bohrcc import build_extremal, janowski, lemniscate, sakaguchi, strongly
-from bohrcc.extremal import K_prime_at, h_at, k_at
+from bohrcc.extremal import growth_evaluator, h_evaluator, k_at
 from bohrcc import power_series as ps
 
 for spec in (janowski(1.0, -1.0), sakaguchi(0.25), lemniscate(0.5), strongly(0.5)):
-    h = ps.shift_up(build_extremal(spec).k_prime)
+    h, h_pointwise = ps.shift_up(build_extremal(spec).k_prime), h_evaluator(spec)
     print(spec.label())
     print(f"  h coefficients: {np.round(h.coeffs[:6], 6)}")
-    print(f"  h(1/3) = {h_at(spec, 1/3):.9f}   -h(-1) = {-h_at(spec, -1.0):.9f}")
+    print(f"  h(1/3) = {h_pointwise(1/3):.9f}   -h(-1) = {-h_pointwise(-1.0):.9f}")
     print(f"  k(1/3) = {k_at(spec, 1/3):.9f}   -k(-1) = {-k_at(spec, -1.0):.9f}")
 
 # The widest Janowski spec reproduces the classical extremal geometry:
@@ -31,11 +34,12 @@ print("\nKoebe check: h coefficients are 0, 1, 2, 3, ...:", h.coeffs[:6])
 print("half-plane check: k coefficients are 0, 1, 1, 1, ...:", np.round(k.coeffs[:6], 12))
 
 # The odd convex extremal K has derivative K'(t) = sqrt(k'(t^2)); the
-# bundle stores its series, K_prime_at evaluates it from the spec, and
-# z K'(z) squares to h(z^2).
+# bundle stores its series, the growth exponent G gives it pointwise as
+# exp(G(t^2) / 2), and z K'(z) squares to h(z^2).
 t = 0.4
 series_val = ps.eval_at(es.K_prime, t)
-print(f"\nK'({t}) via series {series_val:.12f} vs pointwise {K_prime_at(spec, t):.12f}")
+pointwise = math.exp(0.5 * growth_evaluator(spec)(t * t))
+print(f"\nK'({t}) via series {series_val:.12f} vs pointwise {pointwise:.12f}")
 zKp = ps.shift_up(es.K_prime)
 square = ps.mul(zKp, zKp)
 h_of_z2 = ps.compose_with_selfmap(h, ps.monomial(1.0, 2, 64))

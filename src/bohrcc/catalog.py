@@ -14,7 +14,7 @@ six parameterized families:
 
 ``FAMILIES`` maps each name to its :class:`Family` record, the one place
 that knows the family: parameter names, box, and the formulas for the
-series, real and complex values, majorant and growth exponent.
+series, real and complex values, majorant, growth exponent, h and k.
 ``sakaguchi(g)`` is ``janowski(1-2g, -1)`` and ``wang(a, b)`` is
 ``janowski(b, -a*b)``, so their records hold only that map and borrow the
 Janowski formulas through :func:`formulas_of`.  Out-of-range parameters
@@ -38,14 +38,14 @@ from .errors import DomainError, ParameterError
 #: specs evicts the least recently used instead of growing without limit.
 SPEC_CACHE_SIZE = 256
 
-_SQRT_HALF = math.sqrt(0.5)  # correctly-rounded 1/sqrt(2); the admissible endpoint
+SQRT_HALF = math.sqrt(0.5)  # correctly-rounded 1/sqrt(2); the admissible lemniscate endpoint
 
 
 @dataclass(frozen=True)
 class Family:
     """One catalog family.  The formulas take the parameters last; ``real``,
-    ``majorant`` and ``growth`` return the unchecked function of a float
-    that an evaluator wraps, and ``real`` takes the spec for its pole text."""
+    ``majorant``, ``growth``, ``h`` and ``k`` return the unchecked function
+    of a float that a domain-checking caller wraps; ``real`` takes the spec for its pole text."""
 
     names: tuple[str, ...]
     box: str  # as the ParameterError states it, one {} per parameter value
@@ -56,6 +56,8 @@ class Family:
     complex: Callable[..., complex] | None = None  # (z, *params)
     majorant: Callable[..., Callable[[float], float]] | None = None  # None: phi itself
     growth: Callable[..., Callable[[float], float]] | None = None  # None: by quadrature
+    h: Callable[..., Callable[[float], float]] | None = None  # None: x k'(x)
+    k: Callable[..., Callable[[float], float]] | None = None  # None: the quadrature of k'
 
 
 def _janowski_series(order: int, a: float, b: float) -> ps.TruncatedSeries:
@@ -86,6 +88,20 @@ def _janowski_growth(a: float, b: float) -> Callable[[float], float]:
         return lambda x: a * x
     power = (a - b) / b
     return lambda x: power * math.log(1.0 + b * x)
+
+
+def _janowski_h(a: float, b: float) -> Callable[[float], float]:
+    if b == 0.0:  # h = x e^{ax}
+        return lambda x: x * math.exp(a * x)
+    return lambda x: x * (1.0 + b * x) ** ((a - b) / b)  # admissible B: 1 + Bx > 0 on [-1, 1)
+
+
+def _janowski_k(a: float, b: float) -> Callable[[float], float]:
+    if b == 0.0:  # k' = e^{at}
+        return lambda x: math.expm1(a * x) / a  # a > b = 0 so a != 0; expm1 keeps a tiny a
+    if a == 0.0:  # k' = (1+bt)^{-1}
+        return lambda x: math.log(1.0 + b * x) / b
+    return lambda x: ((1.0 + b * x) ** (a / b) - 1.0) / a
 
 
 def _lemniscate_series(order: int, s: float) -> ps.TruncatedSeries:
@@ -138,15 +154,15 @@ FAMILIES: Mapping[str, Family] = {
     "janowski": Family(
         ("A", "B"), "-1 <= B < A <= 1, got A={}, B={}", lambda a, b: -1.0 <= b < a <= 1.0,
         janowski=lambda a, b: (a, b), series=_janowski_series, real=_janowski_real,
-        complex=lambda z, a, b: (1.0 + a * z) / (1.0 + b * z),
-        majorant=_janowski_majorant, growth=_janowski_growth,
+        complex=lambda z, a, b: (1.0 + a * z) / (1.0 + b * z), majorant=_janowski_majorant,
+        growth=_janowski_growth, h=_janowski_h, k=_janowski_k,
     ),
     "sakaguchi": Family(
         ("gamma",), "0 <= gamma < 1, got {}", lambda g: 0.0 <= g < 1.0,
         janowski=lambda g: (1.0 - 2.0 * g, -1.0),
     ),
     "lemniscate": Family(
-        ("s",), "0 < s <= 1/sqrt(2), got {}", lambda s: 0.0 < s <= _SQRT_HALF,
+        ("s",), "0 < s <= 1/sqrt(2), got {}", lambda s: 0.0 < s <= SQRT_HALF,
         series=_lemniscate_series, real=lambda spec, s: lambda x: (1.0 + s * x) ** 2,
         complex=lambda z, s: (1.0 + s * z) ** 2,
         growth=lambda s: lambda x: s * (2.0 * x + s * x * x / 2.0),
@@ -247,19 +263,10 @@ def _phi_series(spec: PhiSpec, order: int) -> ps.TruncatedSeries:
     return fam.series(order, *p)
 
 
-def phi_at(spec: PhiSpec, x: float) -> float:
-    """Closed-form value of phi on the real diameter (-1, 1).
-
-    The extremal-growth integrals also need the endpoint values, so the
-    closed interval [-1, 1] is accepted whenever the formula stays finite
-    there; the only rejected points are actual poles.
-    """
-    return phi_evaluator(spec)(float(x))
-
-
 def phi_evaluator(spec: PhiSpec) -> Callable[[float], float]:
-    """:func:`phi_at` for one spec as a function of a float, its family
-    looked up and its parameters unpacked once.  Integrands call this."""
+    """Closed-form phi on [-1, 1] for one spec as a function of a float,
+    its family looked up and its parameters unpacked once; the only rejected
+    points are actual poles.  Integrands call this."""
     fam, p = formulas_of(spec)
     formula = fam.real(spec, *p)
 
@@ -279,18 +286,10 @@ def phi_complex(spec: PhiSpec, z: complex) -> complex:
     return fam.complex(z, *p)
 
 
-def majorant_phi_at(spec: PhiSpec, t: float) -> float:
-    """Pointwise value of the coefficient-modulus series of phi.
-
-    Closed forms for every family: Janowski-style families sum to
-    ``1 + (A-B) t / (1 - |B| t)``, all other catalog families have
-    nonnegative coefficients so the majorant equals phi itself.
-    """
-    return majorant_phi_evaluator(spec)(float(t))
-
-
 def majorant_phi_evaluator(spec: PhiSpec) -> Callable[[float], float]:
-    """:func:`majorant_phi_at` for one spec as a function of a float."""
+    """The coefficient-modulus series of phi on [0, 1) for one spec:
+    ``1 + (A-B) t / (1 - |B| t)`` for Janowski-style families, phi itself
+    for the others, whose coefficients are nonnegative."""
     fam, p = formulas_of(spec)
     formula = fam.real(spec, *p) if fam.majorant is None else fam.majorant(*p)
 
@@ -325,7 +324,8 @@ def check_min_max_hypothesis(spec: PhiSpec, r: float, samples: int = 181) -> boo
         raise ParameterError("check_min_max_hypothesis needs 0 < r < 1")
     if samples < 2:
         raise ParameterError("need at least two circle samples")
-    lo, hi = phi_at(spec, -r), phi_at(spec, r)
+    phi = phi_evaluator(spec)
+    lo, hi = phi(-r), phi(r)
     slack = 1e-10
     for theta in np.linspace(0.0, math.pi, samples):
         mod = abs(phi_complex(spec, r * complex(math.cos(theta), math.sin(theta))))

@@ -27,7 +27,7 @@ import sys
 from . import reference
 from .catalog import FAMILIES, PhiSpec, check_min_max_hypothesis, expblend, strongly
 from .errors import BudgetError, NoRootError, ParameterError, PrecisionError
-from .extremal import h_at
+from .extremal import h_evaluator
 from .power_series import DEFAULT_ORDER
 from .quadrature import DEFAULT_TOL
 from .solver import SCAN_EQUATIONS, ClassId, solve_corollary_closed_form, solve_radius, threshold_scan
@@ -138,9 +138,9 @@ def _growth_table_rows(table, make_spec):
     ]
     rows = []
     for alpha, h3_ref, hm1_ref, _, _ in table:
-        spec = make_spec(alpha)
-        h3 = h_at(spec, 1.0 / 3.0)
-        hm1 = -h_at(spec, -1.0)
+        h = h_evaluator(make_spec(alpha))
+        h3 = h(1.0 / 3.0)
+        hm1 = -h(-1.0)
         sign0 = "-"  # h(0) + h(-1) = h(-1) < 0 always
         sign3 = "+" if h3 - hm1 > 0.0 else "-"
         rows.append([

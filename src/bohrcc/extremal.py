@@ -10,11 +10,11 @@ The radius equations read four quantities per catalog spec, which
 * ``K'``  -- (k'(t^2))^{1/2}, the derivative of the odd convex extremal
 * h(-1) and k(-1), the boundary values that serve as distance targets.
 
-Pointwise values on [-1, 1) (``h_at``, ``k_at``, ``k_prime_at``,
-``K_prime_at``) take the spec and need no series; the ``*_evaluator``
-closures bind one spec for probes and integrands, uncached: a cache here
-holds work (the bundle, the growth table), never a closure.  Closed forms
-are used where a family admits them; otherwise the growth exponent
+Pointwise values on [-1, 1) need no series: the ``*_evaluator`` closures
+bind one spec for probes and integrands, uncached (a cache here holds
+work, the bundle and the growth table, never a closure), and ``k_at`` is
+read once per spec, at -1.  The formulas come from the spec's
+``catalog.Family`` record; without a growth formula the exponent
 integral_0^x (phi(t)-1)/t dt is computed by adaptive quadrature with the
 removable point at 0 handled through the series of the integrand (its
 value there is the leading phi coefficient).
@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import power_series as ps
-from .catalog import SPEC_CACHE_SIZE, PhiSpec, as_janowski, formulas_of, phi_evaluator, phi_series
+from .catalog import SPEC_CACHE_SIZE, PhiSpec, formulas_of, phi_evaluator, phi_series
 from .errors import BudgetError, DomainError, InconsistencyError
 from .quadrature import AntiderivativeTable, integrate_1d
 
@@ -71,48 +71,43 @@ def _build_extremal(spec: PhiSpec, order: int) -> ExtremalSet:
     k_prime = k_prime_series(phi_series(spec, order))
     K_prime = ps.sqrt_series(ps.compose_with_selfmap(k_prime, ps.monomial(1.0, 2, order)))
 
-    h_m1 = h_at(spec, -1.0)
+    h_m1 = h_evaluator(spec)(-1.0)
     k_m1 = k_at(spec, -1.0)
     if not (h_m1 < 0.0 < -h_m1):
         raise InconsistencyError(f"h(-1) = {h_m1} has the wrong sign for {spec.label()}")
     return ExtremalSet(k_prime, K_prime, float(h_m1), float(k_m1))
 
 
-def growth_exponent(spec: PhiSpec, x: float) -> float:
-    """integral_0^x (phi(t) - 1)/t dt, the log of h(x)/x.
-
-    The catalog record gives the elementary or series form where the
-    family has one; otherwise (strongly) the exponent is read from a
-    cached antiderivative table, with adaptive quadrature past its end.
-    """
-    return growth_evaluator(spec)(float(x))
-
-
 def growth_evaluator(spec: PhiSpec) -> Callable[[float], float]:
-    """:func:`growth_exponent` for one spec as a function of a float, its
-    family looked up and its parameters unpacked once.  Integrands call
-    this."""
+    """integral_0^x (phi(t) - 1)/t dt on [-1, 1), the log of h(x)/x, for one
+    spec as a function of a float, its formula built once.  Integrands call this."""
+    formula = _growth_formula(spec)
+    return lambda x: formula(x) if x != 0.0 and -1.0 <= x < 1.0 else _growth_edge(x)
+
+
+def _growth_edge(x: float) -> float:
+    """The growth exponent where no formula is read: 0 at 0, else out of range."""
+    if x == 0.0:
+        return 0.0
+    raise DomainError(f"growth exponent defined on [-1, 1), got {x}")
+
+
+def _growth_formula(spec: PhiSpec) -> Callable[[float], float]:
+    """The growth exponent for x != 0 in [-1, 1), unchecked: the catalog
+    record's formula, or (strongly) a read of the cached antiderivative
+    table with adaptive quadrature past its end."""
     fam, p = formulas_of(spec)
     if fam.growth is not None:
-        formula = fam.growth(*p)
-    else:
-        table, at_zero = _growth_table(spec)
-        lookup = table.__call__
+        return fam.growth(*p)
+    table, at_zero = _growth_table(spec)
+    lookup = table.__call__
 
-        def formula(x: float) -> float:
-            if x <= _TABLE_HI:
-                return lookup(x) - at_zero
-            return integrate_1d(_growth_integrand(spec), 0.0, x, _BOUNDARY_TOL).value
+    def formula(x: float) -> float:
+        if x <= _TABLE_HI:
+            return lookup(x) - at_zero
+        return integrate_1d(_growth_integrand(spec), 0.0, x, _BOUNDARY_TOL).value
 
-    def growth(x: float) -> float:
-        if not (-1.0 <= x < 1.0):
-            raise DomainError(f"growth exponent defined on [-1, 1), got {x}")
-        if x == 0.0:
-            return 0.0
-        return formula(x)
-
-    growth.formula = formula  # for x != 0 in [-1, 1), unchecked
-    return growth
+    return formula
 
 
 def _growth_integrand(spec: PhiSpec):
@@ -138,42 +133,33 @@ def _growth_table(spec: PhiSpec) -> tuple[AntiderivativeTable, float]:
     return table, table(0.0)
 
 
-def h_at(spec: PhiSpec, x: float) -> float:
-    """Pointwise h(x) = x k'(x) on [-1, 1) straight from the spec (no
-    series), as a power for Janowski-style specs with B != 0."""
-    return h_evaluator(spec)(float(x))
-
-
 def h_evaluator(spec: PhiSpec) -> Callable[[float], float]:
-    """:func:`h_at` for one spec as a function of a float."""
-    ab = as_janowski(spec)
-    k_prime = None if ab is not None and ab[1] != 0.0 else k_prime_evaluator(spec)
+    """Pointwise h(x) = x k'(x) on [-1, 1) for one spec, straight from the
+    spec (no series): the catalog record's closed h where it has one."""
+    fam, p = formulas_of(spec)
+    if fam.h is not None:
+        formula = fam.h(*p)
+    else:
+        growth = _growth_formula(spec)
+        formula = lambda x: x * math.exp(growth(x)) if x != 0.0 else x  # h(+-0) = +-0 k'(0)
 
     def h(x: float) -> float:
         if not (-1.0 <= x < 1.0):
             raise DomainError(f"h is evaluated on [-1, 1), got {x}")
-        if k_prime is not None:
-            return x * k_prime(x)
-        a, b = ab
-        return x * (1.0 + b * x) ** ((a - b) / b)  # an admissible B keeps 1 + Bx > 0 on [-1, 1)
+        return formula(x)
 
     return h
 
 
 def k_at(spec: PhiSpec, x: float) -> float:
-    """Pointwise k(x) = integral_0^x k'(t) dt on [-1, 1): closed form for
-    Janowski-style specs, else quadrature of the k' evaluator."""
+    """Pointwise k(x) = integral_0^x k'(t) dt on [-1, 1): the catalog
+    record's closed k where it has one, else quadrature of the k' evaluator."""
     x = float(x)
     if not (-1.0 <= x < 1.0):
         raise DomainError(f"k is evaluated on [-1, 1), got {x}")
-    ab = as_janowski(spec)
-    if ab is not None:
-        a, b = ab
-        if b == 0.0:  # k' = e^{at}
-            return math.expm1(a * x) / a  # a > b = 0 so a != 0; expm1 keeps a tiny a
-        if a == 0.0:  # k' = (1+bt)^{-1}
-            return math.log(1.0 + b * x) / b
-        return ((1.0 + b * x) ** (a / b) - 1.0) / a
+    fam, p = formulas_of(spec)
+    if fam.k is not None:
+        return fam.k(*p)(x)
     if x == 0.0:
         return 0.0
     g = k_prime_evaluator(spec)
@@ -192,18 +178,7 @@ def k_at(spec: PhiSpec, x: float) -> float:
         return best if x > 0 else -best
 
 
-def k_prime_at(spec: PhiSpec, x: float) -> float:
-    """Pointwise k'(x) = exp(growth exponent); strictly positive."""
-    return k_prime_evaluator(spec)(float(x))
-
-
 def k_prime_evaluator(spec: PhiSpec) -> Callable[[float], float]:
-    """:func:`k_prime_at` for one spec as a function of a float."""
-    growth = growth_evaluator(spec)
-    formula = growth.formula  # growth itself only answers x = 0 and raises outside [-1, 1)
-    return lambda x: math.exp(formula(x) if x != 0.0 and -1.0 <= x < 1.0 else growth(x))
-
-
-def K_prime_at(spec: PhiSpec, t: float) -> float:
-    """Pointwise (k'(t^2))^{1/2} via the growth exponent (no series)."""
-    return math.exp(0.5 * growth_exponent(spec, t * t))
+    """Pointwise k'(x) = exp(growth exponent) on [-1, 1) for one spec; positive."""
+    formula = _growth_formula(spec)
+    return lambda x: math.exp(formula(x) if x != 0.0 and -1.0 <= x < 1.0 else _growth_edge(x))

@@ -7,7 +7,7 @@ diff is taken after truncating the freshly computed value to the same
 number of decimals.
 """
 
-SQRT_HALF = 0.7071067811865476
+from .catalog import SQRT_HALF
 
 #: table 1 -- radius for the lemniscate family under the Sc class, by s
 TABLE1 = (

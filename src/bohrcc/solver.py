@@ -68,7 +68,7 @@ from .catalog import (
     phi_series,
 )
 from .errors import InconsistencyError, NoRootError, ParameterError
-from .extremal import build_extremal, growth_evaluator, h_at, h_evaluator, k_prime_evaluator
+from .extremal import build_extremal, growth_evaluator, h_evaluator, k_prime_evaluator
 from .quadrature import DEFAULT_TOL, check_tol, integrate_1d, integrate_nested
 
 _SCAN_STEP = 1e-3
@@ -556,14 +556,14 @@ def sharpness_witness(class_id: ClassId, spec: PhiSpec, result: RadiusResult) ->
     strictly exceeds it at r_f + 0.01 (below 1, a sharp r_f being at most 1/3)."""
     if class_id is not ClassId.SC or not result.sharp:
         raise ParameterError("sharpness witness applies to sharp Sc results only")
-    bound = -h_at(spec, -1.0)
-    value = h_at(spec, result.r_f)  # positive coefficients: M_h(r) == h(r)
+    h, bound = _sc_growth_parts(spec)  # the Sc corollary h(r) = -h(-1)
+    value = h(result.r_f)  # positive coefficients: M_h(r) == h(r)
     if abs(value - bound) > 1e-7:
         raise InconsistencyError(
             f"extremal value {value!r} misses the bound {bound!r} at r_f={result.r_f!r}; "
             "solver or extremal-function bug"
         )
-    beyond = h_at(spec, result.r_f + _WITNESS_STEP)
+    beyond = h(result.r_f + _WITNESS_STEP)
     return WitnessReport(result.r_f, value, bound, _WITNESS_STEP, beyond, bool(beyond > bound))
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from bohrcc import power_series as ps
 from bohrcc.catalog import expblend, janowski, lemniscate, sakaguchi, strongly, wang
-from bohrcc.extremal import build_extremal, h_at
+from bohrcc.extremal import build_extremal, h_evaluator
 from bohrcc.reference import TABLE1, TABLE2, TABLE3, TABLE4, decimals, truncate_to
 from bohrcc.solver import (
     ClassId,
@@ -87,9 +87,9 @@ def test_criterion_3_ks_base_case_both_routes():
 def test_criterion_4_growth_tables(table, factory, label):
     worst = 0.0
     for alpha, h3_ref, hm1_ref, sign0_ref, sign3_ref in table:
-        spec = factory(alpha)
-        h3 = h_at(spec, 1.0 / 3.0)
-        hm1 = -h_at(spec, -1.0)
+        h = h_evaluator(factory(alpha))
+        h3 = h(1.0 / 3.0)
+        hm1 = -h(-1.0)
         assert abs(h3 - float(h3_ref)) <= _printed_precision_tol(h3_ref), (alpha, h3, h3_ref)
         assert abs(hm1 - float(hm1_ref)) <= _printed_precision_tol(hm1_ref), (alpha, hm1, hm1_ref)
         worst = max(worst, abs(h3 - float(h3_ref)), abs(hm1 - float(hm1_ref)))

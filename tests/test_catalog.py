@@ -16,8 +16,8 @@ from bohrcc.catalog import (
     has_positive_coeffs,
     janowski,
     lemniscate,
-    majorant_phi_at,
-    phi_at,
+    majorant_phi_evaluator,
+    phi_evaluator,
     phi_complex,
     phi_series,
     sakaguchi,
@@ -208,30 +208,31 @@ class TestSeries:
 
 class TestPointwise:
     def test_full_range_value(self):
-        assert phi_at(janowski(1, -1), 0.5) == pytest.approx(3.0, abs=1e-15)
+        assert phi_evaluator(janowski(1, -1))(0.5) == pytest.approx(3.0, abs=1e-15)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_value_at_zero(self, spec):
-        assert phi_at(spec, 0.0) == 1.0
+        assert phi_evaluator(spec)(0.0) == 1.0
 
     def test_lemniscate_left_end(self):
-        assert phi_at(lemniscate(0.5), -1.0) == pytest.approx(0.25, abs=1e-15)
+        assert phi_evaluator(lemniscate(0.5))(-1.0) == pytest.approx(0.25, abs=1e-15)
 
     def test_pole_rejected(self):
         with pytest.raises(DomainError):
-            phi_at(janowski(1, -1), 1.0)
+            phi_evaluator(janowski(1, -1))(1.0)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_series_agrees_with_closed_form(self, spec):
-        s = phi_series(spec, 64)
+        s, phi = phi_series(spec, 64), phi_evaluator(spec)
         for x in np.linspace(-0.9, 0.9, 13):
             tail = ps._tail_hint(abs(float(s.coeffs[-1])), s.order, abs(x))
-            assert abs(ps.eval_at(s, x) - phi_at(spec, x)) <= 1e-10 + tail
+            assert abs(ps.eval_at(s, x) - phi(float(x))) <= 1e-10 + tail
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_positive_on_diameter(self, spec):
+        phi = phi_evaluator(spec)
         for x in np.linspace(-0.95, 0.95, 21):
-            assert phi_at(spec, x) > 0.0
+            assert phi(float(x)) > 0.0
 
 
 class TestPositivity:
@@ -251,13 +252,13 @@ class TestPositivity:
             pytest.skip("mixed signs")
         maj = ps.majorant(phi_series(spec, 64))
         for r in (0.1, 0.2, 1.0 / 3.0):
-            assert abs(ps.eval_at(maj, r) - phi_at(spec, r)) <= 1e-12
+            assert abs(ps.eval_at(maj, r) - phi_evaluator(spec)(r)) <= 1e-12
 
     def test_majorant_closed_form_mixed_signs(self):
         spec = janowski(0.5, 0.25)
         maj = ps.majorant(phi_series(spec, 64))
         for r in (0.1, 0.3, 0.5):
-            assert majorant_phi_at(spec, r) == pytest.approx(ps.eval_at(maj, r), abs=1e-12)
+            assert majorant_phi_evaluator(spec)(r) == pytest.approx(ps.eval_at(maj, r), abs=1e-12)
 
 
 class TestMinMaxHypothesis:
@@ -274,7 +275,7 @@ class TestMinMaxHypothesis:
     def test_complex_evaluator_consistent_on_axis(self):
         for spec in ALL_SPECS:
             z = 0.3 + 0.0j
-            assert phi_complex(spec, z).real == pytest.approx(phi_at(spec, 0.3), abs=1e-14)
+            assert phi_complex(spec, z).real == pytest.approx(phi_evaluator(spec)(0.3), abs=1e-14)
             assert abs(phi_complex(spec, z).imag) < 1e-14
 
     @pytest.mark.parametrize("modulus", [0.0, 10.0], ids=["below", "above"])

@@ -14,7 +14,7 @@ from bohrcc.catalog import (
     expblend,
     janowski,
     lemniscate,
-    phi_at,
+    phi_evaluator,
     phi_series,
     sakaguchi,
     strongly,
@@ -22,12 +22,11 @@ from bohrcc.catalog import (
 )
 from bohrcc.errors import BudgetError, DomainError, InconsistencyError, ParameterError
 from bohrcc.extremal import (
-    K_prime_at,
     build_extremal,
-    growth_exponent,
-    h_at,
+    growth_evaluator,
+    h_evaluator,
     k_at,
-    k_prime_at,
+    k_prime_evaluator,
 )
 from bohrcc.quadrature import integrate_1d
 
@@ -64,7 +63,7 @@ class TestClosedForms:
         assert np.allclose(ps.shift_up(es.k_prime).coeffs, np.arange(64), atol=1e-10)
         assert es.h_at_minus_one == pytest.approx(-0.25, abs=1e-12)
         assert es.k_at_minus_one == pytest.approx(-0.5, abs=1e-12)
-        assert h_at(spec, 1 / 3) == pytest.approx(0.75, abs=1e-12)
+        assert h_evaluator(spec)(1 / 3) == pytest.approx(0.75, abs=1e-12)
         assert k_at(spec, 1 / 3) == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("a", [0.5, 0.9, 1.0])
@@ -87,18 +86,20 @@ class TestClosedForms:
         s = 0.5
         for r in (0.2, 1 / 3, 0.7):
             want = r * math.exp(s * (2 * r + s * r * r / 2))
-            assert h_at(lemniscate(s), r) == pytest.approx(want, abs=1e-13)
+            assert h_evaluator(lemniscate(s))(r) == pytest.approx(want, abs=1e-13)
 
     @pytest.mark.parametrize("g", [0.0, 0.25, 0.4])
     def test_sakaguchi_growth_identities(self, g):
         es = build_extremal(sakaguchi(g))
         e = 2 * (1 - g)
-        assert h_at(sakaguchi(g), 1 / 3) == pytest.approx(3 ** (e - 1) / 2**e, abs=1e-10)
+        h = h_evaluator(sakaguchi(g))
+        assert h(1 / 3) == pytest.approx(3 ** (e - 1) / 2**e, abs=1e-10)
         assert -es.h_at_minus_one == pytest.approx(1.0 / 2**e, abs=1e-10)
         # quadrature route must agree with the closed form
-        f = lambda t: (phi_at(sakaguchi(g), t) - 1.0) / t if abs(t) > 1e-12 else 2 * (1 - g)
+        phi = phi_evaluator(sakaguchi(g))
+        f = lambda t: (phi(t) - 1.0) / t if abs(t) > 1e-12 else 2 * (1 - g)
         direct = (1 / 3) * math.exp(quad(f, 0, 1 / 3, epsabs=1e-13)[0])
-        assert h_at(sakaguchi(g), 1 / 3) == pytest.approx(direct, abs=1e-10)
+        assert h(1 / 3) == pytest.approx(direct, abs=1e-10)
 
     @pytest.mark.parametrize("a", [0.0, 0.03, 0.05, 0.07])
     def test_expblend_boundary_constant(self, a):
@@ -106,11 +107,11 @@ class TestClosedForms:
         assert -es.h_at_minus_one == pytest.approx(0.450859463 ** (1 - a), abs=1e-6)
 
     def test_expblend_growth_value(self):
-        assert h_at(expblend(0.0), 1 / 3) == pytest.approx(0.479357902, abs=1e-8)
+        assert h_evaluator(expblend(0.0))(1 / 3) == pytest.approx(0.479357902, abs=1e-8)
 
     def test_strongly_growth_value(self):
         es = build_extremal(strongly(0.5))
-        assert h_at(strongly(0.5), 1 / 3) == pytest.approx(0.482023176, abs=1e-8)
+        assert h_evaluator(strongly(0.5))(1 / 3) == pytest.approx(0.482023176, abs=1e-8)
         assert -es.h_at_minus_one == pytest.approx(0.415759153, abs=1e-8)
 
 
@@ -182,7 +183,7 @@ class TestReflection:
 
 class TestGuards:
     def test_h_minus_one_must_be_negative(self, monkeypatch):
-        monkeypatch.setattr(extremal, "h_at", lambda spec, x: 0.5)
+        monkeypatch.setattr(extremal, "h_evaluator", lambda spec: lambda x: 0.5)
         with pytest.raises(InconsistencyError, match=r"^h\(-1\) = 0\.5 has the wrong sign for lemniscate\(s=0\.5\)$"):
             extremal._build_extremal.__wrapped__(lemniscate(0.5), 8)
 
@@ -198,9 +199,9 @@ class TestGuards:
 class TestPointwiseEvaluators:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_h_series_matches_pointwise(self, spec):
-        h = ps.shift_up(build_extremal(spec).k_prime)
+        h, h_pointwise = ps.shift_up(build_extremal(spec).k_prime), h_evaluator(spec)
         for x in (-0.4, -0.1, 0.2, 1 / 3):
-            assert ps.eval_at(h, x) == pytest.approx(h_at(spec, x), abs=1e-11)
+            assert ps.eval_at(h, x) == pytest.approx(h_pointwise(x), abs=1e-11)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_k_series_matches_pointwise(self, spec):
@@ -210,27 +211,29 @@ class TestPointwiseEvaluators:
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_K_prime_series_vs_pointwise_sqrt(self, spec):
-        es = build_extremal(spec)
+        es, growth = build_extremal(spec), growth_evaluator(spec)
         for t in (0.1, 0.3, 0.5):
             series_val = ps.eval_at(es.K_prime, t)
-            assert series_val == pytest.approx(K_prime_at(spec, t), abs=1e-11)
+            assert series_val == pytest.approx(math.exp(0.5 * growth(t * t)), abs=1e-11)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_h_strictly_increasing_for_positive(self, spec):
         # h'(t) = k'(t) phi(t) > 0 on [0, 1)
+        k_prime, phi = k_prime_evaluator(spec), phi_evaluator(spec)
         for t in np.linspace(0.0, 0.9, 10):
-            assert k_prime_at(spec, t) * phi_at(spec, t) > 0.0
+            assert k_prime(float(t)) * phi(float(t)) > 0.0
 
     def test_growth_exponent_at_zero(self):
-        assert growth_exponent(janowski(1, -1), 0.0) == 0.0
+        assert growth_evaluator(janowski(1, -1))(0.0) == 0.0
 
     @pytest.mark.parametrize("spec", [strongly(0.5), strongly(0.2)], ids=lambda s: s.label())
     def test_growth_exponent_table_branch(self, spec):
         # the table branch subtracts the cached table value at 0
         table, at_zero = extremal._growth_table(spec)
         assert at_zero == table(0.0)
+        growth = growth_evaluator(spec)
         for x in (-1.0, -0.6, -0.05, 0.05, 0.4, 0.9995):
-            assert growth_exponent(spec, x) == table(x) - table(0.0)
+            assert growth(x) == table(x) - table(0.0)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_growth_integrand_head_matches_polyval(self, spec):
@@ -273,7 +276,7 @@ class TestPointwiseEvaluators:
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            h_at(janowski(1, -1), 1.0)
+            h_evaluator(janowski(1, -1))(1.0)
         with pytest.raises(DomainError):
             k_at(janowski(1, -1), -1.5)
 

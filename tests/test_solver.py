@@ -24,7 +24,7 @@ from bohrcc.catalog import (
     wang,
 )
 from bohrcc.errors import InconsistencyError, NoRootError, ParameterError
-from bohrcc.extremal import build_extremal, h_at, k_prime_series
+from bohrcc.extremal import build_extremal, h_evaluator, k_prime_series
 from bohrcc.solver import (
     ClassId,
     lhs_at,
@@ -115,7 +115,7 @@ class TestSharpness:
         assert report.value_at_radius == pytest.approx(0.25, abs=1e-7)
         assert report.bound == pytest.approx(0.25, abs=1e-12)
         assert report.delta == 0.01
-        assert report.value_beyond.hex() == h_at(spec, res.r_f + 0.01).hex()
+        assert report.value_beyond.hex() == h_evaluator(spec)(res.r_f + 0.01).hex()
         assert report.exceeds_beyond is True
         assert not dataclasses.replace(report, exceeds_beyond=False).ok
 
@@ -136,8 +136,9 @@ class TestSeriesVsQuadratureLhs:
     @pytest.mark.parametrize("spec", CANONICAL, ids=lambda s: s.label())
     def test_sc_lhs_equals_growth_function_for_positive(self, spec):
         # positive coefficients collapse the Sc lhs to the extremal growth h(r)
+        h = h_evaluator(spec)
         for r in (0.1, 0.25, 1 / 3):
-            assert lhs_at(ClassId.SC, spec, r) == pytest.approx(h_at(spec, r), abs=1e-9)
+            assert lhs_at(ClassId.SC, spec, r) == pytest.approx(h(r), abs=1e-9)
 
     @pytest.mark.parametrize("spec", CANONICAL, ids=lambda s: s.label())
     def test_cs_integrand_skips_the_full_horner_loop(self, monkeypatch, spec):
