@@ -32,9 +32,12 @@ from .solver import (
     solve_radius,
     threshold_scan,
 )
-from .verifier import SelfMap, run_campaign, sample_member
 
 __version__ = "0.1.0"
+
+#: names that load :mod:`bohrcc.verifier` on first use, so a command that
+#: never verifies never imports it
+_VERIFIER_NAMES = ("SelfMap", "sample_member", "run_campaign")
 
 __all__ = [
     "PhiSpec",
@@ -56,3 +59,15 @@ __all__ = [
     "run_campaign",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name in _VERIFIER_NAMES:
+        from . import verifier
+
+        return getattr(verifier, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -31,7 +31,6 @@ from .extremal import h_evaluator
 from .power_series import DEFAULT_ORDER
 from .quadrature import DEFAULT_TOL
 from .solver import SCAN_EQUATIONS, ClassId, solve_corollary_closed_form, solve_radius, threshold_scan
-from .verifier import run_campaign
 
 _SCHEMA = 1
 _SCAN_MAX_POINTS = 100_000
@@ -181,6 +180,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verifier import run_campaign  # only verify reads the verifier, so only it loads it
+
     spec = _spec_from_args(args)
     class_id = ClassId.parse(args.class_id)
     report = run_campaign(

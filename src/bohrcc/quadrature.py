@@ -4,9 +4,12 @@ Integrands are plain functions of one float, finite on the whole closed
 interval they are integrated over (they handle their own removable points
 internally).  The 1-D entry point wraps QUADPACK's adaptive Gauss-Kronrod
 rule ``qagse``.  QUADPACK comes from scipy's compiled ``_quadpack``
-extension, loaded straight from scipy's ``integrate/`` directory, so
-``scipy.integrate`` (and the scipy.special, scipy.optimize and
-scipy.sparse.linalg it pulls in) is never imported; the call is the one
+extension, loaded straight from the ``integrate/`` directory that
+``importlib.util.find_spec("scipy")`` names, so neither scipy's package
+``__init__`` nor ``scipy.integrate`` (and the scipy.special, scipy.optimize
+and scipy.sparse.linalg it pulls in) runs at import.  scipy itself loads
+only when QUADPACK first runs, because the extension imports
+``scipy._lib._ccallback`` on its first call.  The call is the one
 ``scipy.integrate.quad`` makes, so every value is the same.  The nested
 entry point evaluates
 
@@ -22,7 +25,9 @@ panel's ``Chebyshev`` object but skips numpy's per-call overhead; panels
 store their coefficients reversed, as the recurrence reads them, so a
 lookup is one bisect and one loop in one frame.  A panel build likewise
 repeats ``Chebyshev.interpolate``'s arithmetic with the Chebyshev nodes
-and the transposed Vandermonde matrix computed once at import, and then
+and the transposed Vandermonde matrix computed once at import (by the numpy
+operations ``chebpts1`` and ``chebvander`` run, without importing
+``numpy.polynomial``), and then
 ``Chebyshev.integ``'s (``pu.mapparms`` and ``chebint``) over plain floats,
 so every panel has the bits numpy would give it without building a numpy
 polynomial object.
@@ -35,13 +40,11 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from importlib.machinery import ExtensionFileLoader, PathFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 from numbers import Real
 from typing import Callable
 
 import numpy as np
-import scipy
-from numpy.polynomial.chebyshev import chebpts1, chebvander
 
 from .errors import BudgetError, ParameterError
 
@@ -51,8 +54,24 @@ DEFAULT_TOL = 1e-10
 _OUTER_LIMIT_CUTOFF = 1e-8  # below this, (1/s) * inner antiderivative ~ inner(0)
 
 _DEGREE = 24  # interpolation degree of each table panel
-_NODES = chebpts1(_DEGREE + 1).tolist()
-_VANDER_T = chebvander(_NODES, _DEGREE).T  # the transposed view, as chebinterpolate uses it
+
+
+def _chebyshev_nodes_and_vander_t(n: int) -> tuple[list, np.ndarray]:
+    """``chebpts1(n).tolist()`` and ``chebvander(nodes, n - 1).T``, built
+    by the numpy operations those two run: the sine of the same array, then
+    the rows T_i = T_{i-1} * 2x - T_{i-2} of the C-ordered array whose
+    ``moveaxis`` chebvander returns, so its ``.T`` is this very array."""
+    nodes = np.sin(0.5 * np.pi / n * np.arange(-n + 1, n + 1, 2))
+    x2 = 2 * nodes
+    v = np.empty((n, n))
+    v[0] = 1.0
+    v[1] = nodes
+    for i in range(2, n):
+        v[i] = v[i - 1] * x2 - v[i - 2]
+    return nodes.tolist(), v
+
+
+_NODES, _VANDER_T = _chebyshev_nodes_and_vander_t(_DEGREE + 1)  # chebinterpolate's nodes and matrix
 _HALF_NODES = 0.5 * (_DEGREE + 1)  # chebinterpolate's divisor past the constant
 
 #: qagse's ier codes for a result it could not certify; its code 6, invalid
@@ -67,19 +86,31 @@ _IER_REASONS = {
 
 
 def _load_qagse():
-    """``_qagse`` from scipy's compiled ``integrate/_quadpack`` extension,
-    loaded without running ``scipy/integrate/__init__.py`` and without
-    registering the module in ``sys.modules``."""
-    where = [os.path.join(p, "integrate") for p in scipy.__path__]
+    """``_qagse`` from scipy's compiled ``integrate/_quadpack`` extension.
+
+    scipy's directory comes from its import spec, so neither
+    ``scipy/__init__.py`` nor ``scipy/integrate/__init__.py`` runs, and the
+    extension is not registered in ``sys.modules``.  scipy's version is read
+    from its installed metadata, and only to name it in an ImportError."""
+    scipy = find_spec("scipy")
+    if scipy is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    where = [os.path.join(p, "integrate") for p in scipy.submodule_search_locations]
     spec = PathFinder.find_spec("_quadpack", where)
     if spec is None or not isinstance(spec.loader, ExtensionFileLoader):
-        raise ImportError(f"scipy {scipy.__version__} has no compiled integrate/_quadpack extension")
+        raise ImportError(f"scipy {_scipy_version()} has no compiled integrate/_quadpack extension")
     module = module_from_spec(spec)
     spec.loader.exec_module(module)
     qagse = getattr(module, "_qagse", None)
     if qagse is None:
-        raise ImportError(f"scipy {scipy.__version__}'s integrate/_quadpack has no _qagse")
+        raise ImportError(f"scipy {_scipy_version()}'s integrate/_quadpack has no _qagse")
     return qagse
+
+
+def _scipy_version() -> str:
+    from importlib.metadata import version  # slow to import, and needed only on failure
+
+    return version("scipy")
 
 
 _QAGSE = _load_qagse()

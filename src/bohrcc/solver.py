@@ -161,7 +161,8 @@ def _lhs_integrand(class_id: ClassId, spec: PhiSpec, order: int) -> Callable[[fl
         return lambda t: m_phi(t) / (1.0 - t * t)
     if class_id is not ClassId.CS and has_positive_coeffs(spec):
         m = k_prime_evaluator(spec)  # M_{k'} = k', which has a closed or tabulated form
-    else:  # M_K from the series; K' has mixed signs for every family
+    else:  # M_K from the series, which Cs reads whatever the signs; k' and K'
+        # mix signs only where phi does (in this catalog, Janowski with B > 0)
         m = _majorant_evaluator(kernel_series(class_id, spec, order))
     return lambda t: m(t) * m_phi(t)
 

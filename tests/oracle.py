@@ -1,7 +1,7 @@
 """A 30-digit mpmath oracle for the radius equations, independent of bohrcc's
 series, quadrature and closed forms.  Every slice assumes phi has
-nonnegative coefficients, so that each majorant M_f in a class lhs is f,
-save K' in the Cs lhs.  Integrals are taken by ``mp.quad`` and roots by
+nonnegative coefficients, so that each majorant M_f in a class lhs is f
+itself.  Integrals are taken by ``mp.quad`` and roots by
 ``mp.findroot``.
 
 Ks slice: the root of integral_0^r phi(t)/(1-t^2) dt =
@@ -20,7 +20,9 @@ quadrature.
 Cs slice: by Fubini the target integral_0^1 (1/s) integral_0^s g dt ds is
 integral_0^1 g(t) (-ln t) dt with g(t) = (k'(-t^2))^{1/2} phi(-t).  The
 coefficients of K'(t) = (k'(t^2))^{1/2} = exp(sum_n phi_n t^{2n} / (2n))
-mix signs, so the lhs is the termwise nested integral of the order-160
+are nonnegative whenever phi's are, so M_{K'} = K'; only phi with
+mixed-sign coefficients (in this catalog, Janowski with B > 0) makes them
+mix signs.  The lhs is the termwise nested integral of the order-160
 series M_{K'} phi, with phi's Taylor coefficients from ``mp.taylor``.
 """
 

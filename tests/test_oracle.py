@@ -4,8 +4,8 @@ Every canonical spec has nonnegative coefficients, so each majorant of phi
 in a class lhs is phi itself: the Ks radius is the root of
 integral_0^r phi(t)/(1-t^2) dt = integral_0^1 phi(-t)/(1+t^2) dt, the Sc
 radius the root of h(r) = -h(-1) and the Cc radius the root of
-k(r) = -k(-1).  K' mixes signs, so the Cs lhs is an order-160 majorant
-series against the log-weighted target integral.  ``oracle`` finds each
+k(r) = -k(-1).  K' then has nonnegative coefficients too; the Cs lhs is
+its order-160 series times phi, against the log-weighted target integral.  ``oracle`` finds each
 root without any of bohrcc's series, quadrature or closed forms.  The Cc
 oracle takes k by nested quadrature, several seconds a spec, and the Cs
 target about a second a spec, so their sweeps are marked ``slow``.

@@ -1,6 +1,11 @@
 """QUADPACK is loaded without scipy.integrate and called as scipy.integrate.quad
 calls it: the same values, error estimates and evaluation counts, bit for bit.
-scipy.integrate.quad is the oracle here."""
+scipy.integrate.quad is the oracle here.
+
+The extension is found in the directory that ``importlib.util.find_spec``
+gives for scipy, so importing bohrcc runs no scipy ``__init__``; scipy's
+package loads when QUADPACK first runs, and a command that never integrates
+(``table 1..4``) never loads it."""
 
 import math
 import os
@@ -114,16 +119,28 @@ def test_a_missing_quadpack_is_an_import_error(monkeypatch, attr, stand_in, miss
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # a Cc radius integrates its lhs by nested quadrature, so QUADPACK runs
+    # tables 1..4 never integrate, so they load neither scipy nor the verifier;
+    # a Cc radius integrates its lhs by nested quadrature, so QUADPACK runs and
+    # its first call imports scipy's package, but not scipy.integrate
     out = _run_fresh(
         "import contextlib, io, sys\n"
         "import bohrcc, bohrcc.cli\n"
+        "def loaded(*names):\n"
+        "    return sorted(m for m in names if m in sys.modules)\n"
+        "print(loaded('scipy', 'bohrcc.verifier'))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for n in '1234':\n"
+        "        assert bohrcc.cli.main(['table', n]) == 0\n"
+        "print(loaded('scipy', 'numpy.polynomial', 'bohrcc.verifier'))\n"
         "argv = ['radius', '--class', 'Cc', '--phi', 'janowski', '--A', '1', '--B', '-1']\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert bohrcc.cli.main(argv) == 0\n"
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.special', 'scipy.optimize') if m in sys.modules))\n"
+        "print(loaded('scipy', 'scipy.integrate', 'scipy.special', 'scipy.optimize'))\n"
+        "names = {}\n"
+        "exec('from bohrcc import *', names)\n"
+        "print(sorted(set(bohrcc.__all__) - set(names)), 'bohrcc.verifier' in sys.modules)\n"
     )
-    assert out == "[]\n"
+    assert out == "[]\n[]\n['scipy']\n[] True\n"
 
 
 def test_cs_solve_bits_survive_importing_scipy_integrate():

@@ -3,8 +3,9 @@ import re
 
 import numpy as np
 import pytest
-from numpy.polynomial.chebyshev import Chebyshev
+from numpy.polynomial.chebyshev import Chebyshev, chebpts1, chebvander
 
+from bohrcc import quadrature
 from bohrcc.catalog import janowski, lemniscate, sakaguchi
 from bohrcc.errors import BudgetError, ParameterError
 from bohrcc.quadrature import (
@@ -243,6 +244,15 @@ def _refuse(*args, **kwargs):
 class TestTableBuildBits:
     """The plain-float panel build (interpolation and antiderivative)
     equals ``Chebyshev.interpolate(...).integ()`` bit for bit."""
+
+    def test_nodes_and_vandermonde_are_numpys(self):
+        # built without numpy.polynomial, so pin them to it: the sign of a zero counts
+        hexed = lambda xs: [x.hex() for x in xs]
+        assert hexed(quadrature._NODES) == hexed(chebpts1(25).tolist())
+        want = chebvander(quadrature._NODES, 24).T
+        got = quadrature._VANDER_T
+        assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
+        assert hexed(got.ravel().tolist()) == hexed(want.ravel().tolist())
 
     @pytest.mark.parametrize("case", TABLE_CASES, ids=["cos", "sqrt", "pole"])
     def test_matches_numpy_route(self, case):
