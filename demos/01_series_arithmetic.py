@@ -10,16 +10,16 @@ import numpy as np
 from bohrcc import power_series as ps
 
 # The geometric series 1/(1-z), truncated to 16 coefficients.
-geom = ps.make([1.0] * 16)
+geom = ps.TruncatedSeries([1.0] * 16)
 print("geometric series:", geom)
 print("value at 1/2 (should be 2):", ps.eval_at(geom, 0.5))
 
 # Multiplying by (1-z) recovers the constant 1.
-one = ps.mul(ps.make([1.0, -1.0] + [0.0] * 14), geom)
+one = ps.mul(ps.TruncatedSeries([1.0, -1.0] + [0.0] * 14), geom)
 print("\n(1-z) * 1/(1-z) coefficients:", np.round(one.coeffs[:6], 12))
 
 # exp of sum 2 z^n / n is 1/(1-z)^2: coefficient n+1 at z^n.
-log_sq = ps.make([0.0] + [2.0 / n for n in range(1, 16)])
+log_sq = ps.TruncatedSeries([0.0] + [2.0 / n for n in range(1, 16)])
 sq = ps.exp_series(log_sq)
 print("\nexp(sum 2 z^n/n) coefficients:", sq.coeffs[:8])
 
@@ -29,7 +29,7 @@ print("sqrt of that:", root.coeffs[:8])
 
 # The majorant transform replaces coefficients by absolute values.  Its
 # evaluation at r is the quantity all Bohr-type inequalities control.
-wiggly = ps.make([0.0, 1.0, -0.5, 0.25, -0.125])
+wiggly = ps.TruncatedSeries([0.0, 1.0, -0.5, 0.25, -0.125])
 print("\nwiggly series:     ", wiggly.coeffs)
 print("majorant transform:", ps.majorant(wiggly).coeffs)
 print("sum |a_n| (1/3)^n =", ps.eval_at(ps.majorant(wiggly), 1 / 3))

@@ -6,8 +6,7 @@ identities with sampled disk self-maps and checks them one by one; the
 sharp cases also demonstrate failure just past the radius.
 """
 
-from bohrcc import ClassId, SelfMap, lemniscate, run_campaign, sample_member, solve_radius
-from bohrcc.verifier import IDENTITY_MAP, check_bohr
+from bohrcc import ClassId, SelfMap, check_bohr, lemniscate, run_campaign, sample_member, solve_radius
 
 spec = lemniscate(0.5)
 result = solve_radius(ClassId.SC, spec)
@@ -20,7 +19,7 @@ print(f"  witness: extremal value {report.witness['value_at_radius']:.9f} "
       f"vs bound {report.witness['bound']:.9f}")
 
 # The extremal member exhausts the bound exactly at r_f ...
-extremal = sample_member(ClassId.SC, spec, IDENTITY_MAP)
+extremal = sample_member(ClassId.SC, spec, SelfMap(1.0))
 holds, margin = check_bohr(extremal, result.r_f)
 print(f"\nextremal at r_f:        holds={holds}, margin={margin:+.2e}")
 

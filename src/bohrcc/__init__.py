@@ -11,7 +11,8 @@ the resulting inequality on explicitly constructed class members.
 Main entry points:
 
 * :func:`bohrcc.solver.solve_radius` -- radius for a (class, spec) pair
-* :func:`bohrcc.verifier.run_campaign` -- seeded verification campaign
+* :func:`bohrcc.verifier.run_campaign` -- seeded verification campaign, and
+  :func:`bohrcc.verifier.check_bohr` -- the bound on one sampled member
 * ``python -m bohrcc`` / the ``bohrcc`` script -- CLI over both
 """
 
@@ -37,7 +38,7 @@ __version__ = "0.1.0"
 
 #: names that load :mod:`bohrcc.verifier` on first use, so a command that
 #: never verifies never imports it
-_VERIFIER_NAMES = ("SelfMap", "sample_member", "run_campaign")
+_VERIFIER_NAMES = ("SelfMap", "sample_member", "check_bohr", "run_campaign")
 
 __all__ = [
     "PhiSpec",
@@ -56,6 +57,7 @@ __all__ = [
     "threshold_scan",
     "SelfMap",
     "sample_member",
+    "check_bohr",
     "run_campaign",
     "__version__",
 ]

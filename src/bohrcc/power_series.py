@@ -41,9 +41,11 @@ MAX_ORDER = 4096
 
 
 def as_order(order, minimum: int = 1) -> int:
-    """A series order as an int, rejecting (not truncating) a float and
-    rejecting an order below ``minimum`` or above :data:`MAX_ORDER`."""
+    """A series order as an int, rejecting (not truncating) a float or a bool,
+    and rejecting an order below ``minimum`` or above :data:`MAX_ORDER`."""
     try:
+        if isinstance(order, bool):  # an int to operator.index, but not a count
+            raise TypeError
         order = operator.index(order)
     except TypeError:
         raise ParameterError(f"order must be an integer, got {order!r}") from None
@@ -85,11 +87,6 @@ class TruncatedSeries:
         return f"TruncatedSeries([{head}{more}], order={self.order})"
 
 
-def make(coeffs) -> TruncatedSeries:
-    """Build a series from any coefficient iterable."""
-    return TruncatedSeries(np.asarray(list(coeffs), dtype=float))
-
-
 def zero(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     return TruncatedSeries(np.zeros(order))
 
@@ -102,15 +99,6 @@ def monomial(coefficient: float, degree: int, order: int = DEFAULT_ORDER) -> Tru
     if degree < order:
         c[degree] = coefficient
     return TruncatedSeries(c)
-
-
-def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Coefficientwise sum; the shorter series is zero-padded."""
-    n = max(a.order, b.order)
-    out = np.zeros(n)
-    out[: a.order] += a.coeffs
-    out[: b.order] += b.coeffs
-    return TruncatedSeries(out)
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -215,12 +203,6 @@ def compose_with_selfmap(s: TruncatedSeries, w: TruncatedSeries) -> TruncatedSer
     return TruncatedSeries(acc)
 
 
-def reflect(s: TruncatedSeries) -> TruncatedSeries:
-    """The series of f(-z): odd coefficients change sign."""
-    signs = np.where(np.arange(s.order) % 2 == 0, 1.0, -1.0)
-    return TruncatedSeries(s.coeffs * signs)
-
-
 def _tail_hint(last: float, n: int, r: float) -> float:
     """``last r^n / (1 - r)`` for 0 <= r < 1, exactly 0 at r = 0."""
     if r == 0.0:
@@ -278,9 +260,3 @@ def evaluator(s: TruncatedSeries, tail_tol: float | None = None) -> Callable[[fl
         return t
 
     return at
-
-
-def allclose(a: TruncatedSeries, b: TruncatedSeries, tol: float = 1e-12) -> bool:
-    """Coefficientwise comparison up to the shared truncation order."""
-    n = min(a.order, b.order)
-    return bool(np.all(np.abs(a.coeffs[:n] - b.coeffs[:n]) <= tol))

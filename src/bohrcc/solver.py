@@ -24,11 +24,13 @@ series of f (M_{k'} = M_h/t, so the Sc integrand has no removable
 singularity).  K is even for Ks and Cs, so K(it) is K with the sign (-1)^n
 on t^{2n}: 1/(1+t^2) and (k'(-t^2))^{1/2}.
 
-Every integral has two independent evaluation routes: adaptive quadrature
-over pointwise evaluators, and exact termwise integration of the majorant
-series.  The two serve as each other's oracle in the test suite.  An
-integrand binds per-spec closures (``phi_evaluator`` and its kin) when it
-is made, so a quadrature node pays no family dispatch.  Root finding
+The lhs keeps two evaluation routes in production: exact termwise
+integration of its majorant series (the root search's hint) and adaptive
+quadrature over pointwise evaluators (its certificate).  The distance
+integral has one route, quadrature; its series oracle lives in the test
+suite's ``routes.py``.  An integrand binds per-spec closures
+(``phi_evaluator`` and its kin) when it is made, so a quadrature node pays
+no family dispatch.  Root finding
 uses both routes: the series curve (a lower bound, its coefficients being
 nonnegative) hints the 1e-3 grid cell where the monotone lhs first reaches
 the target, found by ``bisect_left`` over the grid indices on the curve's
@@ -208,17 +210,6 @@ def _series_lhs_curve(class_id: ClassId, spec: PhiSpec, order: int) -> ps.Trunca
     return _series_transform(class_id, ps.mul(m_kernel, ps.majorant(phi_series(spec, order))))
 
 
-def _series_distance_curve(class_id: ClassId, spec: PhiSpec, order: int) -> ps.TruncatedSeries:
-    """T(K(iz) phi(-z)) for the classes with an even kernel K, whose K(iz)
-    carries the sign (-1)^n on z^{2n}: 1/(1+z^2) for Ks, (k'(-z^2))^{1/2} for Cs."""
-    if class_id in (ClassId.SC, ClassId.CC):
-        raise ParameterError(f"{class_id.value} has a boundary-value target, not an integral")
-    rotated = kernel_series(class_id, spec, order).coeffs.copy()
-    rotated[2::4] *= -1.0
-    product = ps.mul(ps.TruncatedSeries(rotated), ps.reflect(phi_series(spec, order)))
-    return _series_transform(class_id, product)
-
-
 def lhs_at(
     class_id: ClassId,
     spec: PhiSpec,
@@ -236,18 +227,9 @@ def lhs_at(
 
 
 def distance_integral_at(
-    class_id: ClassId,
-    spec: PhiSpec,
-    r: float,
-    method: str = "quadrature",
-    order: int = ps.DEFAULT_ORDER,
-    tol: float = DEFAULT_TOL,
+    class_id: ClassId, spec: PhiSpec, r: float, tol: float = DEFAULT_TOL
 ) -> float:
-    """The distance-bound integral at radius r (Ks and Cs only)."""
-    if method == "series":
-        return ps.eval_at(_series_distance_curve(class_id, spec, order), r)
-    if method != "quadrature":
-        raise ParameterError(f"unknown method {method!r}")
+    """The distance-bound integral at radius r (Ks and Cs only), by quadrature."""
     return _integrate(class_id, distance_integrand(class_id, spec), r, tol)
 
 

@@ -49,7 +49,6 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import asdict, dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -83,12 +82,6 @@ class SelfMap:
             raise ParameterError(f"self-map needs 0 <= epsilon <= 1, got {self.epsilon}")
         if self.power < 1:
             raise ParameterError(f"self-map needs power >= 1, got {self.power}")
-
-    def to_series(self, order: int) -> ps.TruncatedSeries:
-        return ps.monomial(self.epsilon, self.power, order)
-
-
-IDENTITY_MAP = SelfMap(1.0, 1)
 
 
 @dataclass(frozen=True)
@@ -209,19 +202,6 @@ def check_bohr(sf: SampledFunction, r: float) -> tuple[bool, float]:
     return (margin >= -_MARGIN_SLACK, margin)
 
 
-def check_subordination_lemma(
-    f: ps.TruncatedSeries, omega: SelfMap, r_grid: Sequence[float]
-) -> bool:
-    """Majorant comparison for q = f o omega: sum |q_n| r^n stays below
-    sum |f_n| r^n on a grid of radii at or below 1/3."""
-    grid = [float(r) for r in r_grid]
-    if not grid or any(not (0.0 < r <= 1.0 / 3.0) for r in grid):
-        raise ParameterError("r_grid must lie in (0, 1/3]")
-    q = ps.compose_with_selfmap(f, omega.to_series(f.order))
-    mf, mq = ps.majorant(f), ps.majorant(q)
-    return all(ps.eval_at(mq, r) <= ps.eval_at(mf, r) + 1e-10 for r in grid)
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Campaign outcome; identical seeds produce identical JSON bytes."""
@@ -275,6 +255,8 @@ def run_campaign(
     given the seed.
     """
     try:
+        if isinstance(n_samples, bool) or isinstance(seed, bool):  # ints, but not counts
+            raise TypeError
         n_samples, seed = operator.index(n_samples), operator.index(seed)
     except TypeError:
         raise ParameterError(f"need integer n_samples and seed, got {n_samples!r}, {seed!r}") from None

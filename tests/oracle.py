@@ -24,6 +24,16 @@ are nonnegative whenever phi's are, so M_{K'} = K'; only phi with
 mixed-sign coefficients (in this catalog, Janowski with B > 0) makes them
 mix signs.  The lhs is the termwise nested integral of the order-160
 series M_{K'} phi, with phi's Taylor coefficients from ``mp.taylor``.
+
+Mixed-sign slice: Janowski phi = (1 + Az)/(1 + Bz) with B > 0 has the
+coefficients (A - B)(-B)^{n-1}, so the lhs reads the majorants
+M_phi(t) = 1 + (A - B)t/(1 - Bt) and, with p = (A - B)/B,
+
+    M_{k'}(t) = sum |C(p, n)| (Bt)^n,    M_{K'}(t) = sum |C(p/2, n)| (Bt^2)^n
+
+of k'(x) = (1 + Bx)^p and K'(x) = (1 + Bx^2)^{p/2}, integrated termwise.
+The targets are -h(-1) = (1 - B)^p (Sc), -k(-1) = (1 - (1 - B)^{A/B})/A
+(Cc), and integral_0^1 (1 - Bt^2)^{p/2} phi(-t) (-ln t) dt (Cs).
 """
 
 from __future__ import annotations
@@ -32,7 +42,8 @@ from mpmath import mp, mpf
 
 DPS = 30
 #: order of the Cs lhs series: its tail is about 0.64^160 < 1e-30 up to the
-#: largest canonical Cs root, 0.638
+#: largest canonical Cs root, 0.638; the mixed-sign lhs terms fall like
+#: (Br)^n, below 0.5^160 < 1e-48 for B <= 1/2 and r < 1
 CS_ORDER = 160
 
 
@@ -130,4 +141,29 @@ def cs_root(spec, lo=0.01, hi=0.95):
         c = cs_lhs_coefficients(spec)
         lhs = lambda r: mp.fsum(cn * r ** (n + 1) / (n + 1) ** 2 for n, cn in enumerate(c))
         target = mp.quad(lambda t: mp.sqrt(k_prime(spec, -t * t)) * f(-t) * -mp.log(t), [0, 1])
+        return _root(lhs, target, lo, hi)
+
+
+def janowski_mixed_root(class_name, spec, lo=0.01, hi=0.95):
+    """The root of the Sc, Cc or Cs equation in (lo, hi) for a Janowski spec
+    with B > 0, whose phi has coefficients of mixed sign."""
+    a, b = (mpf(x) for x in spec.params)
+    with mp.workdps(DPS):
+        p = (a - b) / b
+        m_phi = [mpf(1)] + [(a - b) * b ** (n - 1) for n in range(1, CS_ORDER)]
+        if class_name == "Cs":  # M_{K'}: |C(p/2, n)| B^n on t^{2n}
+            m_kernel = [mpf(0)] * CS_ORDER
+            m_kernel[::2] = [abs(mp.binomial(p / 2, n)) * b**n for n in range((CS_ORDER + 1) // 2)]
+        else:  # M_{k'}: |C(p, n)| B^n on t^n
+            m_kernel = [abs(mp.binomial(p, n)) * b**n for n in range(CS_ORDER)]
+        c = [mp.fsum(m_kernel[j] * m_phi[n - j] for j in range(n + 1)) for n in range(CS_ORDER)]
+        power = 1 if class_name == "Sc" else 2  # one integration, or the nested one
+        lhs = lambda r: mp.fsum(cn * r ** (n + 1) / (n + 1) ** power for n, cn in enumerate(c))
+        if class_name == "Sc":
+            target = (1 - b) ** p
+        elif class_name == "Cc":
+            target = (1 - (1 - b) ** (a / b)) / a
+        else:
+            g = lambda t: (1 - b * t * t) ** (p / 2) * (1 - a * t) / (1 - b * t)
+            target = mp.quad(lambda t: g(t) * -mp.log(t), [0, 1])
         return _root(lhs, target, lo, hi)

@@ -1,0 +1,82 @@
+"""Second evaluation routes, kept as test oracles for production's one route.
+
+Production takes the distance integral of Ks and Cs by quadrature only
+(``solver.distance_integral_at``).  Here it is also the exact termwise
+integration of its series, so the two can check each other; the series
+curve is pinned to the last bit in ``test_solver.DISTANCE_SERIES_PINS``.
+The subordination lemma (Lemma 1 of Bhowmik and Das 2018), which every
+radius rests on, is checked on series here too.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from bohrcc import power_series as ps
+from bohrcc import solver
+from bohrcc.catalog import PhiSpec, phi_series
+from bohrcc.errors import ParameterError
+from bohrcc.quadrature import DEFAULT_TOL
+from bohrcc.solver import ClassId
+from bohrcc.verifier import SelfMap
+
+
+def allclose(a: ps.TruncatedSeries, b: ps.TruncatedSeries, tol: float = 1e-12) -> bool:
+    """Coefficientwise comparison up to the shared truncation order, to an
+    absolute ``tol`` with no relative term."""
+    n = min(a.order, b.order)
+    return bool(np.all(np.abs(a.coeffs[:n] - b.coeffs[:n]) <= tol))
+
+
+def reflect(s: ps.TruncatedSeries) -> ps.TruncatedSeries:
+    """The series of f(-z): odd coefficients change sign."""
+    signs = np.where(np.arange(s.order) % 2 == 0, 1.0, -1.0)
+    return ps.TruncatedSeries(s.coeffs * signs)
+
+
+def _series_distance_curve(class_id: ClassId, spec: PhiSpec, order: int) -> ps.TruncatedSeries:
+    """T(K(iz) phi(-z)) for the classes with an even kernel K, whose K(iz)
+    carries the sign (-1)^n on z^{2n}: 1/(1+z^2) for Ks, (k'(-z^2))^{1/2} for Cs."""
+    if class_id in (ClassId.SC, ClassId.CC):
+        raise ParameterError(f"{class_id.value} has a boundary-value target, not an integral")
+    rotated = solver.kernel_series(class_id, spec, order).coeffs.copy()
+    rotated[2::4] *= -1.0
+    product = ps.mul(ps.TruncatedSeries(rotated), reflect(phi_series(spec, order)))
+    return solver._series_transform(class_id, product)
+
+
+def distance_integral_at(
+    class_id: ClassId,
+    spec: PhiSpec,
+    r: float,
+    method: str = "quadrature",
+    order: int = ps.DEFAULT_ORDER,
+    tol: float = DEFAULT_TOL,
+) -> float:
+    """The distance-bound integral at radius r (Ks and Cs only) by either
+    route: production's quadrature, or the series oracle."""
+    if method == "series":
+        return ps.eval_at(_series_distance_curve(class_id, spec, order), r)
+    if method != "quadrature":
+        raise ParameterError(f"unknown method {method!r}")
+    return solver.distance_integral_at(class_id, spec, r, tol)
+
+
+def to_series(omega: SelfMap, order: int) -> ps.TruncatedSeries:
+    """The self-map epsilon * z^power as a series of the given order."""
+    return ps.monomial(omega.epsilon, omega.power, order)
+
+
+def check_subordination_lemma(
+    f: ps.TruncatedSeries, omega: SelfMap, r_grid: Sequence[float]
+) -> bool:
+    """Majorant comparison for q = f o omega: sum |q_n| r^n stays below
+    sum |f_n| r^n on a grid of radii at or below 1/3."""
+    grid = [float(r) for r in r_grid]
+    if not grid or any(not (0.0 < r <= 1.0 / 3.0) for r in grid):
+        raise ParameterError("r_grid must lie in (0, 1/3]")
+    q = ps.compose_with_selfmap(f, to_series(omega, f.order))
+    mf, mq = ps.majorant(f), ps.majorant(q)
+    return all(ps.eval_at(mq, r) <= ps.eval_at(mf, r) + 1e-10 for r in grid)

@@ -3,6 +3,7 @@ import pkgutil
 
 import numpy as np
 import pytest
+import routes
 
 import bohrcc
 from bohrcc import catalog, extremal, solver
@@ -59,7 +60,7 @@ def test_sweep_over_many_specs_stays_bounded():
             spec = sakaguchi(0.75 * i / 300)
             solver.target_constant(ClassId.SC, spec, 8)
             solver.lhs_at(ClassId.SC, spec, 0.2, "series", 8)
-            solver.distance_integral_at(ClassId.KS, spec, 0.2, "series", 8)
+            routes.distance_integral_at(ClassId.KS, spec, 0.2, "series", 8)
             solver.lhs_integrand(ClassId.SC, spec, 8)(0.2)
         infos = {name: c.cache_info() for name, c in package_caches().items()}
         for name in (

@@ -144,7 +144,7 @@ class TestValidation:
 
 
 class TestSeries:
-    @pytest.mark.parametrize("order", [64.0, 64.5])
+    @pytest.mark.parametrize("order", [64.0, 64.5, True, False])
     @pytest.mark.parametrize("spec", ONE_PER_FAMILY, ids=lambda s: s.family)
     def test_non_integer_order_is_rejected(self, spec, order):
         with pytest.raises(ParameterError, match=f"^order must be an integer, got {order}$"):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from routes import allclose, reflect
 from scipy.integrate import quad
 
 from bohrcc import extremal
@@ -120,7 +121,7 @@ class TestSeriesIdentities:
     def test_h_equals_z_times_k_prime(self, spec):
         es = build_extremal(spec)
         prod = ps.mul(ps.monomial(1.0, 1, 64), es.k_prime)
-        assert ps.allclose(ps.shift_up(es.k_prime), prod, 1e-12)
+        assert allclose(ps.shift_up(es.k_prime), prod, 1e-12)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_odd_extremal_square_identity(self, spec):
@@ -129,7 +130,7 @@ class TestSeriesIdentities:
         zKp = ps.shift_up(es.K_prime)
         lhs = ps.mul(zKp, zKp)
         rhs = ps.compose_with_selfmap(ps.shift_up(es.k_prime), ps.monomial(1.0, 2, 48))
-        assert ps.allclose(lhs, rhs, 1e-10)
+        assert allclose(lhs, rhs, 1e-10)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_K_prime_is_even_series(self, spec):
@@ -178,7 +179,7 @@ class TestReflection:
         plain = build(phi)
         if kernel != "phi":  # the kernel built here is the one the extremal bundle carries
             assert np.array_equal(getattr(build_extremal(spec, 64), kernel).coeffs, plain.coeffs)
-        assert np.array_equal(ps.majorant(build(ps.reflect(phi))).coeffs, ps.majorant(plain).coeffs)
+        assert np.array_equal(ps.majorant(build(reflect(phi))).coeffs, ps.majorant(plain).coeffs)
 
 
 class TestGuards:

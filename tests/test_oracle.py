@@ -9,12 +9,17 @@ its order-160 series times phi, against the log-weighted target integral.  ``ora
 root without any of bohrcc's series, quadrature or closed forms.  The Cc
 oracle takes k by nested quadrature, several seconds a spec, and the Cs
 target about a second a spec, so their sweeps are marked ``slow``.
+
+Janowski with B > 0 is the catalog's one phi with mixed-sign coefficients;
+its Sc, Cc and Cs lhs read the binomial majorants of k' and K' instead
+(``oracle.janowski_mixed_root``).  Their sweep is marked ``slow`` too, with
+one case in tier-1.
 """
 
 from functools import cache
 
 import pytest
-from oracle import cc_root, cs_root, ks_root, sc_root
+from oracle import cc_root, cs_root, janowski_mixed_root, ks_root, sc_root
 
 from bohrcc.catalog import expblend, janowski, lemniscate, sakaguchi, strongly, wang
 from bohrcc.solver import ClassId, solve_corollary_closed_form, solve_radius
@@ -94,6 +99,22 @@ def test_cs_solver_brackets_the_oracle_root_of_one_spec():
 @pytest.mark.parametrize("spec", CANONICAL, ids=lambda s: s.label())
 def test_cs_solver_brackets_the_oracle_root(spec):
     assert_brackets(ClassId.CS, spec, cs_root(spec))
+
+
+#: the Janowski specs with B > 0, whose phi has mixed-sign coefficients
+MIXED_SIGN = [janowski(0.5, 0.3), janowski(0.9, 0.5)]
+
+
+def test_mixed_sign_sc_solver_brackets_the_oracle_root_of_one_spec():
+    spec = MIXED_SIGN[0]
+    assert_brackets(ClassId.SC, spec, janowski_mixed_root("Sc", spec))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec", MIXED_SIGN, ids=lambda s: s.label())
+@pytest.mark.parametrize("class_id", [ClassId.SC, ClassId.CC, ClassId.CS], ids=lambda c: c.value)
+def test_mixed_sign_solver_brackets_the_oracle_root(class_id, spec):
+    assert_brackets(class_id, spec, janowski_mixed_root(class_id.value, spec))
 
 
 @pytest.mark.parametrize(

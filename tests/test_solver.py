@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from routes import distance_integral_at, reflect, _series_distance_curve
 from scipy.special import lambertw
 from _bench_inputs import BENCH_INPUTS
 
@@ -170,7 +171,7 @@ class TestRotationInvariance:
         plain = solver._series_lhs_curve(class_id, spec, 64)
 
         def flipped_phi(s, order):
-            return ps.reflect(phi_series(s, order))
+            return reflect(phi_series(s, order))
 
         def flipped_bundle(s, order):
             k_prime = k_prime_series(flipped_phi(s, order))
@@ -184,8 +185,8 @@ class TestRotationInvariance:
         assert (res.r_f, res.residual, res.bracket) == PINNED[(class_id.value, spec.label())]
 
 
-#: distance_integral_at(class, spec, r, "series") at r = 0.2, 0.5 and 0.9 and
-#: order 64, pinned to the last bit
+#: the series oracle ``routes.distance_integral_at(class, spec, r, "series")``
+#: at r = 0.2, 0.5 and 0.9 and order 64, pinned to the last bit
 DISTANCE_SERIES_PINS = {
     ("Ks", "janowski(A=1, B=-1)"): ("0x1.4d3b879d029acp-3", "0x1.2cf25fad8f1c4p-2", "0x1.617976cfeb247p-2"),
     ("Ks", "sakaguchi(gamma=0.25)"): ("0x1.5efdad999e8c4p-3", "0x1.586763d7b2426p-2", "0x1.c4b444f73ccf5p-2"),
@@ -214,7 +215,7 @@ def _old_distance_curve(class_id: ClassId, spec: PhiSpec, order: int) -> ps.Trun
     """The distance curve with 1/(1+z^2) as its own geometric series (Ks)
     and K'(iz) as a second square root, of k'(-z^2) (Cs), the kernel
     multiplied first as in every class curve."""
-    phi_neg = ps.reflect(phi_series(spec, order))
+    phi_neg = reflect(phi_series(spec, order))
     if class_id is ClassId.KS:
         rotated = np.zeros(order)
         rotated[0::2] = (-1.0) ** np.arange(rotated[0::2].size)
@@ -253,10 +254,10 @@ class TestClassShape:
         # K(iz) carries (-1)^n on z^{2n}; the old constructions differ from it
         # in the signs of zero coefficients only, which np.array_equal ignores
         for order in (8, 9, 64, 65, 256):
-            new = solver._series_distance_curve(class_id, spec, order)
+            new = _series_distance_curve(class_id, spec, order)
             assert np.array_equal(new.coeffs, _old_distance_curve(class_id, spec, order).coeffs)
         at = [
-            solver.distance_integral_at(class_id, spec, r, "series").hex() for r in (0.2, 0.5, 0.9)
+            distance_integral_at(class_id, spec, r, "series").hex() for r in (0.2, 0.5, 0.9)
         ]
         assert tuple(at) == DISTANCE_SERIES_PINS[(class_id.value, spec.label())]
 
@@ -267,15 +268,13 @@ class TestClassShape:
         with pytest.raises(ParameterError, match=message):
             solver.distance_integrand(class_id, spec)
         with pytest.raises(ParameterError, match=message):
-            solver._series_distance_curve(class_id, spec, 64)
-        for method in ("quadrature", "series"):
-            with pytest.raises(ParameterError, match=message):
-                solver.distance_integral_at(class_id, spec, 0.5, method)
+            solver.distance_integral_at(class_id, spec, 0.5)
+        with pytest.raises(ParameterError, match=message):
+            _series_distance_curve(class_id, spec, 64)
 
-    @pytest.mark.parametrize("at", [lhs_at, solver.distance_integral_at], ids=["lhs", "distance"])
-    def test_unknown_method(self, at):
+    def test_unknown_method(self):
         with pytest.raises(ParameterError, match="^unknown method 'simpson'$"):
-            at(ClassId.KS, lemniscate(0.5), 0.5, "simpson")
+            lhs_at(ClassId.KS, lemniscate(0.5), 0.5, "simpson")
 
     def test_unknown_class(self):
         assert ClassId.parse("cS") is ClassId.CS

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from routes import allclose, check_subordination_lemma, to_series
 
 from _bench_inputs import BENCH_INPUTS
 
@@ -17,14 +18,7 @@ from bohrcc.catalog import FAMILIES, PhiSpec, janowski, lemniscate, phi_series, 
 from bohrcc.errors import DomainError, InconsistencyError, ParameterError, PrecisionError
 from bohrcc.extremal import build_extremal
 from bohrcc.solver import ClassId, kernel_series, nested_series_transform, solve_radius, target_constant
-from bohrcc.verifier import (
-    IDENTITY_MAP,
-    SelfMap,
-    check_bohr,
-    check_subordination_lemma,
-    run_campaign,
-    sample_member,
-)
+from bohrcc.verifier import SelfMap, check_bohr, run_campaign, sample_member
 
 
 class TestSelfMap:
@@ -35,26 +29,26 @@ class TestSelfMap:
             SelfMap(0.5, 0)
 
     def test_series(self):
-        w = SelfMap(0.25, 3).to_series(8)
+        w = to_series(SelfMap(0.25, 3), 8)
         want = np.zeros(8)
         want[3] = 0.25
         assert np.array_equal(w.coeffs, want)
 
     def test_identity(self):
-        assert IDENTITY_MAP.epsilon == 1.0 and IDENTITY_MAP.power == 1
+        assert SelfMap(1.0) == SelfMap(1.0, 1)
 
 
 class TestSampleMember:
     def test_sc_identity_reproduces_extremal(self):
         spec = lemniscate(0.5)
         es = build_extremal(spec)
-        sf = sample_member(ClassId.SC, spec, IDENTITY_MAP)
-        assert ps.allclose(sf.series, ps.shift_up(es.k_prime), 1e-12)  # h = z k'
+        sf = sample_member(ClassId.SC, spec, SelfMap(1.0))
+        assert allclose(sf.series, ps.shift_up(es.k_prime), 1e-12)  # h = z k'
 
     def test_ks_identity_base_case_is_geometric(self):
         # zf' = G(z) phi(z) with G = z/(1-z^2), phi = (1+z)/(1-z)
         # collapses to f = z/(1-z): every coefficient 1
-        sf = sample_member(ClassId.KS, sakaguchi(0.0), IDENTITY_MAP, order=16)
+        sf = sample_member(ClassId.KS, sakaguchi(0.0), SelfMap(1.0), order=16)
         assert np.allclose(sf.series.coeffs[1:], np.ones(15), atol=1e-12)
 
     def test_zero_map_divides_coefficients(self):
@@ -68,11 +62,11 @@ class TestSampleMember:
     def test_unnormalized_member_is_rejected(self):
         # an order-1 Ks integrand loses its only coefficient to the division by z
         with pytest.raises(InconsistencyError, match=r"f\(0\)=0.0, f'\(0\)=0.0"):
-            sample_member(ClassId.KS, sakaguchi(0.0), IDENTITY_MAP, order=1)
+            sample_member(ClassId.KS, sakaguchi(0.0), SelfMap(1.0), order=1)
 
     def test_fractional_order_is_rejected(self):
         with pytest.raises(ParameterError, match="^order must be an integer, got 64.5$"):
-            sample_member(ClassId.SC, lemniscate(0.5), IDENTITY_MAP, order=64.5)
+            sample_member(ClassId.SC, lemniscate(0.5), SelfMap(1.0), order=64.5)
 
     @pytest.mark.parametrize("class_id", list(ClassId), ids=lambda c: c.value)
     def test_normalization_and_bound(self, class_id):
@@ -101,19 +95,19 @@ class TestCheckBohr:
     def test_extremal_margin_vanishes_at_sharp_radius(self):
         spec = lemniscate(0.5)
         r_f = solve_radius(ClassId.SC, spec).r_f
-        sf = sample_member(ClassId.SC, spec, IDENTITY_MAP)
+        sf = sample_member(ClassId.SC, spec, SelfMap(1.0))
         holds, margin = check_bohr(sf, r_f)
         assert holds and abs(margin) <= 1e-7
 
     def test_extremal_fails_beyond_sharp_radius(self):
         spec = lemniscate(0.5)
         r_f = solve_radius(ClassId.SC, spec).r_f
-        sf = sample_member(ClassId.SC, spec, IDENTITY_MAP)
+        sf = sample_member(ClassId.SC, spec, SelfMap(1.0))
         holds, margin = check_bohr(sf, r_f + 0.01)
         assert not holds and margin < 0.0
 
     def test_tail_guard(self):
-        sf = sample_member(ClassId.SC, janowski(1, -1), IDENTITY_MAP, order=24)
+        sf = sample_member(ClassId.SC, janowski(1, -1), SelfMap(1.0), order=24)
         with pytest.raises(PrecisionError):
             check_bohr(sf, 0.95)
         with pytest.raises(ParameterError):
@@ -122,28 +116,28 @@ class TestCheckBohr:
 
 class TestSubordination:
     def test_identity_is_equality(self):
-        f = ps.make([0, 1, 2, 3] + [0.1] * 12)
-        assert check_subordination_lemma(f, IDENTITY_MAP, [0.1, 1 / 3])
+        f = ps.TruncatedSeries([0, 1, 2, 3] + [0.1] * 12)
+        assert check_subordination_lemma(f, SelfMap(1.0), [0.1, 1 / 3])
 
     def test_geometric_square_map(self):
         # f = sum z^n, w = z^2: 1/(1 - r^2) <= 1/(1 - r) termwise in majorants
-        f = ps.make([1.0] * 40)
+        f = ps.TruncatedSeries([1.0] * 40)
         assert check_subordination_lemma(f, SelfMap(1.0, 2), [1 / 3])
 
     def test_randomized_batch(self):
         rng = np.random.default_rng(99)
         grid = [0.05, 0.15, 0.25, 1 / 3]
         for _ in range(100):
-            f = ps.make(rng.normal(size=20))
+            f = ps.TruncatedSeries(rng.normal(size=20))
             w = SelfMap(float(rng.uniform(0, 1)), int(rng.integers(1, 6)))
             assert check_subordination_lemma(f, w, grid)
 
     def test_grid_validation(self):
-        f = ps.make([0, 1])
+        f = ps.TruncatedSeries([0, 1])
         with pytest.raises(ParameterError):
-            check_subordination_lemma(f, IDENTITY_MAP, [0.5])
+            check_subordination_lemma(f, SelfMap(1.0), [0.5])
         with pytest.raises(ParameterError):
-            check_subordination_lemma(f, IDENTITY_MAP, [])
+            check_subordination_lemma(f, SelfMap(1.0), [])
 
 
 class TestCampaign:
@@ -194,7 +188,11 @@ class TestCampaign:
         with pytest.raises(ParameterError, match="need at least one sample, got 0"):
             run_campaign(ClassId.SC, lemniscate(0.5), 0, seed=1)
 
-    @pytest.mark.parametrize("n, seed", [(5, 1.0), (2.5, 1)], ids=["float-seed", "float-count"])
+    @pytest.mark.parametrize(
+        "n, seed",
+        [(5, 1.0), (2.5, 1), (True, 1), (5, False)],
+        ids=["float-seed", "float-count", "bool-count", "bool-seed"],
+    )
     def test_non_integer_count_or_seed_is_parameter_error(self, monkeypatch, n, seed):
         def forbidden(*args, **kwargs):
             raise AssertionError("the radius was solved before the arguments were checked")
@@ -439,7 +437,7 @@ def _kernel_and_composed(
     class_id: ClassId, spec: PhiSpec, omega: SelfMap, order: int
 ) -> tuple[ps.TruncatedSeries, ps.TruncatedSeries]:
     """The class kernel and phi o omega as series objects."""
-    composed = ps.compose_with_selfmap(phi_series(spec, order), omega.to_series(order))
+    composed = ps.compose_with_selfmap(phi_series(spec, order), to_series(omega, order))
     if class_id is ClassId.KS:
         odd = np.zeros(order)
         odd[1::2] = 1.0
@@ -498,7 +496,7 @@ def _margin_bound(error: np.ndarray, target: float, margins: tuple[float, float]
     return carried + _gamma(2 * len(error) + 2) * (sums + 2.0 * target)
 
 
-_OMEGAS = (IDENTITY_MAP, SelfMap(0.0, 3), SelfMap(0.37, 2), SelfMap(0.91, 5), SelfMap(1.0, 70))
+_OMEGAS = (SelfMap(1.0), SelfMap(0.0, 3), SelfMap(0.37, 2), SelfMap(0.91, 5), SelfMap(1.0, 70))
 
 
 @pytest.mark.parametrize("spec", [lemniscate(0.5), strongly(0.5), janowski(0.5, 0.25)], ids=PhiSpec.label)
@@ -563,7 +561,7 @@ def test_failing_campaign_failures_match_oracle():
     # the draws of the pinned failing campaign, each member built and checked on its own
     spec, r = lemniscate(0.5), 0.34
     u = np.random.default_rng(3).random((99, 2))
-    omegas = [IDENTITY_MAP] + [SelfMap(float(u0), 1 + int(np.floor(8.0 * u1))) for u0, u1 in u]
+    omegas = [SelfMap(1.0)] + [SelfMap(float(u0), 1 + int(np.floor(8.0 * u1))) for u0, u1 in u]
     bound = target_constant(ClassId.SC, spec)
     want = []
     for i, omega in enumerate(omegas):
