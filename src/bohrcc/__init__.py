@@ -14,6 +14,12 @@ Main entry points:
 * :func:`bohrcc.verifier.run_campaign` -- seeded verification campaign, and
   :func:`bohrcc.verifier.check_bohr` -- the bound on one sampled member
 * ``python -m bohrcc`` / the ``bohrcc`` script -- CLI over both
+
+Importing the package loads neither numpy nor scipy: numpy loads at the
+first array operation, scipy's QUADPACK extension at the first integral,
+and :mod:`bohrcc.verifier` at the first use of one of its names.  So the
+commands that evaluate only closed formulas (``table 1``, ``2`` and ``4``
+and the Sc scans) load none of them.
 """
 
 from .catalog import (

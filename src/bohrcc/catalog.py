@@ -29,10 +29,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping
 
-import numpy as np
-
 from . import power_series as ps
+from ._lazy import lazy_import
 from .errors import DomainError, ParameterError
+
+np = lazy_import("numpy")
 
 #: Entries kept by each spec-keyed cache; a scan or fuzz run over many
 #: specs evicts the least recently used instead of growing without limit.
@@ -303,14 +304,18 @@ def majorant_phi_evaluator(spec: PhiSpec) -> Callable[[float], float]:
 
 def has_positive_coeffs(spec: PhiSpec) -> bool:
     """True when every series coefficient past the constant is nonnegative
-    with a strictly positive leading one.
+    with a strictly positive leading one, read off the family record.
 
-    Zeros are allowed: families with finitely many terms (lemniscate)
-    still satisfy the identity ``majorant(phi)(r) == phi(r)`` that this
-    predicate exists to certify.  It reads phi's memoized order-64 series.
+    Past the constant, Janowski's coefficients are (A-B)(-B)^(n-1) with
+    A > B, so a Janowski-style spec (sakaguchi and wang included) has them
+    exactly when B <= 0; the other families' are nonnegative.  Zeros are
+    allowed: families with finitely many terms (lemniscate) still satisfy
+    the identity ``majorant(phi)(r) == phi(r)`` that this predicate exists
+    to certify.  No series is built, so a B > 0 small enough for the
+    computed coefficients to underflow to zero still reads as mixed signs.
     """
-    c = _phi_series(spec, ps.DEFAULT_ORDER).coeffs
-    return bool(c[1] > 0.0 and np.all(c[1:] >= 0.0))
+    ab = as_janowski(spec)
+    return ab is None or ab[1] <= 0.0
 
 
 def check_min_max_hypothesis(spec: PhiSpec, r: float, samples: int = 181) -> bool:

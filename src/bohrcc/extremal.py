@@ -27,12 +27,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-import numpy as np
-
 from . import power_series as ps
+from ._lazy import lazy_import
 from .catalog import SPEC_CACHE_SIZE, PhiSpec, formulas_of, phi_evaluator, phi_series
 from .errors import BudgetError, DomainError, InconsistencyError
 from .quadrature import AntiderivativeTable, integrate_1d
+
+np = lazy_import("numpy")
 
 _SERIES_SWITCH = 0.1  # below this |t|, (phi(t)-1)/t is evaluated from its series
 _BOUNDARY_TOL = 1e-11

@@ -26,9 +26,10 @@ import operator
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import DomainError, ParameterError, PrecisionError
+
+np = lazy_import("numpy")
 
 #: Default truncation order (number of stored coefficients).  Radius work
 #: happens at r <= 1/3 where geometric tail decay makes 64 coefficients

@@ -4,11 +4,12 @@ Integrands are plain functions of one float, finite on the whole closed
 interval they are integrated over (they handle their own removable points
 internally).  The 1-D entry point wraps QUADPACK's adaptive Gauss-Kronrod
 rule ``qagse``.  QUADPACK comes from scipy's compiled ``_quadpack``
-extension, loaded straight from the ``integrate/`` directory that
-``importlib.util.find_spec("scipy")`` names, so neither scipy's package
-``__init__`` nor ``scipy.integrate`` (and the scipy.special, scipy.optimize
-and scipy.sparse.linalg it pulls in) runs at import.  scipy itself loads
-only when QUADPACK first runs, because the extension imports
+extension, loaded by the first integral (not at import) straight from the
+``integrate/`` directory that ``importlib.util.find_spec("scipy")`` names,
+so neither scipy's package ``__init__`` nor ``scipy.integrate`` (and the
+scipy.special, scipy.optimize and scipy.sparse.linalg it pulls in)
+runs; a missing scipy is an ImportError from that first integral.  scipy
+itself loads only when QUADPACK first runs, because the extension imports
 ``scipy._lib._ccallback`` on its first call.  The call is the one
 ``scipy.integrate.quad`` makes, so every value is the same.  The nested
 entry point evaluates
@@ -25,9 +26,9 @@ panel's ``Chebyshev`` object but skips numpy's per-call overhead; panels
 store their coefficients reversed, as the recurrence reads them, so a
 lookup is one bisect and one loop in one frame.  A panel build likewise
 repeats ``Chebyshev.interpolate``'s arithmetic with the Chebyshev nodes
-and the transposed Vandermonde matrix computed once at import (by the numpy
-operations ``chebpts1`` and ``chebvander`` run, without importing
-``numpy.polynomial``), and then
+and the transposed Vandermonde matrix computed once, by the first table
+build (with the numpy operations ``chebpts1`` and ``chebvander`` run,
+without importing ``numpy.polynomial``), and then
 ``Chebyshev.integ``'s (``pu.mapparms`` and ``chebint``) over plain floats,
 so every panel has the bits numpy would give it without building a numpy
 polynomial object.
@@ -44,9 +45,10 @@ from importlib.util import find_spec, module_from_spec
 from numbers import Real
 from typing import Callable
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import BudgetError, ParameterError
+
+np = lazy_import("numpy")
 
 #: Default absolute tolerance for radius work; table reproduction uses 1e-11.
 DEFAULT_TOL = 1e-10
@@ -56,22 +58,29 @@ _OUTER_LIMIT_CUTOFF = 1e-8  # below this, (1/s) * inner antiderivative ~ inner(0
 _DEGREE = 24  # interpolation degree of each table panel
 
 
-def _chebyshev_nodes_and_vander_t(n: int) -> tuple[list, np.ndarray]:
-    """``chebpts1(n).tolist()`` and ``chebvander(nodes, n - 1).T``, built
-    by the numpy operations those two run: the sine of the same array, then
-    the rows T_i = T_{i-1} * 2x - T_{i-2} of the C-ordered array whose
-    ``moveaxis`` chebvander returns, so its ``.T`` is this very array."""
-    nodes = np.sin(0.5 * np.pi / n * np.arange(-n + 1, n + 1, 2))
-    x2 = 2 * nodes
-    v = np.empty((n, n))
-    v[0] = 1.0
-    v[1] = nodes
-    for i in range(2, n):
-        v[i] = v[i - 1] * x2 - v[i - 2]
-    return nodes.tolist(), v
+_NODES = _VANDER_T = None  # chebinterpolate's nodes and matrix, built by the first table
 
 
-_NODES, _VANDER_T = _chebyshev_nodes_and_vander_t(_DEGREE + 1)  # chebinterpolate's nodes and matrix
+def _chebyshev_nodes_and_vander_t() -> tuple[list, np.ndarray]:
+    """``chebpts1(n).tolist()`` and ``chebvander(nodes, n - 1).T`` for n =
+    _DEGREE + 1, built on the first call and kept in ``_NODES`` and
+    ``_VANDER_T``, by the numpy operations those two run: the sine of the
+    same array, then the rows T_i = T_{i-1} * 2x - T_{i-2} of the C-ordered
+    array whose ``moveaxis`` chebvander returns, so its ``.T`` is this very array."""
+    global _NODES, _VANDER_T
+    if _VANDER_T is None:
+        n = _DEGREE + 1
+        nodes = np.sin(0.5 * np.pi / n * np.arange(-n + 1, n + 1, 2))
+        x2 = 2 * nodes
+        v = np.empty((n, n))
+        v[0] = 1.0
+        v[1] = nodes
+        for i in range(2, n):
+            v[i] = v[i - 1] * x2 - v[i - 2]
+        _NODES, _VANDER_T = nodes.tolist(), v
+    return _NODES, _VANDER_T
+
+
 _HALF_NODES = 0.5 * (_DEGREE + 1)  # chebinterpolate's divisor past the constant
 
 #: qagse's ier codes for a result it could not certify; its code 6, invalid
@@ -86,7 +95,9 @@ _IER_REASONS = {
 
 
 def _load_qagse():
-    """``_qagse`` from scipy's compiled ``integrate/_quadpack`` extension.
+    """``_qagse`` from scipy's compiled ``integrate/_quadpack`` extension,
+    loaded by the first integral, so a missing scipy or extension is an
+    ImportError raised there, not at import.
 
     scipy's directory comes from its import spec, so neither
     ``scipy/__init__.py`` nor ``scipy/integrate/__init__.py`` runs, and the
@@ -113,7 +124,7 @@ def _scipy_version() -> str:
     return version("scipy")
 
 
-_QAGSE = _load_qagse()
+_QAGSE = None  # loaded by the first integral
 
 
 def _quad(f: Callable[[float], float], a: float, b: float, epsabs: float) -> tuple:
@@ -121,6 +132,9 @@ def _quad(f: Callable[[float], float], a: float, b: float, epsabs: float) -> tup
     a, b, epsabs=epsabs, epsrel=1e-13, limit=300, full_output=True)`` calls
     it: the value, the error estimate, the integrand evaluations and ier.
     An exception raised by f propagates unchanged."""
+    global _QAGSE
+    if _QAGSE is None:
+        _QAGSE = _load_qagse()
     value, abserr, info, ier = _QAGSE(f, a, b, (), 1, epsabs, 1e-13, 300)
     return value, abserr, info["neval"], ier
 
@@ -195,6 +209,7 @@ class AntiderivativeTable:
         self.evaluations = 0
         coef_tol = 0.25 * tol / (b - a)
 
+        nodes, vander_t = _chebyshev_nodes_and_vander_t()
         stack = [(a, b)]
         while stack:
             lo, hi = stack.pop()
@@ -202,7 +217,7 @@ class AntiderivativeTable:
             # Chebyshev.interpolate(fn, _DEGREE, domain=[lo, hi]) step by step:
             # pu.mapdomain's node map, then chebinterpolate's product and scaling
             mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-            coef = np.dot(_VANDER_T, [fn(mid + half * x) for x in _NODES]).tolist()
+            coef = np.dot(vander_t, [fn(mid + half * x) for x in nodes]).tolist()
             self.evaluations += _DEGREE + 1
             coef = [coef[0] / (_DEGREE + 1)] + [c / _HALF_NODES for c in coef[1:]]
             mags = [abs(c) for c in coef]

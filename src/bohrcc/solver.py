@@ -57,9 +57,8 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from . import power_series as ps
+from ._lazy import lazy_import
 from .catalog import (
     FAMILIES,
     SPEC_CACHE_SIZE,
@@ -72,6 +71,8 @@ from .catalog import (
 from .errors import InconsistencyError, NoRootError, ParameterError
 from .extremal import build_extremal, growth_evaluator, h_evaluator, k_prime_evaluator
 from .quadrature import DEFAULT_TOL, check_tol, integrate_1d, integrate_nested
+
+np = lazy_import("numpy")
 
 _SCAN_STEP = 1e-3
 _SCAN_LIMIT = 0.999

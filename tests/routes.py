@@ -5,14 +5,19 @@ Production takes the distance integral of Ks and Cs by quadrature only
 integration of its series, so the two can check each other; the series
 curve is pinned to the last bit in ``test_solver.DISTANCE_SERIES_PINS``.
 The subordination lemma (Lemma 1 of Bhowmik and Das 2018), which every
-radius rests on, is checked on series here too.
+radius rests on, is checked on series here too, and production's closed
+positivity predicate ``catalog.has_positive_coeffs`` has the signs of the
+order-64 series as its oracle.  ``FAMILY_BOXES`` draws each family's
+parameters from its admissible box for the property tests.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 
 from bohrcc import power_series as ps
 from bohrcc import solver
@@ -21,6 +26,19 @@ from bohrcc.errors import ParameterError
 from bohrcc.quadrature import DEFAULT_TOL
 from bohrcc.solver import ClassId
 from bohrcc.verifier import SelfMap
+
+#: each family's admissible box, as PhiSpec checks it
+FAMILY_BOXES = {
+    "janowski": st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(lambda ab: ab[1] < ab[0]),
+    "sakaguchi": st.tuples(st.floats(0.0, 1.0, exclude_max=True)),
+    "lemniscate": st.tuples(st.floats(0.0, math.sqrt(0.5), exclude_min=True)),
+    "expblend": st.tuples(st.floats(0.0, 1.0, exclude_max=True)),
+    "strongly": st.tuples(st.floats(0.0, 1.0, exclude_min=True)),
+    "wang": st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0, exclude_min=True)),
+}
+BOX_SPECS = st.sampled_from(sorted(FAMILY_BOXES)).flatmap(
+    lambda family: FAMILY_BOXES[family].map(lambda params: PhiSpec(family, params))
+)
 
 
 def allclose(a: ps.TruncatedSeries, b: ps.TruncatedSeries, tol: float = 1e-12) -> bool:
@@ -80,3 +98,10 @@ def check_subordination_lemma(
     q = ps.compose_with_selfmap(f, to_series(omega, f.order))
     mf, mq = ps.majorant(f), ps.majorant(q)
     return all(ps.eval_at(mq, r) <= ps.eval_at(mf, r) + 1e-10 for r in grid)
+
+
+def series_has_positive_coeffs(spec: PhiSpec) -> bool:
+    """The signs of phi's order-64 series: every coefficient past the
+    constant nonnegative, the leading one strictly positive."""
+    c = phi_series(spec, ps.DEFAULT_ORDER).coeffs
+    return bool(c[1] > 0.0 and np.all(c[1:] >= 0.0))

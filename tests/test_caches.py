@@ -70,8 +70,8 @@ def test_sweep_over_many_specs_stays_bounded():
         ):
             assert infos[name].misses == 300, name
             assert infos[name].currsize == SPEC_CACHE_SIZE, name
-        # phi at the sweep's order 8 and at the positivity check's order 64
-        assert infos["catalog._phi_series"].misses == 600
+        # phi at the sweep's order 8 only: the positivity check builds no series
+        assert infos["catalog._phi_series"].misses == 300
         assert infos["catalog._phi_series"].currsize == SPEC_CACHE_SIZE
         assert all(info.currsize <= SPEC_CACHE_SIZE for info in infos.values())
     finally:
@@ -129,8 +129,7 @@ def test_caches_key_on_values_not_on_spelling():
 
 
 def test_positive_coefficient_check_takes_the_spec_only():
-    # no order to spell: the check reads phi's cached series at the default
-    # order, the same entry phi_series(spec) reads
+    # no order to spell: the check reads the family record, and no series
     spec = strongly(0.5)
     with pytest.raises(TypeError):
         catalog.has_positive_coeffs(spec, 64)
@@ -139,8 +138,7 @@ def test_positive_coefficient_check_takes_the_spec_only():
     clear_all()
     try:
         assert all(catalog.has_positive_coeffs(spec) for _ in range(3))
-        catalog.phi_series(spec)
         info = catalog._phi_series.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+        assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
     finally:
         clear_all()

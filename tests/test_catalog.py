@@ -5,6 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from routes import FAMILY_BOXES, series_has_positive_coeffs
 
 from bohrcc import catalog
 from bohrcc import power_series as ps
@@ -245,6 +248,23 @@ class TestPositivity:
 
     def test_alternating_janowski(self):
         assert not has_positive_coeffs(janowski(0.5, 0.25))
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_BOXES))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_closed_predicate_matches_the_series_signs(self, family, data):
+        spec = PhiSpec(family, data.draw(FAMILY_BOXES[family]))
+        a, b = as_janowski(spec) or (1.0, 0.0)
+        assume(b == 0.0 or b * (a - b) != 0.0)  # else c_2 = -B(A - B) underflows to a zero
+        assert has_positive_coeffs(spec) == series_has_positive_coeffs(spec)
+
+    def test_underflow_corner_reads_the_true_signs(self):
+        # c_2 = -B(A - B) = -1e-400 rounds to -0.0, so the computed series
+        # looks nonnegative, while the true coefficients (A - B)(-B)^(n-1) alternate
+        spec = janowski(2e-200, 1e-200)
+        assert phi_series(spec, 64).coeffs[2].hex() == "-0x0.0p+0"
+        assert series_has_positive_coeffs(spec)
+        assert not has_positive_coeffs(spec)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_majorant_identity_for_positive(self, spec):

@@ -5,8 +5,11 @@ scipy.integrate.quad is the oracle here.
 The extension is found in the directory that ``importlib.util.find_spec``
 gives for scipy, so importing bohrcc runs no scipy ``__init__``; scipy's
 package loads when QUADPACK first runs, and a command that never integrates
-(``table 1..4``) never loads it."""
+(``table 1..4``) never loads it.  numpy too loads on first use, so the
+commands that evaluate only closed formulas (``table 1``, ``2`` and ``4``
+and the Sc scans) never load it."""
 
+import json
 import math
 import os
 import subprocess
@@ -25,6 +28,7 @@ from bohrcc.quadrature import integrate_1d, integrate_nested
 from bohrcc.solver import ClassId, distance_integrand, lhs_integrand
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 #: (integrand, a, b, tol): the canonical Ks lhs and distance integrands, a
 #: smooth, an oscillating and an endpoint-singular one, and a near pole whose
@@ -118,29 +122,59 @@ def test_a_missing_quadpack_is_an_import_error(monkeypatch, attr, stand_in, miss
         quadrature._load_qagse()
 
 
+#: a fresh interpreter's view of what is loaded, and one CLI command run in it
+_PRELUDE = (
+    "import contextlib, io, sys\n"
+    "import bohrcc, bohrcc.cli\n"
+    "def loaded(*names):\n"
+    "    return sorted(m for m in names if m in sys.modules)\n"
+    "def numpy_loaded():\n"  # sys.modules['numpy'] is bound from import on
+    "    return any(m.startswith('numpy.') for m in sys.modules)\n"
+    "def run(*argv):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        assert bohrcc.cli.main(list(argv)) == 0\n"
+)
+
+#: the pinned Sc scans: each solves h(r) = -h(-1) from a closed h
+SC_SCANS = [c.split() for c in json.loads((GOLDEN / "scan_sha256.json").read_text()) if "sc-" in c]
+
+CC_RADIUS = ["radius", "--class", "Cc", "--phi", "janowski", "--A", "1", "--B", "-1"]
+
+
 def test_import_leaves_scipy_integrate_unloaded():
-    # tables 1..4 never integrate, so they load neither scipy nor the verifier;
-    # a Cc radius integrates its lhs by nested quadrature, so QUADPACK runs and
-    # its first call imports scipy's package, but not scipy.integrate
+    # tables 1, 2 and 4 and the Sc scans evaluate closed math formulas, so
+    # they load neither numpy nor scipy nor the verifier; table 3 builds
+    # strongly's growth table with numpy, but never integrates; a Cc radius
+    # integrates its lhs by nested quadrature, so QUADPACK runs and its first
+    # call imports scipy's package, but not scipy.integrate
+    assert len(SC_SCANS) == 4
     out = _run_fresh(
-        "import contextlib, io, sys\n"
-        "import bohrcc, bohrcc.cli\n"
-        "def loaded(*names):\n"
-        "    return sorted(m for m in names if m in sys.modules)\n"
-        "print(loaded('scipy', 'bohrcc.verifier'))\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    for n in '1234':\n"
-        "        assert bohrcc.cli.main(['table', n]) == 0\n"
-        "print(loaded('scipy', 'numpy.polynomial', 'bohrcc.verifier'))\n"
-        "argv = ['radius', '--class', 'Cc', '--phi', 'janowski', '--A', '1', '--B', '-1']\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert bohrcc.cli.main(argv) == 0\n"
+        _PRELUDE
+        + "print(loaded('scipy', 'bohrcc.verifier'), numpy_loaded())\n"
+        "for n in '124':\n"
+        "    run('table', n)\n"
+        f"for argv in {SC_SCANS!r}:\n"
+        "    run(*argv)\n"
+        "print(loaded('scipy', 'bohrcc.verifier'), numpy_loaded())\n"
+        "run('table', '3')\n"
+        "print(loaded('scipy', 'numpy.polynomial', 'bohrcc.verifier'), numpy_loaded())\n"
+        f"run(*{CC_RADIUS!r})\n"
         "print(loaded('scipy', 'scipy.integrate', 'scipy.special', 'scipy.optimize'))\n"
         "names = {}\n"
         "exec('from bohrcc import *', names)\n"
         "print(sorted(set(bohrcc.__all__) - set(names)), 'bohrcc.verifier' in sys.modules)\n"
     )
-    assert out == "[]\n[]\n['scipy']\n[] True\n"
+    assert out == "[] False\n[] False\n[] True\n['scipy']\n[] True\n"
+    # a radius alone loads numpy, and numpy imported after the package is
+    # the ordinary module, the package's own binding included
+    assert _run_fresh(_PRELUDE + f"run(*{CC_RADIUS!r})\nprint(numpy_loaded())\n") == "True\n"
+    out = _run_fresh(
+        "import sys, types\n"
+        "import bohrcc, numpy\n"
+        "print(numpy.zeros(3).tolist(), type(numpy) is types.ModuleType)\n"
+        "print(numpy is sys.modules['numpy'] is bohrcc.power_series.np is bohrcc.solver.np)\n"
+    )
+    assert out == "[0.0, 0.0, 0.0] True\nTrue\n"
 
 
 def test_cs_solve_bits_survive_importing_scipy_integrate():

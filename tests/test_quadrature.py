@@ -249,9 +249,10 @@ class TestTableBuildBits:
     def test_nodes_and_vandermonde_are_numpys(self):
         # built without numpy.polynomial, so pin them to it: the sign of a zero counts
         hexed = lambda xs: [x.hex() for x in xs]
-        assert hexed(quadrature._NODES) == hexed(chebpts1(25).tolist())
-        want = chebvander(quadrature._NODES, 24).T
-        got = quadrature._VANDER_T
+        nodes, got = quadrature._chebyshev_nodes_and_vander_t()  # built on first use, then kept
+        assert nodes is quadrature._NODES and got is quadrature._VANDER_T
+        assert hexed(nodes) == hexed(chebpts1(25).tolist())
+        want = chebvander(nodes, 24).T
         assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
         assert hexed(got.ravel().tolist()) == hexed(want.ravel().tolist())
 

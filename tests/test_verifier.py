@@ -1,5 +1,4 @@
 import hashlib
-import math
 import re
 import tracemalloc
 from unittest import mock
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from routes import allclose, check_subordination_lemma, to_series
+from routes import BOX_SPECS, FAMILY_BOXES, allclose, check_subordination_lemma, to_series
 
 from _bench_inputs import BENCH_INPUTS
 
@@ -520,27 +519,13 @@ def test_one_member_is_one_batch_row(class_id, spec):
         assert abs(margins[i] - margin) <= _margin_bound(error, bound, (margins[i], margin), r)
 
 
-#: each family's admissible box, as PhiSpec checks it
-_BOXES = {
-    "janowski": st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(lambda ab: ab[1] < ab[0]),
-    "sakaguchi": st.tuples(st.floats(0.0, 1.0, exclude_max=True)),
-    "lemniscate": st.tuples(st.floats(0.0, math.sqrt(0.5), exclude_min=True)),
-    "expblend": st.tuples(st.floats(0.0, 1.0, exclude_max=True)),
-    "strongly": st.tuples(st.floats(0.0, 1.0, exclude_min=True)),
-    "wang": st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0, exclude_min=True)),
-}
-_BOX_SPECS = st.sampled_from(sorted(_BOXES)).flatmap(
-    lambda family: _BOXES[family].map(lambda params: PhiSpec(family, params))
-)
-
-
 def test_the_boxes_cover_every_family():
-    assert set(_BOXES) == set(FAMILIES)
+    assert set(FAMILY_BOXES) == set(FAMILIES)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    spec=_BOX_SPECS,
+    spec=BOX_SPECS,
     class_id=st.sampled_from(list(ClassId)),
     epsilon=st.floats(0.0, 1.0),
     power=st.integers(1, 70),
@@ -651,7 +636,7 @@ class TestMembersEqualThePowerLoop:
 
 @settings(max_examples=50, deadline=None)
 @given(
-    spec=_BOX_SPECS,
+    spec=BOX_SPECS,
     class_id=st.sampled_from(list(ClassId)),
     maps=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, 70)), min_size=1, max_size=9),
     order=st.sampled_from((8, 9, 64)),
