@@ -14,7 +14,8 @@ six parameterized families:
 
 ``FAMILIES`` maps each name to its :class:`Family` record, the one place
 that knows the family: parameter names, box, and the formulas for the
-series, real and complex values, majorant, growth exponent, h and k.
+series, real and complex values, majorant, growth exponent (or, where it
+is integrated, phi near its pole at 1), h and k.
 ``sakaguchi(g)`` is ``janowski(1-2g, -1)`` and ``wang(a, b)`` is
 ``janowski(b, -a*b)``, so their records hold only that map and borrow the
 Janowski formulas through :func:`formulas_of`.  Out-of-range parameters
@@ -45,8 +46,11 @@ SQRT_HALF = math.sqrt(0.5)  # correctly-rounded 1/sqrt(2); the admissible lemnis
 @dataclass(frozen=True)
 class Family:
     """One catalog family.  The formulas take the parameters last; ``real``,
-    ``majorant``, ``growth``, ``h`` and ``k`` return the unchecked function
-    of a float that a domain-checking caller wraps; ``real`` takes the spec for its pole text."""
+    ``majorant``, ``growth``, ``from_one``, ``h`` and ``k`` return the
+    unchecked function of a float that a domain-checking caller wraps;
+    ``real`` takes the spec for its pole text.  A family without ``growth``
+    gives ``from_one``, phi(1 - u) as a function of u, which keeps its
+    digits where a pole at 1 makes phi(t) lose them to the rounding of t."""
 
     names: tuple[str, ...]
     box: str  # as the ParameterError states it, one {} per parameter value
@@ -57,6 +61,7 @@ class Family:
     complex: Callable[..., complex] | None = None  # (z, *params)
     majorant: Callable[..., Callable[[float], float]] | None = None  # None: phi itself
     growth: Callable[..., Callable[[float], float]] | None = None  # None: by quadrature
+    from_one: Callable[..., Callable[[float], float]] | None = None  # phi(1 - u) of u
     h: Callable[..., Callable[[float], float]] | None = None  # None: x k'(x)
     k: Callable[..., Callable[[float], float]] | None = None  # None: the quadrature of k'
 
@@ -178,6 +183,7 @@ FAMILIES: Mapping[str, Family] = {
         ("alpha",), "0 < alpha <= 1, got {}", lambda a: 0.0 < a <= 1.0,
         series=_strongly_series, real=_strongly_real,
         complex=lambda z, a: ((1.0 + z) / (1.0 - z)) ** a,  # right half plane, principal power is safe
+        from_one=lambda a: lambda u: ((2.0 - u) / u) ** a,
     ),
     "wang": Family(
         ("alpha", "beta"), "0 <= alpha <= 1 and 0 < beta <= 1, got {}, {}",

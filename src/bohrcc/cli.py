@@ -230,9 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, outs, spec=True):
-        p.add_argument("--out", choices=outs, default=outs[0],
-                       help=f"output format (default {outs[0]})")
+    def add_common(p, outs=(), spec=True):
+        if outs:
+            p.add_argument("--out", choices=outs, default=outs[0],
+                           help=f"output format (default {outs[0]})")
         if spec:
             p.add_argument("--order", type=int, default=DEFAULT_ORDER,
                            help=f"series truncation order (default {DEFAULT_ORDER})")
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run a verification campaign")
-    add_common(p_verify, ("json",))
+    add_common(p_verify)  # JSON only
     p_verify.add_argument("--samples", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--r", type=float, default=None,

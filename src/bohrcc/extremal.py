@@ -38,6 +38,7 @@ np = lazy_import("numpy")
 _SERIES_SWITCH = 0.1  # below this |t|, (phi(t)-1)/t is evaluated from its series
 _BOUNDARY_TOL = 1e-11
 _TABLE_HI = 0.9995  # cached growth-exponent table covers [-1, _TABLE_HI]
+_V_HI = -math.log1p(-_TABLE_HI) / 64.0  # the table end in v = -log(1 - t)/64
 
 
 @dataclass(frozen=True)
@@ -96,17 +97,26 @@ def _growth_edge(x: float) -> float:
 def _growth_formula(spec: PhiSpec) -> Callable[[float], float]:
     """The growth exponent for x != 0 in [-1, 1), unchecked: the catalog
     record's formula, or (strongly) a read of the cached antiderivative
-    table with adaptive quadrature past its end."""
+    table, plus adaptive quadrature past its end in v = -log(1 - t)/64,
+    which lies in [0, 1) for every float t < 1.  With u = 1 - t = e^{-64v},
+    (phi(t)-1)/t dt = 64 (phi(1 - u) - 1) u/(1 - u) dv stays bounded for a
+    pole of order at most 1 at t = 1, where the integrand in t does not."""
     fam, p = formulas_of(spec)
     if fam.growth is not None:
         return fam.growth(*p)
     table, at_zero = _growth_table(spec)
     lookup = table.__call__
+    phi = fam.from_one(*p)
+
+    def tail(v: float) -> float:
+        u = math.exp(-64.0 * v)
+        return 64.0 * (phi(u) - 1.0) * u / (1.0 - u)
 
     def formula(x: float) -> float:
         if x <= _TABLE_HI:
             return lookup(x) - at_zero
-        return integrate_1d(_growth_integrand(spec), 0.0, x, _BOUNDARY_TOL).value
+        rest = integrate_1d(tail, _V_HI, -math.log1p(-x) / 64.0, _BOUNDARY_TOL).value
+        return lookup(_TABLE_HI) - at_zero + rest
 
     return formula
 

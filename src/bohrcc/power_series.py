@@ -3,11 +3,8 @@
 A series is stored as a plain vector of real coefficients (``coeffs[n]``
 multiplies ``z**n``); an :func:`evaluator` keeps them reversed, highest
 degree first as Horner's rule reads them, so evaluating copies nothing.
-An even series (the C_s* kernel M_{K'} is one) keeps only its even
-coefficients and steps in ``x * x``: that skips the additions of its odd
-zeros, which change no bit, and halves the loop.  All operations are pure
-functions returning new series; arrays are frozen after construction so
-values can be shared freely between threads.
+All operations are pure functions returning new series; arrays are frozen
+after construction so values can be shared freely between threads.
 
 The one non-obvious operation is :func:`majorant`, which replaces every
 coefficient by its absolute value.  Evaluating the majorant of ``f`` at a
@@ -21,7 +18,6 @@ catastrophic cancellation.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -230,18 +226,10 @@ def eval_at(s: TruncatedSeries, x: float, tail_tol: float | None = None) -> floa
 
 def evaluator(s: TruncatedSeries, tail_tol: float | None = None) -> Callable[[float], float]:
     """``eval_at(s, ., tail_tol)`` as one function, with the coefficient
-    list reversed and the tail's leading coefficient read off s once.
-
-    An even series (every odd coefficient +-0.0) runs Horner over its even
-    coefficients as ``t = c + t * x * x``: the same products in the same
-    order in half the steps, without the additions of the odd zeros.  Those
-    only turn a -0.0 product into +0.0, a sign the next even coefficient
-    absorbs unless it is -0.0 itself, so a series with an even -0.0 keeps
-    the full loop, and every value is ``_horner``'s bit for bit."""
+    list reversed and the tail's leading coefficient read off s once."""
     c = s.coeffs.tolist()
     last, n = abs(c[-1]), s.order
-    even = not any(c[1::2]) and not any(a == 0.0 and math.copysign(1.0, a) < 0 for a in c[::2])
-    top, *rest = (c[::2] if even else c)[::-1]
+    top, *rest = c[::-1]
 
     def at(x: float) -> float:
         x = float(x)
@@ -253,11 +241,6 @@ def evaluator(s: TruncatedSeries, tail_tol: float | None = None) -> Callable[[fl
                 raise PrecisionError(
                     f"truncation tail ~{hint:.3g} exceeds tolerance {tail_tol:.3g} at r={abs(x):.6g}"
                 )
-        if not even:
-            return _horner(top, rest, x)
-        t = top + x * 0
-        for a in rest:
-            t = a + t * x * x
-        return t
+        return _horner(top, rest, x)
 
     return at

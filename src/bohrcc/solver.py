@@ -26,26 +26,32 @@ on t^{2n}: 1/(1+t^2) and (k'(-t^2))^{1/2}.
 
 The lhs keeps two evaluation routes in production: exact termwise
 integration of its majorant series (the root search's hint) and adaptive
-quadrature over pointwise evaluators (its certificate).  The distance
-integral has one route, quadrature; its series oracle lives in the test
-suite's ``routes.py``.  An integrand binds per-spec closures
+quadrature over pointwise evaluators (its certificate).  The quadrature
+integrand reads M_K from the spec where phi has nonnegative coefficients,
+for then so does K and M_K = K: 1/(1-t^2), k', or K'(t) = exp(G(t^2)/2)
+with G the growth exponent, as the Cs target reads it at -t^2.  So the
+certificate does not depend on the series order; only a mixed-sign phi (in
+this catalog, Janowski with B > 0) reads M_K from the order-N series.  The
+distance integral has one route, quadrature; its series oracle lives in the
+test suite's ``routes.py``.  An integrand binds per-spec closures
 (``phi_evaluator`` and its kin) when it is made, so a quadrature node pays
-no family dispatch.  Root finding
-uses both routes: the series curve (a lower bound, its coefficients being
-nonnegative) hints the 1e-3 grid cell where the monotone lhs first reaches
-the target, found by ``bisect_left`` over the grid indices on the curve's
-Horner values (monotone in r, rounding included, for nonnegative coefficients).
+no family dispatch.  Root finding uses both routes: the series curve (a
+lower bound, its coefficients being nonnegative) hints the 1e-3 grid cell
+where the monotone lhs first reaches the target, found by ``bisect_left``
+over the grid indices (``_first_reached``) on the curve's Horner values
+(monotone in r, rounding included, for nonnegative coefficients).
 Bisection of that cell lets the series decide each step whose distance
 from the target exceeds the quadrature tolerance plus the series
 truncation tail, and quadrature the rest; a quadrature bracket check at the
 end certifies the result.  Only if it fails, or the curve stays below the
-target, is the cell located with quadrature (``bisect_left`` over the grid
-indices the hint narrows) and bisected on quadrature alone.  The closed-form
-equations and threshold scans use the same ``_bisect``, the one bisection
-loop; the Sc corollaries among them are the one equation h(r) = -h(-1) with
-h bound once per spec by ``extremal.h_evaluator`` (M_h = h for nonnegative
-coefficients).  Every result gets its sharpness verdict and notes from
-``_radius_result``.
+target, does ``_first_reached`` search the whole grid on quadrature, for a
+cell bisected on quadrature alone; without a hint one evaluation of
+lhs(0.999) first shows whether the lhs reaches the target on the grid.  The
+closed-form equations and threshold scans use the same ``_bisect``, the one
+bisection loop; the Sc corollaries among them are the one equation
+h(r) = -h(-1) with h bound once per spec by ``extremal.h_evaluator``
+(M_h = h for nonnegative coefficients).  Every result gets its sharpness
+verdict and notes from ``_radius_result``.
 """
 
 from __future__ import annotations
@@ -81,8 +87,9 @@ _SERIES_EVAL_TAIL = 1e-11
 _ONE_THIRD = 1.0 / 3.0
 _WITNESS_STEP = 0.01  # how far past a sharp radius the witness checks the bound is exceeded
 
-#: Smallest series order a radius solve accepts: below it the truncated
-#: series curves can misplace the root while their tail hints stay small.
+#: Smallest series order a radius solve accepts: below it a mixed-sign
+#: spec's truncated kernel majorant can misplace the root while its tail
+#: hint stays small (a nonnegative spec's series only steers the hint).
 MIN_ORDER = 8
 
 
@@ -162,11 +169,13 @@ def _lhs_integrand(class_id: ClassId, spec: PhiSpec, order: int) -> Callable[[fl
     m_phi = majorant_phi_evaluator(spec)
     if class_id is ClassId.KS:
         return lambda t: m_phi(t) / (1.0 - t * t)
-    if class_id is not ClassId.CS and has_positive_coeffs(spec):
-        m = k_prime_evaluator(spec)  # M_{k'} = k', which has a closed or tabulated form
-    else:  # M_K from the series, which Cs reads whatever the signs; k' and K'
-        # mix signs only where phi does (in this catalog, Janowski with B > 0)
+    if not has_positive_coeffs(spec):  # k' and K' mix signs only where phi does
         m = _majorant_evaluator(kernel_series(class_id, spec, order))
+    elif class_id is ClassId.CS:  # M_{K'} = K' = exp(G(t^2) / 2), as the target reads it at -t^2
+        growth = growth_evaluator(spec)
+        m = lambda t: math.exp(0.5 * growth(t * t))
+    else:
+        m = k_prime_evaluator(spec)  # M_{k'} = k', which has a closed or tabulated form
     return lambda t: m(t) * m_phi(t)
 
 
@@ -290,34 +299,11 @@ class RadiusResult:
         }
 
 
-def _first_reached(f: Callable[[float], float], target: float, lo: int = 0, hi: int = _LAST):
-    """The first scan-grid index i in (lo, hi] with f(g[i]) >= target for a
-    nondecreasing f with f(g[lo]) < target, by bisection over the indices,
-    or None when f(g[hi]) stays below the target."""
-    if f(_SCAN_GRID[hi]) < target:
-        return None
-    return bisect_left(_SCAN_GRID, True, lo + 1, hi, key=lambda r: f(r) >= target)
-
-
-def _locate_cell(lhs: Callable[[float], float], target: float, hint: int | None):
-    """The first scan-grid cell (g[i-1], g[i]) with lhs(g[i-1]) < target <=
-    lhs(g[i]) for a nondecreasing lhs with lhs(0) = 0, or None when lhs(0.999)
-    stays below the target.
-
-    ``hint`` is the index i a lower bound on the lhs suggests; when it is
-    right the cell costs two evaluations, otherwise a binary search over the
-    grid indices it narrows.
-    """
-    lo, hi = 0, _LAST
-    if hint is not None:
-        if lhs(_SCAN_GRID[hint]) < target:
-            lo = hint
-        elif lhs(_SCAN_GRID[hint - 1]) < target:
-            lo, hi = hint - 1, hint
-        else:
-            hi = hint - 1
-    i = _first_reached(lhs, target, lo, hi)
-    return None if i is None else (_SCAN_GRID[i - 1], _SCAN_GRID[i])
+def _first_reached(f: Callable[[float], float], target: float) -> int:
+    """The first scan-grid index i with f(g[i]) >= target for a nondecreasing
+    f with f(0) < target, by bisection over the indices, or len(g) when f
+    stays below the target on the whole grid."""
+    return bisect_left(_SCAN_GRID, True, key=lambda r: f(r) >= target)
 
 
 def _bisect(reached: Callable[[float], bool], lo: float, hi: float, width: float = _BISECT_WIDTH):
@@ -406,19 +392,20 @@ def _solve_cached(class_id: ClassId, spec: PhiSpec, order: int, tol: float) -> R
     # with r on the grid even in floating point and bisection finds the
     # first grid point where it reaches the target
     hint = _first_reached(series, target)
-    if hint is not None:
+    if hint <= _LAST:
         # a certified bracket here is the one the quadrature-only path gives
         lo, hi = _bisect(lambda r: guided(r) >= target, _SCAN_GRID[hint - 1], _SCAN_GRID[hint])
         if lhs(lo) < target <= lhs(hi):
             return _radius_result(class_id, spec, lhs, target, lo, hi)
-    cell = _locate_cell(lhs, target, hint)
-    if cell is None:
+    # with no hint the lhs most likely stays below the target: one evaluation shows it
+    i = _first_reached(lhs, target) if hint <= _LAST or lhs(_SCAN_LIMIT) >= target else hint
+    if i > _LAST:
         raise NoRootError(
             f"{class_id.value} lhs for {spec.label()} stays below its target on "
             f"(0, {_SCAN_LIMIT}]: lhs({_SCAN_LIMIT}) = {lhs(_SCAN_LIMIT):.10g} < "
             f"target {target:.10g}, so any root lies beyond {_SCAN_LIMIT}"
         )
-    lo, hi = _bisect(lambda r: lhs(r) >= target, *cell)
+    lo, hi = _bisect(lambda r: lhs(r) >= target, _SCAN_GRID[i - 1], _SCAN_GRID[i])
     return _radius_result(class_id, spec, lhs, target, lo, hi)
 
 

@@ -28,9 +28,9 @@ when it has more.  phi, the class kernel (z/(1-z^2) for Ks) and the
 target are computed once.  Row i of an n x N matrix holds phi o w_i by the
 monomial re-indexing of ``power_series.compose_with_selfmap``: one
 scatter writes phi_k eps_i^k to column k m_i of every row i with power m_i.
-One matrix product with the kernel's Toeplitz matrix, gathered at once from
-the kernel behind N - 1 zeros, then gives every row's product with the
-kernel, and the class's termwise integration is applied to the whole
+One matrix product with the kernel's Toeplitz matrix, copied at once from
+strided windows over the kernel behind N - 1 zeros, then gives every row's
+product with the kernel, and the class's termwise integration is applied to the whole
 matrix.  One in-place Horner pass over the columns gives every row's
 coefficient-modulus sum.  The product sums each coefficient in another
 order than ``power_series.mul``, so a row agrees with the member built
@@ -110,6 +110,16 @@ def _composed(phi: np.ndarray, eps: np.ndarray, powers: np.ndarray, order: int) 
     return composed
 
 
+def _toeplitz(kernel: np.ndarray) -> np.ndarray:
+    """The matrix T[j, n] = kernel[n - j], 0 for n < j, as a C-contiguous copy
+    of the windows over the kernel padded with len - 1 zeros: row j is the
+    window from len - 1 - j, a strided view that steps one element back per
+    row (``sliding_window_view(padded, len)[::-1]``, without its checks)."""
+    n, step = kernel.size, kernel.itemsize
+    padded = np.concatenate((np.zeros(n - 1), kernel))
+    return np.lib.stride_tricks.as_strided(padded[n - 1 :], (n, n), (-step, step)).copy()
+
+
 def _members(
     class_id: ClassId, spec: PhiSpec, eps: np.ndarray, powers: np.ndarray, order: int
 ) -> np.ndarray:
@@ -117,19 +127,16 @@ def _members(
     self-map w = eps[i] * z^powers[i].
 
     The composed rows are multiplied in one product by the kernel's
-    Toeplitz matrix, gathered from the kernel padded with order - 1 zeros.
-    The product agrees with the series-by-series construction within the
-    rounding of its dot products, and a row does not depend on how many
-    rows share it.  The composed rows are freed with the product."""
+    Toeplitz matrix.  The product agrees with the series-by-series
+    construction within the rounding of its dot products, and a row does
+    not depend on how many rows share it.  The composed rows are freed with
+    the product."""
     order = ps.as_order(order)
     phi = phi_series(spec, order).coeffs
     kernel = kernel_series(class_id, spec, order)
     if class_id is ClassId.KS:
         kernel = ps.shift_up(kernel)  # z/(1-z^2), the odd starlike envelope
-    padded = np.concatenate((np.zeros(order - 1), kernel.coeffs))
-    index = np.arange(order)
-    toeplitz = padded[(order - 1) - index[:, None] + index]  # toeplitz[j, n] = kernel[n - j], 0 for n < j
-    products = (_composed(phi, eps, powers, order) @ toeplitz)[: len(eps)]
+    products = (_composed(phi, eps, powers, order) @ _toeplitz(kernel.coeffs))[: len(eps)]
     weights = np.arange(1, order + 1)
     if class_id is ClassId.KS:
         # divide by z, then integrate; an order-1 quotient keeps one zero coefficient

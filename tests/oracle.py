@@ -23,7 +23,9 @@ coefficients of K'(t) = (k'(t^2))^{1/2} = exp(sum_n phi_n t^{2n} / (2n))
 are nonnegative whenever phi's are, so M_{K'} = K'; only phi with
 mixed-sign coefficients (in this catalog, Janowski with B > 0) makes them
 mix signs.  The lhs is the termwise nested integral of the order-160
-series M_{K'} phi, with phi's Taylor coefficients from ``mp.taylor``.
+series M_{K'} phi, with phi's Taylor coefficients from ``mp.taylor``, or,
+near r = 1 where that series' tail is too large, the quadrature
+integral_0^r K'(t) phi(t) ln(r/t) dt (``cs_lhs``).
 
 Mixed-sign slice: Janowski phi = (1 + Az)/(1 + Bz) with B > 0 has the
 coefficients (A - B)(-B)^{n-1}, so the lhs reads the majorants
@@ -133,15 +135,29 @@ def cs_lhs_coefficients(spec, order=CS_ORDER):
         return [mp.fsum(big_k[j] * p[n - j] for j in range(n + 1)) for n in range(order)]
 
 
+def cs_target(spec):
+    """The Cs target integral_0^1 (k'(-t^2))^{1/2} phi(-t) (-ln t) dt."""
+    f = phi(spec)
+    with mp.workdps(DPS):
+        return mp.quad(lambda t: mp.sqrt(k_prime(spec, -t * t)) * f(-t) * -mp.log(t), [0, 1])
+
+
+def cs_lhs(spec, r):
+    """The Cs lhs integral_0^r (k'(t^2))^{1/2} phi(t) ln(r/t) dt by quadrature,
+    for radii where the series of ``cs_root`` keeps too large a tail."""
+    f = phi(spec)
+    with mp.workdps(DPS):
+        r = mpf(r)
+        return mp.quad(lambda t: mp.sqrt(k_prime(spec, t * t)) * f(t) * mp.log(r / t), [0, r])
+
+
 def cs_root(spec, lo=0.01, hi=0.95):
     """The root of the Cs equation in (lo, hi): the lhs sum_n c_n r^{n+1} / (n+1)^2
-    against integral_0^1 (k'(-t^2))^{1/2} phi(-t) (-ln t) dt."""
-    f = phi(spec)
+    against ``cs_target``."""
     with mp.workdps(DPS):
         c = cs_lhs_coefficients(spec)
         lhs = lambda r: mp.fsum(cn * r ** (n + 1) / (n + 1) ** 2 for n, cn in enumerate(c))
-        target = mp.quad(lambda t: mp.sqrt(k_prime(spec, -t * t)) * f(-t) * -mp.log(t), [0, 1])
-        return _root(lhs, target, lo, hi)
+        return _root(lhs, cs_target(spec), lo, hi)
 
 
 def janowski_mixed_root(class_name, spec, lo=0.01, hi=0.95):

@@ -338,9 +338,9 @@ _VERIFY_ARGS = ("verify", "--class", "Sc", "--phi", "lemniscate", "--s", "0.5")
         (("table", "1", "--order", "64"), "unrecognized arguments"),
         ((*_SCAN_ARGS, "--tol", "nan"), "unrecognized arguments"),
         ((*_SCAN_ARGS, "--order", "64"), "unrecognized arguments"),
-        ((*_VERIFY_ARGS, "--out", "csv"), "invalid choice: 'csv'"),  # verify emits JSON only
+        ((*_VERIFY_ARGS, "--out", "json"), "unrecognized arguments: --out json"),  # JSON only
     ],
-    ids=["table-tol", "table-order", "scan-tol", "scan-order", "verify-out-csv"],
+    ids=["table-tol", "table-order", "scan-tol", "scan-order", "verify-out"],
 )
 def test_flag_a_command_would_ignore_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -87,10 +87,19 @@ def old_growth_exponent(spec, x):
             if abs(term) < 1e-18:
                 break
         return (1.0 - alpha) * total
+    table, at_zero = extremal._growth_table(spec)
     if x <= extremal._TABLE_HI:
-        table, at_zero = extremal._growth_table(spec)
         return table(x) - at_zero
-    return integrate_1d(extremal._growth_integrand(spec), 0.0, x, extremal._BOUNDARY_TOL).value
+    # past the table end, in v = -log(1 - t)/64: u = 1 - t = e^{-64v}
+    (a,) = spec.params
+
+    def tail(v):
+        u = math.exp(-64.0 * v)
+        return 64.0 * (((2.0 - u) / u) ** a - 1.0) * u / (1.0 - u)
+
+    v = -math.log1p(-x) / 64.0
+    rest = integrate_1d(tail, extremal._V_HI, v, extremal._BOUNDARY_TOL).value
+    return table(extremal._TABLE_HI) - at_zero + rest
 
 
 def old_h_at(spec, x):
@@ -155,14 +164,13 @@ def old_lhs_integrand(class_id, spec, order=64):
     if class_id is solver.ClassId.KS:
         return lambda t: maj(t) / (1.0 - t * t)
     es = extremal.build_extremal(spec, order)
-    if class_id is solver.ClassId.CS:
-        series = ps.majorant(es.K_prime)
+    if not catalog.has_positive_coeffs(spec):
+        series = ps.majorant(es.K_prime if class_id is solver.ClassId.CS else es.k_prime)
         m = lambda t: old_eval_at(series, t, tail_tol=1e-11)
-    elif catalog.has_positive_coeffs(spec):
-        m = lambda t: math.exp(old_growth_exponent(spec, t))
+    elif class_id is solver.ClassId.CS:
+        m = lambda t: math.exp(0.5 * old_growth_exponent(spec, t * t))
     else:
-        series = ps.majorant(es.k_prime)
-        m = lambda t: old_eval_at(series, t, tail_tol=1e-11)
+        m = lambda t: math.exp(old_growth_exponent(spec, t))
     return lambda t: m(t) * maj(t)
 
 

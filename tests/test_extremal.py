@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from mpmath import mp
 from routes import allclose, reflect
 from scipy.integrate import quad
 
@@ -296,7 +297,8 @@ class TestPointwiseEvaluators:
 class TestStronglyTableBranch:
     """The strongly growth and k' evaluators fetch their growth table once,
     when they are built, and then read it as ``_growth_table`` gives it;
-    beyond 0.9995 they integrate the growth integrand."""
+    beyond 0.9995 they add to its last value the integral past it, taken in
+    v = -log(1 - t)/64, where the integrand stays bounded."""
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0])
     def test_values_are_the_table_read_directly(self, alpha):
@@ -311,13 +313,27 @@ class TestStronglyTableBranch:
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5])
     def test_quadrature_branch_past_the_table(self, alpha):
+        # where the integral in t from 0 still converges, it agrees
         spec = strongly(alpha)
         growth, k_prime = extremal.growth_evaluator(spec), extremal.k_prime_evaluator(spec)
         integrand = extremal._growth_integrand(spec)
         for x in (math.nextafter(extremal._TABLE_HI, 1.0), 0.9997, 0.9999):
             want = integrate_1d(integrand, 0.0, x, extremal._BOUNDARY_TOL).value
-            assert growth(x).hex() == want.hex(), x
-            assert k_prime(x).hex() == math.exp(want).hex(), x
+            assert growth(x) == pytest.approx(want, abs=1e-12), x
+            assert k_prime(x).hex() == math.exp(growth(x)).hex(), x
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.72, 0.9, 1.0])
+    def test_growth_near_one_against_mpmath(self, alpha):
+        # in t the integrand peaks like (1 - t)^-alpha at x, within an ulp of
+        # the pole, which adaptive quadrature in t cannot resolve
+        growth = extremal.growth_evaluator(strongly(alpha))
+        a = mp.mpf(alpha)
+        f = lambda t: (((1 + t) / (1 - t)) ** a - 1) / t
+        for x in (1.0 - 1e-12, math.nextafter(1.0, 0.0)):
+            with mp.workdps(30):
+                ends = [1 - mp.mpf(10) ** -k for k in range(1, 17) if 1 - mp.mpf(10) ** -k < x]
+                want = mp.quad(f, [0, *ends, mp.mpf(x)])
+            assert growth(x) == pytest.approx(float(want), abs=1e-12), x
 
     def test_domain_errors_keep_their_text(self):
         spec = strongly(0.5)

@@ -19,7 +19,7 @@ one case in tier-1.
 from functools import cache
 
 import pytest
-from oracle import cc_root, cs_root, janowski_mixed_root, ks_root, sc_root
+from oracle import cc_root, cs_lhs, cs_root, cs_target, janowski_mixed_root, ks_root, sc_root
 
 from bohrcc.catalog import expblend, janowski, lemniscate, sakaguchi, strongly, wang
 from bohrcc.solver import ClassId, solve_corollary_closed_form, solve_radius
@@ -103,6 +103,18 @@ def test_cs_solver_brackets_the_oracle_root(spec):
 
 #: the Janowski specs with B > 0, whose phi has mixed-sign coefficients
 MIXED_SIGN = [janowski(0.5, 0.3), janowski(0.9, 0.5)]
+
+
+@pytest.mark.slow
+def test_cs_large_root_brackets_the_quadrature_oracle():
+    # at r ~ 0.94 the oracle's order-160 series keeps a tail near 1e-5, so the
+    # bracket is checked on the quadrature lhs: the root lies inside it
+    spec = strongly(0.05)
+    res = solve_radius(ClassId.CS, spec)
+    assert res.r_f == 0.9374887146167465
+    lo, hi = res.bracket
+    target = cs_target(spec)
+    assert cs_lhs(spec, lo) < target < cs_lhs(spec, hi)
 
 
 def test_mixed_sign_sc_solver_brackets_the_oracle_root_of_one_spec():

@@ -142,21 +142,22 @@ class TestSeriesVsQuadratureLhs:
             assert lhs_at(ClassId.SC, spec, r) == pytest.approx(h(r), abs=1e-9)
 
     @pytest.mark.parametrize("spec", CANONICAL, ids=lambda s: s.label())
-    def test_cs_integrand_skips_the_full_horner_loop(self, monkeypatch, spec):
-        # M_{K'} is even in t, so its evaluator steps in t * t over the even
-        # coefficients and gives the full Horner loop's values without it
-        m = ps.majorant(build_extremal(spec).K_prime)  # built before the patch
-        top, *rest = m.coeffs[::-1].tolist()
+    @pytest.mark.parametrize("class_id", list(ClassId), ids=lambda c: c.value)
+    def test_nonnegative_kernel_majorant_is_the_kernel(self, monkeypatch, class_id, spec):
+        # with nonnegative coefficients M_K = K, read from the spec: the
+        # integrand builds no series, and where the order-64 series tail is
+        # negligible it agrees with the series majorant
+        series = ps.evaluator(ps.majorant(solver.kernel_series(class_id, spec, 64)))
         m_phi = majorant_phi_evaluator(spec)
-        ts = (0.0, 0.1, 1 / 3, 0.7, 0.95)
-        want = [ps._horner(top, rest, t) * m_phi(t) for t in ts]
 
         def refuse(*args):
-            raise AssertionError("the Cs integrand went through the full Horner loop")
+            raise AssertionError("a nonnegative spec's lhs integrand built a kernel series")
 
-        monkeypatch.setattr(ps, "_horner", refuse)
-        integrand = lhs_integrand(ClassId.CS, spec)
-        assert [integrand(t).hex() for t in ts] == [w.hex() for w in want]
+        monkeypatch.setattr(solver, "kernel_series", refuse)
+        integrand = solver._lhs_integrand.__wrapped__(class_id, spec, 64)
+        assert integrand(0.0) == 1.0
+        for t in (0.1, 1 / 3, 0.5):
+            assert integrand(t) == pytest.approx(series(t) * m_phi(t), rel=1e-14, abs=0.0)
 
 
 class TestRotationInvariance:
@@ -503,7 +504,7 @@ PINNED = {
     ("Ks", "sakaguchi(gamma=0.25)"): (0.33059895990416427, 1.8941515023129796e-12, (0.33059895990043897, 0.33059895990788957)),
     ("Sc", "sakaguchi(gamma=0.25)"): (0.23606797749921704, 1.2551626404899707e-12, (0.23606797749549174, 0.2360679775029423)),
     ("Cc", "sakaguchi(gamma=0.25)"): (0.4017610510401431, 2.1272983374842624e-12, (0.4017610510364178, 0.4017610510438684)),
-    ("Cs", "sakaguchi(gamma=0.25)"): (0.5334441121406854, 5.711764394789043e-12, (0.5334441121369602, 0.5334441121444108)),
+    ("Cs", "sakaguchi(gamma=0.25)"): (0.5334441121406854, 5.712208483998893e-12, (0.5334441121369602, 0.5334441121444108)),
     ("Ks", "lemniscate(s=0.5)"): (0.38566619777306943, 5.668465696828662e-12, (0.3856661977693442, 0.38566619777679473)),
     ("Sc", "lemniscate(s=0.5)"): (0.3040402215532961, 2.8602120671905595e-12, (0.3040402215495708, 0.3040402215570214)),
     ("Cc", "lemniscate(s=0.5)"): (0.4979361398704354, 5.294764626739834e-12, (0.4979361398667101, 0.49793613987416063)),
@@ -511,7 +512,7 @@ PINNED = {
     ("Ks", "expblend(alpha=0.03)"): (0.4065969111211601, 1.9910739723627557e-12, (0.4065969111174348, 0.4065969111248854)),
     ("Sc", "expblend(alpha=0.03)"): (0.3269921740032735, 3.760436406707868e-12, (0.3269921739995482, 0.32699217400699876)),
     ("Cc", "expblend(alpha=0.03)"): (0.5095123850964014, 6.45394848675096e-12, (0.509512385092676, 0.5095123851001266)),
-    ("Cs", "expblend(alpha=0.03)"): (0.6383017416559165, 1.8799406475977776e-12, (0.6383017416521912, 0.6383017416596418)),
+    ("Cs", "expblend(alpha=0.03)"): (0.6383017416559165, 1.8797186029928525e-12, (0.6383017416521912, 0.6383017416596418)),
     ("Ks", "strongly(alpha=0.5)"): (0.3774595882706347, 4.7628567756419216e-14, (0.3774595882669094, 0.37745958827436)),
     ("Sc", "strongly(alpha=0.5)"): (0.2996327950470151, 2.3552826355910383e-12, (0.2996327950432899, 0.2996327950507404)),
     ("Cc", "strongly(alpha=0.5)"): (0.4938682491369549, 4.832134692378531e-12, (0.4938682491332296, 0.49386824914068017)),
@@ -519,7 +520,7 @@ PINNED = {
     ("Ks", "wang(alpha=0.5, beta=1)"): (0.2979233101643624, 1.0996759058912176e-12, (0.2979233101606371, 0.2979233101680877)),
     ("Sc", "wang(alpha=0.5, beta=1)"): (0.2117850860469045, 5.936640068426868e-12, (0.2117850860431792, 0.21178508605062976)),
     ("Cc", "wang(alpha=0.5, beta=1)"): (0.3964325485266748, 2.368993889945159e-12, (0.3964325485229495, 0.3964325485304001)),
-    ("Cs", "wang(alpha=0.5, beta=1)"): (0.5261763953678313, 2.6608715231191127e-12, (0.5261763953641061, 0.5261763953715566)),
+    ("Cs", "wang(alpha=0.5, beta=1)"): (0.5261763953678313, 2.660982545421575e-12, (0.5261763953641061, 0.5261763953715566)),
 }
 
 
@@ -548,7 +549,7 @@ class TestRootSearch:
     @pytest.mark.parametrize(
         "class_id,spec,r_f",
         [
-            (ClassId.CS, strongly(0.05), 0.9374887151829907),
+            (ClassId.CS, strongly(0.05), 0.9374887146167465),
             (ClassId.CC, strongly(0.03), 0.9395030524097387),
         ],
         ids=["Cs-strongly(0.05)", "Cc-strongly(0.03)"],
@@ -571,19 +572,18 @@ class TestRootSearch:
         ]
         + [
             pytest.param(key, factor, id=f"{key[0]}-{key[1]}-x{factor}")
-            for factor in (0.5, 0.99)
+            for factor in (0.5, 0.99, 1.01)
             for key in PINNED
             if factor == 0.5 or key not in (("Sc", "lemniscate(s=0.5)"), ("Cs", "strongly(alpha=0.5)"))
         ],
     )
     def test_wrong_series_cannot_change_the_radius(self, monkeypatch, key, factor):
         # a scaled series hints the wrong cell (too early or too late), so the
-        # hinted-cell certificate fails and the fallback search must still
-        # give the quadrature bits.  A late hint (x0.5 and x0.99 on every
-        # pair) confines that search to the grid above the hint; a search of
-        # the whole grid would probe lhs(0.999) first, which raises
-        # BudgetError for Sc and Cc janowski(1, -1) and sakaguchi(0.25),
-        # whose lhs has a pole at 1
+        # hinted-cell certificate fails and the fallback search over the whole
+        # grid must still give the quadrature bits.  The search never probes
+        # lhs(0.999) when there is a hint, so an early hint (x1.01) works for
+        # Sc and Cc janowski(1, -1) and sakaguchi(0.25) too, whose lhs has a
+        # pole at 1 (lhs(0.999) raises BudgetError there)
         class_id = ClassId.parse(key[0])
         spec = next(s for s in CANONICAL if s.label() == key[1])
         true_curve = solver._series_lhs_curve
@@ -606,32 +606,23 @@ class TestRootSearch:
         ids=lambda v: v if isinstance(v, float) else v[0],
     )
     def test_hinted_cell_when_only_the_bisection_is_off(self, monkeypatch, key, factor):
-        # a series off by 1e-5 still hints the right grid cell, but bisects to
-        # its own root, which quadrature does not certify; the cell search
-        # then confirms the hinted cell with two evaluations and searches
-        # only it, so the radius is the quadrature-only search's
+        # a series off by 1e-5 still hints the right grid cell, but its own
+        # root there is not certified by quadrature; the fallback grid search
+        # finds the same cell, so the radius is the quadrature-only search's
         class_id = ClassId.parse(key[0])
         spec = next(s for s in CANONICAL if s.label() == key[1])
-        true_curve = solver._series_lhs_curve
-        searched = []
-        first_reached = solver._first_reached
-
-        def spy(f, target, lo=0, hi=solver._LAST):
-            searched.append((lo, hi))
-            return first_reached(f, target, lo, hi)
-
-        monkeypatch.setattr(
-            solver, "_series_lhs_curve", lambda *a: ps.TruncatedSeries(factor * true_curve(*a).coeffs)
-        )
-        monkeypatch.setattr(solver, "_first_reached", spy)
-        res = _cold_solve(class_id, spec)
-        hint_search, cell_search = searched
-        assert hint_search == (0, solver._LAST)
-        assert cell_search[0] == cell_search[1] - 1
-        monkeypatch.undo()
         target = target_constant(class_id, spec)
         lhs = lambda r: lhs_at(class_id, spec, r)
-        lo, hi = solver._bisect(lambda r: lhs(r) >= target, *solver._locate_cell(lhs, target, None))
+        i = solver._first_reached(lhs, target)
+        cell = solver._SCAN_GRID[i - 1], solver._SCAN_GRID[i]
+        curve = ps.TruncatedSeries(factor * solver._series_lhs_curve(class_id, spec, 64).coeffs)
+        series = ps.evaluator(curve)
+        assert solver._first_reached(series, target) == i
+        lo, hi = solver._bisect(lambda r: series(r) >= target, *cell)
+        assert not lhs(lo) < target <= lhs(hi)
+        monkeypatch.setattr(solver, "_series_lhs_curve", lambda *a: curve)
+        res = _cold_solve(class_id, spec)
+        lo, hi = solver._bisect(lambda r: lhs(r) >= target, *cell)
         assert res.r_f.hex() == (0.5 * (lo + hi)).hex()
         assert (res.r_f, res.residual, res.bracket) == PINNED[key]
 
@@ -690,27 +681,47 @@ class TestRootSearch:
             for spec, hint in zip(CERTIFICATE_FALLBACK, (970, 987, 986))
         ],
     )
-    def test_failed_certificate_searches_from_the_hint(self, monkeypatch, spec, hint):
-        # the series hints the right cell, but quadrature does not confirm the
-        # bisected bracket near r = 1, so the hinted cell search decides
-        hints = []
-        locate = solver._locate_cell
-
-        def spy(lhs, target, h):
-            hints.append(h)
-            return locate(lhs, target, h)
-
-        monkeypatch.setattr(solver, "_locate_cell", spy)
+    def test_failed_certificate_falls_back_to_the_grid_search(self, spec, hint):
+        # near r = 1 the truncated series, a lower bound on the lhs, hints the
+        # cell after the root's, so quadrature does not confirm the bisected
+        # bracket and the quadrature grid search finds the cell before it
+        target = target_constant(ClassId.SC, spec)
+        curve = solver._series_lhs_curve(ClassId.SC, spec, 64)
+        assert solver._first_reached(ps.evaluator(curve), target) == hint
+        assert solver._first_reached(lambda r: lhs_at(ClassId.SC, spec, r), target) == hint - 1
         res = _cold_solve(ClassId.SC, spec)
-        assert hints == [hint]
+        assert solver._SCAN_GRID[hint - 2] < res.r_f < solver._SCAN_GRID[hint - 1]
         assert (res.r_f, res.residual, res.bracket) == CERTIFICATE_FALLBACK[spec]
+
+    @pytest.mark.parametrize("order", [8, 12, 16, 24, 64, 128])
+    def test_cs_radius_does_not_move_with_the_order(self, order):
+        # the quadrature lhs reads M_{K'} = K' from the spec, so a low order
+        # only steers the hint, whose tail guard sees 0 at even orders
+        assert _cold_solve(ClassId.CS, strongly(0.5), order).r_f == 0.6190872504375879
+
+    def test_nonnegative_radii_do_not_move_with_the_order(self):
+        pairs = [(c, spec) for c in ClassId for spec in CANONICAL]
+        for seed in range(1, 6):
+            pairs += [
+                (ClassId.parse(c), PhiSpec(family, params))
+                for c, family, params in BENCH_INPUTS.box_draws(seed)
+            ]
+        pairs = [(c, spec) for c, spec in pairs if catalog.has_positive_coeffs(spec)]
+        assert len(pairs) == 140
+        for class_id, spec in pairs:
+            solved = set()
+            for order in (8, 16, 64, 256):
+                res = solve_radius(class_id, spec, order)
+                solved.add((res.r_f, res.residual, res.bracket))
+            assert len(solved) == 1, (class_id, spec)
 
 
 def _numpy_first_reached(coeffs, target):
-    """The grid hint as numpy gives it: polyval over the whole scan grid."""
+    """The grid hint as numpy gives it: polyval over the whole scan grid, or
+    the grid's length when the curve stays below the target."""
     on_grid = np.polynomial.polynomial.polyval(np.array(solver._SCAN_GRID), coeffs)
     reached = np.flatnonzero(on_grid >= target)
-    return int(reached[0]) if reached.size else None
+    return int(reached[0]) if reached.size else len(on_grid)
 
 
 _NONNEGATIVE = st.one_of(
@@ -750,14 +761,15 @@ class TestGridHint:
             curve = solver._series_lhs_curve(class_id, spec, 64)
             target = target_constant(class_id, spec, 64, 1e-10)
             want = _numpy_first_reached(curve.coeffs, target)
-            assert want is not None
+            assert want < len(solver._SCAN_GRID)
             assert solver._first_reached(ps.evaluator(curve), target) == want, (class_id, spec)
 
 
 class TestOrderFloor:
     @pytest.mark.parametrize("order", [-1, 0, 2, solver.MIN_ORDER - 1])
     def test_low_order_is_rejected(self, order):
-        # at order 2 the Cs curve would give a wrong radius with a tiny residual
+        # one floor for every spec, though only a mixed-sign spec's radius
+        # reads the series kernel that a low order truncates
         with pytest.raises(ParameterError, match=f"order must be at least 8, got {order}"):
             solve_radius(ClassId.CS, strongly(0.5), order)
 

@@ -240,11 +240,11 @@ CAMPAIGN_PINS = {
     ("Cc", "strongly", (0.5,), 1): "e6c69d9d07a39bbafb0b168e90abc8a023fc187cf9b78acca7d2cb393659d887",
     ("Cc", "wang", (0.5, 1.0), 1): "8443ba16b1bdb305dbf23921308c0d53b8c8638504e8d519126a9c44cc7b8725",
     ("Cs", "janowski", (1.0, -1.0), 1): "e8bc5966089b1f7630106cab28a2a3b118d11a6f808afdd657049607f7825ff5",
-    ("Cs", "sakaguchi", (0.25,), 1): "72b04d254578223a509e92fd1903f820b3174a0acfaf9d49200e9882503a42e7",
+    ("Cs", "sakaguchi", (0.25,), 1): "b5b0c16273b700b94af24061f5a62de8b8cc6c40a630bb72a8c13e0b16e04b08",
     ("Cs", "lemniscate", (0.5,), 1): "297fc2b50f1cf1671ea114f036af4afb67c332ffa4a54911a18ea5e77a686f87",
-    ("Cs", "expblend", (0.03,), 1): "832e404a1083bd0b2e5aeb985d1387af0efaa56a49a315fc30edef6a29feecc9",
+    ("Cs", "expblend", (0.03,), 1): "dc6acfdc04f728b2f72ccfe7b20b4f5dbfe188a91611abb076f9353bba493daf",
     ("Cs", "strongly", (0.5,), 1): "9f7c6365e776e09d418b7a6f2d840a35f87c7cfbd301296520d39d6eff899edc",
-    ("Cs", "wang", (0.5, 1.0), 1): "c8578ff2546cdd0ecb362df00db4282dfaeead4158afdea3cccd5fde1e7d5774",
+    ("Cs", "wang", (0.5, 1.0), 1): "330aa09fc8ba1d11e14d9651b4e9c6a8a13b6ce4730517803b2aef112f454919",
     ("Ks", "janowski", (1.0, -1.0), 2): "d4b1c4770d8b343c678adc922e91e3b8441093294c4397b89954fd5eb05f7665",
     ("Ks", "sakaguchi", (0.25,), 2): "362e0eda6891481503fdcee01d87136bb87e5fb37f23a40217b092d4532dffbd",
     ("Ks", "lemniscate", (0.5,), 2): "208b0cdfa5bfbbcc476ea56951c4449656a187205781f06f6c712e8567c2440e",
@@ -264,11 +264,11 @@ CAMPAIGN_PINS = {
     ("Cc", "strongly", (0.5,), 2): "6afdea054841e4a2a1944887e0b7edf421bb2c377609e415747051f359bfaef2",
     ("Cc", "wang", (0.5, 1.0), 2): "341da91a6458072856e67dd1528b0e24ad7f74427c5c27c94cfbed6c523b0e17",
     ("Cs", "janowski", (1.0, -1.0), 2): "be12ea05e68d6048c6485f5cf2f978be8886af715092d48a9be0cb20d7b3a9ad",
-    ("Cs", "sakaguchi", (0.25,), 2): "a771895b0ad83d493ccde317bd9ac3c63906717f22ddc94e9dc83bf8952b7140",
+    ("Cs", "sakaguchi", (0.25,), 2): "45ed8e5c67201ed0084107a1232cb471a94c8401a96e5b90d4f2a67728fa250d",
     ("Cs", "lemniscate", (0.5,), 2): "506667e5f9309c4a6a0510aadcac56bce4837c92f514393b8ab2c6c4203c4220",
-    ("Cs", "expblend", (0.03,), 2): "e26195d67ef28b6f446a615e8a3acab54a5df4356707bdd21e5c4ef84e6fc1bb",
+    ("Cs", "expblend", (0.03,), 2): "e20693be6d8943d245b4210fbf0226c43c64b52f95729b5b41d8ac9236abfaba",
     ("Cs", "strongly", (0.5,), 2): "c0b09d264d54b15fa5be836600db096430ac2e07bd5d31531d97fc77e0c9fa4a",
-    ("Cs", "wang", (0.5, 1.0), 2): "d3ee6f8f242149c4da97907515185ae9932b7b752c8c05d312c5447d259c2da2",
+    ("Cs", "wang", (0.5, 1.0), 2): "35e4a38a3f59575ee36ebc0d2a21a6ded44a119a276e71305aa94487a6e2d705",
 }
 
 #: sha256 of run_campaign(Sc, lemniscate(0.5), 100, 3, r=0.34).to_json(), the
@@ -321,7 +321,7 @@ class TestCampaignBits:
 
     def test_order_32_campaign_bytes(self):
         report = run_campaign(ClassId.CS, strongly(0.5), 100, 9, order=32)
-        assert _sha(report) == "86da8a1170015a043122d0b7bb6c01ea85dac6261f2d4576f59f0950228dd0dd"
+        assert _sha(report) == "22199d6a54142eaf0aefcf3e5c88a227eae1a2b7daa4ce30936623d223595016"
 
     @pytest.mark.parametrize("block_rows", [4096, 4])
     @pytest.mark.parametrize(
@@ -604,6 +604,22 @@ def _fixed_draw(rows: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _CANONICAL_SPECS = [PhiSpec(family, params) for family, params in BENCH_INPUTS.CANONICAL]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 64, 1024])
+def test_toeplitz_is_the_index_gather(order):
+    # the strided-window copy holds the bytes, and the C layout, of the
+    # gather padded[(order - 1) - j + n] over an order x order index grid,
+    # and of numpy's sliding_window_view(padded, order)[::-1]
+    kernel = np.random.default_rng(order).standard_normal(order)
+    padded = np.concatenate((np.zeros(order - 1), kernel))
+    index = np.arange(order)
+    want = padded[(order - 1) - index[:, None] + index]
+    got = verifier._toeplitz(kernel)
+    assert got.flags.c_contiguous and got.flags.owndata
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    windows = np.lib.stride_tricks.sliding_window_view(padded, order)[::-1]
+    assert np.ascontiguousarray(windows).tobytes() == want.tobytes()
 
 
 class TestMembersEqualThePowerLoop:
