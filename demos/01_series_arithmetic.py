@@ -23,9 +23,10 @@ log_sq = ps.TruncatedSeries([0.0] + [2.0 / n for n in range(1, 16)])
 sq = ps.exp_series(log_sq)
 print("\nexp(sum 2 z^n/n) coefficients:", sq.coeffs[:8])
 
-# ... and its square root is the geometric series again.
-root = ps.sqrt_series(sq)
-print("sqrt of that:", root.coeffs[:8])
+# ... and exp of half that log series, its square root, is the geometric
+# series again.  This is how the bundle builds K' = (k'(z^2))^{1/2}.
+root = ps.exp_series(ps.TruncatedSeries(0.5 * log_sq.coeffs))
+print("exp(sum z^n/n), its square root:", root.coeffs[:8])
 
 # The majorant transform replaces coefficients by absolute values.  Its
 # evaluation at r is the quantity all Bohr-type inequalities control.
@@ -40,8 +41,11 @@ curve = ps.integrate_from_zero(ps.majorant(wiggly))
 print("\nintegral of the majorant up to 1/3:", ps.eval_at(curve, 1 / 3))
 
 # Composition with a disk self-map fixing 0 can only shrink the
-# coefficient-modulus sum at radii up to 1/3.
-squeezed = ps.compose_with_selfmap(geom, ps.monomial(0.8, 2, 16))
+# coefficient-modulus sum at radii up to 1/3.  With w = 0.8 z^2 it is a
+# re-indexing: 1/(1 - 0.8 z^2) has 0.8^k at z^{2k}.
+squeezed_coeffs = np.zeros(16)
+squeezed_coeffs[::2] = geom.coeffs[:8] * 0.8 ** np.arange(8)
+squeezed = ps.TruncatedSeries(squeezed_coeffs)
 print("\nmajorant sums at r = 1/3:")
 print("  original:", ps.eval_at(ps.majorant(geom), 1 / 3))
 print("  composed with 0.8 z^2:", ps.eval_at(ps.majorant(squeezed), 1 / 3))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping
@@ -103,11 +104,13 @@ def _janowski_h(a: float, b: float) -> Callable[[float], float]:
 
 
 def _janowski_k(a: float, b: float) -> Callable[[float], float]:
-    if b == 0.0:  # k' = e^{at}
-        return lambda x: math.expm1(a * x) / a  # a > b = 0 so a != 0; expm1 keeps a tiny a
-    if a == 0.0:  # k' = (1+bt)^{-1}
-        return lambda x: math.log(1.0 + b * x) / b
-    return lambda x: ((1.0 + b * x) ** (a / b) - 1.0) / a
+    # k = ((1+bx)^{a/b} - 1)/a = (e^{ay} - 1)/a, y = log(1+bx)/b: log1p and expm1 keep
+    # the digits of a small a or b; y = x where bx is subnormal, and k = y where ay is
+    def k(x: float) -> float:
+        y = math.log1p(b * x) / b if abs(b * x) >= sys.float_info.min else x
+        return math.expm1(a * y) / a if abs(a * y) >= sys.float_info.min else y
+
+    return k
 
 
 def _lemniscate_series(order: int, s: float) -> ps.TruncatedSeries:

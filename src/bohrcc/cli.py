@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 
 from . import reference
@@ -223,8 +224,17 @@ def cmd_scan(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``--B -1e-3`` as a value, where argparse's own negative-number
+    pattern has no exponent; ``-inf`` stays a flag.  Subparsers inherit it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bohrcc",
         description="Bohr radii for close-to-convex function classes",
     )

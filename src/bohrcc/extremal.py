@@ -10,6 +10,9 @@ The radius equations read four quantities per catalog spec, which
 * ``K'``  -- (k'(t^2))^{1/2}, the derivative of the odd convex extremal
 * h(-1) and k(-1), the boundary values that serve as distance targets.
 
+Both are exps of G = sum_n phi_n z^n / n: k' = exp G and K' = exp(G(z^2)/2), by a
+recurrence that adds only nonnegative terms when phi's coefficients are nonnegative.
+
 Pointwise values on [-1, 1) need no series: the ``*_evaluator`` closures
 bind one spec for probes and integrands, uncached (a cache here holds
 work, the bundle and the growth table, never a closure), and ``k_at`` is
@@ -51,27 +54,28 @@ class ExtremalSet:
     k_at_minus_one: float
 
 
-def k_prime_series(phi: ps.TruncatedSeries) -> ps.TruncatedSeries:
-    """k' = h/z = exp(sum_n phi_n z^n / n), to the order of phi."""
-    log_h = np.zeros(phi.order)
-    log_h[1:] = phi.coeffs[1:] / np.arange(1, phi.order)
-    return ps.exp_series(ps.TruncatedSeries(log_h))
+def extremal_kernels(phi: ps.TruncatedSeries) -> tuple[ps.TruncatedSeries, ps.TruncatedSeries]:
+    """k' = h/z = exp G and K' = exp(G(z^2)/2), G = sum_n phi_n z^n / n,
+    both to the order of phi."""
+    n = phi.order
+    log_k_prime, log_K_prime = np.zeros(n), np.zeros(n)
+    log_k_prime[1:] = phi.coeffs[1:] / np.arange(1, n)
+    log_K_prime[::2] = 0.5 * log_k_prime[: (n + 1) // 2]  # G_j / 2 at z^{2j}
+    return tuple(ps.exp_series(ps.TruncatedSeries(c)) for c in (log_k_prime, log_K_prime))
 
 
 def build_extremal(spec: PhiSpec, order: int = ps.DEFAULT_ORDER) -> ExtremalSet:
     """Construct the extremal bundle for a spec.
 
-    Series route: k' = exp(sum B_n z^n / n), and K' by composing k' with
-    z^2 and taking the series square root.  Deterministic, so results are
-    memoized by value, however the order is spelled.
+    Series route: k' and K' from :func:`extremal_kernels`.  Deterministic,
+    so results are memoized by value, however the order is spelled.
     """
     return _build_extremal(spec, ps.as_order(order))
 
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)
 def _build_extremal(spec: PhiSpec, order: int) -> ExtremalSet:
-    k_prime = k_prime_series(phi_series(spec, order))
-    K_prime = ps.sqrt_series(ps.compose_with_selfmap(k_prime, ps.monomial(1.0, 2, order)))
+    k_prime, K_prime = extremal_kernels(phi_series(spec, order))
 
     h_m1 = h_evaluator(spec)(-1.0)
     k_m1 = k_at(spec, -1.0)

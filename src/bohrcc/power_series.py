@@ -11,9 +11,9 @@ coefficient by its absolute value.  Evaluating the majorant of ``f`` at a
 radius ``r`` gives the coefficient-modulus sum ``sum |a_n| r^n`` that all
 the radius computations in this package are built on.
 
-Recurrences for exp and sqrt are derivative-based (not term-by-term
-powers), which keeps them exact up to the truncation order and avoids
-catastrophic cancellation.
+The exp recurrence is derivative-based (not term-by-term powers), which
+keeps it exact up to the truncation order; for a series with nonnegative
+coefficients it adds only nonnegative terms, so nothing cancels.
 """
 
 from __future__ import annotations
@@ -88,16 +88,6 @@ def zero(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     return TruncatedSeries(np.zeros(order))
 
 
-def monomial(coefficient: float, degree: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """The series ``coefficient * z**degree`` stored to the given order."""
-    if degree < 0 or order <= 0:
-        raise DomainError("degree must be >= 0 and order >= 1")
-    c = np.zeros(order)
-    if degree < order:
-        c[degree] = coefficient
-    return TruncatedSeries(c)
-
-
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated to the shorter operand's order."""
     n = min(a.order, b.order)
@@ -151,53 +141,6 @@ def exp_series(s: TruncatedSeries) -> TruncatedSeries:
         # m * E_m = sum_{k=1..m} k s_k E_{m-k}, with E_{m-1} .. E_0 = rev[n-m:]
         rev[n - 1 - m] = np.dot(weighted[1 : m + 1], rev[n - m :]) / m
     return TruncatedSeries(rev[::-1])
-
-
-def sqrt_series(s: TruncatedSeries) -> TruncatedSeries:
-    """Square root of a series with constant term 1 (direct recurrence).
-    Each coefficient is also written into a reversed buffer, so each step's
-    dot product reads two contiguous slices."""
-    if s.coeffs[0] != 1.0:
-        raise DomainError("sqrt_series requires constant term exactly 1")
-    n = s.order
-    out = np.zeros(n)
-    rev = np.zeros(n)  # rev[n-1-j] = out[j]
-    out[0] = rev[n - 1] = 1.0
-    for m in range(1, n):
-        # out[m-1] .. out[1] = rev[n-m : n-1]
-        conv = np.dot(out[1:m], rev[n - m : n - 1]) if m >= 2 else 0.0
-        out[m] = rev[n - 1 - m] = 0.5 * (s.coeffs[m] - conv)
-    return TruncatedSeries(out)
-
-
-def compose_with_selfmap(s: TruncatedSeries, w: TruncatedSeries) -> TruncatedSeries:
-    """Taylor coefficients of s(w(z)) for a map w fixing 0.
-
-    Horner-on-series; truncation order is the shorter of the two operands.
-    Maps with a single nonzero coefficient (w = c * z**m) take a cheap
-    re-indexing path.
-    """
-    if w.coeffs[0] != 0.0:
-        raise DomainError("composition requires w(0) = 0")
-    n = min(s.order, w.order)
-    nz = np.nonzero(w.coeffs)[0]
-    if nz.size == 0:
-        out = np.zeros(n)
-        out[0] = s.coeffs[0]
-        return TruncatedSeries(out)
-    if nz.size == 1:
-        m, c = int(nz[0]), w.coeffs[nz[0]]
-        out = np.zeros(n)
-        k_max = (n - 1) // m
-        out[:: m][: k_max + 1] = s.coeffs[: k_max + 1] * c ** np.arange(k_max + 1)
-        return TruncatedSeries(out)
-    wc = w.coeffs[:n]
-    acc = np.zeros(n)
-    acc[0] = s.coeffs[n - 1]
-    for k in range(n - 2, -1, -1):
-        acc = np.convolve(acc, wc)[:n]
-        acc[0] += s.coeffs[k]
-    return TruncatedSeries(acc)
 
 
 def _tail_hint(last: float, n: int, r: float) -> float:

@@ -25,9 +25,9 @@ the report bytes, do not depend on the block size.
 
 A campaign builds its members as one batch, in blocks of 4096 members
 when it has more.  phi, the class kernel (z/(1-z^2) for Ks) and the
-target are computed once.  Row i of an n x N matrix holds phi o w_i by the
-monomial re-indexing of ``power_series.compose_with_selfmap``: one
-scatter writes phi_k eps_i^k to column k m_i of every row i with power m_i.
+target are computed once.  Row i of an n x N matrix holds phi o w_i by
+re-indexing, as a monomial map composes: one scatter writes phi_k eps_i^k
+to column k m_i of every row i with power m_i.
 One matrix product with the kernel's Toeplitz matrix, copied at once from
 strided windows over the kernel behind N - 1 zeros, then gives every row's
 product with the kernel, and the class's termwise integration is applied to the whole

@@ -36,6 +36,10 @@ M_phi(t) = 1 + (A - B)t/(1 - Bt) and, with p = (A - B)/B,
 of k'(x) = (1 + Bx)^p and K'(x) = (1 + Bx^2)^{p/2}, integrated termwise.
 The targets are -h(-1) = (1 - B)^p (Sc), -k(-1) = (1 - (1 - B)^{A/B})/A
 (Cc), and integral_0^1 (1 - Bt^2)^{p/2} phi(-t) (-ln t) dt (Cs).
+
+Closed k: a Janowski-style spec has k(x) = ((1 + Bx)^{A/B} - 1)/A, taken
+through ``mp.expm1`` and ``mp.log1p`` so that a tiny A or B keeps its
+digits (``janowski_k``).
 """
 
 from __future__ import annotations
@@ -116,12 +120,24 @@ def cc_root(spec, lo=0.01, hi=0.95):
         return _root(lambda r: k(spec, r), -k(spec, -1), lo, hi)
 
 
-def _exp_series(c):
+def exp_series(c):
     """Coefficients of exp of the series c (c[0] = 0), by E' = c'E."""
     e = [mpf(1)] + [mpf(0)] * (len(c) - 1)
     for m in range(1, len(c)):
         e[m] = mp.fsum(j * c[j] * e[m - j] for j in range(1, m + 1)) / m
     return e
+
+
+def janowski_k(a, b, x):
+    """k(x) = ((1 + bx)^{a/b} - 1)/a of a Janowski-style spec, with its
+    limits (e^{ax} - 1)/a at b = 0 and log(1 + bx)/b at a = 0."""
+    with mp.workdps(DPS):
+        a, b, x = mpf(a), mpf(b), mpf(x)
+        if b == 0:
+            return mp.expm1(a * x) / a
+        if a == 0:
+            return mp.log1p(b * x) / b
+        return mp.expm1(a / b * mp.log1p(b * x)) / a
 
 
 def cs_lhs_coefficients(spec, order=CS_ORDER):
@@ -131,7 +147,7 @@ def cs_lhs_coefficients(spec, order=CS_ORDER):
         log_big_k = [mpf(0)] * order
         for n in range(1, (order + 1) // 2):
             log_big_k[2 * n] = p[n] / (2 * n)
-        big_k = [abs(c) for c in _exp_series(log_big_k)]
+        big_k = [abs(c) for c in exp_series(log_big_k)]
         return [mp.fsum(big_k[j] * p[n - j] for j in range(n + 1)) for n in range(order)]
 
 

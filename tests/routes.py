@@ -9,6 +9,13 @@ radius rests on, is checked on series here too, and production's closed
 positivity predicate ``catalog.has_positive_coeffs`` has the signs of the
 order-64 series as its oracle.  ``FAMILY_BOXES`` draws each family's
 parameters from its admissible box for the property tests.
+
+Production builds K' = (k'(z^2))^{1/2} as exp(G(z^2)/2) from the growth
+series G (``extremal.extremal_kernels``).  The construction it replaced,
+the series square root of k' composed with z^2, is kept here as its
+oracle (:func:`sqrt_K_prime`), with the general series operations it
+reads: :func:`monomial`, :func:`compose_with_selfmap` and
+:func:`sqrt_series`.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from hypothesis import strategies as st
 from bohrcc import power_series as ps
 from bohrcc import solver
 from bohrcc.catalog import PhiSpec, phi_series
-from bohrcc.errors import ParameterError
+from bohrcc.errors import DomainError, ParameterError
 from bohrcc.quadrature import DEFAULT_TOL
 from bohrcc.solver import ClassId
 from bohrcc.verifier import SelfMap
@@ -52,6 +59,68 @@ def reflect(s: ps.TruncatedSeries) -> ps.TruncatedSeries:
     """The series of f(-z): odd coefficients change sign."""
     signs = np.where(np.arange(s.order) % 2 == 0, 1.0, -1.0)
     return ps.TruncatedSeries(s.coeffs * signs)
+
+
+def monomial(coefficient: float, degree: int, order: int = ps.DEFAULT_ORDER) -> ps.TruncatedSeries:
+    """The series ``coefficient * z**degree`` stored to the given order."""
+    if degree < 0 or order <= 0:
+        raise DomainError("degree must be >= 0 and order >= 1")
+    c = np.zeros(order)
+    if degree < order:
+        c[degree] = coefficient
+    return ps.TruncatedSeries(c)
+
+
+def sqrt_series(s: ps.TruncatedSeries) -> ps.TruncatedSeries:
+    """Square root of a series with constant term 1 (direct recurrence).
+    Each coefficient is also written into a reversed buffer, so each step's
+    dot product reads two contiguous slices."""
+    if s.coeffs[0] != 1.0:
+        raise DomainError("sqrt_series requires constant term exactly 1")
+    n = s.order
+    out = np.zeros(n)
+    rev = np.zeros(n)  # rev[n-1-j] = out[j]
+    out[0] = rev[n - 1] = 1.0
+    for m in range(1, n):
+        # out[m-1] .. out[1] = rev[n-m : n-1]
+        conv = np.dot(out[1:m], rev[n - m : n - 1]) if m >= 2 else 0.0
+        out[m] = rev[n - 1 - m] = 0.5 * (s.coeffs[m] - conv)
+    return ps.TruncatedSeries(out)
+
+
+def compose_with_selfmap(s: ps.TruncatedSeries, w: ps.TruncatedSeries) -> ps.TruncatedSeries:
+    """Taylor coefficients of s(w(z)) for a map w fixing 0.
+
+    Horner-on-series; truncation order is the shorter of the two operands.
+    Maps with a single nonzero coefficient (w = c * z**m) take a cheap
+    re-indexing path.
+    """
+    if w.coeffs[0] != 0.0:
+        raise DomainError("composition requires w(0) = 0")
+    n = min(s.order, w.order)
+    nz = np.nonzero(w.coeffs)[0]
+    if nz.size == 0:
+        out = np.zeros(n)
+        out[0] = s.coeffs[0]
+        return ps.TruncatedSeries(out)
+    if nz.size == 1:
+        m, c = int(nz[0]), w.coeffs[nz[0]]
+        out = np.zeros(n)
+        k_max = (n - 1) // m
+        out[::m][: k_max + 1] = s.coeffs[: k_max + 1] * c ** np.arange(k_max + 1)
+        return ps.TruncatedSeries(out)
+    wc = w.coeffs[:n]
+    acc = np.zeros(n)
+    acc[0] = s.coeffs[n - 1]
+    for k in range(n - 2, -1, -1):
+        acc = np.convolve(acc, wc)[:n]
+        acc[0] += s.coeffs[k]
+    return ps.TruncatedSeries(acc)
+
+
+def sqrt_K_prime(k_prime: ps.TruncatedSeries) -> ps.TruncatedSeries:
+    """K' = (k'(z^2))^{1/2} as the series square root of k' composed with z^2."""
+    return sqrt_series(compose_with_selfmap(k_prime, monomial(1.0, 2, k_prime.order)))
 
 
 def _series_distance_curve(class_id: ClassId, spec: PhiSpec, order: int) -> ps.TruncatedSeries:
@@ -84,7 +153,7 @@ def distance_integral_at(
 
 def to_series(omega: SelfMap, order: int) -> ps.TruncatedSeries:
     """The self-map epsilon * z^power as a series of the given order."""
-    return ps.monomial(omega.epsilon, omega.power, order)
+    return monomial(omega.epsilon, omega.power, order)
 
 
 def check_subordination_lemma(
@@ -95,7 +164,7 @@ def check_subordination_lemma(
     grid = [float(r) for r in r_grid]
     if not grid or any(not (0.0 < r <= 1.0 / 3.0) for r in grid):
         raise ParameterError("r_grid must lie in (0, 1/3]")
-    q = ps.compose_with_selfmap(f, to_series(omega, f.order))
+    q = compose_with_selfmap(f, to_series(omega, f.order))
     mf, mq = ps.majorant(f), ps.majorant(q)
     return all(ps.eval_at(mq, r) <= ps.eval_at(mf, r) + 1e-10 for r in grid)
 

@@ -72,6 +72,21 @@ class TestRadiusCommand:
         assert exc.value.code == 2
         assert "invalid choice: 'nope'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-.001"])
+    def test_negative_value_in_exponent_notation(self, capsys, value):
+        # argparse's own negative-number pattern has no exponent, which made
+        # `--B -1e-3` a usage error where `--B=-1e-3` parsed
+        head = ("radius", "--class", "Cc", "--phi", "janowski", "--A", "1")
+        spaced = run_cli(capsys, *head, "--B", value)
+        assert spaced == run_cli(capsys, *head, f"--B={value}")
+        assert spaced == run_cli(capsys, *head, "--B", "-0.001") and spaced[0] == 0
+
+    def test_negative_infinity_stays_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["radius", "--class", "Cc", "--phi", "janowski", "--A", "1", "--B", "-inf"])
+        assert exc.value.code == 2
+        assert "argument --B: expected one argument" in capsys.readouterr().err
+
     def test_deterministic_output(self, capsys):
         argv = ("radius", "--class", "Cc", "--phi", "lemniscate", "--s", "0.5")
         _, out1, _ = run_cli(capsys, *argv)
@@ -263,6 +278,12 @@ class TestScanCommand:
         lines = out.strip().split("\n")
         assert lines[0] == "param,r_f,in_sharp_window"
         assert len(lines) == 4
+
+    def test_negative_start_in_exponent_notation(self, capsys):
+        head, tail = ("scan", "--equation", "sc-janowski-b0"), ("--stop", "0.01", "--step", "0.005")
+        spaced = run_cli(capsys, *head, "--start", "-1e-3", *tail)
+        assert spaced == run_cli(capsys, *head, "--start=-1e-3", *tail)
+        assert spaced[0] == 2 and "parameter error: janowski requires" in spaced[2]
 
     def test_bad_grid(self, capsys):
         code, _, err = run_cli(

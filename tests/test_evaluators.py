@@ -7,7 +7,10 @@ family (or read the series) once per spec, and ``extremal.k_at`` reads its
 closed form from the catalog record.  The functions below are the route
 they replaced, which redid that dispatch on every call; they are the oracle
 here.  Values must agree bit for bit (hex forms, so the sign of a zero
-counts) and errors must carry the same type and text.
+counts) and errors must carry the same type and text.  The one exception
+is k of a Janowski-style spec: its closed form goes through log1p and
+expm1, where the old route's power cancelled for a small A, so its values
+are held to the 30-digit ``oracle.janowski_k`` instead.
 """
 
 import math
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 
 from _bench_inputs import BENCH_INPUTS
+from oracle import janowski_k
 
 from bohrcc import catalog, extremal, solver
 from bohrcc import power_series as ps
@@ -117,17 +121,10 @@ def old_h_at(spec, x):
 
 
 def old_k_at(spec, x):
+    """k by quadrature of k', the route of every family without a closed k."""
     x = float(x)
     if not (-1.0 <= x < 1.0):
         raise DomainError(f"k is evaluated on [-1, 1), got {x}")
-    ab = as_janowski(spec)
-    if ab is not None:
-        a, b = ab
-        if b == 0.0:
-            return math.expm1(a * x) / a
-        if a == 0.0:
-            return math.log(1.0 + b * x) / b
-        return ((1.0 + b * x) ** (a / b) - 1.0) / a
     if x == 0.0:
         return 0.0
     k_prime = lambda t: math.exp(old_growth_exponent(spec, t))
@@ -253,10 +250,17 @@ class TestPerSpecEvaluators:
             assert outcome(new, x) == want, x
 
     def test_k(self, spec):
-        # the quadrature families cost one integral a point
-        points = FULL + OUTSIDE if as_janowski(spec) is not None else [-1.0, -0.5, 1.0 / 3.0]
-        for x in points:
-            assert outcome(extremal.k_at, spec, x) == outcome(old_k_at, spec, x), x
+        ab = as_janowski(spec)
+        if ab is None:  # the quadrature families cost one integral a point
+            for x in [-1.0, -0.5, 1.0 / 3.0]:
+                assert outcome(extremal.k_at, spec, x) == outcome(old_k_at, spec, x), x
+            return
+        for x in FULL + OUTSIDE:
+            if not -1.0 <= x < 1.0:
+                assert outcome(extremal.k_at, spec, x) == outcome(old_k_at, spec, x), x
+                continue
+            want = janowski_k(*ab, x)
+            assert abs(extremal.k_at(spec, x) - want) <= 4e-15 * abs(want), x
 
     @pytest.mark.parametrize("class_id", list(solver.ClassId), ids=lambda c: c.value)
     def test_lhs_integrand(self, spec, class_id):

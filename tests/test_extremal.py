@@ -2,17 +2,22 @@ import hashlib
 import json
 import math
 import re
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
-from mpmath import mp
-from routes import allclose, reflect
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf
+from oracle import exp_series, janowski_k
+from routes import allclose, compose_with_selfmap, monomial, reflect, sqrt_K_prime
 from scipy.integrate import quad
 
 from bohrcc import extremal
 from bohrcc import power_series as ps
 from bohrcc.catalog import (
+    PhiSpec,
     expblend,
     janowski,
     lemniscate,
@@ -80,6 +85,14 @@ class TestClosedForms:
         for x in (-1.0, -0.5, 0.5):
             assert k_at(janowski(a, 0.0), x) == x
 
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(-1e-6, 1e-6), b=st.floats(-1.0, -1e-4))
+    def test_janowski_small_a(self, a, b):
+        # the Cc target -k(-1): the power (1 - b)^{a/b} rounds to 1 for a tiny
+        # a, and k(-1) = (power - 1)/a kept none of its digits
+        want = janowski_k(a, b, -1.0)
+        assert abs(k_at(janowski(a, b), -1.0) - want) <= 4e-15 * abs(want)
+
     def test_janowski_b0_smallest_a(self):
         assert k_at(janowski(5e-324, 0.0), -1.0) == -1.0
         assert k_at(wang(0.0, 5e-324), -1.0) == -1.0
@@ -121,7 +134,7 @@ class TestSeriesIdentities:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_h_equals_z_times_k_prime(self, spec):
         es = build_extremal(spec)
-        prod = ps.mul(ps.monomial(1.0, 1, 64), es.k_prime)
+        prod = ps.mul(monomial(1.0, 1, 64), es.k_prime)
         assert allclose(ps.shift_up(es.k_prime), prod, 1e-12)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
@@ -130,7 +143,7 @@ class TestSeriesIdentities:
         es = build_extremal(spec, 48)
         zKp = ps.shift_up(es.K_prime)
         lhs = ps.mul(zKp, zKp)
-        rhs = ps.compose_with_selfmap(ps.shift_up(es.k_prime), ps.monomial(1.0, 2, 48))
+        rhs = compose_with_selfmap(ps.shift_up(es.k_prime), monomial(1.0, 2, 48))
         assert allclose(lhs, rhs, 1e-10)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
@@ -147,9 +160,60 @@ class TestSeriesIdentities:
         assert es.h_at_minus_one < 0.0 < -es.h_at_minus_one
 
 
-def _K_prime_of(phi: ps.TruncatedSeries) -> ps.TruncatedSeries:
-    k_prime = extremal.k_prime_series(phi)
-    return ps.sqrt_series(ps.compose_with_selfmap(k_prime, ps.monomial(1.0, 2, phi.order)))
+#: the six canonical specs and two mixed-sign Janowski specs
+K_PRIME_SPECS = [
+    janowski(1.0, -1.0),
+    sakaguchi(0.25),
+    lemniscate(0.5),
+    expblend(0.03),
+    strongly(0.5),
+    wang(0.5, 1.0),
+    janowski(0.5, 0.3),
+    janowski(0.9, 0.5),
+]
+
+
+@cache
+def _mp_K_prime_even(spec: PhiSpec, order: int) -> tuple:
+    """K'_0, K'_2, K'_4, ... at 40 digits: exp(G(w)/2), w = z^2, by the
+    oracle's exp recurrence on the same double phi coefficients production reads."""
+    phi = phi_series(spec, order).coeffs
+    with mp.workdps(40):
+        half_log = [mpf(0)] + [mpf(float(phi[j])) / (2 * j) for j in range(1, (order + 1) // 2)]
+        return tuple(exp_series(half_log))
+
+
+class TestKPrimeAccuracy:
+    """K' = exp(G(z^2)/2) against a 40-digit run of the same recurrence.  The
+    square root of k'(z^2) it replaced cancels: 3.2e-9 relative at order 64
+    and negative coefficients for nonnegative phi (31 for lemniscate(0.5)
+    at order 256)."""
+
+    @pytest.mark.parametrize("order", [64, 256])
+    @pytest.mark.parametrize("spec", K_PRIME_SPECS, ids=lambda s: s.label())
+    def test_relative_error_against_mpmath(self, spec, order):
+        K = build_extremal(spec, order).K_prime.coeffs
+        assert np.all(K[1::2] == 0.0)
+        with mp.workdps(40):
+            worst = max(
+                abs((mpf(float(K[2 * j])) - want) / want)
+                for j, want in enumerate(_mp_K_prime_even(spec, order))
+            )
+        assert worst <= 4e-15
+
+    @pytest.mark.parametrize("order", [64, 256, 1024])
+    @pytest.mark.parametrize("spec", K_PRIME_SPECS[:6], ids=lambda s: s.label())
+    def test_nonnegative_phi_gives_nonnegative_coefficients(self, spec, order):
+        es = build_extremal(spec, order)
+        assert np.all(es.k_prime.coeffs >= 0.0) and np.all(es.K_prime.coeffs >= 0.0)
+
+    @pytest.mark.parametrize("order", [64, 256])
+    @pytest.mark.parametrize("spec", K_PRIME_SPECS, ids=lambda s: s.label())
+    def test_square_root_route_agrees(self, spec, order):
+        # the square root route's own error reaches 3.1e-15 for sakaguchi(0.25) at 256
+        es = build_extremal(spec, order)
+        K = es.K_prime.coeffs
+        assert np.max(np.abs(sqrt_K_prime(es.k_prime).coeffs - K)) <= 1e-14 * np.max(np.abs(K))
 
 
 class TestReflection:
@@ -157,7 +221,11 @@ class TestReflection:
     built from it flip the same way, so every majorant a class lhs reads is
     unchanged: phi(-z) has the lhs of phi."""
 
-    KERNELS = {"phi": lambda phi: phi, "k_prime": extremal.k_prime_series, "K_prime": _K_prime_of}
+    KERNELS = {
+        "phi": lambda phi: phi,
+        "k_prime": lambda phi: extremal.extremal_kernels(phi)[0],
+        "K_prime": lambda phi: extremal.extremal_kernels(phi)[1],
+    }
 
     @pytest.mark.parametrize("kernel", list(KERNELS))
     @pytest.mark.parametrize(

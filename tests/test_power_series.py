@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
-from routes import allclose, reflect
+from routes import allclose, compose_with_selfmap, monomial, reflect, sqrt_series
 from scipy.integrate import quad
 
 from bohrcc import power_series as ps
@@ -31,7 +31,7 @@ class TestMul:
     def test_koebe_like_product(self):
         # z * 1/(1-z)^2 has n as the coefficient of z^n
         sq = ps.TruncatedSeries(np.arange(1, 33))  # 1/(1-z)^2
-        out = ps.mul(ps.monomial(1.0, 1, 32), sq)
+        out = ps.mul(monomial(1.0, 1, 32), sq)
         assert np.allclose(out.coeffs, np.arange(32), atol=1e-15)
 
     def test_one_identity(self):
@@ -48,7 +48,7 @@ class TestExp:
         assert out.coeffs[0] == 1.0 and np.all(out.coeffs[1:] == 0.0)
 
     def test_exp_z(self):
-        out = ps.exp_series(ps.monomial(1.0, 1, 10))
+        out = ps.exp_series(monomial(1.0, 1, 10))
         want = [1.0 / math.factorial(n) for n in range(10)]
         assert np.allclose(out.coeffs, want, atol=1e-15)
 
@@ -64,23 +64,25 @@ class TestExp:
 
 
 class TestSqrt:
+    """The series square root, kept in tests/routes.py as the oracle of K'."""
+
     def test_sqrt_one(self):
-        out = ps.sqrt_series(ps.TruncatedSeries([1, 0, 0]))
+        out = sqrt_series(ps.TruncatedSeries([1, 0, 0]))
         assert list(out.coeffs) == [1, 0, 0]
 
     def test_perfect_square(self):
         square = ps.mul(ps.TruncatedSeries([1, 1, 0, 0]), ps.TruncatedSeries([1, 1, 0, 0]))
-        assert allclose(ps.sqrt_series(square), ps.TruncatedSeries([1, 1, 0, 0]))
+        assert allclose(sqrt_series(square), ps.TruncatedSeries([1, 1, 0, 0]))
 
     def test_geometric_square_roundtrip(self):
         sq = ps.TruncatedSeries(np.arange(1, 25))  # 1/(1-z)^2
-        root = ps.sqrt_series(sq)
+        root = sqrt_series(sq)
         assert np.allclose(root.coeffs, np.ones(24), atol=1e-12)
         assert allclose(ps.mul(root, root), sq)
 
     def test_rejects_other_constant(self):
         with pytest.raises(DomainError):
-            ps.sqrt_series(ps.TruncatedSeries([4.0, 1.0]))
+            sqrt_series(ps.TruncatedSeries([4.0, 1.0]))
 
 
 #: the six canonical specs and a mixed-sign Janowski spec
@@ -102,9 +104,9 @@ RECURRENCE_PINS = json.loads(
 
 @cache
 def recurrence_outputs() -> dict[str, ps.TruncatedSeries]:
-    """exp of each spec's log-k' series sum phi_n z^n / n, and sqrt of that
-    k' composed with z^2 (zeros at the odd places) and with -z^2 (signs
-    alternating in pairs), at orders 1, 2, 3, 8, 64 and 256."""
+    """exp of each spec's log-k' series sum phi_n z^n / n, and the oracle
+    route's sqrt of that k' composed with z^2 (zeros at the odd places) and
+    with -z^2 (signs alternating in pairs), at orders 1, 2, 3, 8, 64 and 256."""
     out = {}
     for spec in RECURRENCE_SPECS:
         for order in (1, 2, 3, 8, 64, 256):
@@ -113,8 +115,8 @@ def recurrence_outputs() -> dict[str, ps.TruncatedSeries]:
             k_prime = ps.exp_series(ps.TruncatedSeries(log_k_prime))
             out[f"exp {spec.label()} log-k' order {order}"] = k_prime
             for sign, name in ((1.0, "+z^2"), (-1.0, "-z^2")):
-                square = ps.compose_with_selfmap(k_prime, ps.monomial(sign, 2, order))
-                out[f"sqrt {spec.label()} k'({name}) order {order}"] = ps.sqrt_series(square)
+                square = compose_with_selfmap(k_prime, monomial(sign, 2, order))
+                out[f"sqrt {spec.label()} k'({name}) order {order}"] = sqrt_series(square)
     return out
 
 
@@ -152,7 +154,7 @@ def test_recurrences_match_the_strided_reference(order):
         assert np.array_equal(ps.exp_series(s).coeffs, _exp_reference(s))
         c[0] = 1.0
         s = ps.TruncatedSeries(c)
-        assert np.array_equal(ps.sqrt_series(s).coeffs, _sqrt_reference(s))
+        assert np.array_equal(sqrt_series(s).coeffs, _sqrt_reference(s))
 
 
 def test_recurrence_pins_cover_every_output():
@@ -241,7 +243,7 @@ class TestEvalBits:
         series = [
             ps.TruncatedSeries(rng.standard_normal(order)),
             ps.TruncatedSeries(rng.standard_normal(order) / np.arange(1, order + 1) ** 2),
-            ps.monomial(0.0 if order == 1 else 1.0, order - 1, order),
+            monomial(0.0 if order == 1 else 1.0, order - 1, order),
         ]
         for s in series:
             for x in _eval_points(1000 + order):
@@ -353,17 +355,20 @@ class TestEvenSeries:
 
 
 class TestCompose:
+    """Series composition, kept in tests/routes.py as the oracle of K' and of
+    the verifier's members."""
+
     def test_identity_map(self):
         s = ps.TruncatedSeries([1, 2, 3, 4])
-        out = ps.compose_with_selfmap(s, ps.monomial(1.0, 1, 4))
+        out = compose_with_selfmap(s, monomial(1.0, 1, 4))
         assert allclose(out, s)
 
     def test_rescaling(self):
-        out = ps.compose_with_selfmap(geometric(10), ps.monomial(0.5, 1, 10))
+        out = compose_with_selfmap(geometric(10), monomial(0.5, 1, 10))
         assert np.allclose(out.coeffs, 0.5 ** np.arange(10), atol=1e-15)
 
     def test_parity(self):
-        out = ps.compose_with_selfmap(geometric(11), ps.monomial(1.0, 2, 11))
+        out = compose_with_selfmap(geometric(11), monomial(1.0, 2, 11))
         assert np.all(out.coeffs[1::2] == 0.0)
 
     def test_general_map_matches_monomial_fast_path(self):
@@ -375,13 +380,13 @@ class TestCompose:
         # force the generic Horner path with a tiny second entry, then zero it
         w2 = w.copy()
         w2[5] = 1e-300
-        via_horner = ps.compose_with_selfmap(s, ps.TruncatedSeries(w2))
-        via_fast = ps.compose_with_selfmap(s, generic)
+        via_horner = compose_with_selfmap(s, ps.TruncatedSeries(w2))
+        via_fast = compose_with_selfmap(s, generic)
         assert allclose(via_horner, via_fast, 1e-12)
 
     def test_rejects_nonzero_at_origin(self):
         with pytest.raises(DomainError):
-            ps.compose_with_selfmap(geometric(4), ps.TruncatedSeries([0.1, 1, 0, 0]))
+            compose_with_selfmap(geometric(4), ps.TruncatedSeries([0.1, 1, 0, 0]))
 
 
 class TestHelpers:
@@ -394,11 +399,11 @@ class TestHelpers:
         assert ps.divide_by_z(ps.TruncatedSeries([0.0])).coeffs.tolist() == [0.0]
 
     def test_monomial(self):
-        assert ps.monomial(2.5, 2, 4).coeffs.tolist() == [0.0, 0.0, 2.5, 0.0]
-        assert ps.monomial(2.5, 4, 4).coeffs.tolist() == [0.0] * 4
+        assert monomial(2.5, 2, 4).coeffs.tolist() == [0.0, 0.0, 2.5, 0.0]
+        assert monomial(2.5, 4, 4).coeffs.tolist() == [0.0] * 4
         for degree, order in ((-1, 4), (0, 0)):
             with pytest.raises(DomainError, match="^degree must be >= 0 and order >= 1$"):
-                ps.monomial(1.0, degree, order)
+                monomial(1.0, degree, order)
 
     def test_shift_up(self):
         assert list(ps.shift_up(ps.TruncatedSeries([1, 2, 3])).coeffs) == [0, 1, 2]
@@ -444,7 +449,7 @@ class TestRandomizedInvariants:
             c = self._random_series(rng).coeffs.copy() * 0.5
             c[0] = 1.0
             s = ps.TruncatedSeries(c)
-            assert allclose(ps.mul(ps.sqrt_series(s), ps.sqrt_series(s)), s, 1e-9)
+            assert allclose(ps.mul(sqrt_series(s), sqrt_series(s)), s, 1e-9)
 
     def test_majorant_product_bound(self):
         rng = np.random.default_rng(404)
@@ -461,7 +466,7 @@ class TestRandomizedInvariants:
         rng = np.random.default_rng(505)
         for _ in range(200):
             f = self._random_series(rng)
-            w = ps.monomial(rng.uniform(0.0, 1.0), int(rng.integers(1, 6)), 16)
-            q = ps.compose_with_selfmap(f, w)
+            w = monomial(rng.uniform(0.0, 1.0), int(rng.integers(1, 6)), 16)
+            q = compose_with_selfmap(f, w)
             for r in (0.1, 0.25, 1.0 / 3.0):
                 assert ps.eval_at(ps.majorant(q), r) <= ps.eval_at(ps.majorant(f), r) + 1e-10

@@ -25,7 +25,7 @@ from bohrcc.catalog import (
     wang,
 )
 from bohrcc.errors import InconsistencyError, NoRootError, ParameterError
-from bohrcc.extremal import build_extremal, h_evaluator, k_prime_series
+from bohrcc.extremal import build_extremal, extremal_kernels, h_evaluator
 from bohrcc.solver import (
     ClassId,
     lhs_at,
@@ -175,8 +175,7 @@ class TestRotationInvariance:
             return reflect(phi_series(s, order))
 
         def flipped_bundle(s, order):
-            k_prime = k_prime_series(flipped_phi(s, order))
-            K_prime = ps.sqrt_series(ps.compose_with_selfmap(k_prime, ps.monomial(1.0, 2, order)))
+            k_prime, K_prime = extremal_kernels(flipped_phi(s, order))
             return dataclasses.replace(build_extremal(s, order), k_prime=k_prime, K_prime=K_prime)
 
         monkeypatch.setattr(solver, "phi_series", flipped_phi)
@@ -214,15 +213,14 @@ def _hexes(series: ps.TruncatedSeries) -> list[str]:
 
 def _old_distance_curve(class_id: ClassId, spec: PhiSpec, order: int) -> ps.TruncatedSeries:
     """The distance curve with 1/(1+z^2) as its own geometric series (Ks)
-    and K'(iz) as a second square root, of k'(-z^2) (Cs), the kernel
+    and K'(iz) = (k'(-z^2))^{1/2} as the K' of phi(-z) (Cs), the kernel
     multiplied first as in every class curve."""
     phi_neg = reflect(phi_series(spec, order))
     if class_id is ClassId.KS:
         rotated = np.zeros(order)
         rotated[0::2] = (-1.0) ** np.arange(rotated[0::2].size)
         return ps.integrate_from_zero(ps.mul(ps.TruncatedSeries(rotated), phi_neg))
-    k_prime = build_extremal(spec, order).k_prime
-    rotated = ps.sqrt_series(ps.compose_with_selfmap(k_prime, ps.monomial(-1.0, 2, order)))
+    rotated = extremal_kernels(phi_neg)[1]
     return solver.nested_series_transform(ps.mul(rotated, phi_neg))
 
 
@@ -503,7 +501,7 @@ PINNED = {
     ("Cs", "janowski(A=1, B=-1)"): (0.4603585141859952, 4.247713292215849e-12, (0.4603585141822699, 0.4603585141897205)),
     ("Ks", "sakaguchi(gamma=0.25)"): (0.33059895990416427, 1.8941515023129796e-12, (0.33059895990043897, 0.33059895990788957)),
     ("Sc", "sakaguchi(gamma=0.25)"): (0.23606797749921704, 1.2551626404899707e-12, (0.23606797749549174, 0.2360679775029423)),
-    ("Cc", "sakaguchi(gamma=0.25)"): (0.4017610510401431, 2.1272983374842624e-12, (0.4017610510364178, 0.4017610510438684)),
+    ("Cc", "sakaguchi(gamma=0.25)"): (0.4017610510401431, 2.127409359786725e-12, (0.4017610510364178, 0.4017610510438684)),
     ("Cs", "sakaguchi(gamma=0.25)"): (0.5334441121406854, 5.712208483998893e-12, (0.5334441121369602, 0.5334441121444108)),
     ("Ks", "lemniscate(s=0.5)"): (0.38566619777306943, 5.668465696828662e-12, (0.3856661977693442, 0.38566619777679473)),
     ("Sc", "lemniscate(s=0.5)"): (0.3040402215532961, 2.8602120671905595e-12, (0.3040402215495708, 0.3040402215570214)),

@@ -8,7 +8,7 @@ second evaluation routes among it in ``tests/routes.py``.
 
 The grep rules below keep each piece of knowledge in its one place: a
 family's formulas in the catalog's ``FAMILIES`` records, a class's kernel
-in ``solver.kernel_series``, K' in ``extremal._build_extremal``, and one
+in ``solver.kernel_series``, K' in ``extremal.extremal_kernels``, and one
 evaluator form per pointwise quantity.
 """
 
@@ -126,10 +126,17 @@ GREP_RULES = {
         "verifier.py names a class or the extremal bundle: read solver.kernel_series and ClassId.nested",
     ),
     "one-K-prime-builder": (
-        r"sqrt_series\(",
+        r"extremal_kernels\(|\bK_prime\s*=",
         (),
-        ("extremal.py", "power_series.py"),
-        "sqrt_series called outside extremal.py: K' is built once, in extremal._build_extremal",
+        ("extremal.py",),
+        "K' built outside extremal.py: k' and K' are built once, in extremal.extremal_kernels",
+    ),
+    "no-series-square-root": (
+        r"sqrt_series|compose_with_selfmap",
+        (),
+        (),
+        "K' is exp(G(z^2)/2), built in extremal.extremal_kernels: the series square root "
+        "and composition are test oracles in tests/routes.py",
     ),
     "extremal-reads-a-family": (
         r"as_janowski",
