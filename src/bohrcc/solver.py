@@ -41,14 +41,18 @@ where the monotone lhs first reaches the target, found by ``bisect_left``
 over the grid indices (``_first_reached``) on the curve's Horner values
 (monotone in r, rounding included, for nonnegative coefficients).
 Bisection of that cell lets the series decide each step whose distance
-from the target exceeds the quadrature tolerance plus the series
-truncation tail, and quadrature the rest; a quadrature bracket check at the
-end certifies the result.  Only if it fails, or the curve stays below the
-target, does ``_first_reached`` search the whole grid on quadrature, for a
-cell bisected on quadrature alone; without a hint one evaluation of
-lhs(0.999) first shows whether the lhs reaches the target on the grid.  The
-closed-form equations and threshold scans use the same ``_bisect``, the one
-bisection loop; the Sc corollaries among them are the one equation
+from the target exceeds a rounding margin plus the series truncation tail,
+and quadrature the rest; a quadrature bracket check at the end certifies
+the result.  A step the series decides against the quadrature lhs leaves
+a bracket end on the wrong side of the target, which the check rejects,
+so the margin sets only how often the fallback runs, never a bit, and it
+does not read the tolerance, which sets quadrature accuracy alone.  Only if
+the check fails, or the curve stays below the target, does
+``_first_reached`` search the whole grid on quadrature, for a cell bisected
+on quadrature alone; without a hint one evaluation of lhs(0.999) first
+shows whether the lhs reaches the target on the grid.  The closed-form
+equations and threshold scans use the same ``_bisect``, the one bisection
+loop; the Sc corollaries among them are the one equation
 h(r) = -h(-1) with h bound once per spec by ``extremal.h_evaluator``
 (M_h = h for nonnegative coefficients).  Every result gets its sharpness
 verdict and notes from ``_radius_result``.
@@ -84,6 +88,10 @@ _SCAN_STEP = 1e-3
 _SCAN_LIMIT = 0.999
 _BISECT_WIDTH = 1e-11
 _SERIES_EVAL_TAIL = 1e-11
+#: how far the series curve may sit from the quadrature lhs, its truncation
+#: tail aside: Horner's rounding of nonnegative terms (about 2 N eps times
+#: the value) plus the quadrature's actual error, far inside its tolerance
+_GUIDE_MARGIN = 1e-13
 _ONE_THIRD = 1.0 / 3.0
 _WITNESS_STEP = 0.01  # how far past a sharp radius the witness checks the bound is exceeded
 
@@ -384,9 +392,9 @@ def _solve_cached(class_id: ClassId, spec: PhiSpec, order: int, tol: float) -> R
     lhs = cache(lambda r: lhs_at(class_id, spec, r, "quadrature", order, tol))
 
     def guided(r: float) -> float:
-        # quadrature and series differ by up to tol plus the truncation tail
+        # quadrature and series differ by up to the margin plus the truncation tail
         s = series(r)
-        return s if abs(s - target) > tol + ps._tail_hint(last, n, r) else lhs(r)
+        return s if abs(s - target) > _GUIDE_MARGIN + ps._tail_hint(last, n, r) else lhs(r)
 
     # the curve's coefficients are nonnegative, so its Horner values rise
     # with r on the grid even in floating point and bisection finds the
