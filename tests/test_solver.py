@@ -624,8 +624,7 @@ class TestRootSearch:
         assert not lhs(lo) < target <= lhs(hi)
         monkeypatch.setattr(solver, "_series_lhs_curve", lambda *a: curve)
         res = _cold_solve(class_id, spec)
-        lo, hi = solver._bisect(lambda r: lhs(r) >= target, *cell)
-        assert res.r_f.hex() == (0.5 * (lo + hi)).hex()
+        assert (res.r_f, res.bracket) == self._quadrature_only(class_id, spec)
         assert (res.r_f, res.residual, res.bracket) == PINNED[key]
 
     @staticmethod
