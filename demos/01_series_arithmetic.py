@@ -7,6 +7,7 @@ be checked coefficient by coefficient.
 
 import numpy as np
 
+from bohrcc import ClassId
 from bohrcc import power_series as ps
 
 # The geometric series 1/(1-z), truncated to 16 coefficients.
@@ -36,8 +37,10 @@ print("majorant transform:", ps.majorant(wiggly).coeffs)
 print("sum |a_n| (1/3)^n =", ps.eval_at(ps.majorant(wiggly), 1 / 3))
 
 # Termwise integration commutes with the majorant: integrating the
-# majorant and evaluating equals integrating the pointwise values.
-curve = ps.integrate_from_zero(ps.majorant(wiggly))
+# majorant and evaluating equals integrating the pointwise values.  A
+# class transform works on coefficient arrays; for Sc it is one
+# integration, c_n moving to z^(n+1) divided by n + 1.
+curve = ps.TruncatedSeries(ClassId.SC.transform(ps.majorant(wiggly).coeffs))
 print("\nintegral of the majorant up to 1/3:", ps.eval_at(curve, 1 / 3))
 
 # Composition with a disk self-map fixing 0 can only shrink the

@@ -18,8 +18,14 @@ from bohrcc import build_extremal, janowski, lemniscate, sakaguchi, strongly
 from bohrcc.extremal import growth_evaluator, h_evaluator, k_at
 from bohrcc import power_series as ps
 
+
+def times_z(s):
+    """The series of z s(z), keeping the order (the top coefficient is dropped)."""
+    return ps.TruncatedSeries(np.concatenate(([0.0], s.coeffs[:-1])))
+
+
 for spec in (janowski(1.0, -1.0), sakaguchi(0.25), lemniscate(0.5), strongly(0.5)):
-    h, h_pointwise = ps.shift_up(build_extremal(spec).k_prime), h_evaluator(spec)
+    h, h_pointwise = times_z(build_extremal(spec).k_prime), h_evaluator(spec)
     print(spec.label())
     print(f"  h coefficients: {np.round(h.coeffs[:6], 6)}")
     print(f"  h(1/3) = {h_pointwise(1/3):.9f}   -h(-1) = {-h_pointwise(-1.0):.9f}")
@@ -29,9 +35,10 @@ for spec in (janowski(1.0, -1.0), sakaguchi(0.25), lemniscate(0.5), strongly(0.5
 # h is the Koebe function z/(1-z)^2 and k maps onto a half plane.
 spec = janowski(1.0, -1.0)
 es = build_extremal(spec)
-h, k = ps.shift_up(es.k_prime), ps.integrate_from_zero(es.k_prime)
+h = times_z(es.k_prime)
+k = np.concatenate(([0.0], es.k_prime.coeffs / np.arange(1, es.k_prime.order + 1)))  # k(0) = 0
 print("\nKoebe check: h coefficients are 0, 1, 2, 3, ...:", h.coeffs[:6])
-print("half-plane check: k coefficients are 0, 1, 1, 1, ...:", np.round(k.coeffs[:6], 12))
+print("half-plane check: k coefficients are 0, 1, 1, 1, ...:", np.round(k[:6], 12))
 
 # The odd convex extremal K has derivative K'(t) = sqrt(k'(t^2)) =
 # exp(G(t^2) / 2) with G the growth exponent: the bundle builds its series
@@ -40,7 +47,7 @@ t = 0.4
 series_val = ps.eval_at(es.K_prime, t)
 pointwise = math.exp(0.5 * growth_evaluator(spec)(t * t))
 print(f"\nK'({t}) via series {series_val:.12f} vs pointwise {pointwise:.12f}")
-zKp = ps.shift_up(es.K_prime)
+zKp = times_z(es.K_prime)
 square = ps.mul(zKp, zKp)
 h_of_z2 = np.zeros(64)
 h_of_z2[::2] = h.coeffs[:32]  # h(z^2) puts h_n at z^{2n}

@@ -5,8 +5,8 @@ The radius equations read four quantities per catalog spec, which
 
 * ``k'``  -- the convex extremal's derivative, 1 + z k''(z)/k'(z) = phi(z);
              it equals h(z)/z for the starlike extremal h, z h'(z)/h(z) =
-             phi(z), so the series of h and k are ``shift_up`` and
-             ``integrate_from_zero`` of its series
+             phi(z), so h = z k' and k is the antiderivative of k' vanishing
+             at 0, coefficient by coefficient
 * ``K'``  -- (k'(t^2))^{1/2}, the derivative of the odd convex extremal
 * h(-1) and k(-1), the boundary values that serve as distance targets.
 

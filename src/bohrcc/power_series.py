@@ -84,10 +84,6 @@ class TruncatedSeries:
         return f"TruncatedSeries([{head}{more}], order={self.order})"
 
 
-def zero(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    return TruncatedSeries(np.zeros(order))
-
-
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated to the shorter operand's order."""
     n = min(a.order, b.order)
@@ -97,29 +93,6 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 def majorant(s: TruncatedSeries) -> TruncatedSeries:
     """Coefficientwise absolute value."""
     return TruncatedSeries(np.abs(s.coeffs))
-
-
-def integrate_from_zero(s: TruncatedSeries) -> TruncatedSeries:
-    """Termwise antiderivative vanishing at 0; order grows by one."""
-    out = np.zeros(s.order + 1)
-    out[1:] = s.coeffs / np.arange(1, s.order + 1)
-    return TruncatedSeries(out)
-
-
-def shift_up(s: TruncatedSeries) -> TruncatedSeries:
-    """Multiply by z, keeping the order (top coefficient is dropped)."""
-    out = np.zeros(s.order)
-    out[1:] = s.coeffs[:-1]
-    return TruncatedSeries(out)
-
-
-def divide_by_z(s: TruncatedSeries) -> TruncatedSeries:
-    """Divide by z a series with zero constant term; order shrinks by one."""
-    if s.coeffs[0] != 0.0:
-        raise DomainError("divide_by_z requires a zero constant term")
-    if s.order == 1:
-        return zero(1)
-    return TruncatedSeries(s.coeffs[1:].copy())
 
 
 def exp_series(s: TruncatedSeries) -> TruncatedSeries:

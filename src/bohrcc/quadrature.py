@@ -153,7 +153,7 @@ class QuadratureResult:
     evaluations: int
 
     def __post_init__(self):
-        if not np.isfinite(self.value):
+        if not math.isfinite(self.value):
             raise BudgetError("quadrature produced a non-finite value")
 
 

@@ -17,8 +17,10 @@ class kernel K and a transform T:
 
 (Ks: close-to-convex w.r.t. the odd starlike factor; Sc and Cc: starlike
 and convex w.r.t. conjugate points; Cs: convex w.r.t. symmetric points.)
-``kernel_series`` is the one place that knows K and ``ClassId.nested`` the
-one place that knows T; k' and K' = (k'(t^2))^{1/2} come from the extremal
+``kernel_series`` is the one place that knows K and ``ClassId`` the one
+place that knows T: ``nested`` says which T, and ``transform`` applies it
+termwise to coefficient arrays, for the series curve here and the members
+in ``verifier``; k' and K' = (k'(t^2))^{1/2} come from the extremal
 bundle.  The lhs is T(M_K M_phi) at r, with M_f the coefficient-modulus
 series of f (M_{k'} = M_h/t, so the Sc integrand has no removable
 singularity).  K is even for Ks and Cs, so K(it) is K with the sign (-1)^n
@@ -135,6 +137,17 @@ class ClassId(enum.Enum):
         rather than one integration (Ks, Sc)."""
         return self in (ClassId.CC, ClassId.CS)
 
+    def transform(self, c: np.ndarray) -> np.ndarray:
+        """The class transform T applied termwise along the last axis of c:
+        c_n lands on z^{n+1} divided by n + 1, and by n + 1 once more when
+        T is nested, so the last axis grows by one."""
+        weights = np.arange(1, c.shape[-1] + 1)
+        out = np.zeros(c.shape[:-1] + (c.shape[-1] + 1,))
+        out[..., 1:] = c / weights
+        if self.nested:
+            out[..., 1:] /= weights
+        return out
+
 
 def kernel_series(
     class_id: ClassId, spec: PhiSpec, order: int = ps.DEFAULT_ORDER
@@ -204,17 +217,6 @@ def distance_integrand(class_id: ClassId, spec: PhiSpec) -> Callable[[float], fl
 # ---------------------------------------------------------------------------
 
 
-def nested_series_transform(c: ps.TruncatedSeries) -> ps.TruncatedSeries:
-    """Termwise image of c under f -> integral_0^r (1/s) integral_0^s f:
-    coefficient c_n lands on z^{n+1} with weight 1/(n+1)^2."""
-    return ps.integrate_from_zero(ps.divide_by_z(ps.integrate_from_zero(c)))
-
-
-def _series_transform(class_id: ClassId, c: ps.TruncatedSeries) -> ps.TruncatedSeries:
-    """The class transform T applied termwise to c."""
-    return nested_series_transform(c) if class_id.nested else ps.integrate_from_zero(c)
-
-
 def _integrate(class_id: ClassId, f: Callable[[float], float], r: float, tol: float) -> float:
     """The class transform T of the integrand f at r, by quadrature."""
     if class_id.nested:
@@ -225,7 +227,8 @@ def _integrate(class_id: ClassId, f: Callable[[float], float], r: float, tol: fl
 def _series_lhs_curve(class_id: ClassId, spec: PhiSpec, order: int) -> ps.TruncatedSeries:
     """T(M_K M_phi)."""
     m_kernel = ps.majorant(kernel_series(class_id, spec, order))
-    return _series_transform(class_id, ps.mul(m_kernel, ps.majorant(phi_series(spec, order))))
+    product = ps.mul(m_kernel, ps.majorant(phi_series(spec, order)))
+    return ps.TruncatedSeries(class_id.transform(product.coeffs))
 
 
 def lhs_at(

@@ -4,10 +4,8 @@ Members are constructed directly from the defining identities with a
 sampled disk self-map w(z) = eps * z^m (0 <= eps <= 1, m >= 1): writing
 p = phi o w, a member is f = T(K p), with the class kernel K of
 ``solver.kernel_series`` (1/(1-z^2) for Ks, k' for Sc and Cc, K' for Cs)
-and T one integration, or the nested integral_0^z (1/x) integral_0^x
-when ``ClassId.nested`` (Cc and Cs).  Ks members are built as
-integral_0^z G(x) p(x) / x dx with G(z) = z/(1-z^2) = z K(z), the odd
-starlike envelope.
+and the class transform T of ``ClassId.transform``, one integration or
+the nested integral_0^z (1/x) integral_0^x.
 
 Monomial self-maps keep the series composition exact while still sweeping
 the subordination family; with the identity map the Sc construction
@@ -24,24 +22,24 @@ members draws its own rows of (u0, u1) pairs, so the draws, and with them
 the report bytes, do not depend on the block size.
 
 A campaign builds its members as one batch, in blocks of 4096 members
-when it has more.  phi, the class kernel (z/(1-z^2) for Ks) and the
-target are computed once.  Row i of an n x N matrix holds phi o w_i by
-re-indexing, as a monomial map composes: one scatter writes phi_k eps_i^k
-to column k m_i of every row i with power m_i.
-One matrix product with the kernel's Toeplitz matrix, copied at once from
-strided windows over the kernel behind N - 1 zeros, then gives every row's
-product with the kernel, and the class's termwise integration is applied to the whole
-matrix.  One in-place Horner pass over the columns gives every row's
-coefficient-modulus sum.  The product sums each coefficient in another
-order than ``power_series.mul``, so a row agrees with the member built
-series by series within the rounding bound 2 gamma_N (|kernel| * |phi o w|)
-of two N-term dot products, not bit for bit.  Within the batch code every
-row is computed alike whatever the block size: a one-row block gets a zero
-second row, so BLAS takes the same matrix-matrix path for it as for any
-other block.  :func:`sample_member` and :func:`check_bohr` are that
-one-row case, so they equal the batch row and margin bit for bit, report
-bytes do not depend on the block size, and a failing batch raises the
-error that the first failing sample would raise on its own.
+when it has more.  phi, the class kernel and the target are computed
+once.  Row i of an n x N matrix holds phi o w_i by re-indexing, as a
+monomial map composes: one scatter writes phi_k eps_i^k to column k m_i
+of every row i with power m_i.  One matrix product with the kernel's
+Toeplitz matrix, copied at once from strided windows over the kernel
+behind N - 1 zeros, then gives every row's product with the kernel, and
+T is applied to the whole matrix.  Every row's coefficient-modulus sum is
+one elementwise product with r^n and one row sum.  The product sums each
+coefficient in another order than ``power_series.mul``, so a row agrees
+with the member built series by series within the rounding bound
+2 gamma_N (|kernel| * |phi o w|) of two N-term dot products, not bit for
+bit.  Within the batch code every row is computed alike whatever the
+block size: a one-row block gets a zero second row, so BLAS takes the
+same matrix-matrix path for it as for any other block.
+:func:`sample_member` and :func:`check_bohr` are that one-row case, so
+they equal the batch row and margin bit for bit, report bytes do not
+depend on the block size, and a failing batch raises the error that the
+first failing sample would raise on its own.
 """
 
 from __future__ import annotations
@@ -49,6 +47,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import asdict, dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -78,10 +77,18 @@ class SelfMap:
     power: int = 1
 
     def __post_init__(self):
-        if not (0.0 <= self.epsilon <= 1.0):
-            raise ParameterError(f"self-map needs 0 <= epsilon <= 1, got {self.epsilon}")
-        if self.power < 1:
-            raise ParameterError(f"self-map needs power >= 1, got {self.power}")
+        eps = self.epsilon
+        if isinstance(eps, bool) or not isinstance(eps, Real) or not (0.0 <= eps <= 1.0):
+            raise ParameterError(f"self-map needs a real 0 <= epsilon <= 1, got {eps!r}")
+        try:
+            if isinstance(self.power, bool):  # an int to operator.index, but not a power
+                raise TypeError
+            power = operator.index(self.power)
+        except TypeError:
+            raise ParameterError(f"self-map needs an integer power, got {self.power!r}") from None
+        if power < 1:
+            raise ParameterError(f"self-map needs power >= 1, got {power}")
+        object.__setattr__(self, "power", power)
 
 
 @dataclass(frozen=True)
@@ -127,27 +134,14 @@ def _members(
     self-map w = eps[i] * z^powers[i].
 
     The composed rows are multiplied in one product by the kernel's
-    Toeplitz matrix.  The product agrees with the series-by-series
-    construction within the rounding of its dot products, and a row does
-    not depend on how many rows share it.  The composed rows are freed with
-    the product."""
+    Toeplitz matrix, and T takes the product to N + 1 coefficients.  The
+    product agrees with the series-by-series construction within the
+    rounding of its dot products, and a row does not depend on how many
+    rows share it.  The composed rows are freed with the product."""
     order = ps.as_order(order)
     phi = phi_series(spec, order).coeffs
-    kernel = kernel_series(class_id, spec, order)
-    if class_id is ClassId.KS:
-        kernel = ps.shift_up(kernel)  # z/(1-z^2), the odd starlike envelope
-    products = (_composed(phi, eps, powers, order) @ _toeplitz(kernel.coeffs))[: len(eps)]
-    weights = np.arange(1, order + 1)
-    if class_id is ClassId.KS:
-        # divide by z, then integrate; an order-1 quotient keeps one zero coefficient
-        members = np.zeros((len(eps), max(order, 2)))
-        members[:, 1:order] = products[:, 1:] / weights[:-1]
-    else:
-        members = np.zeros((len(eps), order + 1))
-        members[:, 1:] = products / weights
-        if class_id.nested:  # the nested transform weights c_n by 1/(n+1)^2
-            members[:, 1:] /= weights
-    return members
+    kernel = kernel_series(class_id, spec, order).coeffs
+    return class_id.transform((_composed(phi, eps, powers, order) @ _toeplitz(kernel))[: len(eps)])
 
 
 def _first_unbuilt(members: np.ndarray) -> int:
@@ -165,23 +159,19 @@ def _unbuilt_error(row: np.ndarray) -> Exception:
 
 
 def _margins(members: np.ndarray, target: float, r: float) -> np.ndarray:
-    """target - sum |a_n| r^n for every row, after the tail guard of
-    ``power_series.eval_at`` on each row in turn."""
+    """target - sum |a_n| r^n for every row, after the tail guard
+    ``power_series._tail_hint`` on each row's last coefficient."""
     if not (0.0 < r < 1.0):
         raise ParameterError(f"the radius to check must satisfy 0 < r < 1, got {r}")
     r = float(r)
     majorants = np.abs(members)
-    hints = majorants[:, -1] * r ** members.shape[1] / (1.0 - r)
+    hints = ps._tail_hint(majorants[:, -1], members.shape[1], r)
     over = np.flatnonzero(hints > _TAIL_GUARD)
     if over.size:
         raise PrecisionError(
             f"truncation tail ~{hints[over[0]]:.3g} exceeds tolerance {_TAIL_GUARD:.3g} at r={r:.6g}"
         )
-    t = majorants[:, -1] + r * 0  # ps._horner's products and sums, in place
-    for a in majorants.T[-2::-1]:
-        t *= r
-        t += a
-    return target - t
+    return target - (majorants * r ** np.arange(members.shape[1])).sum(axis=1)
 
 
 def sample_member(

@@ -16,6 +16,12 @@ the series square root of k' composed with z^2, is kept here as its
 oracle (:func:`sqrt_K_prime`), with the general series operations it
 reads: :func:`monomial`, :func:`compose_with_selfmap` and
 :func:`sqrt_series`.
+
+Production applies the class transform T to coefficient arrays in one
+step (``ClassId.transform``).  Here T is built from series operations,
+one integration or an integration, a division by z and an integration
+(:func:`series_transform`), as the oracle of the guide curve
+(:func:`series_lhs_curve`) and of the campaign members.
 """
 
 from __future__ import annotations
@@ -69,6 +75,44 @@ def monomial(coefficient: float, degree: int, order: int = ps.DEFAULT_ORDER) -> 
     if degree < order:
         c[degree] = coefficient
     return ps.TruncatedSeries(c)
+
+
+def shift_up(s: ps.TruncatedSeries) -> ps.TruncatedSeries:
+    """Multiply by z, keeping the order (top coefficient is dropped)."""
+    out = np.zeros(s.order)
+    out[1:] = s.coeffs[:-1]
+    return ps.TruncatedSeries(out)
+
+
+def integrate_from_zero(s: ps.TruncatedSeries) -> ps.TruncatedSeries:
+    """Termwise antiderivative vanishing at 0; order grows by one."""
+    out = np.zeros(s.order + 1)
+    out[1:] = s.coeffs / np.arange(1, s.order + 1)
+    return ps.TruncatedSeries(out)
+
+
+def divide_by_z(s: ps.TruncatedSeries) -> ps.TruncatedSeries:
+    """Divide by z a series with zero constant term; order shrinks by one."""
+    if s.coeffs[0] != 0.0:
+        raise DomainError("divide_by_z requires a zero constant term")
+    if s.order == 1:
+        return ps.TruncatedSeries(np.zeros(1))
+    return ps.TruncatedSeries(s.coeffs[1:].copy())
+
+
+def series_transform(class_id: ClassId, c: ps.TruncatedSeries) -> ps.TruncatedSeries:
+    """The class transform T of c, one series operation at a time: f ->
+    integral_0^z f, or f -> integral_0^z (1/x) integral_0^x f when nested."""
+    if class_id.nested:
+        return integrate_from_zero(divide_by_z(integrate_from_zero(c)))
+    return integrate_from_zero(c)
+
+
+def series_lhs_curve(class_id: ClassId, spec: PhiSpec, order: int) -> ps.TruncatedSeries:
+    """T(M_K M_phi), the guide curve of ``solver._series_lhs_curve``, with T
+    from :func:`series_transform`."""
+    m_kernel = ps.majorant(solver.kernel_series(class_id, spec, order))
+    return series_transform(class_id, ps.mul(m_kernel, ps.majorant(phi_series(spec, order))))
 
 
 def sqrt_series(s: ps.TruncatedSeries) -> ps.TruncatedSeries:
@@ -131,7 +175,7 @@ def _series_distance_curve(class_id: ClassId, spec: PhiSpec, order: int) -> ps.T
     rotated = solver.kernel_series(class_id, spec, order).coeffs.copy()
     rotated[2::4] *= -1.0
     product = ps.mul(ps.TruncatedSeries(rotated), reflect(phi_series(spec, order)))
-    return solver._series_transform(class_id, product)
+    return series_transform(class_id, product)
 
 
 def distance_integral_at(

@@ -11,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 from oracle import exp_series, janowski_k
-from routes import allclose, compose_with_selfmap, monomial, reflect, sqrt_K_prime
+from routes import (
+    allclose,
+    compose_with_selfmap,
+    integrate_from_zero,
+    monomial,
+    reflect,
+    shift_up,
+    sqrt_K_prime,
+)
 from scipy.integrate import quad
 
 from bohrcc import extremal
@@ -67,7 +75,7 @@ class TestClosedForms:
         spec = janowski(1, -1)
         es = build_extremal(spec)
         # h(z) = z k'(z) = z/(1-z)^2: coefficient n at z^n
-        assert np.allclose(ps.shift_up(es.k_prime).coeffs, np.arange(64), atol=1e-10)
+        assert np.allclose(shift_up(es.k_prime).coeffs, np.arange(64), atol=1e-10)
         assert es.h_at_minus_one == pytest.approx(-0.25, abs=1e-12)
         assert es.k_at_minus_one == pytest.approx(-0.5, abs=1e-12)
         assert h_evaluator(spec)(1 / 3) == pytest.approx(0.75, abs=1e-12)
@@ -135,15 +143,15 @@ class TestSeriesIdentities:
     def test_h_equals_z_times_k_prime(self, spec):
         es = build_extremal(spec)
         prod = ps.mul(monomial(1.0, 1, 64), es.k_prime)
-        assert allclose(ps.shift_up(es.k_prime), prod, 1e-12)
+        assert allclose(shift_up(es.k_prime), prod, 1e-12)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_odd_extremal_square_identity(self, spec):
         # (z K'(z))^2 == h(z^2): the odd starlike extremal squared
         es = build_extremal(spec, 48)
-        zKp = ps.shift_up(es.K_prime)
+        zKp = shift_up(es.K_prime)
         lhs = ps.mul(zKp, zKp)
-        rhs = compose_with_selfmap(ps.shift_up(es.k_prime), monomial(1.0, 2, 48))
+        rhs = compose_with_selfmap(shift_up(es.k_prime), monomial(1.0, 2, 48))
         assert allclose(lhs, rhs, 1e-10)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
@@ -154,7 +162,7 @@ class TestSeriesIdentities:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_normalizations(self, spec):
         es = build_extremal(spec)
-        h, k = ps.shift_up(es.k_prime), ps.integrate_from_zero(es.k_prime)
+        h, k = shift_up(es.k_prime), integrate_from_zero(es.k_prime)
         assert h.coeffs[0] == 0.0 and h.coeffs[1] == 1.0
         assert k.coeffs[0] == 0.0 and k.coeffs[1] == 1.0
         assert es.h_at_minus_one < 0.0 < -es.h_at_minus_one
@@ -269,13 +277,13 @@ class TestGuards:
 class TestPointwiseEvaluators:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_h_series_matches_pointwise(self, spec):
-        h, h_pointwise = ps.shift_up(build_extremal(spec).k_prime), h_evaluator(spec)
+        h, h_pointwise = shift_up(build_extremal(spec).k_prime), h_evaluator(spec)
         for x in (-0.4, -0.1, 0.2, 1 / 3):
             assert ps.eval_at(h, x) == pytest.approx(h_pointwise(x), abs=1e-11)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_k_series_matches_pointwise(self, spec):
-        k = ps.integrate_from_zero(build_extremal(spec).k_prime)
+        k = integrate_from_zero(build_extremal(spec).k_prime)
         for x in (-0.4, 0.25, 1 / 3):
             assert ps.eval_at(k, x) == pytest.approx(k_at(spec, x), abs=1e-10)
 

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from routes import distance_integral_at, reflect, _series_distance_curve
+from routes import (
+    _series_distance_curve,
+    distance_integral_at,
+    reflect,
+    series_lhs_curve,
+    series_transform,
+)
 from scipy.special import lambertw
 from _bench_inputs import BENCH_INPUTS
 
@@ -217,11 +223,12 @@ def _old_distance_curve(class_id: ClassId, spec: PhiSpec, order: int) -> ps.Trun
     multiplied first as in every class curve."""
     phi_neg = reflect(phi_series(spec, order))
     if class_id is ClassId.KS:
-        rotated = np.zeros(order)
-        rotated[0::2] = (-1.0) ** np.arange(rotated[0::2].size)
-        return ps.integrate_from_zero(ps.mul(ps.TruncatedSeries(rotated), phi_neg))
-    rotated = extremal_kernels(phi_neg)[1]
-    return solver.nested_series_transform(ps.mul(rotated, phi_neg))
+        geometric = np.zeros(order)
+        geometric[0::2] = (-1.0) ** np.arange(geometric[0::2].size)
+        rotated = ps.TruncatedSeries(geometric)
+    else:
+        rotated = extremal_kernels(phi_neg)[1]
+    return series_transform(class_id, ps.mul(rotated, phi_neg))
 
 
 class TestClassShape:
@@ -240,6 +247,24 @@ class TestClassShape:
         kernels = [ps.TruncatedSeries(geometric), es.k_prime, es.k_prime, es.K_prime]
         for class_id, want in zip(ClassId, kernels):
             assert _hexes(solver.kernel_series(class_id, spec, order)) == _hexes(want)
+
+    @pytest.mark.parametrize("order", [8, 64, 256])
+    @pytest.mark.parametrize("spec", _SHAPE_SPECS, ids=lambda s: s.label())
+    @pytest.mark.parametrize("class_id", list(ClassId), ids=lambda c: c.value)
+    def test_lhs_curve_is_the_series_oracle(self, class_id, spec, order):
+        # ClassId.transform makes the divisions of the series route's
+        # integrations and division by z, so every bit, zero signs included, agrees
+        got = solver._series_lhs_curve(class_id, spec, order).coeffs
+        assert got.tobytes() == series_lhs_curve(class_id, spec, order).coeffs.tobytes()
+
+    @pytest.mark.parametrize("class_id", list(ClassId), ids=lambda c: c.value)
+    def test_transform_acts_on_the_last_axis(self, class_id):
+        c = np.random.default_rng(5).standard_normal((2, 3, 9))
+        got = class_id.transform(c)
+        assert got.shape == (2, 3, 10)
+        for row, want in zip(got.reshape(6, 10), c.reshape(6, 9)):
+            assert row.tobytes() == series_transform(class_id, ps.TruncatedSeries(want)).coeffs.tobytes()
+        assert class_id.transform(np.ones(1)).tolist() == [0.0, 1.0]  # T(1) = z for every class
 
     @pytest.mark.parametrize("class_id", list(ClassId), ids=lambda c: c.value)
     def test_kernel_order_must_be_positive(self, class_id):

@@ -8,7 +8,8 @@ second evaluation routes among it in ``tests/routes.py``.
 
 The grep rules below keep each piece of knowledge in its one place: a
 family's formulas in the catalog's ``FAMILIES`` records, a class's kernel
-in ``solver.kernel_series``, K' in ``extremal.extremal_kernels``, and one
+in ``solver.kernel_series`` and its transform T in ``ClassId`` (``nested``
+and ``transform``), K' in ``extremal.extremal_kernels``, and one
 evaluator form per pointwise quantity.
 """
 
@@ -120,10 +121,10 @@ GREP_RULES = {
         "branch on a family name: add a field to catalog.Family instead",
     ),
     "verifier-names-a-class": (
-        r"ClassId\.(SC|CC|CS)\b|from \.extremal import",
+        r"ClassId\.(KS|SC|CC|CS)|from \.extremal import",
         ("verifier.py",),
         (),
-        "verifier.py names a class or the extremal bundle: read solver.kernel_series and ClassId.nested",
+        "verifier.py names a class or the extremal bundle: read solver.kernel_series and ClassId.transform",
     ),
     "one-K-prime-builder": (
         r"extremal_kernels\(|\bK_prime\s*=",
