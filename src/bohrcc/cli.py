@@ -7,7 +7,7 @@ Subcommands:
   scan    sweep a family parameter and bracket the 1/3 sharpness threshold
 
 ``table`` takes no ``--order``: tables 1 and 4 solve the Sc corollary
-h(r) = -h(-1) through the ``scan`` equations, and tables 2 and 3 evaluate h.
+h(r) = -h(-1) through the corollary rows, and tables 2 and 3 evaluate h.
 
 Exit codes: 0 ok, 2 parameter error, 3 numeric-budget error,
 4 verification failure.  Output is byte-deterministic for fixed
@@ -24,6 +24,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import asdict
 
 from . import reference
 from .catalog import FAMILIES, PhiSpec, check_min_max_hypothesis, expblend, strongly
@@ -214,10 +215,7 @@ def cmd_scan(args) -> int:
     else:
         _emit_json({
             "equation": scan.equation_id,
-            "rows": [
-                {"param": r.param, "r_f": r.r_f, "in_sharp_window": r.in_sharp_window}
-                for r in scan.rows
-            ],
+            "rows": [asdict(row) for row in scan.rows],
             "bracket": list(scan.bracket) if scan.bracket else None,
             "threshold": scan.threshold,
         })

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checkers."""
+
+import math
+import operator
+from numbers import Real
 
 
 class BohrccError(Exception):
@@ -35,3 +39,24 @@ class NoRootError(BohrccError, RuntimeError):
 
 class InconsistencyError(BohrccError, RuntimeError):
     """Two routes that must agree numerically disagreed; implementation bug."""
+
+
+def as_int(value, what: str) -> int:
+    """value as an int, or ParameterError(what): never a bool, a float or a string."""
+    if isinstance(value, bool):
+        raise ParameterError(what)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(what) from None
+
+
+def as_real(value, what: str) -> float:
+    """value as a float if a finite real that is not a bool, else ParameterError(what)."""
+    try:
+        x = float(value) if isinstance(value, Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an int or Fraction past the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ParameterError(what)
+    return x

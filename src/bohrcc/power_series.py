@@ -18,12 +18,11 @@ coefficients it adds only nonnegative terms, so nothing cancels.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
 from ._lazy import lazy_import
-from .errors import DomainError, ParameterError, PrecisionError
+from .errors import DomainError, ParameterError, PrecisionError, as_int
 
 np = lazy_import("numpy")
 
@@ -40,12 +39,7 @@ MAX_ORDER = 4096
 def as_order(order, minimum: int = 1) -> int:
     """A series order as an int, rejecting (not truncating) a float or a bool,
     and rejecting an order below ``minimum`` or above :data:`MAX_ORDER`."""
-    try:
-        if isinstance(order, bool):  # an int to operator.index, but not a count
-            raise TypeError
-        order = operator.index(order)
-    except TypeError:
-        raise ParameterError(f"order must be an integer, got {order!r}") from None
+    order = as_int(order, f"order must be an integer, got {order!r}")
     if order < minimum:
         want = f"at least {minimum}, got {order}" if minimum > 1 else "positive"
         raise ParameterError(f"order must be {want}")

@@ -42,11 +42,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from importlib.machinery import ExtensionFileLoader, PathFinder
 from importlib.util import find_spec, module_from_spec
-from numbers import Real
 from typing import Callable
 
 from ._lazy import lazy_import
-from .errors import BudgetError, ParameterError
+from .errors import BudgetError, ParameterError, as_real
 
 np = lazy_import("numpy")
 
@@ -141,9 +140,11 @@ def _quad(f: Callable[[float], float], a: float, b: float, epsabs: float) -> tup
 
 def check_tol(tol) -> float:
     """tol as a float; ParameterError unless a positive, finite real (not a bool)."""
-    if isinstance(tol, bool) or not isinstance(tol, Real) or not (0.0 < tol < math.inf):
-        raise ParameterError(f"tolerance must be positive and finite, got {tol!r}")
-    return float(tol)
+    what = f"tolerance must be positive and finite, got {tol!r}"
+    tol = as_real(tol, what)
+    if not tol > 0.0:
+        raise ParameterError(what)
+    return tol
 
 
 @dataclass(frozen=True)

@@ -52,12 +52,10 @@ does not read the tolerance, which sets quadrature accuracy alone.  Only if
 the check fails, or the curve stays below the target, does
 ``_first_reached`` search the whole grid on quadrature, for a cell bisected
 on quadrature alone; without a hint one evaluation of lhs(0.999) first
-shows whether the lhs reaches the target on the grid.  The closed-form
-equations and threshold scans use the same ``_bisect``, the one bisection
-loop; the Sc corollaries among them are the one equation
-h(r) = -h(-1) with h bound once per spec by ``extremal.h_evaluator``
-(M_h = h for nonnegative coefficients).  Every result gets its sharpness
-verdict and notes from ``_radius_result``.
+shows whether the lhs reaches the target on the grid.  The corollaries,
+each the class equation on one family slice, and the threshold scans use
+the same ``_bisect``, the one bisection loop; every result gets its
+sharpness verdict and notes from ``_radius_result``.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache, lru_cache
 from typing import Callable, Mapping, Sequence
 
@@ -75,12 +73,13 @@ from .catalog import (
     FAMILIES,
     SPEC_CACHE_SIZE,
     PhiSpec,
+    as_janowski,
     has_positive_coeffs,
     majorant_phi_evaluator,
     phi_evaluator,
     phi_series,
 )
-from .errors import InconsistencyError, NoRootError, ParameterError
+from .errors import InconsistencyError, NoRootError, ParameterError, as_real
 from .extremal import build_extremal, growth_evaluator, h_evaluator, k_prime_evaluator
 from .quadrature import DEFAULT_TOL, check_tol, integrate_1d, integrate_nested
 
@@ -95,6 +94,7 @@ _SERIES_EVAL_TAIL = 1e-11
 #: the value) plus the quadrature's actual error, far inside its tolerance
 _GUIDE_MARGIN = 1e-13
 _ONE_THIRD = 1.0 / 3.0
+_CLOSED_FORM_TOL = 1e-13  # quadrature tolerance of the corollaries that integrate
 _WITNESS_STEP = 0.01  # how far past a sharp radius the witness checks the bound is exceeded
 
 #: Smallest series order a radius solve accepts: below it a mixed-sign
@@ -300,14 +300,7 @@ class RadiusResult:
             raise InconsistencyError(f"radius residual {self.residual:.3g} exceeds 1e-8")
 
     def to_dict(self) -> dict:
-        return {
-            "r_f": self.r_f,
-            "capped": self.capped,
-            "sharp": self.sharp,
-            "residual": self.residual,
-            "bracket": list(self.bracket),
-            "notes": self.notes,
-        }
+        return {**asdict(self), "bracket": list(self.bracket)}
 
 
 def _first_reached(f: Callable[[float], float], target: float) -> int:
@@ -426,30 +419,22 @@ def _solve_cached(class_id: ClassId, spec: PhiSpec, order: int, tol: float) -> R
 
 
 def _ks_sakaguchi_parts(spec: PhiSpec):
-    (gamma,) = spec.params
-    lhs = lambda r: gamma / 2.0 * math.log((1.0 + r) / (1.0 - r)) + (1.0 - gamma) * r / (1.0 - r)
-    rhs = (1.0 - gamma) / 2.0 * math.log(2.0) + gamma * math.pi / 4.0
-    return lhs, rhs
+    # phi = janowski(A, -1) integrates in closed form on both sides of the Ks equation
+    a, _ = as_janowski(spec)
+    lhs = lambda r: (1.0 - a) / 4.0 * math.log((1.0 + r) / (1.0 - r)) + (1.0 + a) / 2.0 * r / (1.0 - r)
+    return lhs, (1.0 + a) / 4.0 * math.log(2.0) + (1.0 - a) * math.pi / 8.0
 
 
-def _ks_wang_parts(spec: PhiSpec):
-    alpha, beta = spec.params
-    f = lambda t: (1.0 + beta * t) / ((1.0 - alpha * beta * t) * (1.0 - t * t))
-    g = lambda t: (1.0 - beta * t) / ((1.0 + alpha * beta * t) * (1.0 + t * t))
-    lhs = lambda r: integrate_1d(f, 0.0, r, 1e-13).value
-    return lhs, integrate_1d(g, 0.0, 1.0, 1e-13).value
-
-
-def _sc_sakaguchi_parts(spec: PhiSpec):
-    (gamma,) = spec.params
-    e = 1.0 / (2.0 * (1.0 - gamma))
-    lhs = lambda r: r + 2.0 * r**e
-    return lhs, 1.0
+def _ks_integral_parts(spec: PhiSpec):
+    # the general Ks lhs and distance integral, at a tolerance below the bisection width
+    lhs = lambda r: lhs_at(ClassId.KS, spec, r, tol=_CLOSED_FORM_TOL)
+    return lhs, distance_integral_at(ClassId.KS, spec, 1.0, _CLOSED_FORM_TOL)
 
 
 def _sc_growth_parts(spec: PhiSpec):
     # nonnegative coefficients make M_h = h, so the equation is h(r) = -h(-1)
-    # for the extremal growth, pointwise from the spec
+    if not has_positive_coeffs(spec):  # its Sc lhs is M_h(r), not h(r)
+        raise ParameterError(f"{spec.label()} has mixed-sign coefficients: use solve_radius")
     h = h_evaluator(spec)
     return h, -h(-1.0)
 
@@ -457,9 +442,9 @@ def _sc_growth_parts(spec: PhiSpec):
 #: equation id -> (class, family, parts builder on the spec, fixed parameters)
 CLOSED_FORM_EQUATIONS: Mapping[str, tuple] = {
     "ks-sakaguchi": (ClassId.KS, "sakaguchi", _ks_sakaguchi_parts, {}),
-    "ks-wang": (ClassId.KS, "wang", _ks_wang_parts, {}),
+    "ks-wang": (ClassId.KS, "wang", _ks_integral_parts, {}),
     "sc-lemniscate": (ClassId.SC, "lemniscate", _sc_growth_parts, {}),
-    "sc-sakaguchi": (ClassId.SC, "sakaguchi", _sc_sakaguchi_parts, {}),
+    "sc-sakaguchi": (ClassId.SC, "sakaguchi", _sc_growth_parts, {}),
     "sc-expblend": (ClassId.SC, "expblend", _sc_growth_parts, {}),
     "sc-janowski-b0": (ClassId.SC, "janowski", _sc_growth_parts, {"B": 0.0}),
     "sc-janowski": (ClassId.SC, "janowski", _sc_growth_parts, {}),
@@ -472,35 +457,33 @@ def _free_names(equation_id: str) -> tuple[str, ...]:
     return tuple(n for n in FAMILIES[family].names if n not in fixed)
 
 
-def _closed_form_spec(equation_id: str, params: Mapping[str, float]) -> PhiSpec:
-    """The equation's spec: its free parameters read from params, the rest fixed."""
-    _, family, _, fixed = CLOSED_FORM_EQUATIONS[equation_id]
-    names = _free_names(equation_id)
-    missing = [n for n in names if n not in params]
-    if missing:
-        raise ParameterError(f"{equation_id} needs parameters {names}, missing {missing}")
-    return PhiSpec(family, tuple({**params, **fixed}[n] for n in FAMILIES[family].names))
-
-
-def solve_corollary_closed_form(equation_id: str, params: Mapping[str, float]) -> RadiusResult:
-    """Solve one of the catalog's closed-form radius equations.
-
-    These are independent fast paths: they must agree with the general
-    solver on the corresponding (class, spec) pair to 1e-7.  When the
-    root exceeds 1/3 the result notes that the capped radius governs.
-    """
+def _closed_form(equation_id: str, params: Mapping[str, float]):
+    """(class, spec, lhs, rhs) of the equation, its free parameters read
+    from params and the rest fixed; the spec checks the ranges."""
     if equation_id not in CLOSED_FORM_EQUATIONS:
         raise ParameterError(
             f"unknown equation {equation_id!r}; expected one of {sorted(CLOSED_FORM_EQUATIONS)}"
         )
-    class_id, _, parts_builder, _ = CLOSED_FORM_EQUATIONS[equation_id]
-    spec = _closed_form_spec(equation_id, params)  # validates ranges
-    if equation_id == "sc-janowski" and params["B"] >= 0.0:
-        # B > 0 gives phi mixed-sign coefficients: the class lhs is then M_h(r), not h(r)
-        raise ParameterError(
-            "sc-janowski requires B < 0; use sc-janowski-b0 for B = 0, solve_radius for B > 0"
-        )
-    lhs, rhs = parts_builder(spec)
+    class_id, family, parts_builder, fixed = CLOSED_FORM_EQUATIONS[equation_id]
+    names = _free_names(equation_id)
+    missing = [n for n in names if n not in params]
+    if missing:
+        raise ParameterError(f"{equation_id} needs parameters {names}, missing {missing}")
+    spec = PhiSpec(family, tuple({**params, **fixed}[n] for n in FAMILIES[family].names))
+    return (class_id, spec, *parts_builder(spec))
+
+
+def solve_corollary_closed_form(equation_id: str, params: Mapping[str, float]) -> RadiusResult:
+    """Solve a corollary: the class equation on the equation's family slice.
+
+    ks-sakaguchi and the Sc rows are closed forms: the Ks integrals of
+    janowski(A, -1), and h(r) = -h(-1) with h from ``extremal`` (the Sc rows
+    admit only nonnegative coefficients, where M_h = h); ks-wang reads the
+    general Ks pieces, ``lhs_at`` and ``distance_integral_at``, at tolerance
+    1e-13.  Each agrees with ``solve_radius`` on its spec to 1e-7; a root
+    past 1/3 is noted as leaving the capped radius to govern.
+    """
+    class_id, spec, lhs, rhs = _closed_form(equation_id, params)
     # walk the upper end toward 1 only as far as needed; several lhs have
     # a pole at 1 that the quadrature-backed variants should not probe
     hi = 0.9
@@ -569,34 +552,32 @@ SCAN_EQUATIONS = tuple(sorted(e for e in CLOSED_FORM_EQUATIONS if len(_free_name
 
 
 def threshold_scan(equation_id: str, params: Sequence[float]) -> ThresholdScan:
-    """Sweep a monotone parameter grid, reporting the radius and whether
-    it falls in the sharp window (0, 1/3), then bracket and refine the
-    parameter where the radius crosses 1/3."""
+    """Sweep a monotone parameter grid, reporting the radius and whether it
+    falls in the open sharp window (0, 1/3), then bracket and refine the
+    parameter where it crosses 1/3, all three by the one test lhs(1/3) > rhs."""
     if equation_id not in SCAN_EQUATIONS:
         raise ParameterError(
             f"scan needs a one-parameter equation, got {equation_id!r}; expected one of "
             f"{list(SCAN_EQUATIONS)}"
         )
-    parts_builder = CLOSED_FORM_EQUATIONS[equation_id][2]
     (name,) = _free_names(equation_id)
-    grid = [float(p) for p in params]
+    grid = [as_real(p, f"scan parameters must be finite reals, got {p!r}") for p in params]
     if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ParameterError("parameter grid must be increasing with at least two points")
-    radii = [solve_corollary_closed_form(equation_id, {name: p}).r_f for p in grid]
-    rows = tuple(ThresholdRow(p, rf, rf < _ONE_THIRD) for p, rf in zip(grid, radii))
-    bracket = None
+
+    def below_third(p: float) -> bool:
+        _, _, lhs, rhs = _closed_form(equation_id, {name: p})
+        return lhs(_ONE_THIRD) > rhs
+
+    rows = tuple(
+        ThresholdRow(p, solve_corollary_closed_form(equation_id, {name: p}).r_f, below_third(p))
+        for p in grid
+    )
+    bracket = threshold = None
     for a, b in zip(rows, rows[1:]):
         if a.in_sharp_window != b.in_sharp_window:
             bracket = (a.param, b.param)
+            lo, hi = _bisect(lambda p: below_third(p) != a.in_sharp_window, *bracket, 1e-9)
+            threshold = 0.5 * (lo + hi)
             break
-    threshold = None
-    if bracket is not None:
-
-        def g(p: float) -> float:  # > 0 iff r_f(p) < 1/3, the lhs being increasing in r
-            lhs, rhs = parts_builder(_closed_form_spec(equation_id, {name: p}))
-            return lhs(_ONE_THIRD) - rhs
-
-        g_lo = g(bracket[0])
-        lo, hi = _bisect(lambda p: g(p) * g_lo <= 0.0, *bracket, 1e-9)
-        threshold = 0.5 * (lo + hi)
     return ThresholdScan(equation_id, rows, bracket, threshold)

@@ -45,15 +45,13 @@ first failing sample would raise on its own.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import asdict, dataclass
-from numbers import Real
 
 import numpy as np
 
 from . import power_series as ps
 from .catalog import PhiSpec, phi_series
-from .errors import DomainError, InconsistencyError, ParameterError, PrecisionError
+from .errors import DomainError, InconsistencyError, ParameterError, PrecisionError, as_int, as_real
 from .quadrature import DEFAULT_TOL
 from .solver import (
     ClassId,
@@ -67,6 +65,7 @@ from .solver import (
 _MARGIN_SLACK = 1e-9
 _TAIL_GUARD = 1e-10
 _BLOCK_ROWS = 4096  # members per coefficient matrix, so a large campaign stays within a few MB
+_RADIUS_TEXT = "the radius to check must satisfy 0 < r < 1, got {!r}"
 
 
 @dataclass(frozen=True)
@@ -77,17 +76,14 @@ class SelfMap:
     power: int = 1
 
     def __post_init__(self):
-        eps = self.epsilon
-        if isinstance(eps, bool) or not isinstance(eps, Real) or not (0.0 <= eps <= 1.0):
-            raise ParameterError(f"self-map needs a real 0 <= epsilon <= 1, got {eps!r}")
-        try:
-            if isinstance(self.power, bool):  # an int to operator.index, but not a power
-                raise TypeError
-            power = operator.index(self.power)
-        except TypeError:
-            raise ParameterError(f"self-map needs an integer power, got {self.power!r}") from None
+        what = f"self-map needs a real 0 <= epsilon <= 1, got {self.epsilon!r}"
+        eps = as_real(self.epsilon, what)
+        if not (0.0 <= eps <= 1.0):
+            raise ParameterError(what)
+        power = as_int(self.power, f"self-map needs an integer power, got {self.power!r}")
         if power < 1:
             raise ParameterError(f"self-map needs power >= 1, got {power}")
+        object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "power", power)
 
 
@@ -161,9 +157,10 @@ def _unbuilt_error(row: np.ndarray) -> Exception:
 def _margins(members: np.ndarray, target: float, r: float) -> np.ndarray:
     """target - sum |a_n| r^n for every row, after the tail guard
     ``power_series._tail_hint`` on each row's last coefficient."""
+    what = _RADIUS_TEXT.format(r)
+    r = as_real(r, what)
     if not (0.0 < r < 1.0):
-        raise ParameterError(f"the radius to check must satisfy 0 < r < 1, got {r}")
-    r = float(r)
+        raise ParameterError(what)
     majorants = np.abs(members)
     hints = ps._tail_hint(majorants[:, -1], members.shape[1], r)
     over = np.flatnonzero(hints > _TAIL_GUARD)
@@ -251,18 +248,15 @@ def run_campaign(
     ``np.random.default_rng(seed)`` stream, so reports are deterministic
     given the seed.
     """
-    try:
-        if isinstance(n_samples, bool) or isinstance(seed, bool):  # ints, but not counts
-            raise TypeError
-        n_samples, seed = operator.index(n_samples), operator.index(seed)
-    except TypeError:
-        raise ParameterError(f"need integer n_samples and seed, got {n_samples!r}, {seed!r}") from None
+    what = f"need integer n_samples and seed, got {n_samples!r}, {seed!r}"
+    n_samples, seed = as_int(n_samples, what), as_int(seed, what)
     if n_samples < 1:
         raise ParameterError(f"need at least one sample, got {n_samples}")
     if seed < 0:
         raise ParameterError(f"seed must be nonnegative, got {seed}")
     result = solve_radius(class_id, spec, order, tol)
-    r_checked = float(r) if r is not None else result.capped
+    # a real r is range-checked with the margins, after the members before it are built
+    r_checked = result.capped if r is None else as_real(r, _RADIUS_TEXT.format(r))
     rng = np.random.default_rng(seed)
     margins: list[float] = []
     failures = []

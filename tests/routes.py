@@ -17,6 +17,10 @@ oracle (:func:`sqrt_K_prime`), with the general series operations it
 reads: :func:`monomial`, :func:`compose_with_selfmap` and
 :func:`sqrt_series`.
 
+Production solves every Sc corollary as h(r) = -h(-1).  For sakaguchi(g)
+the paper writes that equation as r + 2 r^e = 1 with e = 1/(2(1 - g)),
+kept here as its oracle (:func:`sc_sakaguchi_paper_root`).
+
 Production applies the class transform T to coefficient arrays in one
 step (``ClassId.transform``).  Here T is built from series operations,
 one integration or an integration, a division by z and an integration
@@ -31,6 +35,7 @@ from typing import Sequence
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from bohrcc import power_series as ps
 from bohrcc import solver
@@ -218,3 +223,11 @@ def series_has_positive_coeffs(spec: PhiSpec) -> bool:
     constant nonnegative, the leading one strictly positive."""
     c = phi_series(spec, ps.DEFAULT_ORDER).coeffs
     return bool(c[1] > 0.0 and np.all(c[1:] >= 0.0))
+
+
+def sc_sakaguchi_paper_root(gamma: float) -> float:
+    """The root of r + 2 r^e = 1, e = 1/(2(1 - gamma)): the paper's form of
+    the Sc corollary h(r) = -h(-1) for sakaguchi(gamma), whose h is
+    x (1 - x)^(2 gamma - 2)."""
+    e = 1.0 / (2.0 * (1.0 - gamma))
+    return brentq(lambda r: r + 2.0 * r**e - 1.0, 0.0, 1.0, xtol=1e-16)

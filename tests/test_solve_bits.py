@@ -7,6 +7,11 @@ mixes signs) in every class.  Each pair is solved at order 64 and tol
 A result contributes (r_f, residual, bracket) as ``float.hex``, a failure its
 error class and message, so a change that moves one bit of one pair, or
 turns a radius into an error, changes its class's digest.
+
+Run as a script, ``PYTHONPATH=src python tests/test_solve_bits.py``
+prints the 1,012 dump lines in pair order, so a change that means to move
+radius bits can diff the dumps of two trees line by line before it
+re-records the digests.
 """
 
 import hashlib
@@ -50,12 +55,18 @@ def solve_line(cls: str, family: str, params: tuple[float, ...]) -> str:
     return f"{cls} {spec.label()} " + " ".join(x.hex() for x in floats)
 
 
+def dump_lines() -> list[str]:
+    """The dump line of every pair, in pair order."""
+    lines = [solve_line(*pair) for pair in bit_dump_pairs()]
+    clear_all()
+    return lines
+
+
 def class_digests() -> dict[str, str]:
     """sha256 of each class's dump lines, joined in pair order."""
     lines = {c: [] for c in BENCH_INPUTS.CLASSES}
-    for cls, family, params in bit_dump_pairs():
-        lines[cls].append(solve_line(cls, family, params))
-    clear_all()
+    for line in dump_lines():
+        lines[line.split(" ", 1)[0]].append(line)
     return {c: hashlib.sha256("\n".join(v).encode()).hexdigest() for c, v in lines.items()}
 
 
@@ -73,3 +84,7 @@ def test_the_pair_set():
 @pytest.mark.slow
 def test_every_radius_bit_is_pinned():
     assert class_digests() == SOLVE_BITS_PINS
+
+
+if __name__ == "__main__":
+    print("\n".join(dump_lines()))

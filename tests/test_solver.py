@@ -10,6 +10,7 @@ from routes import (
     _series_distance_curve,
     distance_integral_at,
     reflect,
+    sc_sakaguchi_paper_root,
     series_lhs_curve,
     series_transform,
 )
@@ -337,6 +338,12 @@ class TestClosedForms:
         res = solve_corollary_closed_form("sc-sakaguchi", {"gamma": 0.0})
         assert res.r_f == pytest.approx(3.0 - 2.0 * math.sqrt(2.0), abs=1e-10)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.25, 0.5, 0.6, 0.9, 0.99])
+    def test_sc_sakaguchi_is_the_papers_form(self, gamma):
+        # the row solves h(r) = -h(-1); the paper writes it r + 2 r^e = 1
+        res = solve_corollary_closed_form("sc-sakaguchi", {"gamma": gamma})
+        assert res.r_f == pytest.approx(sc_sakaguchi_paper_root(gamma), abs=1e-12)
+
     def test_sc_lemniscate_row(self):
         res = solve_corollary_closed_form("sc-lemniscate", {"s": 0.6})
         assert res.r_f == pytest.approx(0.2605657, abs=1e-6)
@@ -393,6 +400,9 @@ class TestClosedForms:
             ("sc-janowski-b0", {"A": 0.5}, "0.4776700622629051"),
             ("sc-janowski", {"A": 1.0, "B": -1.0}, "0.17157287525374154"),
             ("sc-janowski", {"A": 1.0, "B": -0.5}, "0.21178508605039498"),
+            # B = 0 has nonnegative coefficients: the sc-janowski-b0 bits above
+            ("sc-janowski", {"A": 0.9, "B": 0.0}, "0.3081098593471779"),
+            ("sc-janowski", {"A": 0.5, "B": 0.0}, "0.4776700622629051"),
         ],
     )
     def test_closed_form_bits(self, eid, params, r_f):
@@ -414,8 +424,6 @@ class TestClosedForms:
             solve_corollary_closed_form("no-such-equation", {})
         with pytest.raises(ParameterError):
             solve_corollary_closed_form("sc-lemniscate", {})
-        with pytest.raises(ParameterError):
-            solve_corollary_closed_form("sc-janowski", {"A": 0.5, "B": 0.0})
         # B > 0: phi has mixed-sign coefficients, so h(r) is not the class lhs
         for b in (0.5, 0.05):
             with pytest.raises(ParameterError):
@@ -468,12 +476,26 @@ class TestThresholdScan:
             ("sc-expblend", np.arange(0.0, 0.081, 1e-3), "0.0528421483039856"),
             ("ks-sakaguchi", np.arange(0.25, 0.271, 1e-3), "0.2590564036369324"),
             ("sc-janowski-b0", np.arange(0.7, 0.951, 5e-3), "0.8239592167735101"),
-            ("sc-sakaguchi", np.arange(0.45, 0.551, 1e-3), "0.5000000004768371"),
+            ("sc-sakaguchi", np.arange(0.45, 0.551, 1e-3), "0.4999999995231629"),
         ],
         ids=["lemniscate", "expblend", "ks-sakaguchi", "janowski-b0", "sc-sakaguchi"],
     )
     def test_threshold_bits(self, eid, grid, threshold):
         assert repr(threshold_scan(eid, grid).threshold) == threshold
+
+    def test_a_grid_past_the_crossing_has_no_bracket(self):
+        # gamma = 1/2 puts the root at 1/3, just below this grid: no row is in the window
+        scan = threshold_scan("sc-sakaguchi", [0.5000000000000001, 0.5100000000000001])
+        assert scan.bracket is None and scan.threshold is None
+        assert not any(row.in_sharp_window for row in scan.rows)
+
+    def test_a_root_at_one_third_is_outside_the_open_window(self):
+        # sakaguchi(1/2) has the root 1/3 exactly; its bisection midpoint reads
+        # a few 1e-13 below it, but the window test reads lhs(1/3) > rhs
+        scan = threshold_scan("sc-sakaguchi", [0.499, 0.5])
+        assert scan.rows[1].r_f == pytest.approx(1 / 3, abs=1e-12)
+        assert [row.in_sharp_window for row in scan.rows] == [True, False]
+        assert scan.bracket == (0.499, 0.5) and 0.5 - 1e-9 < scan.threshold < 0.5
 
     def test_no_crossing_in_grid(self):
         scan = threshold_scan("sc-lemniscate", [0.5, 0.6, 0.7])

@@ -9,8 +9,10 @@ second evaluation routes among it in ``tests/routes.py``.
 The grep rules below keep each piece of knowledge in its one place: a
 family's formulas in the catalog's ``FAMILIES`` records, a class's kernel
 in ``solver.kernel_series`` and its transform T in ``ClassId`` (``nested``
-and ``transform``), K' in ``extremal.extremal_kernels``, and one
-evaluator form per pointwise quantity.
+and ``transform``), K' in ``extremal.extremal_kernels``, one evaluator
+form per pointwise quantity, a family's parameters behind
+``catalog.as_janowski`` and ``formulas_of`` for the solver, and the
+integer and real argument checks in ``errors.as_int`` and ``as_real``.
 """
 
 from __future__ import annotations
@@ -150,6 +152,18 @@ GREP_RULES = {
         (),
         (),
         "a function attribute carries a formula: build it once in a private builder instead",
+    ),
+    "solver-reads-no-family-parameter": (
+        r"\.params\b|param_dict\(",
+        ("solver.py",),
+        (),
+        "solver.py reads a family parameter: take it through catalog.as_janowski or formulas_of",
+    ),
+    "one-argument-checker": (
+        r"operator\.index\(|isinstance\([^)]*\bbool\b",
+        (),
+        ("errors.py",),
+        "a hand-written integer or bool check: route the argument through errors.as_int or as_real",
     ),
     "spec-keyed-wrapper": (
         r"def ((phi|majorant_phi|h|k_prime|K_prime)_at|growth_exponent)\b",
