@@ -54,7 +54,7 @@ def as_int(value, what: str) -> int:
 def as_real(value, what: str) -> float:
     """value as a float if a finite real that is not a bool, else ParameterError(what)."""
     try:
-        x = float(value) if isinstance(value, Real) and not isinstance(value, bool) else math.nan
+        x = float(value) if isinstance(value, (float, Real)) and not isinstance(value, bool) else math.nan
     except OverflowError:  # an int or Fraction past the float range
         x = math.inf
     if not math.isfinite(x):

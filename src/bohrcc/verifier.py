@@ -157,10 +157,8 @@ def _unbuilt_error(row: np.ndarray) -> Exception:
 def _margins(members: np.ndarray, target: float, r: float) -> np.ndarray:
     """target - sum |a_n| r^n for every row, after the tail guard
     ``power_series._tail_hint`` on each row's last coefficient."""
-    what = _RADIUS_TEXT.format(r)
-    r = as_real(r, what)
     if not (0.0 < r < 1.0):
-        raise ParameterError(what)
+        raise ParameterError(_RADIUS_TEXT.format(r))
     majorants = np.abs(members)
     hints = ps._tail_hint(majorants[:, -1], members.shape[1], r)
     over = np.flatnonzero(hints > _TAIL_GUARD)
@@ -192,6 +190,7 @@ def check_bohr(sf: SampledFunction, r: float) -> tuple[bool, float]:
     Returns (holds, margin) with margin = bound - sum |a_n| r^n; raises
     PrecisionError when the truncation tail at r is above 1e-10.
     """
+    r = as_real(r, _RADIUS_TEXT.format(r))
     margin = float(_margins(sf.series.coeffs[None, :], sf.distance_bound, r)[0])
     return (margin >= -_MARGIN_SLACK, margin)
 
