@@ -332,6 +332,28 @@ class TestRadiusResultInvariants:
             solver.RadiusResult(0.5, 1 / 3, False, 2e-8, (0.5, 0.5), "")
 
 
+#: (equation, parameters, repr of r_f) of corollary solves, pinned to the last bit
+CLOSED_FORM_BITS = [
+    ("ks-sakaguchi", {"gamma": 0.0}, "0.25737441516844217"),
+    ("ks-sakaguchi", {"gamma": 0.2}, "0.31564190103904366"),
+    ("ks-wang", {"alpha": 0.5, "beta": 1.0}, "0.2979233101641058"),
+    ("ks-wang", {"alpha": 0.25, "beta": 0.5}, "0.4657301226550317"),
+    ("sc-lemniscate", {"s": 0.5}, "0.3040402215515769"),
+    ("sc-lemniscate", {"s": 0.6}, "0.2605657770069683"),
+    ("sc-sakaguchi", {"gamma": 0.25}, "0.2360679774998517"),
+    ("sc-sakaguchi", {"gamma": 0.6}, "0.38784910553254137"),
+    ("sc-expblend", {"alpha": 0.03}, "0.3269921740051814"),
+    ("sc-expblend", {"alpha": 0.3}, "0.41445302640536286"),
+    ("sc-janowski-b0", {"A": 0.9}, "0.3081098593471779"),
+    ("sc-janowski-b0", {"A": 0.5}, "0.4776700622629051"),
+    ("sc-janowski", {"A": 1.0, "B": -1.0}, "0.17157287525374154"),
+    ("sc-janowski", {"A": 1.0, "B": -0.5}, "0.21178508605039498"),
+    # B = 0 has nonnegative coefficients: the sc-janowski-b0 bits above
+    ("sc-janowski", {"A": 0.9, "B": 0.0}, "0.3081098593471779"),
+    ("sc-janowski", {"A": 0.5, "B": 0.0}, "0.4776700622629051"),
+]
+
+
 class TestClosedForms:
     def test_sc_sakaguchi_base_case_is_algebraic(self):
         # r + 2 sqrt(r) - 1 = 0 -> r = 3 - 2 sqrt(2)
@@ -383,28 +405,7 @@ class TestClosedForms:
         assert abs(closed.r_f - general.r_f) <= 1e-7
         assert (closed.sharp, closed.notes) == (general.sharp, general.notes)
 
-    @pytest.mark.parametrize(
-        "eid,params,r_f",
-        [
-            ("ks-sakaguchi", {"gamma": 0.0}, "0.25737441516844217"),
-            ("ks-sakaguchi", {"gamma": 0.2}, "0.31564190103904366"),
-            ("ks-wang", {"alpha": 0.5, "beta": 1.0}, "0.2979233101641058"),
-            ("ks-wang", {"alpha": 0.25, "beta": 0.5}, "0.4657301226550317"),
-            ("sc-lemniscate", {"s": 0.5}, "0.3040402215515769"),
-            ("sc-lemniscate", {"s": 0.6}, "0.2605657770069683"),
-            ("sc-sakaguchi", {"gamma": 0.25}, "0.2360679774998517"),
-            ("sc-sakaguchi", {"gamma": 0.6}, "0.38784910553254137"),
-            ("sc-expblend", {"alpha": 0.03}, "0.3269921740051814"),
-            ("sc-expblend", {"alpha": 0.3}, "0.41445302640536286"),
-            ("sc-janowski-b0", {"A": 0.9}, "0.3081098593471779"),
-            ("sc-janowski-b0", {"A": 0.5}, "0.4776700622629051"),
-            ("sc-janowski", {"A": 1.0, "B": -1.0}, "0.17157287525374154"),
-            ("sc-janowski", {"A": 1.0, "B": -0.5}, "0.21178508605039498"),
-            # B = 0 has nonnegative coefficients: the sc-janowski-b0 bits above
-            ("sc-janowski", {"A": 0.9, "B": 0.0}, "0.3081098593471779"),
-            ("sc-janowski", {"A": 0.5, "B": 0.0}, "0.4776700622629051"),
-        ],
-    )
+    @pytest.mark.parametrize("eid,params,r_f", CLOSED_FORM_BITS)
     def test_closed_form_bits(self, eid, params, r_f):
         assert repr(solve_corollary_closed_form(eid, params).r_f) == r_f
 
