@@ -217,8 +217,13 @@ class PhiSpec:
             raise ParameterError(
                 f"{self.family} takes parameters {fam.names}, got {len(self.params)} values"
             )
-        what = f"{self.family} requires " + fam.box.format(*map(repr, self.params))
-        object.__setattr__(self, "params", tuple(as_real(p, what) for p in self.params))
+        try:
+            params = tuple(as_real(p, "") for p in self.params)
+        except ParameterError:  # the message shows every value as given
+            raise ParameterError(
+                f"{self.family} requires " + fam.box.format(*map(repr, self.params))
+            ) from None
+        object.__setattr__(self, "params", params)
         if not fam.admits(*self.params):
             raise ParameterError(f"{self.family} requires " + fam.box.format(*self.params))
 

@@ -33,8 +33,9 @@ class BudgetError(BohrccError, RuntimeError):
 
 class NoRootError(BohrccError, RuntimeError):
     """A radius equation's lhs stays below its target on the whole interval
-    the solver resolves ((0, 0.999] for ``solve_radius``), so any root lies
-    closer to 1.  Near-identity shape functions do this."""
+    the solver resolves ((0, 0.999] for ``solve_radius``, (0, 1 - 1e-12] for
+    a corollary), so any root lies closer to 1.  Near-identity shape
+    functions do this."""
 
 
 class InconsistencyError(BohrccError, RuntimeError):

@@ -65,6 +65,7 @@ import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from functools import cache, lru_cache
+from itertools import accumulate, repeat
 from typing import Callable, Mapping, Sequence
 
 from . import power_series as ps
@@ -106,10 +107,8 @@ MIN_ORDER = 8
 def _scan_grid() -> tuple[float, ...]:
     """0, 1e-3, 2e-3, ..., 0.999, accumulated step by step: bisection
     starts from one of these cells, so its floats fix the radius bits."""
-    grid = [0.0]
-    while grid[-1] < _SCAN_LIMIT:
-        grid.append(min(grid[-1] + _SCAN_STEP, _SCAN_LIMIT))
-    return tuple(grid)
+    steps = repeat(_SCAN_STEP, round(_SCAN_LIMIT / _SCAN_STEP))
+    return tuple(accumulate(steps, lambda g, step: min(g + step, _SCAN_LIMIT), initial=0.0))
 
 
 _SCAN_GRID = _scan_grid()
@@ -322,6 +321,11 @@ def _bisect(reached: Callable[[float], bool], lo: float, hi: float, width: float
     return lo, hi
 
 
+def _root_at_most_third(lhs: Callable[[float], float], rhs: float) -> bool:
+    """Whether the first root of lhs = rhs, lhs nondecreasing, is at most 1/3."""
+    return bool(lhs(_ONE_THIRD) >= rhs)
+
+
 def _radius_result(
     class_id: ClassId,
     spec: PhiSpec,
@@ -333,23 +337,23 @@ def _radius_result(
     """The result for a final bracket [lo, hi] of lhs = target.
 
     Sharpness is only claimed where it is proved: the Sc class with a
-    nonnegative coefficient spec (so that M_h = h) and a root at or below
-    1/3, where the extremal member itself attains the bound.  Other results
-    are lower bounds on the class Bohr radius.
+    nonnegative coefficient spec (so that M_h = h) and h(1/3) >= -h(-1),
+    whichever route found r_f, where the extremal member attains the bound.
+    Other results are lower bounds on the class Bohr radius.
     """
     r_f = 0.5 * (lo + hi)
     residual = abs(lhs(r_f) - target)
-    sharp = bool(
-        class_id is ClassId.SC and has_positive_coeffs(spec) and r_f <= _ONE_THIRD + 1e-12
-    )
+    proved = class_id is ClassId.SC and has_positive_coeffs(spec)
+    within = _root_at_most_third(*_sc_growth_parts(spec)) if proved else r_f <= _ONE_THIRD
+    sharp = proved and within
     if sharp:
         notes = "sharp: the extremal member attains the coefficient bound at r_f"
-    elif class_id is ClassId.SC and r_f > _ONE_THIRD:
+    elif class_id is ClassId.SC and not within:
         notes = (
             "root exceeds 1/3; the coefficient inequality holds for r <= 1/3 "
             "(capped radius governs)"
         )
-    elif r_f > _ONE_THIRD:
+    elif not within:
         notes = (
             "lower bound on the class Bohr radius (no sharpness claim); "
             "the coefficient inequality holds for r <= 1/3"
@@ -459,7 +463,8 @@ def _free_names(equation_id: str) -> tuple[str, ...]:
 
 def _closed_form(equation_id: str, params: Mapping[str, float]):
     """(class, spec, lhs, rhs) of the equation, its free parameters read
-    from params and the rest fixed; the spec checks the ranges."""
+    from params, which may hold no other key, and the rest fixed; the spec
+    checks the ranges."""
     if equation_id not in CLOSED_FORM_EQUATIONS:
         raise ParameterError(
             f"unknown equation {equation_id!r}; expected one of {sorted(CLOSED_FORM_EQUATIONS)}"
@@ -469,6 +474,9 @@ def _closed_form(equation_id: str, params: Mapping[str, float]):
     missing = [n for n in names if n not in params]
     if missing:
         raise ParameterError(f"{equation_id} needs parameters {names}, missing {missing}")
+    extra = [n for n in params if n not in names]
+    if extra:
+        raise ParameterError(f"{equation_id} takes parameters {names}, not {extra}")
     spec = PhiSpec(family, tuple({**params, **fixed}[n] for n in FAMILIES[family].names))
     return (class_id, spec, *parts_builder(spec))
 
@@ -480,18 +488,14 @@ def solve_corollary_closed_form(equation_id: str, params: Mapping[str, float]) -
     janowski(A, -1), and h(r) = -h(-1) with h from ``extremal`` (the Sc rows
     admit only nonnegative coefficients, where M_h = h); ks-wang reads the
     general Ks pieces, ``lhs_at`` and ``distance_integral_at``, at tolerance
-    1e-13.  Each agrees with ``solve_radius`` on its spec to 1e-7; a root
-    past 1/3 is noted as leaving the capped radius to govern.
+    1e-13.  Bisection of (0, 1) to width 1e-12 reads lhs at midpoints only,
+    never at the pole some lhs have at 1, so ``NoRootError`` means no root
+    up to 1 - 1e-12.  Each agrees with ``solve_radius`` on its spec to 1e-7.
     """
     class_id, spec, lhs, rhs = _closed_form(equation_id, params)
-    # walk the upper end toward 1 only as far as needed; several lhs have
-    # a pole at 1 that the quadrature-backed variants should not probe
-    hi = 0.9
-    while lhs(hi) - rhs < 0.0:
-        if 1.0 - hi < 1e-9:
-            raise NoRootError(f"{equation_id} equation shows no root in (0, 1)")
-        hi = 1.0 - 0.25 * (1.0 - hi)
-    lo, hi = _bisect(lambda r: lhs(r) >= rhs, 0.0, hi, 1e-12)
+    lo, hi = _bisect(lambda r: lhs(r) >= rhs, 0.0, 1.0, 1e-12)
+    if hi == 1.0:  # lhs stayed below rhs at every midpoint
+        raise NoRootError(f"{equation_id} equation shows no root in (0, 1 - 1e-12]")
     return _radius_result(class_id, spec, lhs, rhs, lo, hi)
 
 
@@ -553,8 +557,8 @@ SCAN_EQUATIONS = tuple(sorted(e for e in CLOSED_FORM_EQUATIONS if len(_free_name
 
 def threshold_scan(equation_id: str, params: Sequence[float]) -> ThresholdScan:
     """Sweep a monotone parameter grid, reporting the radius and whether it
-    falls in the open sharp window (0, 1/3), then bracket and refine the
-    parameter where it crosses 1/3, all three by the one test lhs(1/3) > rhs."""
+    falls in the sharp window (0, 1/3], then bracket and refine the parameter
+    where it crosses 1/3, all three by the sharp verdict's test lhs(1/3) >= rhs."""
     if equation_id not in SCAN_EQUATIONS:
         raise ParameterError(
             f"scan needs a one-parameter equation, got {equation_id!r}; expected one of "
@@ -565,19 +569,18 @@ def threshold_scan(equation_id: str, params: Sequence[float]) -> ThresholdScan:
     if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ParameterError("parameter grid must be increasing with at least two points")
 
-    def below_third(p: float) -> bool:
-        _, _, lhs, rhs = _closed_form(equation_id, {name: p})
-        return lhs(_ONE_THIRD) > rhs
+    def within(p: float) -> bool:
+        return _root_at_most_third(*_closed_form(equation_id, {name: p})[2:])
 
     rows = tuple(
-        ThresholdRow(p, solve_corollary_closed_form(equation_id, {name: p}).r_f, below_third(p))
+        ThresholdRow(p, solve_corollary_closed_form(equation_id, {name: p}).r_f, within(p))
         for p in grid
     )
     bracket = threshold = None
     for a, b in zip(rows, rows[1:]):
         if a.in_sharp_window != b.in_sharp_window:
             bracket = (a.param, b.param)
-            lo, hi = _bisect(lambda p: below_third(p) != a.in_sharp_window, *bracket, 1e-9)
+            lo, hi = _bisect(lambda p: within(p) != a.in_sharp_window, *bracket, 1e-9)
             threshold = 0.5 * (lo + hi)
             break
     return ThresholdScan(equation_id, rows, bracket, threshold)

@@ -6,16 +6,19 @@ the row's fixed parameters set) it must give ``solve_radius``'s radius on
 the same spec within 1e-7, with the same sharpness verdict and notes.  Two
 outcomes are not radii, and both are documented: an Sc row refuses a spec
 whose phi mixes signs (its lhs is M_h, not h), and ``solve_radius`` raises
-``NoRootError`` for a root past 0.999, the end of its grid.
+``NoRootError`` for a root past 0.999, the end of its grid (a corollary
+finds roots up to 1 - 1e-12).
 
-A threshold scan decides "root below 1/3" by lhs(1/3) > rhs alone.  On a
-drawn increasing grid it must find the crossing (gamma = 1/2 for
-sc-sakaguchi, A = (3/4) ln 3 for sc-janowski-b0) within 1e-9 when the grid
-straddles it, and report no threshold when it does not, grid points within
-1e-13 of the crossing included.  Within 1e-15 of it the predicate may read
-either side (it misjudged only the float next to the crossing in a sweep
-of 2,000 floats each side), so such a point may or may not open a bracket,
-but any threshold still lies within 1e-9.
+A threshold scan decides "root at most 1/3" by lhs(1/3) >= rhs alone, the
+test that also decides an Sc result's ``sharp``, so each row's flag is the
+sharp verdict of its corollary.  On a drawn increasing grid it must find
+the crossing (gamma = 1/2 for sc-sakaguchi, A = (3/4) ln 3 for
+sc-janowski-b0) within 1e-9 when the grid straddles it, and report no
+threshold when it does not, grid points within 1e-13 of the crossing
+included.  Within 1e-15 of it the predicate may read either side (it
+misjudged only the float next to the crossing in a sweep of 2,000 floats
+each side), so such a point may or may not open a bracket, but any
+threshold still lies within 1e-9.
 """
 
 import math
@@ -64,7 +67,7 @@ def _check_agreement(eid: str, free: dict):
         return
     try:
         closed = solve_corollary_closed_form(eid, free)
-    except NoRootError:  # no root below 1 - 1e-9: none on the general solver's grid either
+    except NoRootError:  # no root below 1 - 1e-12: none on the general solver's grid either
         with pytest.raises(NoRootError):
             solve_radius(class_id, spec)
         return
@@ -118,12 +121,13 @@ def _check_threshold(eid: str, grid: list[float]):
     name, crossing, window_below = CROSSINGS[eid]
     try:
         scan = threshold_scan(eid, grid)
-    except NoRootError:  # the root farthest from the window lies past 1 - 1e-9
+    except NoRootError:  # the root farthest from the window lies past 1 - 1e-12
         with pytest.raises(NoRootError):
             solve_corollary_closed_form(eid, {name: grid[-1] if window_below else grid[0]})
         return
     clear = [p for p in grid if abs(p - crossing) >= _BAND]
     for row in scan.rows:
+        assert row.in_sharp_window == solve_corollary_closed_form(eid, {name: row.param}).sharp
         if abs(row.param - crossing) >= _BAND:
             assert row.in_sharp_window == ((row.param < crossing) == window_below), (eid, row)
     sides = {p < crossing for p in clear}

@@ -20,9 +20,10 @@ from functools import cache
 
 import pytest
 from oracle import cc_root, cs_lhs, cs_root, cs_target, janowski_mixed_root, ks_root, sc_root
+from test_solver import CLOSED_FORM_BITS
 
 from bohrcc.catalog import expblend, janowski, lemniscate, sakaguchi, strongly, wang
-from bohrcc.solver import ClassId, solve_corollary_closed_form, solve_radius
+from bohrcc.solver import ClassId, _closed_form, solve_corollary_closed_form, solve_radius
 
 CANONICAL = [
     janowski(1.0, -1.0),
@@ -77,6 +78,15 @@ def test_ks_solver_brackets_the_oracle_root(spec):
 def test_ks_closed_form_matches_the_oracle_root(eid, params, spec):
     res = solve_corollary_closed_form(eid, params)
     assert abs(res.r_f - ks_oracle_root(spec)) <= 1e-11
+
+
+@pytest.mark.parametrize("eid,params", [(e, p) for e, p, _ in CLOSED_FORM_BITS])
+def test_each_pinned_corollary_brackets_the_oracle_root(eid, params):
+    # bisection to width 2^-40 puts r_f within 4.6e-13 of the root
+    class_id, spec, _, _ = _closed_form(eid, params)
+    root = (ks_oracle_root if class_id is ClassId.KS else oracle_root)(spec)
+    lo, hi = solve_corollary_closed_form(eid, params).bracket
+    assert lo <= root <= hi
 
 
 def test_cc_radius_of_janowski_1_minus_1_is_one_third():

@@ -115,6 +115,24 @@ class TestSharpness:
         assert not res.sharp
         assert "lower bound" in res.notes
 
+    def test_the_root_at_one_third_has_one_verdict(self):
+        # sakaguchi(1/2) and janowski(0, -1) are both 1/(1 - z), so h(r) =
+        # r/(1 - r) meets -h(-1) = 1/2 at r = 1/3 exactly; h(1/3) + h(-1)
+        # reads -1.1e-16, and every route reads the root as past 1/3
+        results = [
+            solve_radius(ClassId.SC, sakaguchi(0.5)),
+            solve_radius(ClassId.SC, janowski(0.0, -1.0)),
+            solve_corollary_closed_form("sc-sakaguchi", {"gamma": 0.5}),
+            solve_corollary_closed_form("sc-janowski", {"A": 0.0, "B": -1.0}),
+        ]
+        scan = threshold_scan("sc-sakaguchi", [0.45, 0.5])
+        assert [res.sharp for res in results] + [scan.rows[1].in_sharp_window] == [False] * 5
+        assert {res.notes for res in results} == {
+            "root exceeds 1/3; the coefficient inequality holds for r <= 1/3 (capped radius governs)"
+        }
+        # r_f lands on either side of 1/3: the general solve's below it, the corollaries' above
+        assert all(res.bracket[0] <= 1 / 3 <= res.bracket[1] for res in results)
+
     def test_witness_attains_bound(self):
         spec = sakaguchi(0.0)
         res = solve_radius(ClassId.SC, spec)
@@ -334,23 +352,23 @@ class TestRadiusResultInvariants:
 
 #: (equation, parameters, repr of r_f) of corollary solves, pinned to the last bit
 CLOSED_FORM_BITS = [
-    ("ks-sakaguchi", {"gamma": 0.0}, "0.25737441516844217"),
-    ("ks-sakaguchi", {"gamma": 0.2}, "0.31564190103904366"),
-    ("ks-wang", {"alpha": 0.5, "beta": 1.0}, "0.2979233101641058"),
-    ("ks-wang", {"alpha": 0.25, "beta": 0.5}, "0.4657301226550317"),
-    ("sc-lemniscate", {"s": 0.5}, "0.3040402215515769"),
-    ("sc-lemniscate", {"s": 0.6}, "0.2605657770069683"),
-    ("sc-sakaguchi", {"gamma": 0.25}, "0.2360679774998517"),
-    ("sc-sakaguchi", {"gamma": 0.6}, "0.38784910553254137"),
-    ("sc-expblend", {"alpha": 0.03}, "0.3269921740051814"),
-    ("sc-expblend", {"alpha": 0.3}, "0.41445302640536286"),
-    ("sc-janowski-b0", {"A": 0.9}, "0.3081098593471779"),
-    ("sc-janowski-b0", {"A": 0.5}, "0.4776700622629051"),
-    ("sc-janowski", {"A": 1.0, "B": -1.0}, "0.17157287525374154"),
-    ("sc-janowski", {"A": 1.0, "B": -0.5}, "0.21178508605039498"),
+    ("ks-sakaguchi", {"gamma": 0.0}, "0.2573744151691244"),
+    ("ks-sakaguchi", {"gamma": 0.2}, "0.3156419010388163"),
+    ("ks-wang", {"alpha": 0.5, "beta": 1.0}, "0.29792331016369644"),
+    ("ks-wang", {"alpha": 0.25, "beta": 0.5}, "0.4657301226557138"),
+    ("sc-lemniscate", {"s": 0.5}, "0.30404022155153143"),
+    ("sc-lemniscate", {"s": 0.6}, "0.2605657770068319"),
+    ("sc-sakaguchi", {"gamma": 0.25}, "0.2360679774997152"),
+    ("sc-sakaguchi", {"gamma": 0.6}, "0.38784910553249574"),
+    ("sc-expblend", {"alpha": 0.03}, "0.32699217400522684"),
+    ("sc-expblend", {"alpha": 0.3}, "0.4144530264052264"),
+    ("sc-janowski-b0", {"A": 0.9}, "0.308109859347951"),
+    ("sc-janowski-b0", {"A": 0.5}, "0.4776700622628596"),
+    ("sc-janowski", {"A": 1.0, "B": -1.0}, "0.17157287525378706"),
+    ("sc-janowski", {"A": 1.0, "B": -0.5}, "0.2117850860499857"),
     # B = 0 has nonnegative coefficients: the sc-janowski-b0 bits above
-    ("sc-janowski", {"A": 0.9, "B": 0.0}, "0.3081098593471779"),
-    ("sc-janowski", {"A": 0.5, "B": 0.0}, "0.4776700622629051"),
+    ("sc-janowski", {"A": 0.9, "B": 0.0}, "0.308109859347951"),
+    ("sc-janowski", {"A": 0.5, "B": 0.0}, "0.4776700622628596"),
 ]
 
 
@@ -410,15 +428,22 @@ class TestClosedForms:
         assert repr(solve_corollary_closed_form(eid, params).r_f) == r_f
 
     @pytest.mark.parametrize("a", [0.01, 0.001])
-    def test_root_past_the_first_upper_end(self, a):
-        # r e^{Ar} = e^{-A} puts the root past 0.9, so the upper end walks toward 1
+    def test_root_past_0_9(self, a):
+        # r e^{Ar} = e^{-A} puts the root past 0.9
         want = lambertw(a * math.exp(-a)).real / a
         assert solve_corollary_closed_form("sc-janowski-b0", {"A": a}).r_f == pytest.approx(want, abs=1e-12)
 
     def test_no_root_below_one(self):
-        # the root 1 - 2e-12 lies past the last upper end the walk tries
-        with pytest.raises(NoRootError, match=r"^sc-janowski-b0 equation shows no root in \(0, 1\)$"):
-            solve_corollary_closed_form("sc-janowski-b0", {"A": 1e-12})
+        # the root is about 1 - 2A: bisection of (0, 1) to width 1e-12 finds
+        # it at A = 1e-12, and at A = 1e-14 the lhs stays below the rhs at
+        # every midpoint, the last one 1 - 2^-40
+        a = 1e-12
+        want = lambertw(a * math.exp(-a)).real / a
+        assert solve_corollary_closed_form("sc-janowski-b0", {"A": a}).r_f == pytest.approx(want, abs=1e-12)
+        with pytest.raises(
+            NoRootError, match=r"^sc-janowski-b0 equation shows no root in \(0, 1 - 1e-12\]$"
+        ):
+            solve_corollary_closed_form("sc-janowski-b0", {"A": 1e-14})
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
@@ -431,6 +456,20 @@ class TestClosedForms:
                 solve_corollary_closed_form("sc-janowski", {"A": 0.9, "B": b})
         with pytest.raises(ParameterError):
             solve_corollary_closed_form("sc-lemniscate", {"s": 0.9})
+
+    @pytest.mark.parametrize(
+        "eid, params, extra",
+        [
+            # B is a family parameter that sc-janowski-b0 fixes
+            ("sc-janowski-b0", {"A": 0.9, "B": 0.5}, "['B']"),
+            ("sc-lemniscate", {"s": 0.5, "gamma": 7}, "['gamma']"),
+            ("ks-wang", {"alpha": 0.5, "A": 1.0, "beta": 1.0, "s": 0.5}, "['A', 's']"),
+        ],
+    )
+    def test_extra_parameters_are_named(self, eid, params, extra):
+        names = solver._free_names(eid)
+        with pytest.raises(ParameterError, match=re.escape(f"{eid} takes parameters {names}, not {extra}")):
+            solve_corollary_closed_form(eid, params)
 
     @pytest.mark.parametrize(
         "eid, names",
@@ -490,9 +529,9 @@ class TestThresholdScan:
         assert scan.bracket is None and scan.threshold is None
         assert not any(row.in_sharp_window for row in scan.rows)
 
-    def test_a_root_at_one_third_is_outside_the_open_window(self):
-        # sakaguchi(1/2) has the root 1/3 exactly; its bisection midpoint reads
-        # a few 1e-13 below it, but the window test reads lhs(1/3) > rhs
+    def test_a_root_at_one_third_reads_outside_the_window(self):
+        # sakaguchi(1/2) has the root 1/3 exactly, but h(1/3) + h(-1) reads
+        # -1.1e-16, so the closed window's test lhs(1/3) >= rhs fails there
         scan = threshold_scan("sc-sakaguchi", [0.499, 0.5])
         assert scan.rows[1].r_f == pytest.approx(1 / 3, abs=1e-12)
         assert [row.in_sharp_window for row in scan.rows] == [True, False]

@@ -11,8 +11,10 @@ family's formulas in the catalog's ``FAMILIES`` records, a class's kernel
 in ``solver.kernel_series`` and its transform T in ``ClassId`` (``nested``
 and ``transform``), K' in ``extremal.extremal_kernels``, one evaluator
 form per pointwise quantity, a family's parameters behind
-``catalog.as_janowski`` and ``formulas_of`` for the solver, and the
-integer and real argument checks in ``errors.as_int`` and ``as_real``.
+``catalog.as_janowski`` and ``formulas_of`` for the solver, the integer
+and real argument checks in ``errors.as_int`` and ``as_real``, and the test
+"root at most 1/3" in ``solver._root_at_most_third``, with no slack.  The
+solver's one loop is the bisection in ``solver._bisect``.
 """
 
 from __future__ import annotations
@@ -165,6 +167,12 @@ GREP_RULES = {
         ("errors.py",),
         "a hand-written integer or bool check: route the argument through errors.as_int or as_real",
     ),
+    "one-third-has-no-slack": (
+        r"_ONE_THIRD\s*[-+]",
+        ("solver.py",),
+        (),
+        "a slack on 1/3: decide \"root at most 1/3\" by solver._root_at_most_third alone",
+    ),
     "spec-keyed-wrapper": (
         r"def ((phi|majorant_phi|h|k_prime|K_prime)_at|growth_exponent)\b",
         (),
@@ -186,3 +194,12 @@ def test_grep_rule(rule):
         if regex.search(line)
     ]
     assert not hits, why + "\n" + "\n".join(hits)
+
+
+def test_the_one_loop_in_solver_is_the_bisection():
+    tree = _modules()["solver.py"]
+    bisect = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_bisect")
+    loops = [n for n in ast.walk(tree) if isinstance(n, ast.While)]
+    assert len(loops) == 1 and loops[0] in list(ast.walk(bisect)), (
+        "solver.py has a while loop outside _bisect: bracket every root and threshold with _bisect"
+    )
