@@ -44,7 +44,7 @@ print("half-plane check: k coefficients are 0, 1, 1, 1, ...:", np.round(k[:6], 1
 # exp(G(t^2) / 2) with G the growth exponent: the bundle builds its series
 # from G's, the evaluator gives it pointwise, and z K'(z) squares to h(z^2).
 t = 0.4
-series_val = ps.eval_at(es.K_prime, t)
+series_val = ps.evaluator(es.K_prime)(t)
 pointwise = math.exp(0.5 * growth_evaluator(spec)(t * t))
 print(f"\nK'({t}) via series {series_val:.12f} vs pointwise {pointwise:.12f}")
 zKp = times_z(es.K_prime)

@@ -127,16 +127,12 @@ def _horner(top, rest, x):
     return t
 
 
-def eval_at(s: TruncatedSeries, x: float, tail_tol: float | None = None) -> float:
-    """Horner evaluation of the stored coefficients at |x| < 1, bit-identical
-    to numpy's ``polyval``; with ``tail_tol`` given, a :class:`PrecisionError`
-    when the geometric tail heuristic at this radius exceeds it."""
-    return evaluator(s, tail_tol)(x)
-
-
 def evaluator(s: TruncatedSeries, tail_tol: float | None = None) -> Callable[[float], float]:
-    """``eval_at(s, ., tail_tol)`` as one function, with the coefficient
-    list reversed and the tail's leading coefficient read off s once."""
+    """Horner evaluation of the stored coefficients at |x| < 1, bit-identical
+    to numpy's ``polyval``, as one function of x, with the coefficient list
+    reversed and the tail's leading coefficient read off s once; with
+    ``tail_tol`` given, a :class:`PrecisionError` when the geometric tail
+    heuristic at the radius |x| exceeds it."""
     c = s.coeffs.tolist()
     last, n = abs(c[-1]), s.order
     top, *rest = c[::-1]

@@ -179,13 +179,10 @@ def lhs_integrand(
 
     For Ks and Sc this is the full 1-D integrand; for Cc and Cs it is the
     inner integrand of the nested double integral.  All four equal 1 at
-    t = 0.  Memoized by value, however the order is spelled.
+    t = 0.  Built on each call, in microseconds: it binds the spec's
+    evaluators, and a mixed-sign kernel series comes from the cached bundle.
     """
-    return _lhs_integrand(class_id, spec, ps.as_order(order))
-
-
-@lru_cache(maxsize=SPEC_CACHE_SIZE)
-def _lhs_integrand(class_id: ClassId, spec: PhiSpec, order: int) -> Callable[[float], float]:
+    order = ps.as_order(order)
     m_phi = majorant_phi_evaluator(spec)
     if class_id is ClassId.KS:
         return lambda t: m_phi(t) / (1.0 - t * t)
@@ -240,7 +237,7 @@ def lhs_at(
 ) -> float:
     """The class lhs at radius r by either evaluation route."""
     if method == "series":
-        return ps.eval_at(_series_lhs_curve(class_id, spec, order), r)
+        return ps.evaluator(_series_lhs_curve(class_id, spec, order))(r)
     if method != "quadrature":
         raise ParameterError(f"unknown method {method!r}")
     return _integrate(class_id, lhs_integrand(class_id, spec, order), r, tol)

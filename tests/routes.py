@@ -194,7 +194,7 @@ def distance_integral_at(
     """The distance-bound integral at radius r (Ks and Cs only) by either
     route: production's quadrature, or the series oracle."""
     if method == "series":
-        return ps.eval_at(_series_distance_curve(class_id, spec, order), r)
+        return ps.evaluator(_series_distance_curve(class_id, spec, order))(r)
     if method != "quadrature":
         raise ParameterError(f"unknown method {method!r}")
     return solver.distance_integral_at(class_id, spec, r, tol)
@@ -214,8 +214,8 @@ def check_subordination_lemma(
     if not grid or any(not (0.0 < r <= 1.0 / 3.0) for r in grid):
         raise ParameterError("r_grid must lie in (0, 1/3]")
     q = compose_with_selfmap(f, to_series(omega, f.order))
-    mf, mq = ps.majorant(f), ps.majorant(q)
-    return all(ps.eval_at(mq, r) <= ps.eval_at(mf, r) + 1e-10 for r in grid)
+    mf, mq = ps.evaluator(ps.majorant(f)), ps.evaluator(ps.majorant(q))
+    return all(mq(r) <= mf(r) + 1e-10 for r in grid)
 
 
 def series_has_positive_coeffs(spec: PhiSpec) -> bool:

@@ -30,19 +30,18 @@ def clear_all():
 
 
 #: the package's spec caches: each holds work that a workload reuses (phi's
-#: series, a bundle, a table, an integrand, a target or a solve), never a
-#: closure that rebuilds in about a microsecond
+#: series, a bundle, a table, a target or a solve), never a closure that
+#: rebuilds in microseconds, such as a spec's lhs integrand
 KEPT = {
     "catalog._phi_series",
     "extremal._build_extremal",
     "extremal._growth_table",
-    "solver._lhs_integrand",
     "solver._target_constant",
     "solver._solve_cached",
 }
 
 
-def test_the_caches_are_the_kept_six():
+def test_the_caches_are_the_kept_five():
     assert set(package_caches()) == KEPT
 
 
@@ -63,11 +62,7 @@ def test_sweep_over_many_specs_stays_bounded():
             routes.distance_integral_at(ClassId.KS, spec, 0.2, "series", 8)
             solver.lhs_integrand(ClassId.SC, spec, 8)(0.2)
         infos = {name: c.cache_info() for name, c in package_caches().items()}
-        for name in (
-            "extremal._build_extremal",
-            "solver._target_constant",
-            "solver._lhs_integrand",
-        ):
+        for name in ("extremal._build_extremal", "solver._target_constant"):
             assert infos[name].misses == 300, name
             assert infos[name].currsize == SPEC_CACHE_SIZE, name
         # phi at the sweep's order 8 only: the positivity check builds no series
@@ -104,17 +99,6 @@ def test_caches_key_on_values_not_on_spelling():
                 (ClassId.CS, spec, np.int64(64)),
             ],
             [{}, {}, {"order": 64, "tol": 1e-10}, {"tol": np.float64(1e-10)}],
-        ),
-        (
-            solver.lhs_integrand,
-            solver._lhs_integrand,
-            [
-                (ClassId.CC, spec),
-                (ClassId.CC, spec, 64),
-                (ClassId.CC, spec),
-                (ClassId.CC, spec, np.int64(64)),
-            ],
-            [{}, {}, {"order": 64}, {}],
         ),
     ]
     clear_all()

@@ -227,9 +227,10 @@ class TestPointwise:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_series_agrees_with_closed_form(self, spec):
         s, phi = phi_series(spec, 64), phi_evaluator(spec)
+        series = ps.evaluator(s)
         for x in np.linspace(-0.9, 0.9, 13):
             tail = ps._tail_hint(abs(float(s.coeffs[-1])), s.order, abs(x))
-            assert abs(ps.eval_at(s, x) - phi(float(x))) <= 1e-10 + tail
+            assert abs(series(x) - phi(float(x))) <= 1e-10 + tail
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_positive_on_diameter(self, spec):
@@ -270,15 +271,15 @@ class TestPositivity:
     def test_majorant_identity_for_positive(self, spec):
         if not has_positive_coeffs(spec):
             pytest.skip("mixed signs")
-        maj = ps.majorant(phi_series(spec, 64))
+        maj = ps.evaluator(ps.majorant(phi_series(spec, 64)))
         for r in (0.1, 0.2, 1.0 / 3.0):
-            assert abs(ps.eval_at(maj, r) - phi_evaluator(spec)(r)) <= 1e-12
+            assert abs(maj(r) - phi_evaluator(spec)(r)) <= 1e-12
 
     def test_majorant_closed_form_mixed_signs(self):
         spec = janowski(0.5, 0.25)
-        maj = ps.majorant(phi_series(spec, 64))
+        maj = ps.evaluator(ps.majorant(phi_series(spec, 64)))
         for r in (0.1, 0.3, 0.5):
-            assert majorant_phi_evaluator(spec)(r) == pytest.approx(ps.eval_at(maj, r), abs=1e-12)
+            assert majorant_phi_evaluator(spec)(r) == pytest.approx(maj(r), abs=1e-12)
 
 
 class TestMinMaxHypothesis:

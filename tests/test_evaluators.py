@@ -304,4 +304,3 @@ def test_series_evaluator_matches_eval_route(order):
             for x in points:
                 want = outcome(old_eval_at, s, x, tail_tol)
                 assert outcome(new, x) == want, (x, tail_tol)
-                assert outcome(ps.eval_at, s, x, tail_tol) == want, (x, tail_tol)

@@ -277,21 +277,21 @@ class TestGuards:
 class TestPointwiseEvaluators:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_h_series_matches_pointwise(self, spec):
-        h, h_pointwise = shift_up(build_extremal(spec).k_prime), h_evaluator(spec)
+        h, h_pointwise = ps.evaluator(shift_up(build_extremal(spec).k_prime)), h_evaluator(spec)
         for x in (-0.4, -0.1, 0.2, 1 / 3):
-            assert ps.eval_at(h, x) == pytest.approx(h_pointwise(x), abs=1e-11)
+            assert h(x) == pytest.approx(h_pointwise(x), abs=1e-11)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_k_series_matches_pointwise(self, spec):
-        k = integrate_from_zero(build_extremal(spec).k_prime)
+        k = ps.evaluator(integrate_from_zero(build_extremal(spec).k_prime))
         for x in (-0.4, 0.25, 1 / 3):
-            assert ps.eval_at(k, x) == pytest.approx(k_at(spec, x), abs=1e-10)
+            assert k(x) == pytest.approx(k_at(spec, x), abs=1e-10)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
     def test_K_prime_series_vs_pointwise_sqrt(self, spec):
-        es, growth = build_extremal(spec), growth_evaluator(spec)
+        series, growth = ps.evaluator(build_extremal(spec).K_prime), growth_evaluator(spec)
         for t in (0.1, 0.3, 0.5):
-            series_val = ps.eval_at(es.K_prime, t)
+            series_val = series(t)
             assert series_val == pytest.approx(math.exp(0.5 * growth(t * t)), abs=1e-11)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())

@@ -197,9 +197,10 @@ class TestIntegrate:
         rng = np.random.default_rng(2024)
         g = ps.TruncatedSeries(rng.normal(size=20))
         curve = integrate_from_zero(ps.majorant(g))
+        m_g, at = ps.evaluator(ps.majorant(g)), ps.evaluator(curve)
         for r in (0.1, 0.25, 1.0 / 3.0):
-            direct = quad(lambda t: ps.eval_at(ps.majorant(g), t), 0.0, r, epsabs=1e-12)[0]
-            assert abs(ps.eval_at(curve, r) - direct) <= 1e-9
+            direct = quad(m_g, 0.0, r, epsabs=1e-12)[0]
+            assert abs(at(r) - direct) <= 1e-9
 
 
 class TestMajorant:
@@ -213,31 +214,31 @@ class TestMajorant:
 
     def test_value(self):
         s = ps.TruncatedSeries([0, 1, 0, -1])
-        assert ps.eval_at(ps.majorant(s), 0.5) == pytest.approx(0.625, abs=1e-15)
+        assert ps.evaluator(ps.majorant(s))(0.5) == pytest.approx(0.625, abs=1e-15)
 
 
 class TestEval:
     def test_geometric_at_half(self):
-        assert ps.eval_at(geometric(64), 0.5) == pytest.approx(2.0, abs=1e-15)
+        assert ps.evaluator(geometric(64))(0.5) == pytest.approx(2.0, abs=1e-15)
 
     def test_at_zero(self):
-        assert ps.eval_at(ps.TruncatedSeries([7, 1, 2]), 0.0) == 7.0
+        assert ps.evaluator(ps.TruncatedSeries([7, 1, 2]))(0.0) == 7.0
 
     def test_koebe_value(self):
         koebe = ps.TruncatedSeries(np.arange(64))  # z/(1-z)^2
-        assert ps.eval_at(koebe, 1.0 / 3.0) == pytest.approx(0.75, abs=1e-12)
+        assert ps.evaluator(koebe)(1.0 / 3.0) == pytest.approx(0.75, abs=1e-12)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            ps.eval_at(geometric(), 1.0)
+            ps.evaluator(geometric())(1.0)
         with pytest.raises(DomainError):
-            ps.eval_at(geometric(), -1.5)
+            ps.evaluator(geometric())(-1.5)
 
     def test_tail_guard(self):
         with pytest.raises(PrecisionError):
-            ps.eval_at(geometric(16), 0.9, tail_tol=1e-12)
+            ps.evaluator(geometric(16), 1e-12)(0.9)
         # passes once the tolerance is realistic for the radius
-        ps.eval_at(geometric(16), 0.8, tail_tol=1.0)
+        ps.evaluator(geometric(16), 1.0)(0.8)
 
 
 def _eval_points(seed):
@@ -258,8 +259,9 @@ class TestEvalBits:
             monomial(0.0 if order == 1 else 1.0, order - 1, order),
         ]
         for s in series:
+            at = ps.evaluator(s)
             for x in _eval_points(1000 + order):
-                got, want = ps.eval_at(s, x), float(npoly.polyval(x, s.coeffs))
+                got, want = at(x), float(npoly.polyval(x, s.coeffs))
                 assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), x
 
     def test_does_not_call_polyval(self, monkeypatch):
@@ -268,10 +270,11 @@ class TestEvalBits:
         want = [float(npoly.polyval(x, s.coeffs)) for x in xs]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("eval_at went through numpy")
+            raise AssertionError("the evaluator went through numpy")
 
         monkeypatch.setattr(npoly, "polyval", refuse)
-        assert [ps.eval_at(s, x) for x in xs] == want
+        at = ps.evaluator(s)
+        assert [at(x) for x in xs] == want
 
 
 class TestReversedEvaluator:
@@ -468,8 +471,8 @@ class TestRandomizedInvariants:
         for _ in range(100):
             a, b = self._random_series(rng), self._random_series(rng)
             r = rng.uniform(0.05, 0.95)
-            prod = ps.eval_at(ps.majorant(ps.mul(a, b)), r)
-            bound = ps.eval_at(ps.majorant(a), r) * ps.eval_at(ps.majorant(b), r)
+            prod = ps.evaluator(ps.majorant(ps.mul(a, b)))(r)
+            bound = ps.evaluator(ps.majorant(a))(r) * ps.evaluator(ps.majorant(b))(r)
             assert prod <= bound + 1e-12 * abs(bound)
 
     def test_subordination_majorant_comparison(self):
@@ -479,6 +482,7 @@ class TestRandomizedInvariants:
         for _ in range(200):
             f = self._random_series(rng)
             w = monomial(rng.uniform(0.0, 1.0), int(rng.integers(1, 6)), 16)
-            q = compose_with_selfmap(f, w)
+            m_q = ps.evaluator(ps.majorant(compose_with_selfmap(f, w)))
+            m_f = ps.evaluator(ps.majorant(f))
             for r in (0.1, 0.25, 1.0 / 3.0):
-                assert ps.eval_at(ps.majorant(q), r) <= ps.eval_at(ps.majorant(f), r) + 1e-10
+                assert m_q(r) <= m_f(r) + 1e-10

@@ -179,7 +179,7 @@ class TestSeriesVsQuadratureLhs:
             raise AssertionError("a nonnegative spec's lhs integrand built a kernel series")
 
         monkeypatch.setattr(solver, "kernel_series", refuse)
-        integrand = solver._lhs_integrand.__wrapped__(class_id, spec, 64)
+        integrand = solver.lhs_integrand(class_id, spec, 64)
         assert integrand(0.0) == 1.0
         for t in (0.1, 1 / 3, 0.5):
             assert integrand(t) == pytest.approx(series(t) * m_phi(t), rel=1e-14, abs=0.0)

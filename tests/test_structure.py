@@ -174,10 +174,10 @@ GREP_RULES = {
         "a slack on 1/3: decide \"root at most 1/3\" by solver._root_at_most_third alone",
     ),
     "spec-keyed-wrapper": (
-        r"def ((phi|majorant_phi|h|k_prime|K_prime)_at|growth_exponent)\b",
+        r"def ((phi|majorant_phi|h|k_prime|K_prime|eval)_at|growth_exponent)\b",
         (),
         (),
-        "a spec-keyed _at wrapper: bind the quantity's evaluator once instead",
+        "an _at wrapper that rebuilds an evaluator per call: bind the evaluator once instead",
     ),
 }
 

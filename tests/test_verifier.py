@@ -121,8 +121,8 @@ class TestSampleMember:
     @pytest.mark.parametrize("class_id", list(ClassId), ids=lambda c: c.value)
     def test_majorant_series_monotone_from_zero(self, class_id):
         sf = sample_member(class_id, lemniscate(0.5), SelfMap(0.5, 3))
-        maj = ps.majorant(sf.series)
-        vals = [ps.eval_at(maj, r) for r in np.linspace(0.0, 1 / 3, 9)]
+        maj = ps.evaluator(ps.majorant(sf.series))
+        vals = [maj(r) for r in np.linspace(0.0, 1 / 3, 9)]
         assert vals[0] == 0.0
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
@@ -449,7 +449,7 @@ class TestCampaignBits:
         def forbidden(*args, **kwargs):
             raise AssertionError("a campaign sample went through the series-object route")
 
-        for name in ("mul", "eval_at"):  # the series composition is in tests/routes.py only
+        for name in ("mul", "evaluator"):  # the series composition is in tests/routes.py only
             monkeypatch.setattr(ps, name, forbidden)
         for key in keys:
             cls, family, params, seed = key
@@ -526,7 +526,7 @@ def _margin_bound(error: np.ndarray, target: float, margins: tuple[float, float]
     within gamma_2N of its exact value (Higham, 5.1), the row sum of the
     terms |a_n| r^n, each within gamma_3, within gamma_(N+2), and the
     subtraction from the target rounds once more."""
-    carried = ps.eval_at(ps.TruncatedSeries(error), r)
+    carried = ps.evaluator(ps.TruncatedSeries(error))(r)
     sums = sum(target - margin for margin in margins)
     return carried + _gamma(2 * len(error) + 2) * (sums + 2.0 * target)
 
@@ -551,7 +551,7 @@ def test_one_member_is_one_batch_row(class_id, spec):
         want = _series_route(class_id, spec, omega, 64)
         error = _rounding_bound(class_id, spec, omega, 64)
         assert np.all(np.abs(batch[i] - want.coeffs) <= error)
-        margin = bound - ps.eval_at(ps.majorant(want), r, tail_tol=1e-10)
+        margin = bound - ps.evaluator(ps.majorant(want), 1e-10)(r)
         assert abs(margins[i] - margin) <= _margin_bound(error, bound, (margins[i], margin), r)
 
 
@@ -587,7 +587,7 @@ def test_failing_campaign_failures_match_oracle():
     want, errors = [], []
     for i, omega in enumerate(omegas):
         member = _series_route(ClassId.SC, spec, omega, 64)
-        margin = bound - ps.eval_at(ps.majorant(member), r, tail_tol=1e-10)
+        margin = bound - ps.evaluator(ps.majorant(member), 1e-10)(r)
         if margin < -1e-9:
             want.append({"index": i, "epsilon": omega.epsilon, "power": omega.power, "margin": margin})
             errors.append(_rounding_bound(ClassId.SC, spec, omega, 64))
