@@ -489,7 +489,12 @@ def solve_corollary_closed_form(equation_id: str, params: Mapping[str, float]) -
     never at the pole some lhs have at 1, so ``NoRootError`` means no root
     up to 1 - 1e-12.  Each agrees with ``solve_radius`` on its spec to 1e-7.
     """
-    class_id, spec, lhs, rhs = _closed_form(equation_id, params)
+    return _solve_closed_form(equation_id, _closed_form(equation_id, params))
+
+
+def _solve_closed_form(equation_id: str, equation: tuple) -> RadiusResult:
+    """The result for the root of a ``_closed_form`` equation, bisected on (0, 1)."""
+    class_id, spec, lhs, rhs = equation
     lo, hi = _bisect(lambda r: lhs(r) >= rhs, 0.0, 1.0, 1e-12)
     if hi == 1.0:  # lhs stayed below rhs at every midpoint
         raise NoRootError(f"{equation_id} equation shows no root in (0, 1 - 1e-12]")
@@ -569,10 +574,11 @@ def threshold_scan(equation_id: str, params: Sequence[float]) -> ThresholdScan:
     def within(p: float) -> bool:
         return _root_at_most_third(*_closed_form(equation_id, {name: p})[2:])
 
-    rows = tuple(
-        ThresholdRow(p, solve_corollary_closed_form(equation_id, {name: p}).r_f, within(p))
-        for p in grid
-    )
+    def row(p: float) -> ThresholdRow:  # its radius and its flag from one equation
+        eq = _closed_form(equation_id, {name: p})
+        return ThresholdRow(p, _solve_closed_form(equation_id, eq).r_f, _root_at_most_third(*eq[2:]))
+
+    rows = tuple(row(p) for p in grid)
     bracket = threshold = None
     for a, b in zip(rows, rows[1:]):
         if a.in_sharp_window != b.in_sharp_window:
