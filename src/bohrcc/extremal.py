@@ -33,7 +33,7 @@ from typing import Callable
 from . import power_series as ps
 from ._lazy import lazy_import
 from .catalog import SPEC_CACHE_SIZE, PhiSpec, formulas_of, phi_evaluator, phi_series
-from .errors import BudgetError, DomainError, InconsistencyError
+from .errors import BudgetError, DomainError, InconsistencyError, as_real
 from .quadrature import AntiderivativeTable, integrate_1d
 
 np = lazy_import("numpy")
@@ -169,7 +169,7 @@ def h_evaluator(spec: PhiSpec) -> Callable[[float], float]:
 def k_at(spec: PhiSpec, x: float) -> float:
     """Pointwise k(x) = integral_0^x k'(t) dt on [-1, 1): the catalog
     record's closed k where it has one, else quadrature of the k' evaluator."""
-    x = float(x)
+    x = as_real(x, f"k is evaluated at a real x in [-1, 1), got {x!r}")
     if not (-1.0 <= x < 1.0):
         raise DomainError(f"k is evaluated on [-1, 1), got {x}")
     fam, p = formulas_of(spec)

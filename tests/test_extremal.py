@@ -358,6 +358,12 @@ class TestPointwiseEvaluators:
         with pytest.raises(DomainError):
             k_at(janowski(1, -1), -1.5)
 
+    @pytest.mark.parametrize("x", ["0.5", b"0.5", True], ids=["str", "bytes", "bool"])
+    def test_k_takes_a_real_x_only(self, x):
+        # a string or a bool is refused, not read as 0.5 or 1.0
+        with pytest.raises(ParameterError, match=re.escape(f"got {x!r}") + "$"):
+            k_at(lemniscate(0.5), x)
+
     def test_boundary_values_via_quadrature_fallbacks(self):
         # strongly has no closed forms at all; spot-check h(-1), k(-1)
         # against direct quadrature of the defining integrals
