@@ -49,7 +49,7 @@ from .errors import BudgetError, ParameterError, as_real
 
 np = lazy_import("numpy")
 
-#: Default absolute tolerance for radius work; table reproduction uses 1e-11.
+#: Default absolute tolerance of radius solves and campaigns; boundary values take extremal's 1e-11.
 DEFAULT_TOL = 1e-10
 
 _OUTER_LIMIT_CUTOFF = 1e-8  # below this, (1/s) * inner antiderivative ~ inner(0)
