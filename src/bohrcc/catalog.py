@@ -33,7 +33,7 @@ from typing import Callable, Mapping
 
 from . import power_series as ps
 from ._lazy import lazy_import
-from .errors import DomainError, ParameterError, as_real
+from .errors import DomainError, ParameterError, as_int, as_real
 
 np = lazy_import("numpy")
 
@@ -213,16 +213,18 @@ class PhiSpec:
         fam = FAMILIES.get(self.family)
         if fam is None:
             raise ParameterError(f"unknown family {self.family!r}")
-        if len(self.params) != len(fam.names):
-            raise ParameterError(
-                f"{self.family} takes parameters {fam.names}, got {len(self.params)} values"
-            )
         try:
-            params = tuple(as_real(p, "") for p in self.params)
-        except ParameterError:  # the message shows every value as given
+            given = tuple(self.params)
+        except TypeError:
             raise ParameterError(
-                f"{self.family} requires " + fam.box.format(*map(repr, self.params))
+                f"{self.family} takes parameters {fam.names} as a sequence, got {self.params!r}"
             ) from None
+        if len(given) != len(fam.names):
+            raise ParameterError(f"{self.family} takes parameters {fam.names}, got {len(given)} values")
+        try:
+            params = tuple(as_real(p, "") for p in given)
+        except ParameterError:  # the message shows every value as given
+            raise ParameterError(f"{self.family} requires " + fam.box.format(*map(repr, given))) from None
         object.__setattr__(self, "params", params)
         if not fam.admits(*self.params):
             raise ParameterError(f"{self.family} requires " + fam.box.format(*self.params))
@@ -301,7 +303,7 @@ def phi_evaluator(spec: PhiSpec) -> Callable[[float], float]:
 
 def phi_complex(spec: PhiSpec, z: complex) -> complex:
     """phi at a complex point of the open disk (principal branches)."""
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:  # NaN fails it too
         raise DomainError("phi_complex requires |z| < 1")
     fam, p = formulas_of(spec)
     return fam.complex(z, *p)
@@ -345,9 +347,11 @@ def check_min_max_hypothesis(spec: PhiSpec, r: float, samples: int = 181) -> boo
     Advisory only; the radius computations assume this standing hypothesis
     and the test suite plus the CLI surface violations.
     """
+    what = f"check_min_max_hypothesis needs 0 < r < 1, got {r!r}"
+    r = as_real(r, what)
     if not (0.0 < r < 1.0):
-        raise ParameterError("check_min_max_hypothesis needs 0 < r < 1")
-    if samples < 2:
+        raise ParameterError(what)
+    if as_int(samples, f"circle samples must be an integer, got {samples!r}") < 2:
         raise ParameterError("need at least two circle samples")
     phi = phi_evaluator(spec)
     lo, hi = phi(-r), phi(r)

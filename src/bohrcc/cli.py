@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -293,5 +294,19 @@ def main(argv=None) -> int:
         return 3
 
 
+def run(argv=None) -> int:
+    """``main(argv)`` for a process that exits when the command ends, as the
+    ``bohrcc`` script and ``python -m bohrcc`` are: the cyclic garbage
+    collector stays off while the command runs and every object still alive
+    is frozen at the end, so neither the command nor the collection at
+    interpreter shutdown walks the objects numpy and scipy made.  Callers
+    that go on running after the command, such as tests, call :func:`main`."""
+    gc.disable()
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

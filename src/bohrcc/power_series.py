@@ -139,7 +139,7 @@ def evaluator(s: TruncatedSeries, tail_tol: float | None = None) -> Callable[[fl
 
     def at(x: float) -> float:
         x = float(x)
-        if abs(x) >= 1.0:
+        if not abs(x) < 1.0:  # NaN fails it too
             raise DomainError(f"series evaluation requires |x| < 1, got {x}")
         if tail_tol is not None:
             hint = _tail_hint(last, n, abs(x))

@@ -236,6 +236,7 @@ def lhs_at(
     tol: float = DEFAULT_TOL,
 ) -> float:
     """The class lhs at radius r by either evaluation route."""
+    r = as_real(r, f"lhs_at takes a finite real r, got {r!r}")
     if method == "series":
         return ps.evaluator(_series_lhs_curve(class_id, spec, order))(r)
     if method != "quadrature":
@@ -247,6 +248,7 @@ def distance_integral_at(
     class_id: ClassId, spec: PhiSpec, r: float, tol: float = DEFAULT_TOL
 ) -> float:
     """The distance-bound integral at radius r (Ks and Cs only), by quadrature."""
+    r = as_real(r, f"distance_integral_at takes a finite real r, got {r!r}")
     return _integrate(class_id, distance_integrand(class_id, spec), r, tol)
 
 

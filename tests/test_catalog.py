@@ -305,7 +305,7 @@ class TestMinMaxHypothesis:
         monkeypatch.setattr(catalog, "phi_complex", lambda spec, z: complex(modulus))
         assert check_min_max_hypothesis(janowski(1, -1), 0.5, 10) is False
 
-    @pytest.mark.parametrize("z", [1.0, -1.0, 0.6 + 0.8j, 2j])
+    @pytest.mark.parametrize("z", [1.0, -1.0, 0.6 + 0.8j, 2j, math.nan, complex(0.0, math.nan)])
     def test_phi_complex_needs_the_open_disk(self, z):
         with pytest.raises(DomainError, match=r"^phi_complex requires \|z\| < 1$"):
             phi_complex(lemniscate(0.5), z)

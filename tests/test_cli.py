@@ -1,7 +1,11 @@
 import argparse
+import gc
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -450,3 +454,59 @@ def test_scan_stdout_matches_pin(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_PINS[command]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh(*argv):
+    """A fresh interpreter that imports bohrcc from src/."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, timeout=120)
+
+
+def test_run_leaves_the_collector_off_and_the_heap_frozen():
+    # the process exits after run(), so the collection at shutdown skips every
+    # object frozen in its finally, whether the command returns or argparse exits
+    code = (
+        "import gc, sys, bohrcc.cli\n"
+        "def state(argv):\n"
+        "    gc.enable(); gc.unfreeze()\n"
+        "    try:\n"
+        "        code = bohrcc.cli.run(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "    return [code, gc.isenabled(), gc.get_freeze_count() > 0]\n"
+        "sys.stderr.write(repr([state(['table', '1']), state(['table', '1', '--order', '64'])]))\n"
+    )
+    done = _fresh("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.decode().splitlines()[-1] == repr([[0, False, True], [2, False, True]])
+
+
+#: (exit code, argv): a result, a ParameterError, an argparse usage error and a numeric error
+_EXIT_CASES = [
+    (0, ["table", "1"]),
+    (2, ["radius", "--class", "Sc", "--phi", "lemniscate", "--s", "0"]),
+    (2, ["table", "1", "--order", "64"]),
+    (3, ["radius", "--class", "Sc", "--phi", "lemniscate", "--s", "0.5", "--tol", "1e-300"]),
+]
+
+
+@pytest.mark.parametrize("want, argv", _EXIT_CASES, ids=["ok", "parameter", "usage", "numeric"])
+def test_python_m_bohrcc_is_main(capsys, want, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
+    out, err = capsys.readouterr()
+    done = _fresh("-m", "bohrcc", *argv)
+    assert code == done.returncode == want
+    assert (done.stdout, done.stderr) == (out.encode(), err.encode())
+    assert bool(err) == (want != 0)
+
+
+def test_main_keeps_the_default_collector(capsys):
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert main(["table", "1"]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from bohrcc import power_series as ps
-from bohrcc.catalog import PhiSpec, lemniscate
+from bohrcc.catalog import PhiSpec, check_min_max_hypothesis, lemniscate, strongly
 from bohrcc.errors import ParameterError, as_int, as_real
 from bohrcc.quadrature import check_tol
-from bohrcc.solver import ClassId, threshold_scan
+from bohrcc.solver import ClassId, distance_integral_at, lhs_at, threshold_scan
 from bohrcc.verifier import SelfMap, check_bohr, run_campaign, sample_member
 
 NOT_INTEGERS = [True, False, np.bool_(True), 2.0, 2.5, "2", b"2", Fraction(2, 1), None]
@@ -69,6 +69,12 @@ def test_spec_parameters_are_reals(family, params, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("params", [0.5, None, np.float64(0.5)], ids=repr)
+def test_spec_parameters_are_a_sequence(params):
+    with pytest.raises(ParameterError, match=r"^strongly takes parameters \('alpha',\) as a sequence, got "):
+        PhiSpec("strongly", params)
+
+
 def test_spec_parameters_convert_to_floats():
     spec = PhiSpec("janowski", (Fraction(1, 2), np.int64(-1)))
     assert spec == PhiSpec("janowski", (0.5, -1.0))
@@ -112,3 +118,30 @@ def test_self_map_stores_a_float_epsilon():
     omega = SelfMap(Fraction(1, 2), np.int64(2))
     assert omega == SelfMap(0.5, 2)
     assert (type(omega.epsilon), type(omega.power)) == (float, int)
+
+
+@pytest.mark.parametrize("r", ["0.3", True, math.nan], ids=repr)
+def test_lhs_radius_is_a_real(r):
+    for method in ("quadrature", "series"):
+        with pytest.raises(ParameterError, match="^lhs_at takes a finite real r, got "):
+            lhs_at(ClassId.KS, strongly(0.5), r, method)
+    with pytest.raises(ParameterError, match="^distance_integral_at takes a finite real r, got "):
+        distance_integral_at(ClassId.KS, strongly(0.5), r)
+
+
+def test_lhs_radius_converts():
+    spec = strongly(0.5)
+    for method in ("quadrature", "series"):
+        assert lhs_at(ClassId.SC, spec, Fraction(1, 4), method) == lhs_at(ClassId.SC, spec, 0.25, method)
+    assert distance_integral_at(ClassId.CS, spec, np.float32(0.25)) == distance_integral_at(ClassId.CS, spec, 0.25)
+
+
+def test_min_max_check_takes_a_real_radius_and_a_count():
+    spec = lemniscate(0.5)
+    for r in ("0.3", True, None):
+        with pytest.raises(ParameterError, match=r"^check_min_max_hypothesis needs 0 < r < 1, got "):
+            check_min_max_hypothesis(spec, r)
+    for samples in (2.5, "x", True):
+        with pytest.raises(ParameterError, match="^circle samples must be an integer, got "):
+            check_min_max_hypothesis(spec, 0.3, samples)
+    assert check_min_max_hypothesis(spec, Fraction(3, 10), np.int64(10)) is check_min_max_hypothesis(spec, 0.3, 10)

@@ -144,7 +144,7 @@ def old_k_at(spec, x):
 
 def old_eval_at(s, x, tail_tol=None):
     x = float(x)
-    if abs(x) >= 1.0:
+    if not abs(x) < 1.0:  # NaN is outside the disk too
         raise DomainError(f"series evaluation requires |x| < 1, got {x}")
     if tail_tol is not None:
         r = abs(x)

@@ -233,6 +233,9 @@ class TestEval:
             ps.evaluator(geometric())(1.0)
         with pytest.raises(DomainError):
             ps.evaluator(geometric())(-1.5)
+        for tail_tol in (None, 1e-12):
+            with pytest.raises(DomainError, match=r"^series evaluation requires \|x\| < 1, got nan$"):
+                ps.evaluator(geometric(), tail_tol)(math.nan)
 
     def test_tail_guard(self):
         with pytest.raises(PrecisionError):

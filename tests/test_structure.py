@@ -3,7 +3,7 @@
 ``src/`` holds production code only: every module-level function, class
 and constant is referenced somewhere else in the package, or is part of
 the public surface (``bohrcc.__all__`` and the ``bohrcc`` script's
-``cli.main``).  Code that only tests call lives under ``tests/``, the
+``cli.run``).  Code that only tests call lives under ``tests/``, the
 second evaluation routes among it in ``tests/routes.py``.
 
 The grep rules below keep each piece of knowledge in its one place: a
@@ -29,7 +29,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "bohrcc"
 
 #: entry points outside ``__all__``: the ``bohrcc`` script (pyproject.toml)
-ENTRY_POINTS = {"main"}
+ENTRY_POINTS = {"run"}
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -173,6 +173,12 @@ GREP_RULES = {
         (),
         "a slack on 1/3: decide \"root at most 1/3\" by solver._root_at_most_third alone",
     ),
+    "nan-blind-disk-guard": (
+        r"abs\([^)]*\)\s*>=\s*1",
+        (),
+        (),
+        "a guard abs(x) >= 1 lets NaN through: write it as not abs(x) < 1.0",
+    ),
     "spec-keyed-wrapper": (
         r"def ((phi|majorant_phi|h|k_prime|K_prime|eval)_at|growth_exponent)\b",
         (),
@@ -194,6 +200,13 @@ def test_grep_rule(rule):
         if regex.search(line)
     ]
     assert not hits, why + "\n" + "\n".join(hits)
+
+
+def test_the_script_and_python_m_share_one_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())["project"]
+    assert project["scripts"] == {"bohrcc": "bohrcc.cli:run"}
+    assert (SRC / "__main__.py").read_text().endswith("\nfrom .cli import run\n\nsys.exit(run())\n")
 
 
 def test_the_one_loop_in_solver_is_the_bisection():
