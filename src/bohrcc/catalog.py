@@ -27,12 +27,12 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from . import power_series as ps
 from ._lazy import lazy_import
+from ._record import Record, store
 from .errors import DomainError, ParameterError, as_int, as_real
 
 np = lazy_import("numpy")
@@ -48,14 +48,14 @@ SQRT_HALF = math.sqrt(0.5)  # correctly-rounded 1/sqrt(2); the admissible lemnis
 _SMALL_B = 1e-3
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One catalog family.  The formulas take the parameters last; ``real``,
     ``majorant``, ``growth``, ``from_one``, ``h`` and ``k`` return the
     unchecked function of a float that a domain-checking caller wraps;
     ``real`` takes the spec for its pole text.  A family without ``growth``
     gives ``from_one``, phi(1 - u) as a function of u, which keeps its
-    digits where a pole at 1 makes phi(t) lose them to the rounding of t."""
+    digits where a pole at 1 makes phi(t) lose them to the rounding of t.
+    A plain value record, unchecked: the catalog's own table builds it."""
 
     names: tuple[str, ...]
     box: str  # as the ParameterError states it, one {} per parameter value
@@ -201,33 +201,43 @@ FAMILIES: Mapping[str, Family] = {
 }
 
 
-@dataclass(frozen=True)
-class PhiSpec:
+class PhiSpec(Record):
     """One catalog family plus its numeric parameters, checked against the
-    family's box when made; every quantity of phi is derived from it."""
+    family's box when made; every quantity of phi is derived from it.  A
+    value record, equal and hashed by family and params, so it keys the
+    spec caches."""
 
-    family: str
-    params: tuple[float, ...]
+    __slots__ = ("family", "params")
 
-    def __post_init__(self):
-        fam = FAMILIES.get(self.family)
+    def __init__(self, family: str, params: tuple[float, ...]):
+        fam = FAMILIES.get(family)
         if fam is None:
-            raise ParameterError(f"unknown family {self.family!r}")
+            raise ParameterError(f"unknown family {family!r}")
         try:
-            given = tuple(self.params)
+            given = tuple(params)
         except TypeError:
             raise ParameterError(
-                f"{self.family} takes parameters {fam.names} as a sequence, got {self.params!r}"
+                f"{family} takes parameters {fam.names} as a sequence, got {params!r}"
             ) from None
         if len(given) != len(fam.names):
-            raise ParameterError(f"{self.family} takes parameters {fam.names}, got {len(given)} values")
+            raise ParameterError(f"{family} takes parameters {fam.names}, got {len(given)} values")
         try:
             params = tuple(as_real(p, "") for p in given)
         except ParameterError:  # the message shows every value as given
-            raise ParameterError(f"{self.family} requires " + fam.box.format(*map(repr, given))) from None
-        object.__setattr__(self, "params", params)
-        if not fam.admits(*self.params):
-            raise ParameterError(f"{self.family} requires " + fam.box.format(*self.params))
+            raise ParameterError(f"{family} requires " + fam.box.format(*map(repr, given))) from None
+        if not fam.admits(*params):
+            raise ParameterError(f"{family} requires " + fam.box.format(*params))
+        store(self, "family", family)
+        store(self, "params", params)
+
+    # every spec cache hashes its key on each call: these read the two fields directly
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.family, self.params) == (other.family, other.params)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.family, self.params))
 
     def param_dict(self) -> dict[str, float]:
         return dict(zip(FAMILIES[self.family].names, self.params))

@@ -18,14 +18,11 @@ uses dot decimals regardless of locale.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import io
-import json
 import math
 import re
 import sys
-from dataclasses import asdict
 
 from . import reference
 from .catalog import FAMILIES, PhiSpec, check_min_max_hypothesis, expblend, strongly
@@ -56,11 +53,15 @@ def _jsonable(x):
 
 
 def _emit_json(payload: dict) -> None:
+    import json  # here, so the commands that print CSV never load it
+
     payload = {"schema": _SCHEMA, **payload}
     sys.stdout.write(json.dumps(_jsonable(payload), sort_keys=True) + "\n")
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> None:
+    import csv  # here, so the commands that print JSON never load it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -216,7 +217,7 @@ def cmd_scan(args) -> int:
     else:
         _emit_json({
             "equation": scan.equation_id,
-            "rows": [asdict(row) for row in scan.rows],
+            "rows": [row._asdict() for row in scan.rows],
             "bracket": list(scan.bracket) if scan.bracket else None,
             "threshold": scan.threshold,
         })

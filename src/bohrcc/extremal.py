@@ -26,9 +26,8 @@ value there is the leading phi coefficient).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import power_series as ps
 from ._lazy import lazy_import
@@ -44,9 +43,9 @@ _TABLE_HI = 0.9995  # cached growth-exponent table covers [-1, _TABLE_HI]
 _V_HI = -math.log1p(-_TABLE_HI) / 64.0  # the table end in v = -log(1 - t)/64
 
 
-@dataclass(frozen=True)
-class ExtremalSet:
-    """Immutable bundle of the extremal data the radius equations read."""
+class ExtremalSet(NamedTuple):
+    """Immutable bundle of the extremal data the radius equations read;
+    ``_replace`` gives a copy with some fields changed."""
 
     k_prime: ps.TruncatedSeries
     K_prime: ps.TruncatedSeries  # series in t of (k'(t^2))^{1/2}

@@ -18,10 +18,10 @@ coefficients it adds only nonnegative terms, so nothing cancels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from ._lazy import lazy_import
+from ._record import Record, store
 from .errors import DomainError, ParameterError, PrecisionError, as_int
 
 np = lazy_import("numpy")
@@ -48,24 +48,28 @@ def as_order(order, minimum: int = 1) -> int:
     return order
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedSeries:
-    """Real coefficient vector of a Taylor series about 0.
+class TruncatedSeries(Record):
+    """Real coefficient vector of a Taylor series about 0, copied into a
+    read-only array when made.  Equal only to itself and hashed by
+    identity, as an array has no one truth value.
 
     ``evaluator(s, tail_tol)`` checks a heuristic bound on the discarded tail.
     """
 
-    coeffs: np.ndarray
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=float)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, coeffs: np.ndarray):
+        arr = np.asarray(coeffs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("series needs a nonempty 1-D coefficient vector")
         if not np.all(np.isfinite(arr)):
             raise DomainError("series coefficients must all be finite")
         arr = arr.copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        store(self, "coeffs", arr)
 
     @property
     def order(self) -> int:

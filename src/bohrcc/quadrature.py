@@ -39,12 +39,12 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
 from importlib.machinery import ExtensionFileLoader, PathFinder
 from importlib.util import find_spec, module_from_spec
 from typing import Callable
 
 from ._lazy import lazy_import
+from ._record import Record, store
 from .errors import BudgetError, ParameterError, as_real
 
 np = lazy_import("numpy")
@@ -147,15 +147,18 @@ def check_tol(tol) -> float:
     return tol
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    abs_error_estimate: float
-    evaluations: int
+class QuadratureResult(Record):
+    """An integral's value, its absolute error estimate and the integrand
+    evaluations spent; a non-finite value is a BudgetError."""
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
+    __slots__ = ("value", "abs_error_estimate", "evaluations")
+
+    def __init__(self, value: float, abs_error_estimate: float, evaluations: int):
+        if not math.isfinite(value):
             raise BudgetError("quadrature produced a non-finite value")
+        store(self, "value", value)
+        store(self, "abs_error_estimate", abs_error_estimate)
+        store(self, "evaluations", evaluations)
 
 
 def integrate_1d(

@@ -63,13 +63,13 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
 from functools import cache, lru_cache
 from itertools import accumulate, repeat
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import power_series as ps
 from ._lazy import lazy_import
+from ._record import Record, store
 from .catalog import (
     FAMILIES,
     SPEC_CACHE_SIZE,
@@ -235,8 +235,12 @@ def lhs_at(
     order: int = ps.DEFAULT_ORDER,
     tol: float = DEFAULT_TOL,
 ) -> float:
-    """The class lhs at radius r by either evaluation route."""
-    r = as_real(r, f"lhs_at takes a finite real r, got {r!r}")
+    """The class lhs at radius r by either evaluation route; both take
+    0 <= r < 1 and raise the same ParameterError for any other r."""
+    what = f"lhs_at takes a real r with 0 <= r < 1, got {r!r}"
+    r = as_real(r, what)
+    if not 0.0 <= r < 1.0:
+        raise ParameterError(what)
     if method == "series":
         return ps.evaluator(_series_lhs_curve(class_id, spec, order))(r)
     if method != "quadrature":
@@ -280,25 +284,34 @@ def _target_constant(class_id: ClassId, spec: PhiSpec, order: int, tol: float) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RadiusResult:
-    """Solved radius with the 1/3 cap and the sharpness verdict."""
+class RadiusResult(Record):
+    """Solved radius with the 1/3 cap and the sharpness verdict; a radius
+    outside (0, 1) or a residual above 1e-8 is an InconsistencyError."""
 
-    r_f: float
-    capped: float
-    sharp: bool
-    residual: float
-    bracket: tuple[float, float]
-    notes: str
+    __slots__ = ("r_f", "capped", "sharp", "residual", "bracket", "notes")
 
-    def __post_init__(self):
-        if not (0.0 < self.r_f < 1.0):
-            raise InconsistencyError(f"radius {self.r_f} outside (0, 1)")
-        if self.residual > 1e-8:
-            raise InconsistencyError(f"radius residual {self.residual:.3g} exceeds 1e-8")
+    def __init__(
+        self,
+        r_f: float,
+        capped: float,
+        sharp: bool,
+        residual: float,
+        bracket: tuple[float, float],
+        notes: str,
+    ):
+        if not (0.0 < r_f < 1.0):
+            raise InconsistencyError(f"radius {r_f} outside (0, 1)")
+        if residual > 1e-8:
+            raise InconsistencyError(f"radius residual {residual:.3g} exceeds 1e-8")
+        store(self, "r_f", r_f)
+        store(self, "capped", capped)
+        store(self, "sharp", sharp)
+        store(self, "residual", residual)
+        store(self, "bracket", bracket)
+        store(self, "notes", notes)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "bracket": list(self.bracket)}
+        return {**self._asdict(), "bracket": list(self.bracket)}
 
 
 def _first_reached(f: Callable[[float], float], target: float) -> int:
@@ -508,9 +521,9 @@ def _solve_closed_form(equation_id: str, equation: tuple) -> RadiusResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    """Evidence that a sharp radius cannot be enlarged."""
+class WitnessReport(NamedTuple):
+    """Evidence that a sharp radius cannot be enlarged; ``_asdict`` gives
+    the verification report's ``witness``."""
 
     radius: float
     value_at_radius: float
@@ -540,15 +553,17 @@ def sharpness_witness(class_id: ClassId, spec: PhiSpec, result: RadiusResult) ->
     return WitnessReport(result.r_f, value, bound, _WITNESS_STEP, beyond, bool(beyond > bound))
 
 
-@dataclass(frozen=True)
-class ThresholdRow:
+class ThresholdRow(NamedTuple):
+    """One scan point: its radius and whether it lies in (0, 1/3]."""
+
     param: float
     r_f: float
     in_sharp_window: bool
 
 
-@dataclass(frozen=True)
-class ThresholdScan:
+class ThresholdScan(NamedTuple):
+    """A scan's rows and the 1/3 crossing it brackets, if any."""
+
     equation_id: str
     rows: tuple[ThresholdRow, ...]
     bracket: tuple[float, float] | None  # grid pair where the 1/3 crossing sits

@@ -45,11 +45,12 @@ first failing sample would raise on its own.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import power_series as ps
+from ._record import Record, store
 from .catalog import PhiSpec, phi_series
 from .errors import DomainError, InconsistencyError, ParameterError, PrecisionError, as_int, as_real
 from .quadrature import DEFAULT_TOL
@@ -68,27 +69,25 @@ _BLOCK_ROWS = 4096  # members per coefficient matrix, so a large campaign stays 
 _RADIUS_TEXT = "the radius to check must satisfy 0 < r < 1, got {!r}"
 
 
-@dataclass(frozen=True)
-class SelfMap:
-    """Monomial disk self-map w(z) = epsilon * z^power fixing 0."""
+class SelfMap(Record):
+    """Monomial disk self-map w(z) = epsilon * z^power fixing 0, stored as a
+    float epsilon in [0, 1] and an int power >= 1."""
 
-    epsilon: float
-    power: int = 1
+    __slots__ = ("epsilon", "power")
 
-    def __post_init__(self):
-        what = f"self-map needs a real 0 <= epsilon <= 1, got {self.epsilon!r}"
-        eps = as_real(self.epsilon, what)
+    def __init__(self, epsilon: float, power: int = 1):
+        what = f"self-map needs a real 0 <= epsilon <= 1, got {epsilon!r}"
+        eps = as_real(epsilon, what)
         if not (0.0 <= eps <= 1.0):
             raise ParameterError(what)
-        power = as_int(self.power, f"self-map needs an integer power, got {self.power!r}")
+        power = as_int(power, f"self-map needs an integer power, got {power!r}")
         if power < 1:
             raise ParameterError(f"self-map needs power >= 1, got {power}")
-        object.__setattr__(self, "epsilon", eps)
-        object.__setattr__(self, "power", power)
+        store(self, "epsilon", eps)
+        store(self, "power", power)
 
 
-@dataclass(frozen=True)
-class SampledFunction:
+class SampledFunction(NamedTuple):
     """A constructed class member with its class distance bound."""
 
     class_id: ClassId
@@ -195,8 +194,7 @@ def check_bohr(sf: SampledFunction, r: float) -> tuple[bool, float]:
     return (margin >= -_MARGIN_SLACK, margin)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Campaign outcome; identical seeds produce identical JSON bytes."""
 
     class_id: ClassId
@@ -281,7 +279,7 @@ def run_campaign(
             raise _unbuilt_error(members[n_built])
     witness = None
     if result.sharp:
-        witness = asdict(sharpness_witness(class_id, spec, result))
+        witness = sharpness_witness(class_id, spec, result)._asdict()
     return VerificationReport(
         class_id=class_id,
         spec=spec,

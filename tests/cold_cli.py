@@ -22,6 +22,10 @@ Per tree and command the record holds, over ``--repeats`` rounds:
   stamp the monotonic clock when it returns (quartiles and median);
 * ``numpy_scipy_modules``: the numpy and scipy modules loaded when
   ``main()`` returns;
+* ``other_modules``: the other modules loaded then that a bare
+  interpreter has not loaded, the package's own among them, read once per
+  tree and command from a third process that imports nothing of its own
+  but runpy, as ``-m`` does;
 * ``stdout_sha256``: the digest of the plain process's stdout, so that two
   trees' outputs can be compared.
 
@@ -46,6 +50,7 @@ from _bench_inputs import BENCH_INPUTS
 
 SEED = 1
 PROBE_TAG = "cold-cli-probe "
+MODULES_TAG = "cold-cli-modules "
 
 #: runs bohrcc/__main__.py as ``python -m bohrcc`` does, with cli.main
 #: wrapped: when it returns, one stderr line gives the monotonic clock and the
@@ -71,6 +76,30 @@ def stamped(argv=None):
 bohrcc.cli.main = stamped
 runpy.run_module("bohrcc", run_name="__main__", alter_sys=True)
 """
+
+#: runs bohrcc/__main__.py as PROBE does; when main() returns, one stderr
+#: line names the modules then loaded, leaving out a lazy binding's module
+#: that never ran
+MODULES_PROBE = f"""
+import runpy, sys
+import bohrcc.cli
+
+main = bohrcc.cli.main
+
+def listed(argv=None):
+    try:
+        return main(argv)
+    finally:
+        names = [name for name, module in list(sys.modules.items()) if type(module).__name__ != "_LazyModule"]
+        sys.stderr.write({MODULES_TAG!r} + " ".join(names) + "\\n")
+        sys.stderr.flush()
+
+bohrcc.cli.main = listed
+runpy.run_module("bohrcc", run_name="__main__", alter_sys=True)
+"""
+
+#: a bare interpreter's modules, one name a line
+BARE_MODULES = ["-c", "import sys; sys.stdout.write('\\n'.join(sys.modules))"]
 
 REFERENCE = {
     "python": ["-c", "pass"],
@@ -112,6 +141,24 @@ def _probed(argv, src: Path):
     return exited - returned, modules
 
 
+def _other_modules(argv, src: Path, bare: set[str]) -> int:
+    """The modules besides numpy and scipy loaded when main() returns that
+    the bare interpreter has not loaded."""
+    proc, _, _ = _run(["-c", MODULES_PROBE, *argv], src)
+    lines = [ln for ln in proc.stderr.decode().splitlines() if ln.startswith(MODULES_TAG)]
+    if proc.returncode != 0 or len(lines) != 1:
+        raise SystemExit(f"{src}: listing the modules of bohrcc {' '.join(argv)} exited {proc.returncode}")
+    names = set(lines[0][len(MODULES_TAG):].split()) - bare
+    return sum(name.partition(".")[0] not in ("numpy", "scipy") for name in names)
+
+
+def _bare_modules(src: Path) -> set[str]:
+    proc, _, _ = _run(BARE_MODULES, src)
+    if proc.returncode != 0:
+        raise SystemExit(f"{src}: listing a bare interpreter's modules exited {proc.returncode}")
+    return set(proc.stdout.decode().split("\n"))
+
+
 def _quartiles_ms(seconds: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
     return {"q1": round(q1 * 1e3, 2), "median": round(median * 1e3, 2), "q3": round(q3 * 1e3, 2)}
@@ -121,7 +168,10 @@ def record(trees: dict[str, Path], repeats: int) -> dict:
     commands = {tag: argv for tag, _, argv in BENCH_INPUTS.cli_commands(SEED)}
     wall = {(label, tag): [] for label in trees for tag in [*REFERENCE, *commands]}
     exits = {(label, tag): [] for label in trees for tag in commands}
-    digests, modules = {}, {}
+    digests, modules, others = {}, {}, {}
+    for label, src in trees.items():
+        bare = _bare_modules(src)
+        others.update({(label, tag): _other_modules(argv, src, bare) for tag, argv in commands.items()})
     for round_ in range(repeats):
         order = list(trees) if round_ % 2 == 0 else list(trees)[::-1]
         for tag, argv in REFERENCE.items():
@@ -146,6 +196,7 @@ def record(trees: dict[str, Path], repeats: int) -> dict:
                 "wall_ms": _quartiles_ms(wall[label, tag]),
                 "exit_ms": _quartiles_ms(exits[label, tag]),
                 "numpy_scipy_modules": modules[label, tag],
+                "other_modules": others[label, tag],
                 "stdout_sha256": digests[label, tag],
             }
         out[label] = rows

@@ -8,6 +8,7 @@ are stored as the int or float they equal.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -123,10 +124,27 @@ def test_self_map_stores_a_float_epsilon():
 @pytest.mark.parametrize("r", ["0.3", True, math.nan], ids=repr)
 def test_lhs_radius_is_a_real(r):
     for method in ("quadrature", "series"):
-        with pytest.raises(ParameterError, match="^lhs_at takes a finite real r, got "):
+        with pytest.raises(ParameterError, match="^lhs_at takes a real r with 0 <= r < 1, got "):
             lhs_at(ClassId.KS, strongly(0.5), r, method)
     with pytest.raises(ParameterError, match="^distance_integral_at takes a finite real r, got "):
         distance_integral_at(ClassId.KS, strongly(0.5), r)
+
+
+@pytest.mark.parametrize("class_id", list(ClassId), ids=lambda c: c.value)
+@pytest.mark.parametrize("r", [-0.1, -1e-300, 1.0, math.nan], ids=repr)
+def test_both_lhs_routes_take_one_radius_range(class_id, r):
+    # the series curve has a value at r < 0 and QUADPACK an integral to r = 1,
+    # but the class lhs is defined on 0 <= r < 1 only, so both routes refuse alike
+    text = re.escape(f"lhs_at takes a real r with 0 <= r < 1, got {r!r}")
+    for method in ("quadrature", "series"):
+        with pytest.raises(ParameterError, match=f"^{text}$"):
+            lhs_at(class_id, lemniscate(0.5), r, method)
+
+
+@pytest.mark.parametrize("class_id", list(ClassId), ids=lambda c: c.value)
+def test_both_lhs_routes_read_zero_at_zero(class_id):
+    # the solver's first grid search reads the lhs at r = 0
+    assert [lhs_at(class_id, lemniscate(0.5), 0.0, m) for m in ("quadrature", "series")] == [0.0, 0.0]
 
 
 def test_lhs_radius_converts():

@@ -177,6 +177,23 @@ def test_import_leaves_scipy_integrate_unloaded():
     assert out == "[0.0, 0.0, 0.0] True\nTrue\n"
 
 
+def test_cold_commands_load_no_record_or_output_modules():
+    # the records are NamedTuple and __slots__ classes, so no command loads
+    # dataclasses (nor the inspect it imports); json loads only to print
+    # JSON and csv only to print CSV, so tables 1, 2 and 4 load neither
+    # json nor inspect, and a radius printed as JSON loads no csv
+    out = _run_fresh(
+        _PRELUDE
+        + "print(loaded('dataclasses', 'inspect', 'json', 'csv'))\n"
+        "for n in '124':\n"
+        "    run('table', n)\n"
+        "print(loaded('dataclasses', 'inspect', 'json'), loaded('csv'))\n"
+    )
+    assert out == "[]\n[] ['csv']\n"
+    out = _run_fresh(_PRELUDE + f"run(*{CC_RADIUS!r})\nprint(loaded('dataclasses', 'csv'), loaded('json'))\n")
+    assert out == "[] ['json']\n"
+
+
 def test_cs_solve_bits_survive_importing_scipy_integrate():
     # scipy.integrate loads the same extension a second time, under its own name
     out = _run_fresh(

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -143,7 +142,7 @@ class TestSharpness:
         assert report.delta == 0.01
         assert report.value_beyond.hex() == h_evaluator(spec)(res.r_f + 0.01).hex()
         assert report.exceeds_beyond is True
-        assert not dataclasses.replace(report, exceeds_beyond=False).ok
+        assert not report._replace(exceeds_beyond=False).ok
 
     def test_witness_requires_sharp_sc(self):
         res = solve_radius(ClassId.KS, sakaguchi(0.0))
@@ -201,7 +200,7 @@ class TestRotationInvariance:
 
         def flipped_bundle(s, order):
             k_prime, K_prime = extremal_kernels(flipped_phi(s, order))
-            return dataclasses.replace(build_extremal(s, order), k_prime=k_prime, K_prime=K_prime)
+            return build_extremal(s, order)._replace(k_prime=k_prime, K_prime=K_prime)
 
         monkeypatch.setattr(solver, "phi_series", flipped_phi)
         monkeypatch.setattr(solver, "build_extremal", flipped_bundle)
@@ -331,7 +330,7 @@ class TestClassShape:
     )
     def test_target_must_be_positive(self, monkeypatch, class_id, field, value, shown):
         def wrong_bundle(spec, order):
-            return dataclasses.replace(build_extremal(spec, order), **{field: value})
+            return build_extremal(spec, order)._replace(**{field: value})
 
         monkeypatch.setattr(solver, "build_extremal", wrong_bundle)
         with pytest.raises(InconsistencyError, match=f"^target must be positive, got {shown}$"):

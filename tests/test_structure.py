@@ -173,6 +173,13 @@ GREP_RULES = {
         (),
         "a slack on 1/3: decide \"root at most 1/3\" by solver._root_at_most_third alone",
     ),
+    "no-dataclasses": (
+        r"^\s*(import|from)\s+dataclasses\b",
+        (),
+        (),
+        "a dataclasses import: a frozen dataclass exec-s generated code when defined and loads "
+        "inspect; write a typing.NamedTuple or a _record.Record subclass",
+    ),
     "nan-blind-disk-guard": (
         r"abs\([^)]*\)\s*>=\s*1",
         (),
