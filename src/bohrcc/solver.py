@@ -52,10 +52,11 @@ does not read the tolerance, which sets quadrature accuracy alone.  Only if
 the check fails, or the curve stays below the target, does
 ``_first_reached`` search the whole grid on quadrature, for a cell bisected
 on quadrature alone; without a hint one evaluation of lhs(0.999) first
-shows whether the lhs reaches the target on the grid.  The corollaries,
-each the class equation on one family slice, and the threshold scans use
-the same ``_bisect``, the one bisection loop; every result gets its
-sharpness verdict and notes from ``_radius_result``.
+shows whether the lhs reaches the target on the grid.  Every equation is
+one ``Equation`` record (class, spec, lhs, target); the corollaries, each
+the class equation on a family slice, and the scans share ``_bisect``, the
+one loop, and every result takes its verdict and notes from
+``_radius_result`` and the Sc extremal equation of ``_sc_equation``.
 """
 
 from __future__ import annotations
@@ -148,6 +149,15 @@ class ClassId(enum.Enum):
         return out
 
 
+def _check_class_spec(class_id: ClassId, spec: PhiSpec) -> None:
+    """ParameterError unless class_id is a ClassId and spec a PhiSpec, so an
+    argument of the wrong type is refused before an attribute is read off it."""
+    if not isinstance(class_id, ClassId):
+        raise ParameterError(f"class must be a ClassId, got {class_id!r}")
+    if not isinstance(spec, PhiSpec):
+        raise ParameterError(f"spec must be a PhiSpec, got {spec!r}")
+
+
 def kernel_series(
     class_id: ClassId, spec: PhiSpec, order: int = ps.DEFAULT_ORDER
 ) -> ps.TruncatedSeries:
@@ -237,6 +247,7 @@ def lhs_at(
 ) -> float:
     """The class lhs at radius r by either evaluation route; both take
     0 <= r < 1 and raise the same ParameterError for any other r."""
+    _check_class_spec(class_id, spec)
     what = f"lhs_at takes a real r with 0 <= r < 1, got {r!r}"
     r = as_real(r, what)
     if not 0.0 <= r < 1.0:
@@ -251,8 +262,13 @@ def lhs_at(
 def distance_integral_at(
     class_id: ClassId, spec: PhiSpec, r: float, tol: float = DEFAULT_TOL
 ) -> float:
-    """The distance-bound integral at radius r (Ks and Cs only), by quadrature."""
-    r = as_real(r, f"distance_integral_at takes a finite real r, got {r!r}")
+    """The distance-bound integral at radius r (Ks and Cs only), by
+    quadrature; it takes 0 <= r <= 1, r = 1 giving the target."""
+    _check_class_spec(class_id, spec)
+    what = f"distance_integral_at takes a real r with 0 <= r <= 1, got {r!r}"
+    r = as_real(r, what)
+    if not 0.0 <= r <= 1.0:
+        raise ParameterError(what)
     return _integrate(class_id, distance_integrand(class_id, spec), r, tol)
 
 
@@ -262,6 +278,7 @@ def target_constant(
     """The class's lower bound on the distance from f(0) to the image
     boundary: an integral to 1 for Ks/Cs, a boundary value for Sc/Cc.
     Memoized by value, however the order and tolerance are spelled."""
+    _check_class_spec(class_id, spec)
     return _target_constant(class_id, spec, ps.as_order(order), check_tol(tol))
 
 
@@ -333,34 +350,35 @@ def _bisect(reached: Callable[[float], bool], lo: float, hi: float, width: float
     return lo, hi
 
 
-def _root_at_most_third(lhs: Callable[[float], float], rhs: float) -> bool:
-    """Whether the first root of lhs = rhs, lhs nondecreasing, is at most 1/3."""
-    return bool(lhs(_ONE_THIRD) >= rhs)
+class Equation(NamedTuple):
+    """A radius equation lhs(r) = target of a class on a spec, lhs nondecreasing."""
+
+    class_id: ClassId
+    spec: PhiSpec
+    lhs: Callable[[float], float]
+    target: float
 
 
-def _radius_result(
-    class_id: ClassId,
-    spec: PhiSpec,
-    lhs: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float,
-) -> RadiusResult:
-    """The result for a final bracket [lo, hi] of lhs = target.
+def _root_at_most_third(eq: Equation) -> bool:
+    """Whether the first root of the equation is at most 1/3."""
+    return bool(eq.lhs(_ONE_THIRD) >= eq.target)
 
-    Sharpness is only claimed where it is proved: the Sc class with a
-    nonnegative coefficient spec (so that M_h = h) and h(1/3) >= -h(-1),
-    whichever route found r_f, where the extremal member attains the bound.
-    Other results are lower bounds on the class Bohr radius.
+
+def _radius_result(eq: Equation, lo: float, hi: float, extremal: Equation | None) -> RadiusResult:
+    """The result for a final bracket [lo, hi] of the equation.
+
+    Sharpness is only claimed where it is proved: for Sc on a nonnegative
+    spec (M_h = h) with h(1/3) >= -h(-1), whichever route found r_f, the
+    extremal member attains the bound; its equation h(r) = -h(-1) comes as
+    ``extremal`` (None elsewhere).  Other results bound the Bohr radius below.
     """
     r_f = 0.5 * (lo + hi)
-    residual = abs(lhs(r_f) - target)
-    proved = class_id is ClassId.SC and has_positive_coeffs(spec)
-    within = _root_at_most_third(*_sc_growth_parts(spec)) if proved else r_f <= _ONE_THIRD
-    sharp = proved and within
+    residual = abs(eq.lhs(r_f) - eq.target)
+    within = _root_at_most_third(extremal) if extremal is not None else r_f <= _ONE_THIRD
+    sharp = extremal is not None and within
     if sharp:
         notes = "sharp: the extremal member attains the coefficient bound at r_f"
-    elif class_id is ClassId.SC and not within:
+    elif eq.class_id is ClassId.SC and not within:
         notes = (
             "root exceeds 1/3; the coefficient inequality holds for r <= 1/3 "
             "(capped radius governs)"
@@ -391,6 +409,7 @@ def solve_radius(
     """Smallest positive root of the class radius equation, capped at 1/3,
     with the sharpness verdict of :func:`_radius_result`.  The series order
     must be at least :data:`MIN_ORDER`."""
+    _check_class_spec(class_id, spec)
     order = ps.as_order(order, MIN_ORDER)
     return _solve_cached(class_id, spec, order, check_tol(tol))
 
@@ -415,18 +434,18 @@ def _solve_cached(class_id: ClassId, spec: PhiSpec, order: int, tol: float) -> R
     if hint <= _LAST:
         # a certified bracket here is the one the quadrature-only path gives
         lo, hi = _bisect(lambda r: guided(r) >= target, _SCAN_GRID[hint - 1], _SCAN_GRID[hint])
-        if lhs(lo) < target <= lhs(hi):
-            return _radius_result(class_id, spec, lhs, target, lo, hi)
-    # with no hint the lhs most likely stays below the target: one evaluation shows it
-    i = _first_reached(lhs, target) if hint <= _LAST or lhs(_SCAN_LIMIT) >= target else hint
-    if i > _LAST:
-        raise NoRootError(
-            f"{class_id.value} lhs for {spec.label()} stays below its target on "
-            f"(0, {_SCAN_LIMIT}]: lhs({_SCAN_LIMIT}) = {lhs(_SCAN_LIMIT):.10g} < "
-            f"target {target:.10g}, so any root lies beyond {_SCAN_LIMIT}"
-        )
-    lo, hi = _bisect(lambda r: lhs(r) >= target, _SCAN_GRID[i - 1], _SCAN_GRID[i])
-    return _radius_result(class_id, spec, lhs, target, lo, hi)
+    if hint > _LAST or not lhs(lo) < target <= lhs(hi):
+        # with no hint the lhs most likely stays below the target: one evaluation shows it
+        i = _first_reached(lhs, target) if hint <= _LAST or lhs(_SCAN_LIMIT) >= target else hint
+        if i > _LAST:
+            raise NoRootError(
+                f"{class_id.value} lhs for {spec.label()} stays below its target on "
+                f"(0, {_SCAN_LIMIT}]: lhs({_SCAN_LIMIT}) = {lhs(_SCAN_LIMIT):.10g} < "
+                f"target {target:.10g}, so any root lies beyond {_SCAN_LIMIT}"
+            )
+        lo, hi = _bisect(lambda r: lhs(r) >= target, _SCAN_GRID[i - 1], _SCAN_GRID[i])
+    extremal = _sc_equation(spec) if class_id is ClassId.SC and has_positive_coeffs(spec) else None
+    return _radius_result(Equation(class_id, spec, lhs, target), lo, hi, extremal)
 
 
 # ---------------------------------------------------------------------------
@@ -434,36 +453,36 @@ def _solve_cached(class_id: ClassId, spec: PhiSpec, order: int, tol: float) -> R
 # ---------------------------------------------------------------------------
 
 
-def _ks_sakaguchi_parts(spec: PhiSpec):
+def _ks_sakaguchi_equation(spec: PhiSpec) -> Equation:
     # phi = janowski(A, -1) integrates in closed form on both sides of the Ks equation
     a, _ = as_janowski(spec)
     lhs = lambda r: (1.0 - a) / 4.0 * math.log((1.0 + r) / (1.0 - r)) + (1.0 + a) / 2.0 * r / (1.0 - r)
-    return lhs, (1.0 + a) / 4.0 * math.log(2.0) + (1.0 - a) * math.pi / 8.0
+    return Equation(ClassId.KS, spec, lhs, (1.0 + a) / 4.0 * math.log(2.0) + (1.0 - a) * math.pi / 8.0)
 
 
-def _ks_integral_parts(spec: PhiSpec):
+def _ks_integral_equation(spec: PhiSpec) -> Equation:
     # the general Ks lhs and distance integral, at a tolerance below the bisection width
     lhs = lambda r: lhs_at(ClassId.KS, spec, r, tol=_CLOSED_FORM_TOL)
-    return lhs, distance_integral_at(ClassId.KS, spec, 1.0, _CLOSED_FORM_TOL)
+    return Equation(ClassId.KS, spec, lhs, distance_integral_at(ClassId.KS, spec, 1.0, _CLOSED_FORM_TOL))
 
 
-def _sc_growth_parts(spec: PhiSpec):
-    # nonnegative coefficients make M_h = h, so the equation is h(r) = -h(-1)
+def _sc_equation(spec: PhiSpec) -> Equation:
+    # nonnegative coefficients make M_h = h, so the class equation is the extremal h(r) = -h(-1)
     if not has_positive_coeffs(spec):  # its Sc lhs is M_h(r), not h(r)
         raise ParameterError(f"{spec.label()} has mixed-sign coefficients: use solve_radius")
     h = h_evaluator(spec)
-    return h, -h(-1.0)
+    return Equation(ClassId.SC, spec, h, -h(-1.0))
 
 
-#: equation id -> (class, family, parts builder on the spec, fixed parameters)
+#: equation id -> (class, family, equation builder on the spec, fixed parameters)
 CLOSED_FORM_EQUATIONS: Mapping[str, tuple] = {
-    "ks-sakaguchi": (ClassId.KS, "sakaguchi", _ks_sakaguchi_parts, {}),
-    "ks-wang": (ClassId.KS, "wang", _ks_integral_parts, {}),
-    "sc-lemniscate": (ClassId.SC, "lemniscate", _sc_growth_parts, {}),
-    "sc-sakaguchi": (ClassId.SC, "sakaguchi", _sc_growth_parts, {}),
-    "sc-expblend": (ClassId.SC, "expblend", _sc_growth_parts, {}),
-    "sc-janowski-b0": (ClassId.SC, "janowski", _sc_growth_parts, {"B": 0.0}),
-    "sc-janowski": (ClassId.SC, "janowski", _sc_growth_parts, {}),
+    "ks-sakaguchi": (ClassId.KS, "sakaguchi", _ks_sakaguchi_equation, {}),
+    "ks-wang": (ClassId.KS, "wang", _ks_integral_equation, {}),
+    "sc-lemniscate": (ClassId.SC, "lemniscate", _sc_equation, {}),
+    "sc-sakaguchi": (ClassId.SC, "sakaguchi", _sc_equation, {}),
+    "sc-expblend": (ClassId.SC, "expblend", _sc_equation, {}),
+    "sc-janowski-b0": (ClassId.SC, "janowski", _sc_equation, {"B": 0.0}),
+    "sc-janowski": (ClassId.SC, "janowski", _sc_equation, {}),
 }
 
 
@@ -473,15 +492,14 @@ def _free_names(equation_id: str) -> tuple[str, ...]:
     return tuple(n for n in FAMILIES[family].names if n not in fixed)
 
 
-def _closed_form(equation_id: str, params: Mapping[str, float]):
-    """(class, spec, lhs, rhs) of the equation, its free parameters read
-    from params, which may hold no other key, and the rest fixed; the spec
-    checks the ranges."""
+def _closed_form(equation_id: str, params: Mapping[str, float]) -> Equation:
+    """The equation on its family slice: free parameters from params, which
+    may hold no other key, the rest fixed; the spec checks the ranges."""
     if equation_id not in CLOSED_FORM_EQUATIONS:
         raise ParameterError(
             f"unknown equation {equation_id!r}; expected one of {sorted(CLOSED_FORM_EQUATIONS)}"
         )
-    class_id, family, parts_builder, fixed = CLOSED_FORM_EQUATIONS[equation_id]
+    _, family, builder, fixed = CLOSED_FORM_EQUATIONS[equation_id]
     names = _free_names(equation_id)
     missing = [n for n in names if n not in params]
     if missing:
@@ -490,7 +508,7 @@ def _closed_form(equation_id: str, params: Mapping[str, float]):
     if extra:
         raise ParameterError(f"{equation_id} takes parameters {names}, not {extra}")
     spec = PhiSpec(family, tuple({**params, **fixed}[n] for n in FAMILIES[family].names))
-    return (class_id, spec, *parts_builder(spec))
+    return builder(spec)
 
 
 def solve_corollary_closed_form(equation_id: str, params: Mapping[str, float]) -> RadiusResult:
@@ -507,13 +525,12 @@ def solve_corollary_closed_form(equation_id: str, params: Mapping[str, float]) -
     return _solve_closed_form(equation_id, _closed_form(equation_id, params))
 
 
-def _solve_closed_form(equation_id: str, equation: tuple) -> RadiusResult:
-    """The result for the root of a ``_closed_form`` equation, bisected on (0, 1)."""
-    class_id, spec, lhs, rhs = equation
-    lo, hi = _bisect(lambda r: lhs(r) >= rhs, 0.0, 1.0, 1e-12)
-    if hi == 1.0:  # lhs stayed below rhs at every midpoint
+def _solve_closed_form(equation_id: str, eq: Equation) -> RadiusResult:
+    """The result for a ``_closed_form`` equation's root on (0, 1); a Sc row is its own extremal."""
+    lo, hi = _bisect(lambda r: eq.lhs(r) >= eq.target, 0.0, 1.0, 1e-12)
+    if hi == 1.0:  # lhs stayed below the target at every midpoint
         raise NoRootError(f"{equation_id} equation shows no root in (0, 1 - 1e-12]")
-    return _radius_result(class_id, spec, lhs, rhs, lo, hi)
+    return _radius_result(eq, lo, hi, eq if eq.class_id is ClassId.SC else None)
 
 
 # ---------------------------------------------------------------------------
@@ -542,15 +559,15 @@ def sharpness_witness(class_id: ClassId, spec: PhiSpec, result: RadiusResult) ->
     strictly exceeds it at r_f + 0.01 (below 1, a sharp r_f being at most 1/3)."""
     if class_id is not ClassId.SC or not result.sharp:
         raise ParameterError("sharpness witness applies to sharp Sc results only")
-    h, bound = _sc_growth_parts(spec)  # the Sc corollary h(r) = -h(-1)
-    value = h(result.r_f)  # positive coefficients: M_h(r) == h(r)
-    if abs(value - bound) > 1e-7:
+    eq = _sc_equation(spec)  # positive coefficients: M_h(r) == h(r)
+    value = eq.lhs(result.r_f)
+    if abs(value - eq.target) > 1e-7:
         raise InconsistencyError(
-            f"extremal value {value!r} misses the bound {bound!r} at r_f={result.r_f!r}; "
+            f"extremal value {value!r} misses the bound {eq.target!r} at r_f={result.r_f!r}; "
             "solver or extremal-function bug"
         )
-    beyond = h(result.r_f + _WITNESS_STEP)
-    return WitnessReport(result.r_f, value, bound, _WITNESS_STEP, beyond, bool(beyond > bound))
+    beyond = eq.lhs(result.r_f + _WITNESS_STEP)
+    return WitnessReport(result.r_f, value, eq.target, _WITNESS_STEP, beyond, bool(beyond > eq.target))
 
 
 class ThresholdRow(NamedTuple):
@@ -589,11 +606,11 @@ def threshold_scan(equation_id: str, params: Sequence[float]) -> ThresholdScan:
         raise ParameterError("parameter grid must be increasing with at least two points")
 
     def within(p: float) -> bool:
-        return _root_at_most_third(*_closed_form(equation_id, {name: p})[2:])
+        return _root_at_most_third(_closed_form(equation_id, {name: p}))
 
     def row(p: float) -> ThresholdRow:  # its radius and its flag from one equation
         eq = _closed_form(equation_id, {name: p})
-        return ThresholdRow(p, _solve_closed_form(equation_id, eq).r_f, _root_at_most_third(*eq[2:]))
+        return ThresholdRow(p, _solve_closed_form(equation_id, eq).r_f, _root_at_most_third(eq))
 
     rows = tuple(row(p) for p in grid)
     bracket = threshold = None

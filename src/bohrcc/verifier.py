@@ -44,7 +44,6 @@ first failing sample would raise on its own.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 import numpy as np
@@ -223,9 +222,6 @@ class VerificationReport(NamedTuple):
             "witness": self.witness,
             "radius": self.radius.to_dict(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def run_campaign(

@@ -4,7 +4,9 @@ entry points that route their counts and real numbers through them.
 A bool is an int to Python and a string or bytes holds digits, but none of
 them is a count or a real parameter here: each raises the caller's
 ParameterError.  numpy integers and floats and Fractions are numbers, and
-are stored as the int or float they equal.
+are stored as the int or float they equal.  The solver's entry points that
+take a class and a spec refuse any other type of either with a
+ParameterError too, before they read an attribute off it.
 """
 
 import math
@@ -18,7 +20,14 @@ from bohrcc import power_series as ps
 from bohrcc.catalog import PhiSpec, check_min_max_hypothesis, lemniscate, strongly
 from bohrcc.errors import ParameterError, as_int, as_real
 from bohrcc.quadrature import check_tol
-from bohrcc.solver import ClassId, distance_integral_at, lhs_at, threshold_scan
+from bohrcc.solver import (
+    ClassId,
+    distance_integral_at,
+    lhs_at,
+    solve_radius,
+    target_constant,
+    threshold_scan,
+)
 from bohrcc.verifier import SelfMap, check_bohr, run_campaign, sample_member
 
 NOT_INTEGERS = [True, False, np.bool_(True), 2.0, 2.5, "2", b"2", Fraction(2, 1), None]
@@ -126,8 +135,54 @@ def test_lhs_radius_is_a_real(r):
     for method in ("quadrature", "series"):
         with pytest.raises(ParameterError, match="^lhs_at takes a real r with 0 <= r < 1, got "):
             lhs_at(ClassId.KS, strongly(0.5), r, method)
-    with pytest.raises(ParameterError, match="^distance_integral_at takes a finite real r, got "):
+    with pytest.raises(ParameterError, match="^distance_integral_at takes a real r with 0 <= r <= 1, got "):
         distance_integral_at(ClassId.KS, strongly(0.5), r)
+
+
+@pytest.mark.parametrize("class_id", [ClassId.KS, ClassId.CS], ids=lambda c: c.value)
+@pytest.mark.parametrize("r", [-0.5, -1e-300, 1.5, math.nan], ids=repr)
+def test_distance_integral_takes_one_radius_range(class_id, r):
+    # one text for every class, whichever rule, 1-D or nested, would integrate
+    text = re.escape(f"distance_integral_at takes a real r with 0 <= r <= 1, got {r!r}")
+    with pytest.raises(ParameterError, match=f"^{text}$"):
+        distance_integral_at(class_id, strongly(0.5), r)
+
+
+@pytest.mark.parametrize("class_id", [ClassId.KS, ClassId.CS], ids=lambda c: c.value)
+def test_distance_integral_reads_both_ends(class_id):
+    # r = 1 is the target itself, and the integral from 0 to 0 is empty
+    assert distance_integral_at(class_id, strongly(0.5), 0.0) == 0.0
+    assert distance_integral_at(class_id, strongly(0.5), 1.0) == target_constant(class_id, strongly(0.5))
+
+
+#: each entry point that takes a class and a spec, called with a good radius
+#: where it takes one, and the arguments of the wrong type it refuses
+PAIR_ENTRY_POINTS = {
+    "solve_radius": lambda c, s: solve_radius(c, s),
+    "target_constant": lambda c, s: target_constant(c, s),
+    "lhs_at": lambda c, s: lhs_at(c, s, 0.3),
+    "lhs_at-series": lambda c, s: lhs_at(c, s, 0.3, "series"),
+    "distance_integral_at": lambda c, s: distance_integral_at(c, s, 0.3),
+    "run_campaign": lambda c, s: run_campaign(c, s, 5, 1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PAIR_ENTRY_POINTS))
+@pytest.mark.parametrize("class_id", ["Ks", "Sc", None, 0], ids=repr)
+def test_a_class_of_the_wrong_type_is_parameter_error(entry, class_id):
+    # not an AttributeError from reading .value or .nested off it
+    text = re.escape(f"class must be a ClassId, got {class_id!r}")
+    with pytest.raises(ParameterError, match=f"^{text}$"):
+        PAIR_ENTRY_POINTS[entry](class_id, lemniscate(0.5))
+
+
+@pytest.mark.parametrize("entry", sorted(PAIR_ENTRY_POINTS))
+@pytest.mark.parametrize("spec", ["lemniscate", ("lemniscate", (0.5,)), None, [0.5]], ids=repr)
+def test_a_spec_of_the_wrong_type_is_parameter_error(entry, spec):
+    # not an AttributeError from reading .family, nor a TypeError from a cache key
+    text = re.escape(f"spec must be a PhiSpec, got {spec!r}")
+    with pytest.raises(ParameterError, match=f"^{text}$"):
+        PAIR_ENTRY_POINTS[entry](ClassId.KS, spec)
 
 
 @pytest.mark.parametrize("class_id", list(ClassId), ids=lambda c: c.value)

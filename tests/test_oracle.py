@@ -83,8 +83,8 @@ def test_ks_closed_form_matches_the_oracle_root(eid, params, spec):
 @pytest.mark.parametrize("eid,params", [(e, p) for e, p, _ in CLOSED_FORM_BITS])
 def test_each_pinned_corollary_brackets_the_oracle_root(eid, params):
     # bisection to width 2^-40 puts r_f within 4.6e-13 of the root
-    class_id, spec, _, _ = _closed_form(eid, params)
-    root = (ks_oracle_root if class_id is ClassId.KS else oracle_root)(spec)
+    eq = _closed_form(eid, params)
+    root = (ks_oracle_root if eq.class_id is ClassId.KS else oracle_root)(eq.spec)
     lo, hi = solve_corollary_closed_form(eid, params).bracket
     assert lo <= root <= hi
 

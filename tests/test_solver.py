@@ -32,6 +32,7 @@ from bohrcc.catalog import (
 )
 from bohrcc.errors import InconsistencyError, NoRootError, ParameterError
 from bohrcc.extremal import build_extremal, extremal_kernels, h_evaluator
+from bohrcc.reference import TABLE1, TABLE4
 from bohrcc.solver import (
     ClassId,
     lhs_at,
@@ -566,6 +567,36 @@ class TestThresholdScan:
         assert equation not in solver.SCAN_EQUATIONS
         with pytest.raises(ParameterError, match="one-parameter"):
             threshold_scan(equation, [0.1, 0.2])
+
+    @staticmethod
+    def _h_builds(monkeypatch, run) -> int:
+        """How many times ``run()`` builds the extremal h in the solver."""
+        builds = []
+        build = solver.h_evaluator
+        monkeypatch.setattr(solver, "h_evaluator", lambda spec: builds.append(spec) or build(spec))
+        run()
+        return len(builds)
+
+    @pytest.mark.parametrize("n", [2, 11, 101])
+    def test_a_row_builds_its_equation_once(self, monkeypatch, n):
+        # every row of this grid sits in the window, so no probe refines a crossing;
+        # a row reads its r_f, its flag and its sharp verdict from one equation
+        grid = np.linspace(0.5, 0.7, n)
+        assert self._h_builds(monkeypatch, lambda: threshold_scan("sc-lemniscate", grid)) == n
+
+    def test_a_refinement_probe_builds_one_equation(self, monkeypatch):
+        grid = np.linspace(0.1, 0.7, 101)
+        scan = threshold_scan("sc-lemniscate", grid)
+        a, b = scan.bracket
+        probes = math.ceil(math.log2((b - a) / 1e-9))  # halvings of the crossing's cell to 1e-9
+        assert probes == 23
+        assert self._h_builds(monkeypatch, lambda: threshold_scan("sc-lemniscate", grid)) == 101 + probes
+
+    def test_a_table_row_builds_one_equation(self, monkeypatch):
+        rows = [("sc-lemniscate", {"s": s}) for s, _ in TABLE1]
+        rows += [("sc-janowski", {"A": a, "B": b}) for a, b, _ in TABLE4]
+        for eid, params in rows:
+            assert self._h_builds(monkeypatch, lambda: solve_corollary_closed_form(eid, params)) == 1
 
     def test_scan_equations_are_the_one_parameter_rows(self):
         one = [

@@ -3,8 +3,10 @@
 ``src/`` holds production code only: every module-level function, class
 and constant is referenced somewhere else in the package, or is part of
 the public surface (``bohrcc.__all__`` and the ``bohrcc`` script's
-``cli.run``).  Code that only tests call lives under ``tests/``, the
-second evaluation routes among it in ``tests/routes.py``.
+``cli.run``), and every function of a class body other than a dunder is
+read somewhere outside its own definition.  Code that only tests call
+lives under ``tests/``, the second evaluation routes among it in
+``tests/routes.py``.
 
 The grep rules below keep each piece of knowledge in its one place: a
 family's formulas in the catalog's ``FAMILIES`` records, a class's kernel
@@ -14,7 +16,8 @@ form per pointwise quantity, a family's parameters behind
 ``catalog.as_janowski`` and ``formulas_of`` for the solver, the integer
 and real argument checks in ``errors.as_int`` and ``as_real``, and the test
 "root at most 1/3" in ``solver._root_at_most_third``, with no slack.  The
-solver's one loop is the bisection in ``solver._bisect``.
+solver's one loop is the bisection in ``solver._bisect``, and its one
+builder of the Sc extremal h is ``solver._sc_equation``.
 """
 
 from __future__ import annotations
@@ -72,24 +75,56 @@ def _public_names(modules: dict[str, ast.Module]) -> set[str]:
     raise AssertionError("bohrcc/__init__.py defines no __all__")
 
 
+def _units(statement: ast.stmt) -> list[tuple[int, list[ast.AST]]]:
+    """The statement's reading units by member index: each statement of a
+    class body apart, and the class line (bases, keywords, decorators) as
+    -1; any other statement is one unit, -1."""
+    if not isinstance(statement, ast.ClassDef):
+        return [(-1, [statement])]
+    head = [*statement.bases, *statement.keywords, *statement.decorator_list]
+    return [(-1, head), *((j, [member]) for j, member in enumerate(statement.body))]
+
+
+def _methods(statement: ast.stmt) -> list[tuple[int, str]]:
+    """(member index, name) of each function a top-level class body defines."""
+    if not isinstance(statement, ast.ClassDef):
+        return []
+    return [
+        (j, f.name)
+        for j, f in enumerate(statement.body)
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
 def unreferenced_names(modules: dict[str, ast.Module]) -> list[str]:
     """``module.name`` for each module-level definition that no other
-    top-level statement of the package reads (a name is matched by its
-    identifier alone, whichever module reads it)."""
-    readers = defaultdict(set)  # identifier -> the (module, statement) pairs reading it
+    top-level statement of the package reads, and ``module.Class.name`` for
+    each function of a top-level class body that no other statement reads,
+    its class's other members included (a name is matched by its identifier
+    alone, whichever module reads it; dunders are read by the interpreter)."""
+    readers = defaultdict(set)  # identifier -> the (module, statement, member) units reading it
     for module, tree in modules.items():
         for i, statement in enumerate(tree.body):
-            for name in _referenced(statement):
-                readers[name].add((module, i))
+            for j, nodes in _units(statement):
+                for name in set().union(*map(_referenced, nodes)):
+                    readers[name].add((module, i, j))
     allowed = _public_names(modules) | ENTRY_POINTS
     found = []
     for module, tree in modules.items():
+        prefix = module.removesuffix(".py")
         for i, statement in enumerate(tree.body):
             for name in _defined(statement):
-                dunder = name.startswith("__") and name.endswith("__")  # read by the interpreter
-                if not dunder and name not in allowed and not readers[name] - {(module, i)}:
-                    found.append(f"{module.removesuffix('.py')}.{name}")
+                outside = {(m, k) for m, k, _ in readers[name]} - {(module, i)}
+                if not _dunder(name) and name not in allowed and not outside:
+                    found.append(f"{prefix}.{name}")
+            for j, name in _methods(statement):
+                if not _dunder(name) and not readers[name] - {(module, i, j)}:
+                    found.append(f"{prefix}.{statement.name}.{name}")
     return found
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def test_every_module_level_name_has_a_production_reader():
@@ -110,6 +145,22 @@ def test_the_scan_flags_a_name_only_its_definition_reads():
         "__all__ = ['used', 'Kept']\n"
     )
     assert unreferenced_names({"__init__.py": tree}) == ["__init__.orphan"]
+
+
+def test_the_scan_flags_a_method_only_its_definition_reads():
+    tree = ast.parse(
+        "class Kept(Base):\n"
+        "    def __repr__(self):\n        return self.shown()\n"
+        "    def shown(self):\n        return 'kept'\n"
+        "    def called(self):\n        return 1\n"
+        "    def orphan(self):\n        return self.orphan()\n"
+        "class Base:\n    pass\n"
+        "def used():\n    return Kept().called()\n"
+        "__all__ = ['Kept', 'used']\n"
+    )
+    # shown is read by its class's __repr__, called by a function, and the
+    # dunder by the interpreter; orphan reads only itself
+    assert unreferenced_names({"__init__.py": tree}) == ["__init__.Kept.orphan"]
 
 
 def _py_files(*names: str) -> list[Path]:
@@ -214,6 +265,21 @@ def test_the_script_and_python_m_share_one_entry_point():
     project = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())["project"]
     assert project["scripts"] == {"bohrcc": "bohrcc.cli:run"}
     assert (SRC / "__main__.py").read_text().endswith("\nfrom .cli import run\n\nsys.exit(run())\n")
+
+
+def test_only_the_sc_equation_builds_h_in_solver():
+    # the Sc extremal equation h(r) = -h(-1) is built in one place, so a
+    # result, a witness or a scan row reads the record it is given
+    tree = _modules()["solver.py"]
+    builder = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_sc_equation")
+    calls = [
+        n
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and "h_evaluator" in _referenced(n.func)
+    ]
+    assert calls and all(c in list(ast.walk(builder)) for c in calls), (
+        "solver.py calls h_evaluator outside _sc_equation: read the Sc equation's record instead"
+    )
 
 
 def test_the_one_loop_in_solver_is_the_bisection():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import re
 import tracemalloc
@@ -200,10 +201,10 @@ class TestCampaign:
         assert abs(rep.min_margin) <= 1e-7  # the identity sample sits on the bound
 
     def test_deterministic_bytes(self):
-        a = run_campaign(ClassId.CC, lemniscate(0.5), 25, seed=5).to_json()
-        b = run_campaign(ClassId.CC, lemniscate(0.5), 25, seed=5).to_json()
+        a = _json(run_campaign(ClassId.CC, lemniscate(0.5), 25, seed=5))
+        b = _json(run_campaign(ClassId.CC, lemniscate(0.5), 25, seed=5))
         assert a == b
-        c = run_campaign(ClassId.CC, lemniscate(0.5), 25, seed=6).to_json()
+        c = _json(run_campaign(ClassId.CC, lemniscate(0.5), 25, seed=6))
         assert a != c
 
     def test_failure_report_beyond_radius(self):
@@ -256,11 +257,16 @@ class TestCampaign:
             run_campaign(ClassId.SC, lemniscate(0.5), n, seed=-1)
 
 
+def _json(report) -> str:
+    """The report's payload as sorted-key JSON, the bytes the campaign pins hash."""
+    return json.dumps(report.to_json_dict(), sort_keys=True)
+
+
 def _sha(report) -> str:
-    return hashlib.sha256(report.to_json().encode()).hexdigest()
+    return hashlib.sha256(_json(report).encode()).hexdigest()
 
 
-#: sha256 of run_campaign(class, spec, 100, seed).to_json() for the 24
+#: sha256 of _json(run_campaign(class, spec, 100, seed)) for the 24
 #: canonical pairs.  Each margin is one row sum of |a_n| r^n, which rounds
 #: unlike a Horner loop: its pins differ from Horner's by a few ulp of
 #: ``min_margin`` and of failure margins, with the same failing draws.
@@ -315,17 +321,17 @@ CAMPAIGN_PINS = {
     ("Cs", "wang", (0.5, 1.0), 2): "35e4a38a3f59575ee36ebc0d2a21a6ded44a119a276e71305aa94487a6e2d705",
 }
 
-#: sha256 of run_campaign(Sc, lemniscate(0.5), 100, 3, r=0.34).to_json(), the
+#: sha256 of _json(run_campaign(Sc, lemniscate(0.5), 100, 3, r=0.34)), the
 #: one pinned report whose bytes depend on the drawn self-maps;
 #: test_failing_campaign_failures_match_oracle rebuilds its failures.
 FAILING_CAMPAIGN_PIN = "2455d01d2f0f06ed68fec91cc96ff7c216fda001ca00903218767456e5e29fb7"
 
-#: sha256 of run_campaign(Ks, strongly(0.5), 100, 3, r=0.45).to_json(): 37
+#: sha256 of _json(run_campaign(Ks, strongly(0.5), 100, 3, r=0.45)): 37
 #: failing draws over powers 1-4 of a phi with a full series, whose members
 #: test_blocks_leave_the_bytes also compares bit for bit
 FULL_SERIES_FAILING_PIN = "733cb7c08557f5b566b312eaf6acbb74a15d87c3222f96465a9f7d5e5e8dcd69"
 
-#: sha256 of run_campaign(class, strongly(0.5), 100, 3, r=r).to_json() for the
+#: sha256 of _json(run_campaign(class, strongly(0.5), 100, 3, r=r)) for the
 #: nested classes, keyed by (class, r), with the number of failing draws (all
 #: of powers 1-2): the drawn Cc and Cs members, whose passing reports are set
 #: by sample 0 alone
